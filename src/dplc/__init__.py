@@ -6,24 +6,22 @@ small dropout-regularized ReLU network g over the z covariates trained by
 Adam on the partial-likelihood loss, alternating until both stabilize.
 """
 
-from .coordinate_descent import CdState, CdUpdate, cd_fit, surrogate_inputs
+from .coordinate_descent import cd_fit
 from .errors import NumericalDivergence
 from .estimator import (ArchSelection, FitConfig, FittedModel,
                         LambdaPathEntry, bic, fit, model_from_dict,
                         model_to_dict, predict_eta, tune_architecture,
                         tune_lambda)
 from .network import (AdamState, Network, NetworkArch, adam_fit, center,
-                      forward, grad_params, init_network, network_from_dict,
-                      network_to_dict, zero_network)
-from .scad import ScadConfig, scad_derivative, scad_threshold, scad_value, soft_threshold
+                      forward, init_network, loss_and_grads,
+                      network_from_dict, network_to_dict, zero_network)
+from .scad import ScadConfig, scad_threshold, scad_value
 from .simulation import (ExperimentReport, MethodConfig, ReplicateRow,
                          SelectionRow, SimConfig, SimulatedData, c_index,
                          calibrate_censoring, g0_eval, gen_beta0,
                          gen_covariates, gen_survival, run_experiment,
                          selection_metrics, simulate_dataset)
-from .survival import (Predictor, RiskIndex, SurvivalDataset,
-                       build_risk_index, grad_eta, hessian_diag,
-                       neg_log_partial_likelihood, stratified_split, subset,
-                       working_response)
+from .survival import (RiskIndex, SurvivalDataset, build_risk_index,
+                       cox_terms, stratified_split, subset)
 
 __version__ = "0.1.0"

@@ -234,14 +234,22 @@ def _fit_config(config: dict, input_dim: int, seed) -> FitConfig:
         raise CliInputError("invalid fit config: %s" % exc)
 
 
+def _check_lambda_grid(grid, where):
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise CliInputError("%s must be ascending" % where)
+    if not all(0.0 <= lam < math.inf for lam in grid):
+        raise CliInputError("%s values must be finite and >= 0" % where)
+    return grid
+
+
 def _parse_lambda_grid(text: str):
     try:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise CliInputError("--lambda-grid must be comma-separated numbers")
-    if not grid or any(b < a for a, b in zip(grid, grid[1:])):
-        raise CliInputError("--lambda-grid must be non-empty and ascending")
-    return grid
+    if not grid:
+        raise CliInputError("--lambda-grid must be non-empty")
+    return _check_lambda_grid(grid, "--lambda-grid")
 
 
 def _parse_arch_grid(text: str, tune_defaults: dict) -> dict:
@@ -300,9 +308,7 @@ def _lambda_grid_from(config, args):
     if getattr(args, "lambda_grid", None):
         return _parse_lambda_grid(args.lambda_grid)
     grid = _number_list(config["lambda_grid"], float, "lambda_grid")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise CliInputError("config lambda_grid must be ascending")
-    return grid
+    return _check_lambda_grid(grid, "config lambda_grid")
 
 
 def cmd_fit(args) -> int:
@@ -333,14 +339,8 @@ def cmd_fit(args) -> int:
                                        tune["width_grid"], tune["dropout_grid"],
                                        tune["lr_grid"], cfg,
                                        criterion=tune["criterion"])
-            cfg = FitConfig(scad=cfg.scad, arch=choice.arch,
-                            adam=AdamState(r1=cfg.adam.r1, r2=cfg.adam.r2,
-                                           gamma=choice.learning_rate,
-                                           eps0=cfg.adam.eps0),
-                            inner_steps=cfg.inner_steps, adam_tol=cfg.adam_tol,
-                            cd_tol=cfg.cd_tol, max_sweeps=cfg.max_sweeps,
-                            outer_tol=cfg.outer_tol, max_outer=cfg.max_outer,
-                            fit_g=cfg.fit_g, seed=cfg.seed)
+            cfg = replace(cfg, arch=choice.arch,
+                          adam=replace(cfg.adam, gamma=choice.learning_rate))
         best_lam, path = tune_lambda(dataset, lambda_grid, cfg)
         best = next(e for e in path if e.lam == best_lam)
         model = best.model
@@ -410,7 +410,12 @@ def cmd_predict(args) -> int:
         for i, value in enumerate(eta):
             writer.writerow([i, fmt_value(float(value))])
     if times is not None and status is not None:
-        print("c_index=%s" % fmt_value(c_index(eta, times, status)))
+        try:
+            cidx = c_index(eta, times, status)
+        except ValueError as exc:
+            print("c_index not reported: %s" % exc, file=sys.stderr)
+        else:
+            print("c_index=%s" % fmt_value(cidx))
     print("wrote %d predictions to %s" % (eta.size, args.out))
     return 0
 

@@ -1,70 +1,50 @@
 """SCAD-penalized coordinate descent on the linear coefficients, g held fixed.
 
-Each sweep builds the diagonal IRLS surrogate of the partial likelihood at
-the current linear predictor (weights W, working response y, residual
-r = y - xi), then updates coordinates one at a time through the SCAD
-thresholding operator with the usual rank-one residual update.  W and y are
-refreshed once per sweep, not per coordinate, so the quadratic stays fixed
-while a sweep runs.
+Each sweep makes one `cox_terms` pass at the current linear predictor and
+builds the diagonal IRLS surrogate of the partial likelihood from it:
+weights W (the Hessian diagonal), working response
+y = xi + resid / (n * W) and residual r = y - xi.  Coordinates are then
+updated one at a time through the SCAD thresholding operator with the
+usual rank-one residual update.  W and y are refreshed once per sweep, not
+per coordinate, so the quadratic stays fixed while a sweep runs.
 
-Columns of x are centered and scaled to unit variance internally; the
-returned coefficients are on the original scale, with thresholded entries
-exactly zero.
+Columns of x are centered and scaled to unit variance internally (constant
+columns become exact zeros); the returned coefficients are on the original
+scale, with thresholded entries exactly zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+import logging
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalDivergence
 from .scad import ScadConfig, scad_threshold, scad_value
-from .survival import (Predictor, RiskIndex, SurvivalDataset, build_risk_index,
-                       hessian_diag, working_response)
+from .survival import RiskIndex, SurvivalDataset, build_risk_index, cox_terms
+
+logger = logging.getLogger(__name__)
 
 V_FLOOR = 1e-10
 BETA_CAP = 1e6
+# Curvature floor in the working-response division; entries this small
+# carry essentially no weight in the downstream least-squares aggregates.
+EPS_W = 1e-8
 
 
-@dataclass
-class CdState:
-    """Within-sweep solver state (beta and xi refer to the working scale)."""
+def _working_response(xi, resid, W, n):
+    """IRLS pseudo-outcome y = xi + resid / (n * W), W floored at EPS_W.
 
-    beta: np.ndarray
-    xi: np.ndarray
-    residual: np.ndarray
-    W: np.ndarray
-    tol: float
-    max_sweeps: int
-
-
-@dataclass(frozen=True)
-class CdUpdate:
-    """One coordinate visit, reported to the optional cd_fit callback."""
-
-    sweep: int
-    j: int
-    h: float
-    v: float
-    beta_old: float
-    beta_new: float
-    accepted: bool
-    surrogate_delta: float
-
-
-def surrogate_inputs(j: int, state: CdState, X: np.ndarray):
-    """Weighted inner products (h_j, v_j) for coordinate j.
-
-    h_j = x_j' W r + v_j beta_j and v_j = x_j' W x_j, with v_j floored so a
-    degenerate column cannot divide by zero.
+    The floor keeps subjects with a nearly empty history contribution from
+    blowing up the division; floored entries get a log note because they
+    carry negligible weight downstream anyway.
     """
-    xj = X[:, j]
-    wxj = state.W * xj
-    v = max(float(wxj @ xj), V_FLOOR)
-    h = float(wxj @ state.residual) + v * float(state.beta[j])
-    return h, v
+    floored = W < EPS_W
+    if np.any(floored):
+        logger.debug("working response floored %d curvature entries",
+                     int(floored.sum()))
+    return xi + resid / (n * np.maximum(W, EPS_W))
 
 
 def _surrogate_move_delta(h, v, old, new, cfg):
@@ -77,12 +57,29 @@ def _surrogate_move_delta(h, v, old, new, cfg):
     return quad + scad_value(abs(new), cfg) - scad_value(abs(old), cfg)
 
 
+def _sweep(X, W, r, beta, cfg):
+    """One pass over the coordinates of the surrogate fixed by (W, r).
+
+    Coordinate j sees h_j = x_j' W r + v_j beta_j and v_j = x_j' W x_j,
+    with v_j floored so a degenerate column cannot divide by zero.  A move
+    is kept only if it does not increase the penalized surrogate; beta and
+    the residual r = y - X beta are updated in place.
+    """
+    WX = X * W[:, None]
+    v_all = np.maximum(np.einsum("ij,ij->j", WX, X), V_FLOOR)
+    for j in range(X.shape[1]):
+        old = beta[j]
+        h = float(WX[:, j] @ r) + v_all[j] * old
+        new = scad_threshold(h, v_all[j], cfg)
+        if new != old and \
+                _surrogate_move_delta(h, v_all[j], old, new, cfg) <= 0.0:
+            r -= (new - old) * X[:, j]
+            beta[j] = new
+
+
 def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
            tol: float = 1e-5, max_sweeps: int = 100, *,
-           standardize: bool = True,
            index: Optional[RiskIndex] = None,
-           on_update: Optional[Callable[[CdUpdate], None]] = None,
-           on_sweep_end: Optional[Callable[[int, CdState, np.ndarray], None]] = None,
            info: Optional[dict] = None) -> np.ndarray:
     """Run penalized coordinate descent until the sweep change is <= tol.
 
@@ -91,6 +88,7 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
     surrogate; the thresholding operator guarantees that when v_j = 1, and
     the guard covers low-curvature columns where the closed form can
     overshoot.  Raises NumericalDivergence if the coefficients blow up.
+    If given, info["sweeps"] receives the number of sweeps run.
     """
     g_vals = np.asarray(g_vals, dtype=float)
     if g_vals.shape != (dataset.n,):
@@ -106,53 +104,26 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
     if index is None:
         index = build_risk_index(dataset)
 
-    if standardize:
-        mean = dataset.x.mean(axis=0)
-        sd = dataset.x.std(axis=0)
-        scale = np.where(sd > 0, sd, 1.0)
-        X = (dataset.x - mean) / scale
-    else:
-        scale = np.ones(dataset.p)
-        X = dataset.x
+    # A constant column is centered on its own value, so it becomes exactly
+    # zero; its rounded mean could leave a +-1e-17 column behind that the
+    # scaling would blow up to +-1.
+    constant = np.all(dataset.x == dataset.x[0], axis=0)
+    mean = np.where(constant, dataset.x[0], dataset.x.mean(axis=0))
+    sd = dataset.x.std(axis=0)
+    scale = np.where((sd > 0) & ~constant, sd, 1.0)
+    X = (dataset.x - mean) / scale
 
     beta = beta_init * scale
-    p = dataset.p
     sweeps_run = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps_run = sweep
         xi = X @ beta
-        pred = Predictor.from_parts(xi, g_vals)
-        W = hessian_diag(pred, dataset, index)
-        y = working_response(pred, W, dataset, index)
-        r = y - xi
-        WX = X * W[:, None]
-        v_all = np.maximum(np.einsum("ij,ij->j", WX, X), V_FLOOR)
-
+        _, resid, W = cox_terms(xi + g_vals, dataset, index)
+        r = _working_response(xi, resid, W, dataset.n) - xi
         beta_prev = beta.copy()
-        for j in range(p):
-            old = beta[j]
-            h = float(WX[:, j] @ r) + v_all[j] * old
-            new = scad_threshold(h, v_all[j], cfg)
-            accepted = False
-            delta = 0.0
-            if new != old:
-                delta = _surrogate_move_delta(h, v_all[j], old, new, cfg)
-                if delta <= 0.0:
-                    r -= (new - old) * X[:, j]
-                    beta[j] = new
-                    accepted = True
-            if on_update is not None:
-                on_update(CdUpdate(sweep=sweep, j=j, h=h, v=float(v_all[j]),
-                                   beta_old=float(old), beta_new=float(beta[j]),
-                                   accepted=accepted,
-                                   surrogate_delta=float(delta)))
-
+        _sweep(X, W, r, beta, cfg)
         if np.max(np.abs(beta), initial=0.0) > BETA_CAP:
             raise NumericalDivergence("divergence; reduce step or increase lambda")
-        if on_sweep_end is not None:
-            state = CdState(beta=beta.copy(), xi=X @ beta, residual=r.copy(),
-                            W=W, tol=tol, max_sweeps=max_sweeps)
-            on_sweep_end(sweep, state, y)
         if float(np.linalg.norm(beta - beta_prev)) <= tol:
             break
 

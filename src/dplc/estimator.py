@@ -21,8 +21,8 @@ from .network import (AdamState, Network, NetworkArch, adam_fit, center,
                       forward, init_network, network_from_dict,
                       network_to_dict, zero_network)
 from .scad import ScadConfig, scad_value
-from .survival import (Predictor, SurvivalDataset, build_risk_index,
-                       neg_log_partial_likelihood, stratified_split, subset)
+from .survival import (SurvivalDataset, build_risk_index, cox_terms,
+                       stratified_split, subset)
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     g_vals = forward(net, dataset.z, mode="eval")
 
     def penalized_loss(b, g):
-        pred = Predictor.from_parts(dataset.x @ b, g)
-        return neg_log_partial_likelihood(pred, dataset, index) \
+        return cox_terms(dataset.x @ b + g, dataset, index)[0] \
             + _penalty_total(b, cfg.scad)
 
     loss_path = [penalized_loss(beta, g_vals)]
@@ -149,8 +148,7 @@ def bic(model: FittedModel, dataset: SurvivalDataset) -> float:
     """-2n * (average log partial likelihood) + log(n) * (selected count)."""
     index = build_risk_index(dataset)
     eta = predict_eta(model, dataset.x, dataset.z)
-    pred = Predictor.from_parts(eta, np.zeros_like(eta))
-    q = neg_log_partial_likelihood(pred, dataset, index)
+    q = cox_terms(eta, dataset, index)[0]
     return float(2.0 * dataset.n * q + np.log(dataset.n) * model.n_selected)
 
 
@@ -238,16 +236,13 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
                     arch = NetworkArch(input_dim=dataset.r,
                                        hidden_widths=(width,) * depth,
                                        dropout_rate=rate)
-                    cfg_cell = replace(
-                        cfg, arch=arch,
-                        adam=AdamState(r1=cfg.adam.r1, r2=cfg.adam.r2,
-                                       gamma=lr, eps0=cfg.adam.eps0),
-                        seed=cfg.seed + cell)
+                    cfg_cell = replace(cfg, arch=arch,
+                                       adam=replace(cfg.adam, gamma=lr),
+                                       seed=cfg.seed + cell)
                     model = fit(train_ds, cfg_cell)
                     if criterion == "validation":
                         eta = predict_eta(model, val_ds.x, val_ds.z)
-                        pred = Predictor.from_parts(eta, np.zeros_like(eta))
-                        score = neg_log_partial_likelihood(pred, val_ds, val_index)
+                        score = cox_terms(eta, val_ds, val_index)[0]
                     else:
                         score = bic(model, train_ds)
                     table.append({"depth": depth, "width": width,
@@ -280,26 +275,6 @@ def config_to_dict(cfg: FitConfig) -> dict:
         "fit_g": cfg.fit_g,
         "seed": cfg.seed,
     }
-
-
-def config_from_dict(data: dict) -> FitConfig:
-    return FitConfig(
-        scad=ScadConfig(lam=float(data["scad"]["lam"]), a=float(data["scad"]["a"])),
-        arch=NetworkArch(input_dim=int(data["arch"]["input_dim"]),
-                         hidden_widths=tuple(data["arch"]["hidden_widths"]),
-                         dropout_rate=float(data["arch"]["dropout_rate"])),
-        adam=AdamState(r1=float(data["adam"]["r1"]), r2=float(data["adam"]["r2"]),
-                       gamma=float(data["adam"]["gamma"]),
-                       eps0=float(data["adam"]["eps0"])),
-        inner_steps=int(data["inner_steps"]),
-        adam_tol=float(data["adam_tol"]),
-        cd_tol=float(data["cd_tol"]),
-        max_sweeps=int(data["max_sweeps"]),
-        outer_tol=float(data["outer_tol"]),
-        max_outer=int(data["max_outer"]),
-        fit_g=bool(data["fit_g"]),
-        seed=int(data["seed"]),
-    )
 
 
 def model_to_dict(model: FittedModel, cfg: FitConfig,

@@ -12,13 +12,11 @@ training z is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalDivergence
-from .survival import (Predictor, RiskIndex, SurvivalDataset, grad_eta,
-                       neg_log_partial_likelihood)
+from .survival import RiskIndex, SurvivalDataset, cox_terms
 
 
 @dataclass(frozen=True)
@@ -59,29 +57,20 @@ class Network:
                        center_offset=self.center_offset)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
-    """Adam hyperparameters plus its moment accumulators.
-
-    Used both as a configuration record (accumulators empty) and as the
-    live state inside adam_fit, which always starts from zero moments.
-    """
+    """Adam hyperparameters: decay rates r1, r2, step size gamma, eps0."""
 
     r1: float = 0.9
     r2: float = 0.999
     gamma: float = 0.01
     eps0: float = 1e-8
-    t: int = 0
-    m: Optional[list] = None
-    v: Optional[list] = None
 
     def __post_init__(self):
         if not (0.0 < self.r1 < 1.0 and 0.0 < self.r2 < 1.0):
             raise ValueError("decay rates must be in (0, 1)")
         if self.gamma <= 0.0 or self.eps0 <= 0.0:
             raise ValueError("gamma and eps0 must be > 0")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
 
 
 def init_network(arch: NetworkArch, seed) -> Network:
@@ -170,10 +159,8 @@ def loss_and_grads(net: Network, dataset: SurvivalDataset, index: RiskIndex,
     if train and rng is None:
         raise ValueError("dropout needs an rng")
     g_raw, caches = _forward_cached(net, dataset.z, train, rng)
-    xi = dataset.x @ beta_fixed
-    pred = Predictor.from_parts(xi, g_raw)
-    loss = neg_log_partial_likelihood(pred, dataset, index)
-    dq_dg = grad_eta(pred, dataset, index)
+    loss, resid, _ = cox_terms(dataset.x @ beta_fixed + g_raw, dataset, index)
+    dq_dg = -resid / dataset.n
 
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
@@ -191,13 +178,6 @@ def loss_and_grads(net: Network, dataset: SurvivalDataset, index: RiskIndex,
     return loss, list(zip(grads_w, grads_b))
 
 
-def grad_params(net: Network, dataset: SurvivalDataset, index: RiskIndex,
-                beta_fixed, rng=None):
-    """Gradients of the loss with respect to all network parameters."""
-    _, grads = loss_and_grads(net, dataset, index, beta_fixed, rng)
-    return grads
-
-
 def adam_fit(net: Network, dataset: SurvivalDataset, index: RiskIndex,
              beta_fixed, adam_cfg: AdamState, inner_steps: int = 20,
              tol: float = 1e-7, rng=None) -> Network:
@@ -212,32 +192,30 @@ def adam_fit(net: Network, dataset: SurvivalDataset, index: RiskIndex,
         raise ValueError("inner_steps must be >= 1")
     if net.arch.dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout needs an rng")
-    state = AdamState(r1=adam_cfg.r1, r2=adam_cfg.r2, gamma=adam_cfg.gamma,
-                      eps0=adam_cfg.eps0)
-    state.m = [(np.zeros_like(w), np.zeros_like(b))
-               for w, b in zip(net.weights, net.biases)]
-    state.v = [(np.zeros_like(w), np.zeros_like(b))
-               for w, b in zip(net.weights, net.biases)]
+    r1, r2, gamma, eps0 = adam_cfg.r1, adam_cfg.r2, adam_cfg.gamma, adam_cfg.eps0
+    m = [(np.zeros_like(w), np.zeros_like(b))
+         for w, b in zip(net.weights, net.biases)]
+    v = [(np.zeros_like(w), np.zeros_like(b))
+         for w, b in zip(net.weights, net.biases)]
 
-    for _ in range(inner_steps):
+    for t in range(1, inner_steps + 1):
         loss, grads = loss_and_grads(net, dataset, index, beta_fixed, rng)
         if not np.isfinite(loss):
             raise NumericalDivergence("training diverged")
-        state.t += 1
-        bc1 = 1.0 - state.r1 ** state.t
-        bc2 = 1.0 - state.r2 ** state.t
+        bc1 = 1.0 - r1 ** t
+        bc2 = 1.0 - r2 ** t
         step_sq = 0.0
         for l, (gw, gb) in enumerate(grads):
-            mw, mb = state.m[l]
-            vw, vb = state.v[l]
-            mw = state.r1 * mw + (1.0 - state.r1) * gw
-            mb = state.r1 * mb + (1.0 - state.r1) * gb
-            vw = state.r2 * vw + (1.0 - state.r2) * gw ** 2
-            vb = state.r2 * vb + (1.0 - state.r2) * gb ** 2
-            state.m[l] = (mw, mb)
-            state.v[l] = (vw, vb)
-            step_w = state.gamma * (mw / bc1) / (np.sqrt(vw / bc2) + state.eps0)
-            step_b = state.gamma * (mb / bc1) / (np.sqrt(vb / bc2) + state.eps0)
+            mw, mb = m[l]
+            vw, vb = v[l]
+            mw = r1 * mw + (1.0 - r1) * gw
+            mb = r1 * mb + (1.0 - r1) * gb
+            vw = r2 * vw + (1.0 - r2) * gw ** 2
+            vb = r2 * vb + (1.0 - r2) * gb ** 2
+            m[l] = (mw, mb)
+            v[l] = (vw, vb)
+            step_w = gamma * (mw / bc1) / (np.sqrt(vw / bc2) + eps0)
+            step_b = gamma * (mb / bc1) / (np.sqrt(vb / bc2) + eps0)
             net.weights[l] -= step_w
             net.biases[l] -= step_b
             step_sq += float((step_w ** 2).sum() + (step_b ** 2).sum())

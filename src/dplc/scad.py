@@ -1,4 +1,4 @@
-"""SCAD penalty: value, derivative, and the univariate thresholding operator.
+"""SCAD penalty: value and the univariate thresholding operator.
 
 The penalty derivative is the quadratic spline
 
@@ -20,14 +20,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ScadConfig:
-    """Penalty parameters: strength lam >= 0 and shape a > 2 (default 3.7)."""
+    """Penalty parameters: finite strength lam >= 0, shape a > 2 (default 3.7)."""
 
     lam: float
     a: float = 3.7
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValueError("lam must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
         if not self.a > 2.0:
             raise ValueError("a must be > 2")
 
@@ -39,20 +39,8 @@ def _check_nonnegative(theta):
     return theta
 
 
-def scad_derivative(theta, cfg: ScadConfig):
-    """p'(theta) for theta >= 0; equals lam on [0, lam] and 0 beyond a*lam."""
-    theta = _check_nonnegative(theta)
-    lam, a = cfg.lam, cfg.a
-    if lam == 0.0:
-        out = np.zeros_like(theta)
-    else:
-        out = np.where(theta <= lam, lam,
-                       np.maximum(a * lam - theta, 0.0) / (a - 1.0))
-    return out if out.ndim else float(out)
-
-
 def scad_value(theta, cfg: ScadConfig):
-    """Penalty value p(theta) for theta >= 0 (integral of scad_derivative)."""
+    """Penalty value p(theta) for theta >= 0 (integral of p')."""
     theta = _check_nonnegative(theta)
     lam, a = cfg.lam, cfg.a
     if lam == 0.0:
@@ -70,7 +58,7 @@ def scad_value(theta, cfg: ScadConfig):
     return out if out.ndim else float(out)
 
 
-def soft_threshold(h, lam):
+def _soft_threshold(h, lam):
     """sign(h) * (|h| - lam)+ with sign(0) = 0."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -92,8 +80,8 @@ def scad_threshold(h: float, v: float, cfg: ScadConfig) -> float:
     lam, a = cfg.lam, cfg.a
     ah = abs(h)
     if ah <= 2.0 * lam:
-        return float(soft_threshold(h, lam) / v)
+        return float(_soft_threshold(h, lam) / v)
     if ah <= a * lam:
-        return float(soft_threshold(h, a * lam / (a - 1.0))
+        return float(_soft_threshold(h, a * lam / (a - 1.0))
                      / (v * (1.0 - 1.0 / (a - 1.0))))
     return float(h / v)

@@ -9,21 +9,16 @@ time.  All risk-set sums are evaluated with max-subtraction so that
 predictors with |eta| up to a few tens stay overflow-safe.  Because times
 are sorted once, R_i is a suffix and the history set C_m = {i : T_i <= T_m}
 is a prefix of the sorted order (ties grouped), so every quantity here is
-O(n) given the index.
+O(n) given the index.  `cox_terms` returns q, its gradient (as the score
+residual status - pi1) and its Hessian diagonal from one such pass over a
+plain eta array.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
-
-# Curvature floor applied inside working_response; entries this small carry
-# essentially no weight in the downstream least-squares aggregates.
-EPS_W = 1e-8
 
 
 @dataclass(frozen=True)
@@ -179,38 +174,12 @@ def build_risk_index(dataset: SurvivalDataset) -> RiskIndex:
     )
 
 
-@dataclass(frozen=True)
-class Predictor:
-    """Per-subject linear predictor eta = xi + g_vals with both parts kept."""
-
-    eta: np.ndarray
-    xi: np.ndarray
-    g_vals: np.ndarray
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        xi = np.asarray(self.xi, dtype=float)
-        g = np.asarray(self.g_vals, dtype=float)
-        if eta.shape != xi.shape or eta.shape != g.shape:
-            raise ValueError("predictor parts must share one shape")
-        if not np.allclose(eta, xi + g, rtol=0.0, atol=1e-9, equal_nan=True):
-            raise ValueError("eta must equal xi + g_vals")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "g_vals", g)
-
-    @classmethod
-    def from_parts(cls, xi, g_vals) -> "Predictor":
-        xi = np.asarray(xi, dtype=float)
-        g_vals = np.asarray(g_vals, dtype=float)
-        return cls(eta=xi + g_vals, xi=xi, g_vals=g_vals)
-
-
-def _sorted_terms(eta: np.ndarray, dataset: SurvivalDataset, index: RiskIndex):
+def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
     """Shared risk-set aggregates in time-sorted order.
 
-    Returns (eta_s, log_s, pi1, pi2) where log_s is the log risk-set sum
-    for each sorted position and, with pi(m, i) = exp(eta_m) / S_i,
+    Takes the predictor in sorted order and returns (log_s, pi1, pi2) where
+    log_s is the log risk-set sum for each sorted position and, with
+    pi(m, i) = exp(eta_m) / S_i,
 
         pi1_m = sum over the history prefix of status_i * pi(m, i),
         pi2_m = sum over the history prefix of status_i * pi(m, i)**2.
@@ -220,12 +189,6 @@ def _sorted_terms(eta: np.ndarray, dataset: SurvivalDataset, index: RiskIndex):
     redone with log-space accumulation, which stays finite for any finite
     eta.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (dataset.n,):
-        raise ValueError("predictor length does not match dataset")
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("non-finite predictor")
-    eta_s = eta[index.order]
     shift = float(eta_s.max())
     e = np.exp(eta_s - shift)
     a = np.cumsum(e[::-1])[::-1][index.first_tie]
@@ -234,7 +197,7 @@ def _sorted_terms(eta: np.ndarray, dataset: SurvivalDataset, index: RiskIndex):
         log_s = np.log(a) + shift
         pi1 = e * np.cumsum(d)[index.last_tie]
         pi2 = (e * e) * np.cumsum(d / a)[index.last_tie]
-        return eta_s, log_s, pi1, pi2
+        return log_s, pi1, pi2
     log_s = np.logaddexp.accumulate(eta_s[::-1])[::-1][index.first_tie]
     with np.errstate(divide="ignore"):
         log_d = np.where(index.status_sorted > 0, -log_s, -np.inf)
@@ -242,57 +205,34 @@ def _sorted_terms(eta: np.ndarray, dataset: SurvivalDataset, index: RiskIndex):
     log_p2 = np.logaddexp.accumulate(2.0 * log_d)[index.last_tie]
     pi1 = np.exp(eta_s + log_p1)
     pi2 = np.exp(2.0 * eta_s + log_p2)
-    return eta_s, log_s, pi1, pi2
+    return log_s, pi1, pi2
 
 
-def neg_log_partial_likelihood(pred: Predictor, dataset: SurvivalDataset,
-                               index: RiskIndex) -> float:
-    """Averaged negative log partial likelihood q at the given predictor."""
-    eta_s, log_s, _, _ = _sorted_terms(pred.eta, dataset, index)
+def cox_terms(eta, dataset: SurvivalDataset, index: RiskIndex):
+    """Loss, score residual and curvature of q at eta, from one risk-set pass.
+
+    Returns (q, resid, w): q is the averaged negative log partial
+    likelihood, resid = status - pi1 is the unscaled score residual (the
+    gradient of q is -resid / n, and its components sum to zero), and w is
+    the nonnegative diagonal of the Hessian of q.  resid and w are in
+    subject order.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (dataset.n,):
+        raise ValueError("predictor length does not match dataset")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("non-finite predictor")
+    n = dataset.n
+    eta_s = eta[index.order]
+    log_s, pi1, pi2 = _sorted_terms(eta_s, index)
     terms = index.status_sorted * (eta_s - log_s)
-    return float(-terms.sum() / dataset.n)
-
-
-def grad_eta(pred: Predictor, dataset: SurvivalDataset,
-             index: RiskIndex) -> np.ndarray:
-    """Gradient of q with respect to eta; components sum to zero."""
-    _, _, pi1, _ = _sorted_terms(pred.eta, dataset, index)
-    grad_sorted = -(index.status_sorted - pi1) / dataset.n
-    out = np.empty(dataset.n)
-    out[index.order] = grad_sorted
-    return out
-
-
-def hessian_diag(pred: Predictor, dataset: SurvivalDataset,
-                 index: RiskIndex) -> np.ndarray:
-    """Diagonal of the Hessian of q with respect to eta (nonnegative)."""
-    _, _, pi1, pi2 = _sorted_terms(pred.eta, dataset, index)
-    w_sorted = (pi1 - pi2) / dataset.n
+    loss = float(-terms.sum() / n)
+    w_sorted = (pi1 - pi2) / n
     # Each contribution is of the form pi * (1 - pi); stray sign from
     # cancellation is rounding noise only.
     np.maximum(w_sorted, 0.0, out=w_sorted)
-    out = np.empty(dataset.n)
-    out[index.order] = w_sorted
-    return out
-
-
-def working_response(pred: Predictor, W: np.ndarray, dataset: SurvivalDataset,
-                     index: RiskIndex) -> np.ndarray:
-    """IRLS pseudo-outcome y = xi + (status - event pressure) / (n * W).
-
-    W is floored at EPS_W so subjects with a nearly empty history
-    contribution cannot blow up the division; floored entries get a log
-    note because they carry negligible weight downstream anyway.
-    """
-    _, _, pi1, _ = _sorted_terms(pred.eta, dataset, index)
-    bracket = index.status_sorted - pi1
-    w_sorted = np.asarray(W, dtype=float)[index.order]
-    floored = w_sorted < EPS_W
-    if np.any(floored):
-        logger.debug("working_response floored %d curvature entries",
-                     int(floored.sum()))
-    y_sorted = pred.xi[index.order] + bracket / (
-        dataset.n * np.maximum(w_sorted, EPS_W))
-    out = np.empty(dataset.n)
-    out[index.order] = y_sorted
-    return out
+    resid = np.empty(n)
+    resid[index.order] = index.status_sorted - pi1
+    w = np.empty(n)
+    w[index.order] = w_sorted
+    return loss, resid, w

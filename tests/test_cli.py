@@ -170,6 +170,15 @@ class TestFit:
             lams = [float(r["lambda"]) for r in csv.DictReader(fh)]
         assert lams == [0.1, 0.4]
 
+    @pytest.mark.parametrize("grid", ["-1,0.5", "0.1,inf", "nan"])
+    def test_bad_lambda_exit_2(self, tmp_path, small_config, capsys, grid):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        code = run("fit", "--data", str(data_csv), "--config", small_config,
+                   "--out", str(tmp_path / "fit"), "--lambda-grid=" + grid)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and ">= 0" in err
+
 
 class TestSelectionTable:
     def test_hazard_ratio_formatting(self, tmp_path):
@@ -245,6 +254,35 @@ class TestPredict:
         assert run("predict", "--model", str(fit_dir / "model.json"),
                    "--data", str(bare), "--out", str(tmp_path / "p.csv")) == 0
 
+    @pytest.mark.parametrize("keep", ["censored", "one_row"])
+    def test_undefined_c_index_is_skipped(self, tmp_path, small_config,
+                                          capsys, keep):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        run("fit", "--data", str(data_csv), "--config", small_config,
+            "--out", str(fit_dir))
+        with open(data_csv) as fh:
+            rows = list(csv.reader(fh))
+        if keep == "censored":
+            status = rows[0].index("status")
+            rows = rows[:1] + [r[:status] + ["0"] + r[status + 1:]
+                               for r in rows[1:]]
+        else:
+            rows = rows[:2]
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        pred_csv = tmp_path / "p.csv"
+        assert run("predict", "--model", str(fit_dir / "model.json"),
+                   "--data", str(edited), "--out", str(pred_csv)) == 0
+        captured = capsys.readouterr()
+        assert "c_index=" not in captured.out
+        assert "wrote %d predictions" % (len(rows) - 1) in captured.out
+        assert "c_index not reported" in captured.err
+        with open(pred_csv) as fh:
+            assert len(list(csv.DictReader(fh))) == len(rows) - 1
+
 
 class TestBenchmark:
     def test_outputs_and_determinism(self, tmp_path, small_config):
@@ -296,6 +334,18 @@ class TestBenchmark:
         with open(out / "replicates.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["method"] == "dplc"
+
+    def test_negative_lambda_in_config_exit_2(self, tmp_path, small_config,
+                                              capsys):
+        cfg = json.loads(open(small_config).read())
+        cfg["lambda_grid"] = [-1, 0.5]
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(cfg))
+        code = run("benchmark", "--config", str(path),
+                   "--out", str(tmp_path / "b"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "lambda_grid" in err
 
 
 class TestFloatRoundTrip:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from dplc import (CdState, NumericalDivergence, ScadConfig, cd_fit,
-                  scad_value, surrogate_inputs)
+from dplc import (NumericalDivergence, ScadConfig, build_risk_index, cd_fit,
+                  cox_terms, scad_value)
+from dplc.coordinate_descent import (V_FLOOR, _surrogate_move_delta, _sweep,
+                                     _working_response)
 
 from conftest import make_dataset, naive_neg_log_pl
 
@@ -54,38 +56,40 @@ def newton_1d(dataset, g_vals, tol=1e-10):
 
 
 class TestSurrogateInputs:
+    """One sweep at lam = 0 moves each coordinate to h_j / v_j."""
+
     def test_zero_residual_zero_beta(self):
-        state = CdState(beta=np.zeros(1), xi=np.zeros(2),
-                        residual=np.zeros(2), W=np.ones(2), tol=1e-5,
-                        max_sweeps=10)
-        h, v = surrogate_inputs(0, state, np.array([[1.0], [2.0]]))
-        assert h == 0.0 and v == 5.0
+        # h = 0 with v = 5: the coordinate stays at 0.
+        beta, r = np.zeros(1), np.zeros(2)
+        _sweep(np.array([[1.0], [2.0]]), np.ones(2), r, beta,
+               ScadConfig(lam=0.0))
+        assert beta[0] == 0.0
+        assert np.all(r == 0.0)
 
     def test_worked_example(self):
-        state = CdState(beta=np.zeros(1), xi=np.zeros(2),
-                        residual=np.array([2.0, -2.0]),
-                        W=np.array([0.125, 0.125]), tol=1e-5, max_sweeps=10)
-        h, v = surrogate_inputs(0, state, np.array([[1.0], [0.0]]))
-        assert h == pytest.approx(0.25, abs=1e-15)
-        assert v == pytest.approx(0.125, abs=1e-15)
+        # h = 0.25, v = 0.125, so the coordinate moves to h / v = 2.
+        beta, r = np.zeros(1), np.array([2.0, -2.0])
+        _sweep(np.array([[1.0], [0.0]]), np.array([0.125, 0.125]), r, beta,
+               ScadConfig(lam=0.0))
+        assert beta[0] == pytest.approx(2.0, abs=1e-15)
+        assert r == pytest.approx([0.0, -2.0], abs=1e-15)
 
     def test_ols_solution_under_uniform_weights(self, rng):
         n = 40
         X = np.linalg.qr(rng.standard_normal((n, 3)))[0]
         r = rng.standard_normal(n)
-        state = CdState(beta=np.zeros(3), xi=np.zeros(n), residual=r,
-                        W=np.full(n, 1.0 / n), tol=1e-5, max_sweeps=10)
-        for j in range(3):
-            h, v = surrogate_inputs(j, state, X)
-            ols = float(X[:, j] @ r) / float(X[:, j] @ X[:, j])
-            assert h / v == pytest.approx(ols, rel=1e-10)
+        ols = X.T @ r / np.einsum("ij,ij->j", X, X)
+        beta = np.zeros(3)
+        _sweep(X, np.full(n, 1.0 / n), r.copy(), beta, ScadConfig(lam=0.0))
+        assert beta == pytest.approx(ols, rel=1e-10)
 
     def test_degenerate_column_floored(self):
-        state = CdState(beta=np.zeros(1), xi=np.zeros(2),
-                        residual=np.ones(2), W=np.zeros(2), tol=1e-5,
-                        max_sweeps=10)
-        _, v = surrogate_inputs(0, state, np.ones((2, 1)))
-        assert v == 1e-10
+        # Zero weights give x_j' W x_j = 0, which the thresholding operator
+        # rejects as non-positive curvature; the floor keeps the sweep going.
+        beta, r = np.zeros(1), np.ones(2)
+        _sweep(np.ones((2, 1)), np.zeros(2), r, beta, ScadConfig(lam=0.0))
+        assert beta[0] == 0.0
+        assert np.all(r == 1.0)
 
 
 class TestCdFit:
@@ -110,8 +114,7 @@ class TestCdFit:
         # penalty, where the fixed point is the exact (convex) optimum.
         ds, g = sim_cox(7, n=100, p=2, beta_true=[2.0, -1.8])
         cfg = ScadConfig(lam=0.2)
-        beta = cd_fit(ds, g, None, cfg, tol=1e-10, max_sweeps=400,
-                      standardize=False)
+        beta = cd_fit(ds, g, None, cfg, tol=1e-10, max_sweeps=400)
         assert np.all(np.abs(beta) > cfg.a * cfg.lam + 0.5)
 
         def objective(b):
@@ -157,7 +160,21 @@ class TestCdFit:
         ds = make_dataset(times, status, x=np.zeros((n, 1)))
         with pytest.raises(NumericalDivergence, match="divergence"):
             cd_fit(ds, np.linspace(-1, 1, n), np.array([2e6]),
-                   ScadConfig(lam=0.0), standardize=False, max_sweeps=3)
+                   ScadConfig(lam=0.0), max_sweeps=3)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("value", [1.0, 0.1, 2.7])
+    def test_constant_column_exactly_zero(self, lam, value):
+        # 0.1 and 2.7 have a rounded column mean at n = 80.
+        ds, g = sim_cox(4, n=80, p=2, beta_true=[1.0, 0.0])
+        x = ds.x.copy()
+        x[:, 1] = value
+        ds = make_dataset(ds.times, ds.status, x=x)
+        info = {}
+        beta = cd_fit(ds, g, None, ScadConfig(lam=lam), info=info)
+        assert beta[1] == 0.0
+        assert beta[0] != 0.0
+        assert info["sweeps"] >= 1
 
     def test_warm_start_respected(self):
         ds, g = sim_cox(9, n=70, p=5, beta_true=[1.0, 0, 0, 0, 0])
@@ -179,60 +196,68 @@ class TestCdFit:
 
 
 class TestSurrogateBookkeeping:
-    """Instrumented runs: descent per accepted move, residual consistency."""
+    """Sweeps replayed move by move against the fresh full surrogate.
 
-    def _run_instrumented(self, seed, lam):
+    A sweep visits every coordinate once, in order, so the state after move
+    j is the post-sweep beta up to j and the pre-sweep beta after it.
+    """
+
+    def _sweeps(self, seed, lam, n_sweeps=20):
         ds, g = sim_cox(seed, n=60, p=6, beta_true=[1.0, -0.8, 0, 0, 0.5, 0])
         X = (ds.x - ds.x.mean(0)) / ds.x.std(0)
-        ds_std = make_dataset(ds.times, ds.status, x=X, z=ds.z)
+        idx = build_risk_index(ds)
         cfg = ScadConfig(lam=lam)
-        events = []
-        sweeps = []
-        cd_fit(ds_std, g, None, cfg, tol=1e-8, max_sweeps=60,
-               standardize=False,
-               on_update=events.append,
-               on_sweep_end=lambda s, state, y: sweeps.append((s, state, y)))
-        return ds_std, g, cfg, events, sweeps
+        beta = np.zeros(X.shape[1])
+        out = []
+        for _ in range(n_sweeps):
+            xi = X @ beta
+            _, resid, W = cox_terms(xi + g, ds, idx)
+            y = _working_response(xi, resid, W, ds.n)
+            r = y - xi
+            before = beta.copy()
+            _sweep(X, W, r, beta, cfg)
+            out.append((W, y, before, beta.copy(), r))
+        return X, cfg, out
+
+    @staticmethod
+    def _full_surrogate(X, cfg, W, y, beta):
+        resid = y - X @ beta
+        return 0.5 * float(resid @ (W * resid)) \
+            + float(np.sum(scad_value(np.abs(beta), cfg)))
+
+    @staticmethod
+    def _states(before, after):
+        return [np.concatenate([after[:k], before[k:]])
+                for k in range(before.size + 1)]
 
     def test_accepted_moves_never_increase_surrogate(self):
         for seed in (0, 1, 2):
-            _, _, _, events, _ = self._run_instrumented(seed, lam=0.15)
-            accepted = [ev for ev in events if ev.accepted]
-            assert accepted, "no accepted updates recorded"
-            assert all(ev.surrogate_delta <= 1e-10 for ev in accepted)
+            X, cfg, sweeps = self._sweeps(seed, lam=0.15)
+            moves = 0
+            for W, y, before, after, _ in sweeps:
+                moves += int(np.count_nonzero(after != before))
+                values = [self._full_surrogate(X, cfg, W, y, b)
+                          for b in self._states(before, after)]
+                assert all(b - a <= 1e-10 for a, b in zip(values, values[1:]))
+            assert moves, "no accepted updates recorded"
 
     def test_coordinate_delta_equals_fresh_full_surrogate(self):
-        ds, g, cfg, events, sweeps = self._run_instrumented(0, lam=0.15)
-        X = ds.x
-        p = X.shape[1]
-
-        def full_surrogate(W, y, beta):
-            resid = y - X @ beta
-            return 0.5 * float(resid @ (W * resid)) \
-                + float(np.sum(scad_value(np.abs(beta), cfg)))
-
-        by_sweep = {}
-        for ev in events:
-            by_sweep.setdefault(ev.sweep, []).append(ev)
-        beta_start = np.zeros(p)
-        for sweep_no, state, y in sweeps:
-            W = state.W
-            beta_vec = beta_start.copy()
-            for ev in by_sweep[sweep_no]:
-                before = full_surrogate(W, y, beta_vec)
-                trial = beta_vec.copy()
-                trial[ev.j] = ev.beta_new if ev.accepted else \
-                    ev.beta_old  # rejected moves leave beta unchanged
-                if ev.accepted:
-                    after = full_surrogate(W, y, trial)
-                    assert after - before == pytest.approx(
-                        ev.surrogate_delta, abs=1e-9)
-                beta_vec = trial
-            beta_start = state.beta.copy()
+        X, cfg, sweeps = self._sweeps(0, lam=0.15)
+        checked = 0
+        for W, y, before, after, _ in sweeps:
+            states = self._states(before, after)
+            for j in np.flatnonzero(after != before):
+                b = states[j]
+                v = max(float((W * X[:, j]) @ X[:, j]), V_FLOOR)
+                h = float((W * X[:, j]) @ (y - X @ b)) + v * b[j]
+                delta = _surrogate_move_delta(h, v, before[j], after[j], cfg)
+                fresh = self._full_surrogate(X, cfg, W, y, states[j + 1]) \
+                    - self._full_surrogate(X, cfg, W, y, b)
+                assert fresh == pytest.approx(delta, abs=1e-9)
+                checked += 1
+        assert checked
 
     def test_incremental_residual_matches_fresh(self):
-        ds, _, _, _, sweeps = self._run_instrumented(1, lam=0.1)
-        assert sweeps
-        for _, state, y in sweeps:
-            fresh = y - ds.x @ state.beta
-            assert np.max(np.abs(fresh - state.residual)) < 1e-8
+        X, _, sweeps = self._sweeps(1, lam=0.1)
+        for _, y, _, after, r in sweeps:
+            assert np.max(np.abs(y - X @ after - r)) < 1e-8

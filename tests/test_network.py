@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from dplc import (AdamState, Network, NetworkArch, NumericalDivergence,
-                  adam_fit, build_risk_index, center, forward, grad_params,
-                  init_network, network_from_dict, network_to_dict,
+                  adam_fit, build_risk_index, center, forward, init_network,
+                  loss_and_grads, network_from_dict, network_to_dict,
                   zero_network)
-from dplc.network import loss_and_grads
 
 from conftest import fd_close, make_dataset, naive_neg_log_pl, random_instance
 
@@ -110,7 +109,7 @@ class TestGradParams:
         ds = make_dataset([1.0, 2.0], [0, 0], z=np.array([[0.3], [0.5]]))
         idx = build_risk_index(ds)
         net = init_network(NetworkArch(1, (3,)), seed=0)
-        grads = grad_params(net, ds, idx, np.zeros(ds.p))
+        _, grads = loss_and_grads(net, ds, idx, np.zeros(ds.p))
         assert all(np.all(gw == 0.0) and np.all(gb == 0.0)
                    for gw, gb in grads)
 
@@ -120,7 +119,7 @@ class TestGradParams:
         idx = build_risk_index(ds)
         net = init_network(NetworkArch(2, (3,)), seed=seed)
         beta = np.array([0.4, -0.2])
-        grads = grad_params(net, ds, idx, beta)
+        _, grads = loss_and_grads(net, ds, idx, beta)
 
         def loss_with(net_mod):
             g = forward(net_mod, ds.z, mode="train")
@@ -150,7 +149,8 @@ class TestGradParams:
         ds, _ = random_instance(1, n=10, p=1, r=2)
         idx = build_risk_index(ds)
         net = init_network(NetworkArch(2, (4,), dropout_rate=0.5), seed=2)
-        grads = grad_params(net, ds, idx, np.zeros(ds.p), rng=ZeroRng())
+        _, grads = loss_and_grads(net, ds, idx, np.zeros(ds.p),
+                                  rng=ZeroRng())
         gw1, gb1 = grads[0]
         assert np.all(gw1 == 0.0) and np.all(gb1 == 0.0)
 

@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dplc import (ScadConfig, scad_derivative, scad_threshold, scad_value,
-                  soft_threshold)
+from dplc import ScadConfig, scad_threshold, scad_value
+from dplc.scad import _soft_threshold as soft_threshold
 
 CFG = ScadConfig(lam=1.0, a=3.7)
+
+
+def scad_derivative(theta, cfg):
+    """p'(theta) for theta >= 0: the quadratic spline that defines SCAD."""
+    lam, a = cfg.lam, cfg.a
+    if lam == 0.0:
+        return 0.0
+    if theta <= lam:
+        return lam
+    return max(a * lam - theta, 0.0) / (a - 1.0)
 
 
 def penalty_reference(theta, cfg):
@@ -54,46 +64,53 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScadConfig(lam=-0.1)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_nonfinite_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            ScadConfig(lam=lam)
+
     def test_default_shape(self):
         assert ScadConfig(lam=0.5).a == 3.7
 
 
+def slope(theta, cfg, step=1e-6):
+    """Central finite-difference slope of scad_value at theta."""
+    return (scad_value(theta + step, cfg) - scad_value(theta - step, cfg)) \
+        / (2.0 * step)
+
+
 class TestDerivative:
+    """The slope of scad_value follows the spline that defines SCAD."""
+
     def test_flat_at_lambda_inside(self):
-        assert scad_derivative(0.5, CFG) == pytest.approx(1.0)
-        assert scad_derivative(0.0, CFG) == pytest.approx(1.0)
-        assert scad_derivative(1.0, CFG) == pytest.approx(1.0)
+        assert slope(0.5, CFG) == pytest.approx(1.0)
+        assert scad_value(1e-6, CFG) / 1e-6 == pytest.approx(1.0)
+        assert slope(1.0 - 1e-5, CFG) == pytest.approx(1.0)
 
     def test_zero_beyond_a_lambda(self):
-        assert scad_derivative(5.0, CFG) == 0.0
-        assert scad_derivative(3.7, CFG) == pytest.approx(0.0, abs=1e-15)
+        assert slope(5.0, CFG) == 0.0
+        assert slope(3.7 + 1e-5, CFG) == pytest.approx(0.0, abs=1e-9)
 
     def test_middle_branch_value(self):
-        assert scad_derivative(2.0, CFG) == pytest.approx((3.7 - 2.0) / 2.7,
-                                                          rel=1e-12)
+        assert slope(2.0, CFG) == pytest.approx((3.7 - 2.0) / 2.7, rel=1e-8)
 
     def test_continuity_at_knots(self):
-        eps = 1e-9
+        step = 1e-7
         for knot in (CFG.lam, CFG.a * CFG.lam):
-            left = scad_derivative(knot - eps, CFG)
-            right = scad_derivative(knot + eps, CFG)
+            left = (scad_value(knot, CFG) - scad_value(knot - step, CFG)) / step
+            right = (scad_value(knot + step, CFG) - scad_value(knot, CFG)) / step
             assert abs(left - right) < 1e-6
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            scad_derivative(-0.1, CFG)
-
     def test_vectorized(self):
-        out = scad_derivative(np.array([0.5, 2.0, 5.0]), CFG)
+        theta = np.array([0.5, 2.0, 5.0])
+        out = (scad_value(theta + 1e-6, CFG) - scad_value(theta - 1e-6, CFG)) \
+            / 2e-6
         assert out == pytest.approx([1.0, 1.7 / 2.7, 0.0])
 
     @pytest.mark.parametrize("theta", [0.2, 0.8, 1.5, 2.5, 3.2, 4.5])
     def test_is_derivative_of_value(self, theta):
-        step = 1e-6
-        fd = (scad_value(theta + step, CFG) - scad_value(theta - step, CFG)) \
-            / (2.0 * step)
-        assert fd == pytest.approx(scad_derivative(theta, CFG), rel=1e-6,
-                                   abs=1e-9)
+        assert slope(theta, CFG) == pytest.approx(scad_derivative(theta, CFG),
+                                                  rel=1e-6, abs=1e-9)
 
 
 class TestValue:

@@ -1,11 +1,10 @@
-"""Risk-set indexing and partial-likelihood derivatives against literal oracles."""
+"""Risk-set indexing and the Cox kernel against literal oracles."""
 
 import numpy as np
 import pytest
 
-from dplc import (Predictor, build_risk_index, grad_eta, hessian_diag,
-                  neg_log_partial_likelihood, stratified_split,
-                  working_response)
+from dplc import build_risk_index, cox_terms, stratified_split
+from dplc.coordinate_descent import _working_response
 
 from conftest import (fd_gradient, fd_hessian_diag, make_dataset,
                       naive_history_set, naive_neg_log_pl, naive_risk_set,
@@ -77,80 +76,94 @@ class TestRiskIndex:
         assert all(a <= b for a, b in zip(sizes_c, sizes_c[1:]))
 
 
-def _pred(eta, xi=None):
-    eta = np.asarray(eta, dtype=float)
-    if xi is None:
-        return Predictor.from_parts(eta, np.zeros_like(eta))
-    xi = np.asarray(xi, dtype=float)
-    return Predictor.from_parts(xi, eta - xi)
+def _q(eta, ds, idx):
+    return cox_terms(eta, ds, idx)[0]
+
+
+def _grad(eta, ds, idx):
+    return -cox_terms(eta, ds, idx)[1] / ds.n
+
+
+def _hess(eta, ds, idx):
+    return cox_terms(eta, ds, idx)[2]
+
+
+def _working(xi, eta, ds, idx):
+    """Working response and weights at eta, built as in one CD sweep."""
+    _, resid, W = cox_terms(eta, ds, idx)
+    return _working_response(np.asarray(xi, float), resid, W, ds.n), W
 
 
 class TestNegLogPartialLikelihood:
     def test_symmetric_pair(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
         idx = build_risk_index(ds)
-        q = neg_log_partial_likelihood(_pred([0.0, 0.0]), ds, idx)
+        q = _q([0.0, 0.0], ds, idx)
         assert q == pytest.approx(np.log(2.0) / 2.0, abs=1e-12)
 
     def test_no_events_is_zero(self):
         ds = make_dataset([1.0, 2.0], [0, 0])
         idx = build_risk_index(ds)
-        assert neg_log_partial_likelihood(_pred([0.3, -0.5]), ds, idx) == 0.0
+        assert _q([0.3, -0.5], ds, idx) == 0.0
 
     def test_matches_literal_oracle(self):
         ds = make_dataset([1.0, 2.0, 3.0], [1, 0, 1])
         idx = build_risk_index(ds)
         eta = np.array([1.0, 0.0, -1.0])
         expected = naive_neg_log_pl(ds.times, ds.status, eta)
-        assert neg_log_partial_likelihood(_pred(eta), ds, idx) == \
-            pytest.approx(expected, rel=1e-12)
+        assert _q(eta, ds, idx) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_oracle_random(self, seed):
         ds, eta = random_instance(seed)
         idx = build_risk_index(ds)
         expected = naive_neg_log_pl(ds.times, ds.status, eta)
-        assert neg_log_partial_likelihood(_pred(eta), ds, idx) == \
-            pytest.approx(expected, rel=1e-10)
+        assert _q(eta, ds, idx) == pytest.approx(expected, rel=1e-10)
 
     def test_shift_invariance(self):
         ds, eta = random_instance(4)
         idx = build_risk_index(ds)
-        q0 = neg_log_partial_likelihood(_pred(eta), ds, idx)
+        q0 = _q(eta, ds, idx)
         for c in (-7.0, 0.5, 13.0):
-            qc = neg_log_partial_likelihood(_pred(eta + c), ds, idx)
+            qc = _q(eta + c, ds, idx)
             assert abs(qc - q0) < 1e-12
 
     def test_large_eta_no_overflow(self):
         ds, eta = random_instance(2, n=12)
         idx = build_risk_index(ds)
-        q = neg_log_partial_likelihood(_pred(eta * 20.0), ds, idx)
+        q = _q(eta * 20.0, ds, idx)
         assert np.isfinite(q)
 
     def test_rejects_nonfinite(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
         idx = build_risk_index(ds)
         with pytest.raises(ValueError, match="non-finite predictor"):
-            neg_log_partial_likelihood(_pred([np.nan, 0.0]), ds, idx)
+            cox_terms([np.nan, 0.0], ds, idx)
+
+    def test_rejects_wrong_length(self):
+        ds = make_dataset([1.0, 2.0], [1, 1])
+        idx = build_risk_index(ds)
+        with pytest.raises(ValueError, match="length"):
+            cox_terms([0.0, 0.0, 0.0], ds, idx)
 
 
 class TestGradEta:
     def test_two_subject_value(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
         idx = build_risk_index(ds)
-        grad = grad_eta(_pred([0.0, 0.0]), ds, idx)
+        grad = _grad([0.0, 0.0], ds, idx)
         assert grad == pytest.approx([-0.25, 0.25], abs=1e-12)
 
     def test_no_events_zero(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0, 0, 0])
         idx = build_risk_index(ds)
-        assert np.all(grad_eta(_pred([1.0, 2.0, 3.0]), ds, idx) == 0.0)
+        assert np.all(_grad([1.0, 2.0, 3.0], ds, idx) == 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
         ds, eta = random_instance(seed)
         idx = build_risk_index(ds)
-        grad = grad_eta(_pred(eta), ds, idx)
+        grad = _grad(eta, ds, idx)
         fd = fd_gradient(lambda e: naive_neg_log_pl(ds.times, ds.status, e),
                          eta, step=1e-6)
         assert np.max(rel_err(grad, fd, floor=1e-6)) < 1e-6
@@ -159,31 +172,31 @@ class TestGradEta:
     def test_score_sums_to_zero(self, seed):
         ds, eta = random_instance(seed)
         idx = build_risk_index(ds)
-        assert abs(grad_eta(_pred(eta), ds, idx).sum()) < 1e-12
+        assert abs(_grad(eta, ds, idx).sum()) < 1e-12
 
 
 class TestHessianDiag:
     def test_two_subject_value(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
         idx = build_risk_index(ds)
-        W = hessian_diag(_pred([0.0, 0.0]), ds, idx)
+        W = _hess([0.0, 0.0], ds, idx)
         assert W == pytest.approx([0.125, 0.125], abs=1e-12)
 
     def test_no_events_zero(self):
         ds = make_dataset([1.0, 2.0], [0, 0])
         idx = build_risk_index(ds)
-        assert np.all(hessian_diag(_pred([0.4, 0.1]), ds, idx) == 0.0)
+        assert np.all(_hess([0.4, 0.1], ds, idx) == 0.0)
 
     def test_single_subject_degenerate(self):
         ds = make_dataset([1.0], [1])
         idx = build_risk_index(ds)
-        assert hessian_diag(_pred([0.7]), ds, idx) == pytest.approx([0.0], abs=1e-15)
+        assert _hess([0.7], ds, idx) == pytest.approx([0.0], abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_fd_hessian_diagonal(self, seed):
         ds, eta = random_instance(seed)
         idx = build_risk_index(ds)
-        W = hessian_diag(_pred(eta), ds, idx)
+        W = _hess(eta, ds, idx)
         fd = fd_hessian_diag(lambda e: naive_neg_log_pl(ds.times, ds.status, e),
                              eta, step=1e-4)
         assert np.max(rel_err(W, fd, floor=1e-4)) < 1e-4
@@ -194,30 +207,25 @@ class TestWorkingResponse:
     def test_two_subject_value(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
         idx = build_risk_index(ds)
-        pred = _pred([0.0, 0.0], xi=[0.0, 0.0])
-        W = hessian_diag(pred, ds, idx)
-        y = working_response(pred, W, ds, idx)
+        y, _ = _working([0.0, 0.0], [0.0, 0.0], ds, idx)
         assert y == pytest.approx([2.0, -2.0], abs=1e-12)
 
     def test_zero_gradient_subject_keeps_xi(self):
         # Censored earliest subject: empty event history, delta = 0.
         ds = make_dataset([1.0, 2.0, 3.0], [0, 1, 1])
         idx = build_risk_index(ds)
-        pred = _pred([0.3, -0.1, 0.2], xi=[0.3, -0.1, 0.2])
-        W = hessian_diag(pred, ds, idx)
-        y = working_response(pred, W, ds, idx)
+        eta = [0.3, -0.1, 0.2]
+        y, _ = _working(eta, eta, ds, idx)
         assert y[0] == pytest.approx(0.3, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sign_identity_with_gradient(self, seed):
         ds, eta = random_instance(seed)
         idx = build_risk_index(ds)
-        pred = _pred(eta, xi=eta)
-        W = hessian_diag(pred, ds, idx)
-        y = working_response(pred, W, ds, idx)
-        grad = grad_eta(pred, ds, idx)
+        y, W = _working(eta, eta, ds, idx)
+        grad = _grad(eta, ds, idx)
         solid = W > 1e-6
-        assert np.allclose((pred.xi - y)[solid], (grad / W)[solid],
+        assert np.allclose((eta - y)[solid], (grad / W)[solid],
                            rtol=1e-9, atol=1e-12)
 
 

@@ -5,9 +5,13 @@ Datasets are CSV files with a header row: required outcome columns `time`
 and network covariates prefixed `z_`.  Missing or malformed cells are hard
 errors with line/column diagnostics; nothing is imputed or coerced.
 
-Run configuration is a JSON file mirroring the fit and simulation settings
-(every field optional, unknown keys rejected).  All randomness flows from
-one seed, so repeated invocations produce byte-identical outputs.
+Run configuration is a JSON file whose "sim" and "fit" sections take the
+fields of SimConfig and FitConfig by name (FitConfig's "scad", "arch" and
+"adam" nest the same way), next to the top-level "seed", "lambda_grid",
+"tune_arch" and "benchmark".  Every field is optional and defaults to the
+record's own default; unknown keys are rejected, integer fields need JSON
+integers and number fields finite numbers.  All randomness flows from one
+seed, so repeated invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 2 input/schema error, 3 numerical failure.
 The DPLC_LOG environment variable (DEBUG/INFO/WARNING) controls logging.
@@ -30,8 +34,6 @@ import numpy as np
 from .errors import NumericalDivergence
 from .estimator import (FitConfig, model_from_dict, model_to_dict,
                         predict_eta, tune_architecture, tune_lambda)
-from .network import AdamState, NetworkArch
-from .scad import ScadConfig
 from .simulation import (MethodConfig, ReplicateCsvWriter, SimConfig,
                          c_index, fmt_value, run_experiment, simulate_dataset)
 from .survival import SurvivalDataset
@@ -45,22 +47,15 @@ class CliInputError(Exception):
 
 DEFAULT_LAMBDA_GRID = [round(v, 6) for v in np.geomspace(0.05, 5.0, 12)]
 
+# The run-config layout.  "sim" and "fit" take the fields of SimConfig and
+# FitConfig, whose defaults are the only copy; the seed is set once at the
+# top level, and fit_g belongs to the benchmark's baseline method.
 CONFIG_DEFAULTS = {
-    "seed": 0,
-    "sim": {
-        "n": 300, "p": 50, "r": 8, "s_beta": 10, "rho": 0.2,
-        "g0_kind": "linear", "target_censoring": 0.3, "mu": 1.0,
-        "replicates": 10,
-    },
-    "scad": {"lam": 0.5, "a": 3.7},
+    "seed": FitConfig().seed,
+    "sim": {k: v for k, v in asdict(SimConfig()).items() if k != "seed"},
+    "fit": {k: v for k, v in asdict(FitConfig()).items()
+            if k not in ("seed", "fit_g")},
     "lambda_grid": DEFAULT_LAMBDA_GRID,
-    "network": {
-        "hidden_widths": [8, 8], "dropout_rate": 0.3, "learning_rate": 0.01,
-        "r1": 0.9, "r2": 0.999, "eps0": 1e-8, "inner_steps": 20,
-        "adam_tol": 1e-7,
-    },
-    "solver": {"outer_tol": 1e-4, "max_outer": 25, "cd_tol": 1e-5,
-               "max_sweeps": 100},
     "tune_arch": {
         "enabled": False, "depth_grid": [1, 2], "width_grid": [2, 4, 8],
         "dropout_grid": [0.3, 0.5], "lr_grid": [0.005, 0.02],
@@ -73,37 +68,52 @@ CONFIG_DEFAULTS = {
 def _merge_config(defaults, user, path=""):
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
-        where = path + key
         if key not in defaults:
-            raise CliInputError("unknown config key: %s" % where)
-        base = defaults[key]
-        if isinstance(base, dict):
-            if not isinstance(value, dict):
-                raise CliInputError("config key %s must be an object" % where)
-            merged[key] = _merge_config(base, value, where + ".")
-        elif isinstance(base, bool):
-            if not isinstance(value, bool):
-                raise CliInputError("config key %s must be a boolean" % where)
-            merged[key] = value
-        elif isinstance(base, (int, float)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CliInputError("config key %s must be a number" % where)
-            merged[key] = value
-        elif isinstance(base, str):
-            if not isinstance(value, str):
-                raise CliInputError("config key %s must be a string" % where)
-            merged[key] = value
-        elif isinstance(base, list):
-            if not isinstance(value, list):
-                raise CliInputError("config key %s must be a list" % where)
-            merged[key] = value
-        else:
-            merged[key] = value
+            raise CliInputError("unknown config key: %s" % (path + key))
+        merged[key] = _checked(defaults[key], value, path + key)
     return merged
 
 
+def _checked(base, value, where):
+    """`value` if it has the type of its default `base`.
+
+    Integer settings need JSON integers; float settings take any finite
+    number and return it as a float; lists are checked element by element
+    against the type of the default's first element.
+    """
+    if isinstance(base, dict):
+        if not isinstance(value, dict):
+            raise CliInputError("config key %s must be an object" % where)
+        return _merge_config(base, value, where + ".")
+    if isinstance(base, (list, tuple)):
+        if not isinstance(value, list):
+            raise CliInputError("config key %s must be a list" % where)
+        return [_checked(base[0], v, "%s[%d]" % (where, k))
+                for k, v in enumerate(value)]
+    if isinstance(base, bool):
+        if not isinstance(value, bool):
+            raise CliInputError("config key %s must be a boolean" % where)
+    elif isinstance(base, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CliInputError("config key %s must be an integer" % where)
+    elif isinstance(base, float):
+        # abs() <= max is False for NaN, the infinities and huge integers
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise CliInputError("config key %s must be a finite number"
+                                % where)
+        return float(value)
+    elif not isinstance(value, str):
+        raise CliInputError("config key %s must be a string" % where)
+    return value
+
+
 def load_run_config(path) -> dict:
-    """Read and validate a run-config JSON file; defaults fill the gaps."""
+    """Read and validate a run-config JSON file; defaults fill the gaps.
+
+    The result has the layout of CONFIG_DEFAULTS; `run_records` builds the
+    SimConfig and FitConfig from it.
+    """
     if path is None:
         return copy.deepcopy(CONFIG_DEFAULTS)
     try:
@@ -117,6 +127,30 @@ def load_run_config(path) -> dict:
     if not isinstance(user, dict):
         raise CliInputError("config root must be a JSON object")
     return _merge_config(CONFIG_DEFAULTS, user)
+
+
+def _record(default, values):
+    """`default` with the config's values set, nested records included."""
+    return replace(default, **{
+        key: _record(getattr(default, key), value)
+        if isinstance(value, dict) else value
+        for key, value in values.items()})
+
+
+def run_records(config: dict, seed=None):
+    """The (SimConfig, FitConfig) of a loaded run config.
+
+    `seed`, when given, replaces the config's seed in both records.
+    """
+    seed = config["seed"] if seed is None else seed
+    records = []
+    for name, default in (("sim", SimConfig(seed=seed)),
+                          ("fit", FitConfig(seed=seed))):
+        try:
+            records.append(_record(default, config[name]))
+        except ValueError as exc:
+            raise CliInputError("invalid %s config: %s" % (name, exc))
+    return tuple(records)
 
 
 def load_dataset_csv(path, require_outcome: bool = True):
@@ -195,46 +229,9 @@ def load_dataset_csv(path, require_outcome: bool = True):
     return times, status, x, z, x_names, z_names
 
 
-def _sim_config(config: dict, seed) -> SimConfig:
-    sim = config["sim"]
-    try:
-        return SimConfig(n=int(sim["n"]), p=int(sim["p"]), r=int(sim["r"]),
-                         s_beta=int(sim["s_beta"]), rho=float(sim["rho"]),
-                         g0_kind=str(sim["g0_kind"]),
-                         target_censoring=float(sim["target_censoring"]),
-                         mu=float(sim["mu"]),
-                         replicates=int(sim["replicates"]),
-                         seed=int(seed))
-    except ValueError as exc:
-        raise CliInputError("invalid sim config: %s" % exc)
-
-
-def _fit_config(config: dict, input_dim: int, seed) -> FitConfig:
-    net = config["network"]
-    solver = config["solver"]
-    try:
-        return FitConfig(
-            scad=ScadConfig(lam=float(config["scad"]["lam"]),
-                            a=float(config["scad"]["a"])),
-            arch=NetworkArch(input_dim=input_dim,
-                             hidden_widths=tuple(int(w) for w in net["hidden_widths"]),
-                             dropout_rate=float(net["dropout_rate"])),
-            adam=AdamState(r1=float(net["r1"]), r2=float(net["r2"]),
-                           gamma=float(net["learning_rate"]),
-                           eps0=float(net["eps0"])),
-            inner_steps=int(net["inner_steps"]),
-            adam_tol=float(net["adam_tol"]),
-            cd_tol=float(solver["cd_tol"]),
-            max_sweeps=int(solver["max_sweeps"]),
-            outer_tol=float(solver["outer_tol"]),
-            max_outer=int(solver["max_outer"]),
-            seed=int(seed),
-        )
-    except ValueError as exc:
-        raise CliInputError("invalid fit config: %s" % exc)
-
-
 def _check_lambda_grid(grid, where):
+    if not grid:
+        raise CliInputError("%s must be non-empty" % where)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise CliInputError("%s must be ascending" % where)
     if not all(0.0 <= lam < math.inf for lam in grid):
@@ -247,8 +244,6 @@ def _parse_lambda_grid(text: str):
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise CliInputError("--lambda-grid must be comma-separated numbers")
-    if not grid:
-        raise CliInputError("--lambda-grid must be non-empty")
     return _check_lambda_grid(grid, "--lambda-grid")
 
 
@@ -294,51 +289,36 @@ def write_selection_table(path, beta, support, x_names):
                                            math.exp(beta[j])))
 
 
-def _number_list(values, cast, where):
-    try:
-        out = [cast(v) for v in values]
-    except (TypeError, ValueError):
-        raise CliInputError("config %s must hold numbers" % where)
-    if not out:
-        raise CliInputError("config %s must be non-empty" % where)
-    return out
-
-
 def _lambda_grid_from(config, args):
     if getattr(args, "lambda_grid", None):
         return _parse_lambda_grid(args.lambda_grid)
-    grid = _number_list(config["lambda_grid"], float, "lambda_grid")
-    return _check_lambda_grid(grid, "config lambda_grid")
+    return _check_lambda_grid(config["lambda_grid"], "config lambda_grid")
 
 
 def cmd_fit(args) -> int:
     config = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else config["seed"]
+    _, cfg = run_records(config, args.seed)
     times, status, x, z, x_names, z_names = load_dataset_csv(args.data)
     try:
         dataset = SurvivalDataset(times=times, status=status, x=x, z=z)
     except ValueError as exc:
         raise CliInputError("%s: %s" % (args.data, exc))
     lambda_grid = _lambda_grid_from(config, args)
-    cfg = _fit_config(config, dataset.r, seed)
 
-    tune = dict(config["tune_arch"])
+    tune = config["tune_arch"]
     if args.arch_grid:
         tune = _parse_arch_grid(args.arch_grid, tune)
     os.makedirs(args.out, exist_ok=True)
-    if tune["enabled"]:
-        for key, cast in (("depth_grid", int), ("width_grid", int),
-                          ("dropout_grid", float), ("lr_grid", float)):
-            tune[key] = _number_list(tune[key], cast, "tune_arch." + key)
-        if tune["criterion"] not in ("validation", "bic"):
-            raise CliInputError("tune_arch.criterion must be "
-                                "'validation' or 'bic'")
     try:
         if tune["enabled"]:
-            choice = tune_architecture(dataset, tune["depth_grid"],
-                                       tune["width_grid"], tune["dropout_grid"],
-                                       tune["lr_grid"], cfg,
-                                       criterion=tune["criterion"])
+            try:
+                # the grid is checked in full before the first fit
+                choice = tune_architecture(
+                    dataset, tune["depth_grid"], tune["width_grid"],
+                    tune["dropout_grid"], tune["lr_grid"], cfg,
+                    criterion=tune["criterion"])
+            except ValueError as exc:
+                raise CliInputError("architecture grid: %s" % exc)
             cfg = replace(cfg, arch=choice.arch,
                           adam=replace(cfg.adam, gamma=choice.learning_rate))
         best_lam, path = tune_lambda(dataset, lambda_grid, cfg)
@@ -421,9 +401,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else config["seed"]
-    sim_cfg = _sim_config(config, seed)
+    sim_cfg, _ = run_records(load_run_config(args.config), args.seed)
     data = simulate_dataset(sim_cfg, replicate=0)
     os.makedirs(args.out, exist_ok=True)
     ds = data.dataset
@@ -456,14 +434,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else config["seed"]
+    sim_cfg, fit_cfg = run_records(config, args.seed)
     threads = args.threads if args.threads is not None \
-        else int(config["benchmark"]["threads"])
+        else config["benchmark"]["threads"]
     if threads < 1:
         raise CliInputError("--threads must be >= 1")
-    sim_cfg = _sim_config(config, seed)
     lambda_grid = _lambda_grid_from(config, args)
-    fit_cfg = _fit_config(config, sim_cfg.r, seed)
     methods = [MethodConfig(name="dplc", fit=fit_cfg,
                             lambda_grid=tuple(lambda_grid))]
     if config["benchmark"]["baseline"]:

@@ -11,7 +11,7 @@ architecture by held-out partial likelihood or BIC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,25 +29,27 @@ from .survival import (SurvivalDataset, build_risk_index, cox_terms,
 class FitConfig:
     """Everything one fit needs besides the data.
 
-    fit_g=False disables the network entirely (g identically zero), which
-    is the plain SCAD-penalized Cox baseline.
+    The defaults are the full default fit, and the run config's "fit"
+    section sets these fields by name.  fit_g=False disables the network
+    entirely (g identically zero), which is the plain SCAD-penalized Cox
+    baseline.
     """
 
-    scad: ScadConfig
-    arch: NetworkArch
+    scad: ScadConfig = field(default_factory=ScadConfig)
+    arch: NetworkArch = field(default_factory=NetworkArch)
     adam: AdamState = field(default_factory=AdamState)
     inner_steps: int = 20
     adam_tol: float = 1e-7
     cd_tol: float = 1e-5
     max_sweeps: int = 100
     outer_tol: float = 1e-4
-    max_outer: int = 50
+    max_outer: int = 25
     fit_g: bool = True
     seed: int = 0
 
     def __post_init__(self):
         for name in ("adam_tol", "cd_tol", "outer_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError("%s must be > 0" % name)
         if self.inner_steps < 1 or self.max_sweeps < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be >= 1")
@@ -76,15 +78,15 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     """Alternate network and coefficient updates until both stabilize."""
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
-    if cfg.fit_g and cfg.arch.input_dim != dataset.r:
-        raise ValueError("arch.input_dim=%d but dataset has r=%d"
-                         % (cfg.arch.input_dim, dataset.r))
+    if net_init is not None and net_init.input_dim != dataset.r:
+        raise ValueError("net_init takes %d z columns but dataset has r=%d"
+                         % (net_init.input_dim, dataset.r))
     index = build_risk_index(dataset)
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     if net_init is not None:
         net = net_init.copy()
     elif cfg.fit_g:
-        net = init_network(cfg.arch, seeds[0])
+        net = init_network(cfg.arch, dataset.r, seeds[0])
     else:
         net = zero_network(dataset.r)
     adam_rng = np.random.default_rng(seeds[1])
@@ -207,7 +209,8 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
     criterion "validation" scores each cell by partial likelihood on a
     held-out stratified split; "bic" refits on all data and scores by BIC.
     Ties keep the smaller cell (depth, then width, then dropout, then
-    learning rate; grids are sorted ascending before the scan).
+    learning rate; grids are sorted ascending before the scan).  Every
+    cell's settings are checked before the first fit.
     """
     if criterion not in ("validation", "bic"):
         raise ValueError("criterion must be 'validation' or 'bic'")
@@ -217,6 +220,12 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
     lrs = sorted(float(g) for g in lr_grid)
     if not depths or not widths or not dropouts or not lrs:
         raise ValueError("all grids must be non-empty")
+    if depths[0] < 0:
+        raise ValueError("depths must be >= 0")
+    cells = [(depth, width, rate, lr, NetworkArch((width,) * depth, rate),
+              replace(cfg.adam, gamma=lr))
+             for depth in depths for width in widths
+             for rate in dropouts for lr in lrs]
 
     if criterion == "validation":
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
@@ -228,53 +237,24 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
 
     table = []
     best = None
-    cell = 0
-    for depth in depths:
-        for width in widths:
-            for rate in dropouts:
-                for lr in lrs:
-                    arch = NetworkArch(input_dim=dataset.r,
-                                       hidden_widths=(width,) * depth,
-                                       dropout_rate=rate)
-                    cfg_cell = replace(cfg, arch=arch,
-                                       adam=replace(cfg.adam, gamma=lr),
-                                       seed=cfg.seed + cell)
-                    model = fit(train_ds, cfg_cell)
-                    if criterion == "validation":
-                        eta = predict_eta(model, val_ds.x, val_ds.z)
-                        score = cox_terms(eta, val_ds, val_index)[0]
-                    else:
-                        score = bic(model, train_ds)
-                    table.append({"depth": depth, "width": width,
-                                  "dropout": rate, "lr": lr, "score": score})
-                    if best is None or score < best[0]:
-                        best = (score, arch, lr)
-                    cell += 1
+    for cell, (depth, width, rate, lr, arch, adam) in enumerate(cells):
+        model = fit(train_ds, replace(cfg, arch=arch, adam=adam,
+                                      seed=cfg.seed + cell))
+        if criterion == "validation":
+            eta = predict_eta(model, val_ds.x, val_ds.z)
+            score = cox_terms(eta, val_ds, val_index)[0]
+        else:
+            score = bic(model, train_ds)
+        table.append({"depth": depth, "width": width,
+                      "dropout": rate, "lr": lr, "score": score})
+        if best is None or score < best[0]:
+            best = (score, arch, lr)
     return ArchSelection(arch=best[1], learning_rate=best[2],
                          criterion=criterion, table=table)
 
 
 MODEL_FORMAT = "dplc-model"
 MODEL_VERSION = 1
-
-
-def config_to_dict(cfg: FitConfig) -> dict:
-    return {
-        "scad": {"lam": cfg.scad.lam, "a": cfg.scad.a},
-        "arch": {"input_dim": cfg.arch.input_dim,
-                 "hidden_widths": list(cfg.arch.hidden_widths),
-                 "dropout_rate": cfg.arch.dropout_rate},
-        "adam": {"r1": cfg.adam.r1, "r2": cfg.adam.r2,
-                 "gamma": cfg.adam.gamma, "eps0": cfg.adam.eps0},
-        "inner_steps": cfg.inner_steps,
-        "adam_tol": cfg.adam_tol,
-        "cd_tol": cfg.cd_tol,
-        "max_sweeps": cfg.max_sweeps,
-        "outer_tol": cfg.outer_tol,
-        "max_outer": cfg.max_outer,
-        "fit_g": cfg.fit_g,
-        "seed": cfg.seed,
-    }
 
 
 def model_to_dict(model: FittedModel, cfg: FitConfig,
@@ -286,7 +266,7 @@ def model_to_dict(model: FittedModel, cfg: FitConfig,
         "p": int(model.beta_hat.size),
         "beta": [[int(j), float(model.beta_hat[j])] for j in model.support],
         "network": network_to_dict(model.net),
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "diagnostics": {
             "loss_path": [float(v) for v in model.diagnostics.get("loss_path", [])],
             "outer_iters": model.diagnostics.get("outer_iters"),

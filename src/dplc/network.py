@@ -21,24 +21,27 @@ from .survival import RiskIndex, SurvivalDataset, cox_terms
 
 @dataclass(frozen=True)
 class NetworkArch:
-    """Layer plan: input width, hidden widths, scalar output, dropout rate."""
+    """Layer plan: hidden widths and dropout rate.
 
-    input_dim: int
-    hidden_widths: tuple = (4, 4)
-    dropout_rate: float = 0.0
+    The input width is the number of z columns of the data the network is
+    built for, so it is an argument of `init_network`, not a setting.
+    """
+
+    hidden_widths: tuple = (8, 8)
+    dropout_rate: float = 0.3
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
-    @property
-    def layer_dims(self) -> tuple:
-        return (self.input_dim,) + self.hidden_widths + (1,)
+    def layer_dims(self, input_dim: int) -> tuple:
+        """Widths from the input layer through the scalar output."""
+        if input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
+        return (input_dim,) + self.hidden_widths + (1,)
 
 
 @dataclass
@@ -49,6 +52,11 @@ class Network:
     weights: list
     biases: list
     center_offset: float = 0.0
+
+    @property
+    def input_dim(self) -> int:
+        """Number of z columns the first layer takes."""
+        return self.weights[0].shape[1]
 
     def copy(self) -> "Network":
         return Network(arch=self.arch,
@@ -73,11 +81,11 @@ class AdamState:
             raise ValueError("gamma and eps0 must be > 0")
 
 
-def init_network(arch: NetworkArch, seed) -> Network:
+def init_network(arch: NetworkArch, input_dim: int, seed) -> Network:
     """Xavier-uniform weights on +-sqrt(6 / (fan_in + fan_out)), zero biases."""
+    dims = arch.layer_dims(input_dim)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    dims = arch.layer_dims
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
@@ -91,7 +99,7 @@ def zero_network(input_dim: int) -> Network:
     Used as the disabled nonparametric term when fitting the plain
     penalized Cox baseline.
     """
-    arch = NetworkArch(input_dim=input_dim, hidden_widths=(), dropout_rate=0.0)
+    arch = NetworkArch(hidden_widths=(), dropout_rate=0.0)
     return Network(arch=arch, weights=[np.zeros((1, input_dim))],
                    biases=[np.zeros(1)], center_offset=0.0)
 
@@ -132,9 +140,9 @@ def forward(net: Network, z_batch, mode: str = "eval", rng=None) -> np.ndarray:
     subtracts the centering offset.
     """
     z = np.atleast_2d(np.asarray(z_batch, dtype=float))
-    if z.shape[1] != net.arch.input_dim:
+    if z.shape[1] != net.input_dim:
         raise ValueError("z has %d columns, network expects %d"
-                         % (z.shape[1], net.arch.input_dim))
+                         % (z.shape[1], net.input_dim))
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
     train = mode == "train"
@@ -243,7 +251,7 @@ def network_to_dict(net: Network) -> dict:
     return {
         "format": NETWORK_FORMAT,
         "version": NETWORK_VERSION,
-        "input_dim": net.arch.input_dim,
+        "input_dim": net.input_dim,
         "hidden_widths": list(net.arch.hidden_widths),
         "dropout_rate": net.arch.dropout_rate,
         "weights": [w.tolist() for w in net.weights],
@@ -257,12 +265,11 @@ def network_from_dict(data: dict) -> Network:
         raise ValueError("not a network record")
     if data.get("version") != NETWORK_VERSION:
         raise ValueError("unsupported network version: %r" % (data.get("version"),))
-    arch = NetworkArch(input_dim=int(data["input_dim"]),
-                       hidden_widths=tuple(data["hidden_widths"]),
+    arch = NetworkArch(hidden_widths=tuple(data["hidden_widths"]),
                        dropout_rate=float(data["dropout_rate"]))
     weights = [np.asarray(w, dtype=float) for w in data["weights"]]
     biases = [np.asarray(b, dtype=float) for b in data["biases"]]
-    dims = arch.layer_dims
+    dims = arch.layer_dims(int(data["input_dim"]))
     if len(weights) != len(dims) - 1 or len(biases) != len(weights):
         raise ValueError("layer count does not match architecture")
     for l, (w, b) in enumerate(zip(weights, biases)):

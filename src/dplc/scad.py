@@ -20,9 +20,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ScadConfig:
-    """Penalty parameters: finite strength lam >= 0, shape a > 2 (default 3.7)."""
+    """Penalty parameters: finite strength lam >= 0, shape a > 2."""
 
-    lam: float
+    lam: float = 0.5
     a: float = 3.7
 
     def __post_init__(self):

@@ -53,8 +53,8 @@ class SimConfig:
             raise ValueError("g0_kind must be linear, nonlinear, or zero")
         if not 0.0 < self.target_censoring < 1.0:
             raise ValueError("target_censoring must be in (0, 1)")
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be finite and > 0")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
 

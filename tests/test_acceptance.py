@@ -28,7 +28,7 @@ LAMBDA_GRID = (0.05, 0.08, 0.12, 0.19, 0.3, 0.48, 0.76, 1.2, 1.9, 3.0, 5.0)
 
 def desk_cfg(hidden=(8, 8), dropout=0.3, lr=0.02, inner=20, outer=15):
     return FitConfig(scad=ScadConfig(lam=0.3),
-                     arch=NetworkArch(8, hidden, dropout),
+                     arch=NetworkArch(hidden, dropout),
                      adam=AdamState(gamma=lr),
                      inner_steps=inner, max_outer=outer, seed=0)
 
@@ -59,7 +59,7 @@ def test_gradient_suite():
             ok, worst_note = False, "eta gradient mismatch on case %d" % case
             break
 
-        net = init_network(NetworkArch(r, (width,) * depth, 0.0),
+        net = init_network(NetworkArch((width,) * depth, 0.0), r,
                            seed=case)
         beta = rng.standard_normal(ds.p) * 0.5
         _, grads = loss_and_grads(net, ds, idx, beta)
@@ -241,9 +241,8 @@ def test_cli_determinism(tmp_path):
     config = {
         "seed": int(MASTER_SEED % 100000),
         "sim": {"n": 120, "p": 6, "r": 8, "s_beta": 2, "replicates": 2},
-        "network": {"hidden_widths": [4], "dropout_rate": 0.3,
-                    "inner_steps": 10},
-        "solver": {"max_outer": 6},
+        "fit": {"arch": {"hidden_widths": [4], "dropout_rate": 0.3},
+                "inner_steps": 10, "max_outer": 6},
         "lambda_grid": [0.05, 0.15, 0.45],
     }
     cfg_path = tmp_path / "config.json"

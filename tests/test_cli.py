@@ -2,11 +2,14 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dplc.cli import main, write_selection_table
+from dplc.cli import (load_run_config, main, run_records,
+                      write_selection_table)
 
 DATA_CSV = "data.csv"
 
@@ -16,9 +19,8 @@ def small_config(tmp_path):
     cfg = {
         "seed": 7,
         "sim": {"n": 120, "p": 6, "r": 8, "s_beta": 2, "replicates": 2},
-        "network": {"hidden_widths": [4], "dropout_rate": 0.0,
-                    "inner_steps": 10},
-        "solver": {"max_outer": 6},
+        "fit": {"arch": {"hidden_widths": [4], "dropout_rate": 0.0},
+                "inner_steps": 10, "max_outer": 6},
         "lambda_grid": [0.05, 0.15, 0.45],
     }
     path = tmp_path / "config.json"
@@ -28,6 +30,15 @@ def small_config(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def forbid_fitting(monkeypatch):
+    """Make any fit fail the test: bad grids must be caught before one."""
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a grid cell was fitted")
+
+    monkeypatch.setattr("dplc.estimator.fit", no_fit)
 
 
 def simulate_into(tmp_path, config, name="simdir"):
@@ -123,11 +134,11 @@ class TestFit:
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"solver": {"max_outre": 3}}))
+        cfg.write_text(json.dumps({"fit": {"max_outre": 3}}))
         code = run("simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "solver.max_outre" in capsys.readouterr().err
+        assert "fit.max_outre" in capsys.readouterr().err
 
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -178,6 +189,117 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "input error" in err and ">= 0" in err
+
+
+    @pytest.mark.parametrize("arch_grid, message", [
+        ("depths=1;widths=2;dropout=0.0,1.5", "dropout_rate"),
+        ("depths=1;widths=2;dropout=0.0;lr=0.01,0", "gamma"),
+        ("depths=1;widths=0,2;dropout=0.0", "widths"),
+        ("depths=-1,1;widths=2;dropout=0.0", "depths"),
+    ])
+    def test_bad_arch_grid_exit_2_before_fitting(self, tmp_path, small_config,
+                                                 capsys, monkeypatch,
+                                                 arch_grid, message):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        capsys.readouterr()
+        forbid_fitting(monkeypatch)
+        code = run("fit", "--data", str(data_csv), "--config", small_config,
+                   "--out", str(tmp_path / "fit"), "--arch-grid", arch_grid)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+
+    @pytest.mark.parametrize("tune, message", [
+        ({"dropout_grid": [0.0, 1.5]}, "dropout_rate"),
+        ({"depth_grid": [-1]}, "depths"),
+        ({"lr_grid": []}, "non-empty"),
+        ({"criterion": "aic"}, "criterion"),
+    ])
+    def test_bad_tune_arch_config_exit_2(self, tmp_path, small_config, capsys,
+                                         monkeypatch, tune, message):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        cfg = json.loads(open(small_config).read())
+        cfg["tune_arch"] = dict(tune, enabled=True)
+        path = tmp_path / "tune.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        forbid_fitting(monkeypatch)
+        code = run("fit", "--data", str(data_csv), "--config", str(path),
+                   "--out", str(tmp_path / "fit"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command, text, key", [
+        ("fit", '{"fit": {"arch": {"hidden_widths": [null]}}}',
+         "fit.arch.hidden_widths[0]"),
+        ("fit", '{"fit": {"arch": {"hidden_widths": [[4]]}}}',
+         "fit.arch.hidden_widths[0]"),
+        ("simulate", '{"sim": {"n": Infinity}}', "sim.n"),
+        ("fit", '{"fit": {"max_outer": Infinity}}', "fit.max_outer"),
+        ("simulate", '{"sim": {"mu": NaN}}', "sim.mu"),
+        ("fit", '{"fit": {"outer_tol": NaN}}', "fit.outer_tol"),
+        ("fit", '{"fit": {"scad": {"lam": 1e400}}}', "fit.scad.lam"),
+        ("fit", '{"lambda_grid": [0.1, -Infinity]}', "lambda_grid[1]"),
+        ("fit", '{"fit": {"max_outer": 2.7}}', "fit.max_outer"),
+        ("benchmark", '{"benchmark": {"threads": 2.5}}', "benchmark.threads"),
+        ("simulate", '{"seed": 1.5}', "seed"),
+        ("fit", '{"tune_arch": {"depth_grid": [1.5]}}',
+         "tune_arch.depth_grid[0]"),
+    ])
+    def test_bad_value_exit_2_names_key(self, tmp_path, small_config, capsys,
+                                        command, text, key):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        capsys.readouterr()
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "fit":
+            argv += ["--data", str(data_csv)]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "config key %s " % key in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"network": {"learning_rate": 0.02}}', "network"),
+        ('{"solver": {"max_outer": 6}}', "solver"),
+        ('{"scad": {"lam": 0.3}}', "scad"),
+        ('{"fit": {"fit_g": false}}', "fit.fit_g"),
+        ('{"sim": {"seed": 3}}', "sim.seed"),
+        ('{"fit": {"arch": {"input_dim": 8}}}', "fit.arch.input_dim"),
+    ])
+    def test_keys_outside_the_schema_exit_2(self, tmp_path, capsys, text,
+                                            key):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(text)
+        code = run("simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "unknown config key: %s\n" % key in capsys.readouterr().err
+
+    def test_model_config_echo_loads_as_fit_section(self, tmp_path,
+                                                    small_config):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        assert run("fit", "--data", str(data_csv), "--config", small_config,
+                   "--out", str(fit_dir)) == 0
+        echo = json.loads((fit_dir / "model.json").read_text())["config"]
+        seed = echo.pop("seed")
+        assert echo.pop("fit_g") is True
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps({"fit": echo}))
+        _, rebuilt = run_records(load_run_config(str(path)), seed)
+        _, original = run_records(load_run_config(small_config))
+        assert rebuilt == original
+
+    def test_readme_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Run configuration", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        defaults = json.loads(json.dumps(load_run_config(None)))
+        assert json.loads(block) == defaults
 
 
 class TestSelectionTable:

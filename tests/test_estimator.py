@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dplc import (AdamState, FitConfig, NetworkArch, ScadConfig, SimConfig,
-                  bic, fit, model_from_dict, model_to_dict, predict_eta,
+                  bic, fit, init_network, model_from_dict, model_to_dict,
+                  predict_eta,
                   simulate_dataset, tune_architecture, tune_lambda,
                   zero_network)
 from dplc.estimator import FittedModel
@@ -16,10 +17,10 @@ from dplc.survival import build_risk_index, cox_terms
 from conftest import make_dataset
 
 
-def quick_cfg(r=8, lam=0.15, hidden=(4, 4), dropout=0.0, gamma=0.02,
+def quick_cfg(lam=0.15, hidden=(4, 4), dropout=0.0, gamma=0.02,
               max_outer=8, seed=0, **kw):
     return FitConfig(scad=ScadConfig(lam=lam),
-                     arch=NetworkArch(r, hidden, dropout),
+                     arch=NetworkArch(hidden, dropout),
                      adam=AdamState(gamma=gamma),
                      max_outer=max_outer, seed=seed, **kw)
 
@@ -88,8 +89,14 @@ class TestFit:
 
     def test_arch_mismatch_rejected(self):
         data = sim_data(1, n=60, p=4, r=8)
-        with pytest.raises(ValueError, match="input_dim"):
-            fit(data.dataset, quick_cfg(r=5))
+        net = init_network(NetworkArch((4,), 0.0), 5, seed=0)
+        with pytest.raises(ValueError, match=r"takes 5 .* r=8"):
+            fit(data.dataset, quick_cfg(), net_init=net)
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_config_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="outer_tol"):
+            FitConfig(outer_tol=tol)
 
 
 class TestPredictEta:
@@ -182,7 +189,7 @@ class TestTuneLambda:
         ds = make_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0],
                           x=np.eye(4)[:, :3],
                           z=np.linspace(0, 1, 8).reshape(4, 2))
-        lam, path = tune_lambda(ds, [0.1, 0.5, 2.0], quick_cfg(r=2))
+        lam, path = tune_lambda(ds, [0.1, 0.5, 2.0], quick_cfg())
         assert len({e.bic for e in path}) == 1
         assert lam == 2.0
 
@@ -250,7 +257,7 @@ class TestTuneArchitecture:
                           x=np.arange(n, dtype=float).reshape(n, 1),
                           z=np.linspace(0, 1, 2 * n).reshape(n, 2))
         choice = tune_architecture(ds, [2, 1], [8, 2], [0.0], [0.01],
-                                   quick_cfg(r=2), criterion="validation")
+                                   quick_cfg(), criterion="validation")
         assert choice.arch.hidden_widths == (2,)
 
     def test_bic_criterion_runs(self):

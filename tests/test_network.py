@@ -21,8 +21,7 @@ class ZeroRng:
 
 
 def hand_net(w1, b1, w2, b2, rate=0.0):
-    arch = NetworkArch(input_dim=np.asarray(w1).shape[1],
-                       hidden_widths=(np.asarray(w1).shape[0],),
+    arch = NetworkArch(hidden_widths=(np.asarray(w1).shape[0],),
                        dropout_rate=rate)
     return Network(arch=arch,
                    weights=[np.asarray(w1, float), np.asarray(w2, float)],
@@ -31,27 +30,27 @@ def hand_net(w1, b1, w2, b2, rate=0.0):
 
 class TestInit:
     def test_biases_zero(self):
-        net = init_network(NetworkArch(3, (4, 2)), seed=0)
+        net = init_network(NetworkArch((4, 2), 0.0), 3, seed=0)
         assert all(np.all(b == 0.0) for b in net.biases)
 
     def test_xavier_bound(self):
-        net = init_network(NetworkArch(2, (4,)), seed=1)
+        net = init_network(NetworkArch((4,), 0.0), 2, seed=1)
         assert np.all(np.abs(net.weights[0]) <= 1.0)  # sqrt(6/(2+4)) = 1
         bound2 = np.sqrt(6.0 / (4 + 1))
         assert np.all(np.abs(net.weights[1]) <= bound2)
 
     def test_deterministic(self):
-        a = init_network(NetworkArch(3, (5, 5)), seed=42)
-        b = init_network(NetworkArch(3, (5, 5)), seed=42)
+        a = init_network(NetworkArch((5, 5), 0.0), 3, seed=42)
+        b = init_network(NetworkArch((5, 5), 0.0), 3, seed=42)
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
 
     def test_rejects_bad_arch(self):
         with pytest.raises(ValueError):
-            NetworkArch(0, (4,))
+            init_network(NetworkArch((4,), 0.0), 0, seed=0)
         with pytest.raises(ValueError):
-            NetworkArch(2, (0,))
+            NetworkArch((0,))
         with pytest.raises(ValueError):
-            NetworkArch(2, (4,), dropout_rate=1.0)
+            NetworkArch((4,), dropout_rate=1.0)
 
 
 class TestForward:
@@ -61,7 +60,7 @@ class TestForward:
         assert np.all(out == 0.0)
 
     def test_train_equals_eval_without_dropout(self, rng):
-        net = init_network(NetworkArch(3, (4, 4)), seed=2)
+        net = init_network(NetworkArch((4, 4), 0.0), 3, seed=2)
         z = rng.standard_normal((9, 3))
         assert np.array_equal(forward(net, z, mode="train"),
                               forward(net, z, mode="eval"))
@@ -78,22 +77,22 @@ class TestForward:
         assert forward(net, [[2.0, 0.0]], mode="train")[0] == pytest.approx(2.0)
 
     def test_eval_deterministic_bitwise(self, rng):
-        net = init_network(NetworkArch(4, (8, 8)), seed=5)
+        net = init_network(NetworkArch((8, 8), 0.0), 4, seed=5)
         z = rng.standard_normal((20, 4))
         assert np.array_equal(forward(net, z), forward(net, z))
 
     def test_dimension_mismatch(self):
-        net = init_network(NetworkArch(3, (4,)), seed=0)
+        net = init_network(NetworkArch((4,), 0.0), 3, seed=0)
         with pytest.raises(ValueError, match="columns"):
             forward(net, np.zeros((2, 5)))
 
     def test_train_dropout_requires_rng(self):
-        net = init_network(NetworkArch(2, (4,), dropout_rate=0.4), seed=0)
+        net = init_network(NetworkArch((4,), dropout_rate=0.4), 2, seed=0)
         with pytest.raises(ValueError, match="rng"):
             forward(net, np.zeros((2, 2)), mode="train")
 
     def test_dropout_expectation_matches_eval(self):
-        net = init_network(NetworkArch(2, (6,), dropout_rate=0.4), seed=3)
+        net = init_network(NetworkArch((6,), dropout_rate=0.4), 2, seed=3)
         z = np.random.default_rng(8).standard_normal((5, 2))
         raw_eval = forward(net, z, mode="eval")  # offset is 0 after init
         rng = np.random.default_rng(123)
@@ -108,7 +107,7 @@ class TestGradParams:
     def test_no_events_gives_zero_grads(self):
         ds = make_dataset([1.0, 2.0], [0, 0], z=np.array([[0.3], [0.5]]))
         idx = build_risk_index(ds)
-        net = init_network(NetworkArch(1, (3,)), seed=0)
+        net = init_network(NetworkArch((3,), 0.0), 1, seed=0)
         _, grads = loss_and_grads(net, ds, idx, np.zeros(ds.p))
         assert all(np.all(gw == 0.0) and np.all(gb == 0.0)
                    for gw, gb in grads)
@@ -117,7 +116,7 @@ class TestGradParams:
     def test_matches_finite_differences(self, seed):
         ds, _ = random_instance(seed, n=12, p=2, r=2)
         idx = build_risk_index(ds)
-        net = init_network(NetworkArch(2, (3,)), seed=seed)
+        net = init_network(NetworkArch((3,), 0.0), 2, seed=seed)
         beta = np.array([0.4, -0.2])
         _, grads = loss_and_grads(net, ds, idx, beta)
 
@@ -148,7 +147,7 @@ class TestGradParams:
     def test_fully_dropped_layer_kills_incoming_gradients(self):
         ds, _ = random_instance(1, n=10, p=1, r=2)
         idx = build_risk_index(ds)
-        net = init_network(NetworkArch(2, (4,), dropout_rate=0.5), seed=2)
+        net = init_network(NetworkArch((4,), dropout_rate=0.5), 2, seed=2)
         _, grads = loss_and_grads(net, ds, idx, np.zeros(ds.p),
                                   rng=ZeroRng())
         gw1, gb1 = grads[0]
@@ -162,7 +161,7 @@ class TestAdamFit:
 
     def test_first_step_is_scaled_sign_of_gradient(self):
         ds, idx = self._toy()
-        net = init_network(NetworkArch(2, (3,)), seed=4)
+        net = init_network(NetworkArch((3,), 0.0), 2, seed=4)
         beta = np.zeros(ds.p)
         _, grads = loss_and_grads(net, ds, idx, beta)
         before = net.copy()
@@ -177,7 +176,7 @@ class TestAdamFit:
         ds = make_dataset([1.0, 2.0, 3.0], [0, 0, 0],
                           z=np.random.default_rng(0).standard_normal((3, 2)))
         idx = build_risk_index(ds)
-        net = init_network(NetworkArch(2, (3,)), seed=1)
+        net = init_network(NetworkArch((3,), 0.0), 2, seed=1)
         before = net.copy()
         adam_fit(net, ds, idx, np.zeros(ds.p), AdamState(), inner_steps=5)
         assert all(np.array_equal(a, b)
@@ -192,7 +191,7 @@ class TestAdamFit:
         u = rng.exponential(size=n) / np.exp(eta0)
         ds = make_dataset(u + 1e-9, np.ones(n), x=np.zeros((n, 1)), z=z)
         idx = build_risk_index(ds)
-        net = init_network(NetworkArch(2, (4, 4)), seed=7)
+        net = init_network(NetworkArch((4, 4), 0.0), 2, seed=7)
         beta = np.zeros(1)
 
         def q_now():
@@ -206,13 +205,13 @@ class TestAdamFit:
 
     def test_centered_after_fit(self):
         ds, idx = self._toy(seed=3, n=60)
-        net = init_network(NetworkArch(2, (4,)), seed=9)
+        net = init_network(NetworkArch((4,), 0.0), 2, seed=9)
         adam_fit(net, ds, idx, np.zeros(ds.p), AdamState(), inner_steps=10)
         assert abs(forward(net, ds.z).mean()) < 1e-10
 
     def test_divergence_raises(self):
         ds, idx = self._toy()
-        net = init_network(NetworkArch(2, (3,)), seed=0)
+        net = init_network(NetworkArch((3,), 0.0), 2, seed=0)
         net.weights[0][:] = np.nan
         with pytest.raises((NumericalDivergence, ValueError)):
             adam_fit(net, ds, idx, np.zeros(ds.p), AdamState(), inner_steps=2)
@@ -226,13 +225,13 @@ class TestCenter:
         assert np.all(forward(net, z) == 0.0)
 
     def test_mean_zero_any_net(self, rng):
-        net = init_network(NetworkArch(3, (5, 5)), seed=11)
+        net = init_network(NetworkArch((5, 5), 0.0), 3, seed=11)
         z = rng.standard_normal((50, 3))
         center(net, z)
         assert abs(forward(net, z).mean()) < 1e-10
 
     def test_centering_preserves_differences(self, rng):
-        net = init_network(NetworkArch(2, (4,)), seed=13)
+        net = init_network(NetworkArch((4,), 0.0), 2, seed=13)
         z = rng.standard_normal((8, 2))
         before = forward(net, z)
         center(net, z)
@@ -244,7 +243,7 @@ class TestCenter:
 
 class TestSerialization:
     def test_round_trip_bitwise(self, rng):
-        net = init_network(NetworkArch(3, (4, 2), dropout_rate=0.3), seed=21)
+        net = init_network(NetworkArch((4, 2), dropout_rate=0.3), 3, seed=21)
         center(net, rng.standard_normal((10, 3)))
         blob = json.dumps(network_to_dict(net))
         back = network_from_dict(json.loads(blob))
@@ -260,7 +259,7 @@ class TestSerialization:
             network_from_dict({"format": "something-else"})
 
     def test_rejects_shape_mismatch(self):
-        net = init_network(NetworkArch(2, (3,)), seed=0)
+        net = init_network(NetworkArch((3,), 0.0), 2, seed=0)
         data = network_to_dict(net)
         data["weights"][0] = [[1.0, 2.0]]
         with pytest.raises(ValueError, match="shape|layer"):

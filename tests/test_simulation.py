@@ -2,7 +2,6 @@
 
 import csv
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ def naive_c_index(risk, times, status):
 
 def small_fit_cfg(seed=0):
     return FitConfig(scad=ScadConfig(lam=0.2),
-                     arch=NetworkArch(8, (4,), 0.0),
+                     arch=NetworkArch((4,), 0.0),
                      max_outer=6, seed=seed)
 
 
@@ -45,6 +44,9 @@ class TestSimConfig:
             SimConfig(g0_kind="cubic")
         with pytest.raises(ValueError):
             SimConfig(target_censoring=0.0)
+        for mu in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mu"):
+                SimConfig(mu=mu)
 
 
 class TestGenCovariates:
@@ -274,9 +276,9 @@ class TestRunExperiment:
 
     def test_failed_method_recorded_not_raised(self):
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=3)
-        bad_cfg = replace(small_fit_cfg(), arch=NetworkArch(3, (4,), 0.0))
+        # tune_lambda rejects a descending grid inside every replicate
         methods = [MethodConfig("good", small_fit_cfg(), (0.2,)),
-                   MethodConfig("bad", bad_cfg, (0.2,))]
+                   MethodConfig("bad", small_fit_cfg(), (0.4, 0.2))]
         report = run_experiment(sim, methods, replicates=2)
         good = [r for r in report.rows if r.method == "good"]
         bad = [r for r in report.rows if r.method == "bad"]

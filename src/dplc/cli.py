@@ -144,10 +144,9 @@ def run_records(config: dict, seed=None):
     """
     seed = config["seed"] if seed is None else seed
     records = []
-    for name, default in (("sim", SimConfig(seed=seed)),
-                          ("fit", FitConfig(seed=seed))):
+    for name, record in (("sim", SimConfig), ("fit", FitConfig)):
         try:
-            records.append(_record(default, config[name]))
+            records.append(_record(record(seed=seed), config[name]))
         except ValueError as exc:
             raise CliInputError("invalid %s config: %s" % (name, exc))
     return tuple(records)
@@ -321,13 +320,12 @@ def cmd_fit(args) -> int:
                 raise CliInputError("architecture grid: %s" % exc)
             cfg = replace(cfg, arch=choice.arch,
                           adam=replace(cfg.adam, gamma=choice.learning_rate))
-        best_lam, path = tune_lambda(dataset, lambda_grid, cfg)
-        best = next(e for e in path if e.lam == best_lam)
+        best, path = tune_lambda(dataset, lambda_grid, cfg)
         model = best.model
         eta_train = predict_eta(model, dataset.x, dataset.z)
         model.diagnostics["c_index_train"] = c_index(eta_train, dataset.times,
                                                      dataset.status)
-        model.diagnostics["lambda_selected"] = best_lam
+        model.diagnostics["lambda_selected"] = best.lam
     except NumericalDivergence as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
@@ -346,7 +344,7 @@ def cmd_fit(args) -> int:
                           model.beta_hat, model.support, x_names)
 
     print("selected %d of %d features at lambda=%s (bic=%s)"
-          % (model.n_selected, dataset.p, fmt_value(best_lam),
+          % (model.n_selected, dataset.p, fmt_value(best.lam),
              fmt_value(model.diagnostics["bic"])))
     print("train c_index=%s" % fmt_value(model.diagnostics["c_index_train"]))
     return 0

@@ -66,13 +66,12 @@ def _sweep(X, W, r, beta, cfg):
     the residual r = y - X beta are updated in place.
     """
     WX = X * W[:, None]
-    v_all = np.maximum(np.einsum("ij,ij->j", WX, X), V_FLOOR)
-    for j in range(X.shape[1]):
-        old = beta[j]
-        h = float(WX[:, j] @ r) + v_all[j] * old
-        new = scad_threshold(h, v_all[j], cfg)
-        if new != old and \
-                _surrogate_move_delta(h, v_all[j], old, new, cfg) <= 0.0:
+    v_all = np.maximum(np.einsum("ij,ij->j", WX, X), V_FLOOR).tolist()
+    for j, v in enumerate(v_all):
+        old = float(beta[j])
+        h = float(WX[:, j] @ r) + v * old
+        new = scad_threshold(h, v, cfg)
+        if new != old and _surrogate_move_delta(h, v, old, new, cfg) <= 0.0:
             r -= (new - old) * X[:, j]
             beta[j] = new
 

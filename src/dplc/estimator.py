@@ -53,6 +53,8 @@ class FitConfig:
                 raise ValueError("%s must be > 0" % name)
         if self.inner_steps < 1 or self.max_sweeps < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -70,7 +72,7 @@ class FittedModel:
 
 
 def _penalty_total(beta, scad_cfg):
-    return float(np.sum(scad_value(np.abs(beta), scad_cfg)))
+    return float(np.sum([scad_value(abs(b), scad_cfg) for b in beta]))
 
 
 def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
@@ -168,8 +170,9 @@ def tune_lambda(dataset: SurvivalDataset, lambda_grid: Sequence[float],
     """Fit along an ascending penalty grid and pick the BIC minimizer.
 
     Each fit is warm-started from the previous grid point's coefficients
-    and network.  BIC ties go to the larger penalty (the sparser model).
-    Returns (best_lambda, path).
+    and network.  BIC ties go to the later grid point, so the larger
+    penalty (the sparser model).  Returns (best_entry, path), where
+    best_entry is the chosen LambdaPathEntry itself.
     """
     grid = [float(l) for l in lambda_grid]
     if not grid:
@@ -189,7 +192,7 @@ def tune_lambda(dataset: SurvivalDataset, lambda_grid: Sequence[float],
         beta_warm, net_warm = model.beta_hat, model.net
         if best is None or entry.bic <= best.bic:
             best = entry
-    return best.lam, path
+    return best, path
 
 
 @dataclass

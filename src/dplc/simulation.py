@@ -11,6 +11,7 @@ known truth.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
@@ -57,6 +58,8 @@ class SimConfig:
             raise ValueError("mu must be finite and > 0")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def gen_covariates(cfg: SimConfig, rng):
@@ -317,9 +320,8 @@ def _run_replicate(args):
             fit_cfg = replace(m.fit, seed=int(
                 np.random.SeedSequence([sim_cfg.seed, rep, name_tag])
                 .generate_state(1)[0]))
-            best_lam, path = tune_lambda(train_ds, m.lambda_grid, fit_cfg)
-            best = next(e for e in path if e.lam == best_lam)
-            row.lambda_selected = best_lam
+            best, _ = tune_lambda(train_ds, m.lambda_grid, fit_cfg)
+            row.lambda_selected = best.lam
             eta_test = predict_eta(best.model, test_ds.x, test_ds.z)
             row.c_index_test = c_index(eta_test, test_ds.times, test_ds.status)
             row.selected_count = best.n_selected
@@ -380,16 +382,12 @@ def run_experiment(sim_cfg: SimConfig, methods: Sequence[MethodConfig],
         raise ValueError("method names must be unique")
     jobs = [(sim_cfg, tuple(methods), rep) for rep in range(replicates)]
     all_rows = []
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for rep_rows in pool.map(_run_replicate, jobs):
-                all_rows.extend(rep_rows)
-                if row_callback is not None:
-                    for row in rep_rows:
-                        row_callback(row)
-    else:
-        for job in jobs:
-            rep_rows = _run_replicate(job)
+    with contextlib.ExitStack() as stack:
+        run_map = map
+        if n_workers > 1:
+            run_map = stack.enter_context(
+                ProcessPoolExecutor(max_workers=n_workers)).map
+        for rep_rows in run_map(_run_replicate, jobs):
             all_rows.extend(rep_rows)
             if row_callback is not None:
                 for row in rep_rows:

@@ -181,6 +181,20 @@ class TestFit:
             lams = [float(r["lambda"]) for r in csv.DictReader(fh)]
         assert lams == [0.1, 0.4]
 
+    def test_repeated_lambda_saves_bic_minimizer(self, tmp_path, small_config,
+                                                 capsys):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        capsys.readouterr()
+        assert run("fit", "--data", str(data_csv), "--config", small_config,
+                   "--out", str(fit_dir), "--lambda-grid", "0.05,0.05,0.05") == 0
+        with open(fit_dir / "bic_path.csv") as fh:
+            bics = [float(r["bic"]) for r in csv.DictReader(fh)]
+        assert len(set(bics)) == 3
+        saved = json.loads((fit_dir / "model.json").read_text())
+        assert saved["diagnostics"]["bic"] == min(bics)
+        assert "(bic=%r)" % min(bics) in capsys.readouterr().out
+
     @pytest.mark.parametrize("grid", ["-1,0.5", "0.1,inf", "nan"])
     def test_bad_lambda_exit_2(self, tmp_path, small_config, capsys, grid):
         data_csv, _ = simulate_into(tmp_path, small_config)
@@ -261,6 +275,28 @@ class TestConfig:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert "input error" in err and "config key %s " % key in err
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "benchmark"])
+    @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, small_config, capsys,
+                                  command, by_flag):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        cfg = json.loads(open(small_config).read())
+        argv = [command, "--out", str(tmp_path / "o")]
+        if by_flag:
+            argv += ["--seed", "-1"]
+        else:
+            cfg["seed"] = -1
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
+        if command == "fit":
+            argv += ["--data", str(data_csv)]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "seed must be >= 0" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text, key", [
         ('{"network": {"learning_rate": 0.02}}', "network"),

@@ -119,7 +119,7 @@ class TestCdFit:
 
         def objective(b):
             return direct_q(ds.times, ds.status, ds.x @ b + g) \
-                + float(np.sum(scad_value(np.abs(b), cfg)))
+                + sum(scad_value(t, cfg) for t in np.abs(b))
 
         best = objective(beta)
         offsets = np.linspace(-0.5, 0.5, 41)
@@ -223,7 +223,7 @@ class TestSurrogateBookkeeping:
     def _full_surrogate(X, cfg, W, y, beta):
         resid = y - X @ beta
         return 0.5 * float(resid @ (W * resid)) \
-            + float(np.sum(scad_value(np.abs(beta), cfg)))
+            + sum(scad_value(t, cfg) for t in np.abs(beta))
 
     @staticmethod
     def _states(before, after):

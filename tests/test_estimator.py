@@ -174,8 +174,20 @@ class TestBic:
 class TestTuneLambda:
     def test_single_value_grid(self):
         data = sim_data(1, n=80, p=4)
-        lam, path = tune_lambda(data.dataset, [0.3], quick_cfg())
-        assert lam == 0.3 and len(path) == 1
+        best, path = tune_lambda(data.dataset, [0.3], quick_cfg())
+        assert best.lam == 0.3 and path == [best]
+
+    def test_repeated_lambda_returns_bic_minimizer(self):
+        # Warm starts keep moving the fit, so a repeated lambda gives
+        # different BICs; the chosen entry is the minimizer, not the
+        # first entry with the chosen lambda.
+        data = sim_data(0, n=100, p=5)
+        best, path = tune_lambda(data.dataset, [0.1, 0.1, 0.1],
+                                 quick_cfg(max_outer=3))
+        bics = [e.bic for e in path]
+        assert len(set(bics)) == 3
+        assert best is path[int(np.argmin(bics))]
+        assert best.model.diagnostics["bic"] == min(bics)
 
     def test_rejects_bad_grid(self):
         data = sim_data(1, n=80, p=4)
@@ -189,9 +201,9 @@ class TestTuneLambda:
         ds = make_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0],
                           x=np.eye(4)[:, :3],
                           z=np.linspace(0, 1, 8).reshape(4, 2))
-        lam, path = tune_lambda(ds, [0.1, 0.5, 2.0], quick_cfg())
+        best, path = tune_lambda(ds, [0.1, 0.5, 2.0], quick_cfg())
         assert len({e.bic for e in path}) == 1
-        assert lam == 2.0
+        assert best is path[-1]
 
     def test_null_signal_selects_sparse_models(self):
         wins = 0
@@ -217,8 +229,8 @@ class TestTuneLambda:
             cfg_sim = SimConfig(n=250, p=20, r=8, s_beta=4, g0_kind="linear",
                                 seed=600 + seed)
             data = simulate_dataset(cfg_sim, 0)
-            lam, path = tune_lambda(data.dataset, grid, quick_cfg(seed=seed))
-            if grid[0] < lam < grid[-1]:
+            best, _ = tune_lambda(data.dataset, grid, quick_cfg(seed=seed))
+            if grid[0] < best.lam < grid[-1]:
                 interior += 1
         assert interior > runs / 2
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from dplc import ScadConfig, scad_threshold, scad_value
-from dplc.scad import _soft_threshold as soft_threshold
 
 CFG = ScadConfig(lam=1.0, a=3.7)
 
@@ -26,6 +25,21 @@ def penalty_reference(theta, cfg):
     return value
 
 
+def penalty_closed_form(theta, cfg):
+    """The three-piece SCAD penalty on an array, written apart from dplc."""
+    theta = np.asarray(theta, dtype=float)
+    lam, a = cfg.lam, cfg.a
+    if lam == 0.0:
+        return np.zeros_like(theta)
+    return np.where(
+        theta <= lam,
+        lam * theta,
+        np.where(theta <= a * lam,
+                 (2.0 * a * lam * theta - theta ** 2 - lam ** 2)
+                 / (2.0 * (a - 1.0)),
+                 lam ** 2 * (a + 1.0) / 2.0))
+
+
 def brute_force_threshold(h, v, cfg, radius=10.0):
     """Dense grid plus golden-section refinement of the 1-d objective
 
@@ -34,10 +48,11 @@ def brute_force_threshold(h, v, cfg, radius=10.0):
     whose minimizer scad_threshold must reproduce at v = 1.
     """
     def objective(b):
-        return 0.5 * v * (b - h / v) ** 2 + scad_value(abs(b), cfg)
+        return 0.5 * v * (b - h / v) ** 2 + penalty_closed_form(abs(b), cfg)
 
     grid = np.linspace(-radius, radius, 4001)
-    values = 0.5 * v * (grid - h / v) ** 2 + scad_value(np.abs(grid), cfg)
+    values = 0.5 * v * (grid - h / v) ** 2 \
+        + penalty_closed_form(np.abs(grid), cfg)
     k = int(np.argmin(values))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
@@ -101,12 +116,6 @@ class TestDerivative:
             right = (scad_value(knot + step, CFG) - scad_value(knot, CFG)) / step
             assert abs(left - right) < 1e-6
 
-    def test_vectorized(self):
-        theta = np.array([0.5, 2.0, 5.0])
-        out = (scad_value(theta + 1e-6, CFG) - scad_value(theta - 1e-6, CFG)) \
-            / 2e-6
-        assert out == pytest.approx([1.0, 1.7 / 2.7, 0.0])
-
     @pytest.mark.parametrize("theta", [0.2, 0.8, 1.5, 2.5, 3.2, 4.5])
     def test_is_derivative_of_value(self, theta):
         assert slope(theta, CFG) == pytest.approx(scad_derivative(theta, CFG),
@@ -138,23 +147,33 @@ class TestValue:
         with pytest.raises(ValueError):
             scad_value(-1.0, CFG)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0])
+    def test_bitwise_equals_closed_form(self, lam):
+        cfg = ScadConfig(lam=lam)
+        knots = [lam, cfg.a * lam]
+        theta = np.concatenate([
+            np.linspace(0.0, 6.0, 601), knots,
+            np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
+        got = [scad_value(t, cfg).hex() for t in theta.tolist()]
+        assert got == [t.hex() for t in
+                       penalty_closed_form(theta, cfg).tolist()]
+
 
 class TestSoftThreshold:
+    """Up to |h| = 2*lam at v = 1, scad_threshold is the soft threshold
+    sign(h) * (|h| - lam)+."""
+
     def test_shrinks(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
+        assert scad_threshold(3.0, 1.0, ScadConfig(lam=2.0)) == 1.0
 
     def test_dead_zone(self):
-        assert soft_threshold(-0.5, 1.0) == 0.0
+        assert scad_threshold(-0.5, 1.0, CFG) == 0.0
 
     def test_sign_zero(self):
-        assert soft_threshold(0.0, 0.0) == 0.0
+        assert scad_threshold(0.0, 1.0, ScadConfig(lam=0.0)) == 0.0
 
     def test_odd(self):
-        assert soft_threshold(-3.0, 1.0) == -2.0
-
-    def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.5)
+        assert scad_threshold(-3.0, 1.0, ScadConfig(lam=2.0)) == -1.0
 
 
 class TestScadThreshold:

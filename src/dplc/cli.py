@@ -190,28 +190,23 @@ def load_dataset_csv(path, require_outcome: bool = True):
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(names):
-                raise CliInputError("%s line %d: expected %d cells, got %d"
-                                    % (path, lineno, len(names), len(row)))
-            parsed = []
-            for k, cell in enumerate(row):
-                cell = cell.strip()
-                if cell == "":
-                    raise CliInputError("%s line %d, column '%s': missing value"
-                                        % (path, lineno, names[k]))
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CliInputError("%s line %d, column '%s': not a number: %r"
-                                        % (path, lineno, names[k], cell))
-                if not math.isfinite(value):
-                    raise CliInputError("%s line %d, column '%s': non-finite value"
-                                        % (path, lineno, names[k]))
-                parsed.append(value)
-            rows.append(parsed)
+                # a bad cell on an earlier line is reported first
+                raise CliInputError(
+                    _first_bad_cell(path, names, rows)
+                    or "%s line %d: expected %d cells, got %d"
+                    % (path, lineno, len(names), len(row)))
+            rows.append(row)
         if not rows:
             raise CliInputError("%s: no data rows" % path)
 
-    data = np.array(rows)
+    # numpy parses each cell with Python's float(), whitespace included
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        raise CliInputError(_first_bad_cell(path, names, rows)
+                            or "%s: cells are not all finite numbers" % path)
     times = status = None
     if "time" in col_of:
         times = data[:, col_of["time"]]
@@ -226,6 +221,26 @@ def load_dataset_csv(path, require_outcome: bool = True):
     x = data[:, [col_of[n] for n in x_names]]
     z = data[:, [col_of[n] for n in z_names]]
     return times, status, x, z, x_names, z_names
+
+
+def _first_bad_cell(path, names, rows):
+    """The error text for the first cell, in file order, that is not a
+    finite number, or None when every cell is one."""
+    for lineno, row in enumerate(rows, start=2):
+        for k, cell in enumerate(row):
+            cell = cell.strip()
+            if cell == "":
+                return ("%s line %d, column '%s': missing value"
+                        % (path, lineno, names[k]))
+            try:
+                value = float(cell)
+            except ValueError:
+                return ("%s line %d, column '%s': not a number: %r"
+                        % (path, lineno, names[k], cell))
+            if not math.isfinite(value):
+                return ("%s line %d, column '%s': non-finite value"
+                        % (path, lineno, names[k]))
+    return None
 
 
 def _check_lambda_grid(grid, where):

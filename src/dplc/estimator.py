@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coordinate_descent import cd_fit
+from .errors import NumericalDivergence
 from .network import (AdamState, Network, NetworkArch, adam_fit, center,
                       forward, init_network, network_from_dict,
                       network_to_dict, zero_network)
@@ -137,7 +138,10 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
 
 
 def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
-    """Linear predictor beta'x + g(z); larger values mean higher hazard."""
+    """Linear predictor beta'x + g(z); larger values mean higher hazard.
+
+    Raises NumericalDivergence when a value is not finite.
+    """
     x = np.atleast_2d(np.asarray(x_new, dtype=float))
     z = np.atleast_2d(np.asarray(z_new, dtype=float))
     if x.shape[1] != model.beta_hat.size:
@@ -145,7 +149,11 @@ def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
                          % (x.shape[1], model.beta_hat.size))
     if x.shape[0] != z.shape[0]:
         raise ValueError("x and z row counts differ")
-    return x @ model.beta_hat + forward(model.net, z, mode="eval")
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = x @ model.beta_hat + forward(model.net, z, mode="eval")
+    if not np.isfinite(eta).all():
+        raise NumericalDivergence("non-finite linear predictor")
+    return eta
 
 
 def bic(model: FittedModel, dataset: SurvivalDataset) -> float:

@@ -168,24 +168,71 @@ def calibrate_censoring(U, target_rate: float, tol: float = 0.01) -> float:
     return 0.5 * (lo + hi)
 
 
+def _smaller_before(keys) -> np.ndarray:
+    """For each position k, the number of positions j < k with keys[j] < keys[k].
+
+    keys are non-negative integers.  keys[j] < keys[k] when, at the highest
+    bit b where they differ, j has a 0 and k a 1.  The bits are visited from
+    the top, as in a wavelet matrix: `order` holds the positions that share
+    the bits above b as one contiguous block, in position order, so the 0s
+    at bit b ahead of k inside its block are the j counted at bit b.  A
+    stable partition by bit b then forms the blocks for the next bit.  Each
+    bit costs O(n).
+    """
+    below = np.zeros(keys.size, dtype=np.int64)
+    order = np.arange(keys.size)
+    for b in reversed(range(int(keys.max()).bit_length())):
+        k = keys[order]
+        one = (k >> b) & 1 == 1
+        prefix = k >> (b + 1)
+        head = np.r_[True, prefix[1:] != prefix[:-1]]
+        start = np.maximum.accumulate(np.where(head, np.arange(keys.size), 0))
+        zeros_before = np.cumsum(~one) - ~one
+        below[order[one]] += (zeros_before - zeros_before[start])[one]
+        order = np.concatenate((order[~one], order[one]))
+    return below
+
+
 def c_index(risk, times, status) -> float:
     """Harrell's concordance over pairs (i, j) with T_i < T_j and an event at i.
 
-    Concordant pairs (risk_i > risk_j) score 1, risk ties score 1/2.
+    Concordant pairs (risk_i > risk_j) score 1, risk ties score 1/2.  The
+    pairs are counted from ranks, in O(n log n) time and O(n) memory.
     """
     risk = np.asarray(risk, dtype=float)
     times = np.asarray(times, dtype=float)
     status = np.asarray(status, dtype=float)
+    if not risk.ndim == times.ndim == status.ndim == 1:
+        raise ValueError("risk, times and status must be one-dimensional")
+    if not risk.size == times.size == status.size:
+        raise ValueError("risk, times and status lengths differ (%d, %d, %d)"
+                         % (risk.size, times.size, status.size))
     if risk.size < 2:
         raise ValueError("need at least two subjects")
-    comparable = (times[:, None] < times[None, :]) & (status[:, None] == 1.0)
-    total = comparable.sum()
+    if not np.isfinite(risk).all():
+        raise ValueError("risk must be finite")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    n = risk.size
+    event = status == 1.0
+    # comparable pairs: every later time, per event
+    total = int((n - np.searchsorted(np.sort(times), times[event], "right")).sum())
     if total == 0:
         raise ValueError("no comparable pairs")
-    better = risk[:, None] > risk[None, :]
-    tied = risk[:, None] == risk[None, :]
-    score = better[comparable].sum() + 0.5 * tied[comparable].sum()
-    return float(score / total)
+    t_rank = np.unique(times, return_inverse=True)[1]
+    r_rank = np.unique(risk, return_inverse=True)[1]
+    # In order of time descending, and of risk descending within a time, the
+    # subjects ahead of i with a lower risk are exactly those with a later
+    # time and a lower risk.
+    order = np.lexsort((-r_rank, -t_rank))
+    concordant = int(_smaller_before(r_rank[order])[event[order]].sum())
+    # risk ties at a later time: a range of the sorted (risk, time) keys
+    n_times = int(t_rank.max()) + 1
+    keys = np.sort(r_rank * n_times + t_rank)
+    r_ev, t_ev = r_rank[event], t_rank[event]
+    tied = int((np.searchsorted(keys, (r_ev + 1) * n_times, "left")
+                - np.searchsorted(keys, r_ev * n_times + t_ev, "right")).sum())
+    return float((concordant + 0.5 * tied) / total)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dplc.cli import (load_run_config, main, run_records,
+from dplc.cli import (load_dataset_csv, load_run_config, main, run_records,
                       write_selection_table)
 
 DATA_CSV = "data.csv"
@@ -440,6 +440,93 @@ class TestPredict:
         assert "c_index not reported" in captured.err
         with open(pred_csv) as fh:
             assert len(list(csv.DictReader(fh))) == len(rows) - 1
+
+
+    def test_nonfinite_linear_predictor_exit_3(self, tmp_path, small_config,
+                                               capsys):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        run("fit", "--data", str(data_csv), "--config", small_config,
+            "--out", str(fit_dir))
+        bundle = json.loads((fit_dir / "model.json").read_text())
+        beta = dict(bundle["beta"])
+        # beta'x overflows when every selected cell is 1e308 with beta's sign
+        assert sum(abs(b) for b in beta.values()) * 1e308 == np.inf
+        with open(data_csv) as fh:
+            rows = list(csv.reader(fh))
+        for j, b in beta.items():
+            col = rows[0].index(bundle["columns"]["x"][j])
+            for row in rows[1:]:
+                row[col] = "1e308" if b > 0 else "-1e308"
+        huge = tmp_path / "huge.csv"
+        with open(huge, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        pred_csv = tmp_path / "p.csv"
+        assert run("predict", "--model", str(fit_dir / "model.json"),
+                   "--data", str(huge), "--out", str(pred_csv)) == 3
+        captured = capsys.readouterr()
+        assert "non-finite linear predictor" in captured.err
+        assert "c_index=" not in captured.out
+        assert not pred_csv.exists()
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["time", "status", "x_1", "z_1"]] + rows)
+    return str(path)
+
+
+class TestLoadDatasetCsv:
+    GOOD = ["2.5", "1", "0.25", "-1"]
+
+    @pytest.mark.parametrize("cell", [" 1.5 ", "1_000", "+3", "1e5", "1.0\t",
+                                      "\xa02", ".5", "7."])
+    def test_odd_valid_cells_parse_like_float(self, tmp_path, cell):
+        path = write_rows(tmp_path / "d.csv",
+                          [self.GOOD, ["1.0", "0", cell, cell]])
+        times, status, x, z, x_names, z_names = load_dataset_csv(path)
+        assert x[:, 0].tolist() == [0.25, float(cell.strip())]
+        assert z[:, 0].tolist() == [-1.0, float(cell.strip())]
+        assert times.tolist() == [2.5, 1.0] and status.tolist() == [1.0, 0.0]
+        assert (x_names, z_names) == (["x_1"], ["z_1"])
+
+    @pytest.mark.parametrize("cell, text", [
+        ("", "missing value"),
+        ("   ", "missing value"),
+        ("abc", "not a number: 'abc'"),
+        (" abc ", "not a number: 'abc'"),
+        ("nan", "non-finite value"),
+        ("-inf", "non-finite value"),
+        ("1e400", "non-finite value"),
+    ])
+    def test_bad_cell_exit_2_names_line_and_column(self, tmp_path, capsys,
+                                                   cell, text):
+        path = write_rows(tmp_path / "d.csv",
+                          [self.GOOD, self.GOOD, ["1.0", "0", "0.5", cell]])
+        assert run("fit", "--data", path, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == \
+            "input error: %s line 4, column 'z_1': %s\n" % (path, text)
+
+    @pytest.mark.parametrize("rows, where", [
+        ([["1.0", "0", "abc", "nan"], ["", "1", "0", "0"]],
+         "line 2, column 'x_1': not a number: 'abc'"),
+        ([["1.0", "0", "1e400", "abc"], ["", "1", "0", "0"]],
+         "line 2, column 'x_1': non-finite value"),
+        ([["1.0", "1", "0", "0"], ["-inf", "1", "x", ""]],
+         "line 3, column 'time': non-finite value"),
+        ([["1.0", "1", "0", "0"], ["1.0", " ", "inf", "x"]],
+         "line 3, column 'status': missing value"),
+        ([["1.0", "1", "0", "nan"], ["1.0", "1"]],
+         "line 2, column 'z_1': non-finite value"),
+        ([["1.0", "1", "0", "0"], ["1.0", "1"], ["1.0", "1", "x", "0"]],
+         "line 3: expected 4 cells, got 2"),
+    ])
+    def test_first_error_in_file_order(self, tmp_path, capsys, rows, where):
+        path = write_rows(tmp_path / "d.csv", rows)
+        assert run("fit", "--data", path, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == \
+            "input error: %s %s\n" % (path, where)
 
 
 class TestBenchmark:

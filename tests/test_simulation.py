@@ -2,6 +2,7 @@
 
 import csv
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ def naive_c_index(risk, times, status):
                 elif risk[i] == risk[j]:
                     num += 0.5
     return num / den
+
+
+def blocked_c_index(risk, times, status, block=256):
+    """Pair counts over row blocks: O(block * n) memory."""
+    risk, times = np.asarray(risk, float), np.asarray(times, float)
+    event = np.asarray(status, float) == 1.0
+    total = concordant = tied = 0
+    for lo in range(0, risk.size, block):
+        rows = slice(lo, lo + block)
+        comparable = (times[rows, None] < times[None, :]) & event[rows, None]
+        total += int(comparable.sum())
+        concordant += int((comparable
+                           & (risk[rows, None] > risk[None, :])).sum())
+        tied += int((comparable & (risk[rows, None] == risk[None, :])).sum())
+    return float((concordant + 0.5 * tied) / total)
 
 
 def small_fit_cfg(seed=0):
@@ -219,6 +235,90 @@ class TestCIndex:
     def test_no_comparable_pairs(self):
         with pytest.raises(ValueError, match="no comparable pairs"):
             c_index([1.0, 2.0], [1.0, 2.0], [0, 1])
+
+    def test_all_times_tied(self):
+        with pytest.raises(ValueError, match="no comparable pairs"):
+            c_index([3.0, 1.0, 2.0, 2.0], np.full(4, 5.0), np.ones(4))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 30, 90])
+    def test_equals_pair_enumeration_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            times = rng.integers(1, 4, n).astype(float)
+            status = (rng.random(n) < 0.6).astype(float)
+            risk = rng.integers(0, 3, n) * 0.5
+            if not any(status[i] == 1 and times[i] < times.max()
+                       for i in range(n)):
+                continue
+            assert c_index(risk, times, status) == \
+                naive_c_index(risk, times, status)
+
+    def test_equals_blocked_reference_heavy_ties(self):
+        rng = np.random.default_rng(11)
+        n = 3000
+        times = rng.integers(1, 40, n).astype(float)
+        status = (rng.random(n) < 0.7).astype(float)
+        risk = np.where(rng.random(n) < 0.5, rng.integers(-20, 20, n) / 4.0,
+                        rng.standard_normal(n))
+        risk[:5] = [-0.0, 0.0, 1e300, -1e300, 5e-324]
+        assert c_index(risk, times, status) == \
+            blocked_c_index(risk, times, status)
+
+    def test_single_event(self):
+        times = [1.0, 2.0, 3.0, 4.0]
+        status = [0, 0, 1, 0]
+        assert c_index([0.0, 0.0, 2.0, 1.0], times, status) == 1.0
+        assert c_index([0.0, 0.0, 1.0, 2.0], times, status) == 0.0
+        assert c_index([0.0, 0.0, 1.0, 1.0], times, status) == 0.5
+
+    def test_status_int_or_bool(self):
+        rng = np.random.default_rng(3)
+        times = rng.integers(1, 6, 40).astype(float)
+        events = rng.random(40) < 0.5
+        risk = rng.standard_normal(40).round(1)
+        expected = c_index(risk, times, events.astype(float))
+        assert c_index(risk, times, events) == expected
+        assert c_index(risk, times, events.astype(int)) == expected
+        assert c_index(list(risk), list(times), list(events)) == expected
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_risk(self, bad):
+        with pytest.raises(ValueError, match="risk must be finite"):
+            c_index([1.0, bad, 0.0], [1.0, 2.0, 3.0], [1, 1, 1])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite_times(self, bad):
+        with pytest.raises(ValueError, match="times must be finite"):
+            c_index([1.0, 2.0, 0.0], [1.0, bad, 3.0], [1, 1, 1])
+
+    @pytest.mark.parametrize("lengths", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
+    def test_rejects_unequal_lengths(self, lengths):
+        risk, times, status = (np.arange(m, dtype=float) + 1.0
+                               for m in lengths)
+        with pytest.raises(ValueError, match="lengths differ"):
+            c_index(risk, times, np.minimum(status, 1.0))
+
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            c_index([[1.0], [2.0]], [[1.0], [2.0]], [[1], [1]])
+
+    def test_rejects_one_subject(self):
+        with pytest.raises(ValueError, match="at least two subjects"):
+            c_index([1.0], [1.0], [1])
+
+    def test_memory_linear_in_n(self):
+        rng = np.random.default_rng(5)
+        n = 200_000
+        times = rng.exponential(size=n)
+        status = rng.random(n) < 0.7
+        tracemalloc.start()
+        try:
+            value = c_index(-times, times, status)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0
+        assert peak < 64e6
 
 
 class TestSelectionMetrics:

@@ -338,12 +338,15 @@ def cmd_fit(args) -> int:
         best, path = tune_lambda(dataset, lambda_grid, cfg)
         model = best.model
         eta_train = predict_eta(model, dataset.x, dataset.z)
-        model.diagnostics["c_index_train"] = c_index(eta_train, dataset.times,
-                                                     dataset.status)
         model.diagnostics["lambda_selected"] = best.lam
     except NumericalDivergence as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
+    try:
+        model.diagnostics["c_index_train"] = c_index(eta_train, dataset.times,
+                                                     dataset.status)
+    except ValueError as exc:
+        print("c_index not reported: %s" % exc, file=sys.stderr)
 
     _json_dump(model_to_dict(model, cfg, x_names=x_names, z_names=z_names),
                os.path.join(args.out, "model.json"))
@@ -361,7 +364,9 @@ def cmd_fit(args) -> int:
     print("selected %d of %d features at lambda=%s (bic=%s)"
           % (model.n_selected, dataset.p, fmt_value(best.lam),
              fmt_value(model.diagnostics["bic"])))
-    print("train c_index=%s" % fmt_value(model.diagnostics["c_index_train"]))
+    if "c_index_train" in model.diagnostics:
+        print("train c_index=%s"
+              % fmt_value(model.diagnostics["c_index_train"]))
     return 0
 
 
@@ -381,6 +386,15 @@ def cmd_predict(args) -> int:
     columns = bundle.get("columns")
     if not columns:
         raise CliInputError("model file lacks column names; cannot match data")
+    if not isinstance(columns, dict):
+        raise CliInputError("invalid model file: columns must be an object")
+    for key, width in (("x", model.beta_hat.size), ("z", model.net.input_dim)):
+        names = columns.get(key)
+        if (not isinstance(names, list) or len(names) != width
+                or not all(isinstance(name, str) for name in names)
+                or len(set(names)) != width):
+            raise CliInputError("invalid model file: columns %s must be %d "
+                                "distinct names" % (key, width))
 
     times, status, x, z, x_names, z_names = load_dataset_csv(
         args.data, require_outcome=False)

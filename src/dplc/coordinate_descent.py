@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalDivergence
 from .scad import ScadConfig, scad_threshold, scad_value
-from .survival import RiskIndex, SurvivalDataset, build_risk_index, cox_terms
+from .survival import SurvivalDataset, cox_terms
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,6 @@ def _sweep(X, W, r, beta, cfg):
 
 def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
            tol: float = 1e-5, max_sweeps: int = 100, *,
-           index: Optional[RiskIndex] = None,
            info: Optional[dict] = None) -> np.ndarray:
     """Run penalized coordinate descent until the sweep change is <= tol.
 
@@ -100,8 +99,6 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
         raise ValueError("beta_init length does not match dataset")
     if not np.all(np.isfinite(beta_init)):
         raise ValueError("beta_init must be finite")
-    if index is None:
-        index = build_risk_index(dataset)
 
     # A constant column is centered on its own value, so it becomes exactly
     # zero; its rounded mean could leave a +-1e-17 column behind that the
@@ -117,7 +114,7 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
     for sweep in range(1, max_sweeps + 1):
         sweeps_run = sweep
         xi = X @ beta
-        _, resid, W = cox_terms(xi + g_vals, dataset, index)
+        _, resid, W = cox_terms(xi + g_vals, dataset)
         r = _working_response(xi, resid, W, dataset.n) - xi
         beta_prev = beta.copy()
         _sweep(X, W, r, beta, cfg)

@@ -22,8 +22,7 @@ from .network import (AdamState, Network, NetworkArch, adam_fit, center,
                       forward, init_network, network_from_dict,
                       network_to_dict, zero_network)
 from .scad import ScadConfig, scad_value
-from .survival import (SurvivalDataset, build_risk_index, cox_terms,
-                       stratified_split, subset)
+from .survival import SurvivalDataset, cox_terms, stratified_split, subset
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     if net_init is not None and net_init.input_dim != dataset.r:
         raise ValueError("net_init takes %d z columns but dataset has r=%d"
                          % (net_init.input_dim, dataset.r))
-    index = build_risk_index(dataset)
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     if net_init is not None:
         net = net_init.copy()
@@ -97,10 +95,10 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     beta = np.zeros(dataset.p) if beta_init is None \
         else np.asarray(beta_init, dtype=float).copy()
     center(net, dataset.z)
-    g_vals = forward(net, dataset.z, mode="eval")
+    g_vals = forward(net, dataset.z)
 
     def penalized_loss(b, g):
-        return cox_terms(dataset.x @ b + g, dataset, index)[0] \
+        return cox_terms(dataset.x @ b + g, dataset)[0] \
             + _penalty_total(b, cfg.scad)
 
     loss_path = [penalized_loss(beta, g_vals)]
@@ -108,14 +106,14 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     converged = False
     for _ in range(cfg.max_outer):
         if cfg.fit_g:
-            adam_fit(net, dataset, index, beta, cfg.adam,
+            adam_fit(net, dataset, beta, cfg.adam,
                      inner_steps=cfg.inner_steps, tol=cfg.adam_tol,
                      rng=adam_rng)
-        g_new = forward(net, dataset.z, mode="eval")
+        g_new = forward(net, dataset.z)
         cd_info = {}
         beta_new = cd_fit(dataset, g_new, beta, cfg.scad,
                           tol=cfg.cd_tol, max_sweeps=cfg.max_sweeps,
-                          index=index, info=cd_info)
+                          info=cd_info)
         cd_sweeps.append(cd_info["sweeps"])
         loss_path.append(penalized_loss(beta_new, g_new))
         delta = float(np.linalg.norm(beta_new - beta)) \
@@ -150,7 +148,7 @@ def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
     if x.shape[0] != z.shape[0]:
         raise ValueError("x and z row counts differ")
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = x @ model.beta_hat + forward(model.net, z, mode="eval")
+        eta = x @ model.beta_hat + forward(model.net, z)
     if not np.isfinite(eta).all():
         raise NumericalDivergence("non-finite linear predictor")
     return eta
@@ -158,9 +156,8 @@ def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
 
 def bic(model: FittedModel, dataset: SurvivalDataset) -> float:
     """-2n * (average log partial likelihood) + log(n) * (selected count)."""
-    index = build_risk_index(dataset)
     eta = predict_eta(model, dataset.x, dataset.z)
-    q = cox_terms(eta, dataset, index)[0]
+    q = cox_terms(eta, dataset)[0]
     return float(2.0 * dataset.n * q + np.log(dataset.n) * model.n_selected)
 
 
@@ -242,9 +239,8 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
         train_idx, val_idx = stratified_split(dataset.status, val_fraction, rng)
         train_ds, val_ds = subset(dataset, train_idx), subset(dataset, val_idx)
-        val_index = build_risk_index(val_ds)
     else:
-        train_ds, val_ds, val_index = dataset, None, None
+        train_ds, val_ds = dataset, None
 
     table = []
     best = None
@@ -253,7 +249,7 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
                                       seed=cfg.seed + cell))
         if criterion == "validation":
             eta = predict_eta(model, val_ds.x, val_ds.z)
-            score = cox_terms(eta, val_ds, val_index)[0]
+            score = cox_terms(eta, val_ds)[0]
         else:
             score = bic(model, train_ds)
         table.append({"depth": depth, "width": width,

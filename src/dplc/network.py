@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDivergence
-from .survival import RiskIndex, SurvivalDataset, cox_terms
+from .survival import SurvivalDataset, cox_terms
 
 
 @dataclass(frozen=True)
@@ -132,30 +132,22 @@ def _forward_cached(net: Network, z: np.ndarray, train: bool, rng):
     return a[:, 0], caches
 
 
-def forward(net: Network, z_batch, mode: str = "eval", rng=None) -> np.ndarray:
-    """Network outputs for a batch of z rows.
+def forward(net: Network, z_batch) -> np.ndarray:
+    """Evaluation outputs for a batch of z rows.
 
-    mode "train" applies inverted dropout (needs rng when the rate is
-    positive) and returns raw outputs; mode "eval" is deterministic and
-    subtracts the centering offset.
+    No dropout is applied and the centering offset is subtracted; training
+    passes with dropout run inside `loss_and_grads`.
     """
     z = np.atleast_2d(np.asarray(z_batch, dtype=float))
     if z.shape[1] != net.input_dim:
         raise ValueError("z has %d columns, network expects %d"
                          % (z.shape[1], net.input_dim))
-    if mode not in ("train", "eval"):
-        raise ValueError("mode must be 'train' or 'eval'")
-    train = mode == "train"
-    if train and net.arch.dropout_rate > 0.0 and rng is None:
-        raise ValueError("train mode with dropout needs an rng")
-    out, _ = _forward_cached(net, z, train, rng)
-    if not train:
-        out = out - net.center_offset
-    return out
+    out, _ = _forward_cached(net, z, False, None)
+    return out - net.center_offset
 
 
-def loss_and_grads(net: Network, dataset: SurvivalDataset, index: RiskIndex,
-                   beta_fixed, rng=None):
+def loss_and_grads(net: Network, dataset: SurvivalDataset, beta_fixed,
+                   rng=None):
     """Partial-likelihood loss and its gradients for every weight and bias.
 
     The penalty does not involve the network, so this is the full loss
@@ -167,7 +159,7 @@ def loss_and_grads(net: Network, dataset: SurvivalDataset, index: RiskIndex,
     if train and rng is None:
         raise ValueError("dropout needs an rng")
     g_raw, caches = _forward_cached(net, dataset.z, train, rng)
-    loss, resid, _ = cox_terms(dataset.x @ beta_fixed + g_raw, dataset, index)
+    loss, resid, _ = cox_terms(dataset.x @ beta_fixed + g_raw, dataset)
     dq_dg = -resid / dataset.n
 
     grads_w = [None] * len(net.weights)
@@ -186,9 +178,9 @@ def loss_and_grads(net: Network, dataset: SurvivalDataset, index: RiskIndex,
     return loss, list(zip(grads_w, grads_b))
 
 
-def adam_fit(net: Network, dataset: SurvivalDataset, index: RiskIndex,
-             beta_fixed, adam_cfg: AdamState, inner_steps: int = 20,
-             tol: float = 1e-7, rng=None) -> Network:
+def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed,
+             adam_cfg: AdamState, inner_steps: int = 20, tol: float = 1e-7,
+             rng=None) -> Network:
     """Run up to inner_steps Adam updates on the network, beta held fixed.
 
     Moments restart at zero on every call; a long run is unnecessary
@@ -198,8 +190,6 @@ def adam_fit(net: Network, dataset: SurvivalDataset, index: RiskIndex,
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
-    if net.arch.dropout_rate > 0.0 and rng is None:
-        raise ValueError("dropout needs an rng")
     r1, r2, gamma, eps0 = adam_cfg.r1, adam_cfg.r2, adam_cfg.gamma, adam_cfg.eps0
     m = [(np.zeros_like(w), np.zeros_like(b))
          for w, b in zip(net.weights, net.biases)]
@@ -207,7 +197,7 @@ def adam_fit(net: Network, dataset: SurvivalDataset, index: RiskIndex,
          for w, b in zip(net.weights, net.biases)]
 
     for t in range(1, inner_steps + 1):
-        loss, grads = loss_and_grads(net, dataset, index, beta_fixed, rng)
+        loss, grads = loss_and_grads(net, dataset, beta_fixed, rng)
         if not np.isfinite(loss):
             raise NumericalDivergence("training diverged")
         bc1 = 1.0 - r1 ** t

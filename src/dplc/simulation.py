@@ -415,10 +415,11 @@ def run_experiment(sim_cfg: SimConfig, methods: Sequence[MethodConfig],
     """Run every method on `replicates` independently generated datasets.
 
     All methods within a replicate see the same data and the same split.
-    Replicates run in parallel when n_workers > 1; rows are always
-    delivered (and passed to row_callback) in replicate order, so outputs
-    are reproducible for a fixed master seed.  Failed replicates are
-    recorded in their rows, never dropped.
+    Replicates run in parallel on up to n_workers processes, never more
+    than there are replicates; rows are always delivered (and passed to
+    row_callback) in replicate order, so outputs are reproducible for a
+    fixed master seed.  Failed replicates are recorded in their rows,
+    never dropped.
     """
     if replicates is None:
         replicates = sim_cfg.replicates
@@ -428,6 +429,8 @@ def run_experiment(sim_cfg: SimConfig, methods: Sequence[MethodConfig],
     if len(set(names)) != len(names):
         raise ValueError("method names must be unique")
     jobs = [(sim_cfg, tuple(methods), rep) for rep in range(replicates)]
+    # the pool starts all its workers on the first submit
+    n_workers = min(n_workers, replicates)
     all_rows = []
     with contextlib.ExitStack() as stack:
         run_map = map

@@ -17,6 +17,7 @@ plain eta array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class SurvivalDataset:
     def r(self) -> int:
         return self.z.shape[1]
 
+    @cached_property
+    def index(self) -> RiskIndex:
+        """Time ordering with tie groups, built on first use and kept."""
+        return build_risk_index(self)
+
 
 def subset(dataset: SurvivalDataset, idx: np.ndarray) -> SurvivalDataset:
     """Row-subset of a dataset (used by train/test splitting)."""
@@ -115,7 +121,6 @@ class RiskIndex:
     """Precomputed time ordering with tie groups.
 
     order : subject ids sorted by time ascending (stable).
-    rank : rank[i] = position of subject i within `order`.
     first_tie : by sorted position, first position sharing that time.
     last_tie : by sorted position, last position sharing that time.
     status_sorted : event indicators in sorted order.
@@ -126,29 +131,14 @@ class RiskIndex:
     """
 
     order: np.ndarray
-    rank: np.ndarray
     first_tie: np.ndarray
     last_tie: np.ndarray
     status_sorted: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.order.size
-
-    def risk_set(self, i: int) -> np.ndarray:
-        """Subject ids j with T_j >= T_i (includes i)."""
-        return self.order[self.first_tie[self.rank[i]]:]
-
-    def history_set(self, m: int) -> np.ndarray:
-        """Subject ids i with T_i <= T_m (includes m)."""
-        return self.order[: self.last_tie[self.rank[m]] + 1]
 
 
 def build_risk_index(dataset: SurvivalDataset) -> RiskIndex:
     """Sort times once and record tie-group boundaries."""
     n = dataset.n
-    if n == 0:
-        raise ValueError("empty dataset")
     order = np.argsort(dataset.times, kind="stable")
     ts = dataset.times[order]
     pos = np.arange(n)
@@ -162,12 +152,8 @@ def build_risk_index(dataset: SurvivalDataset) -> RiskIndex:
     ends[-1] = True
     ends[:-1] = ts[1:] != ts[:-1]
     last_tie = np.minimum.accumulate(np.where(ends, pos, n)[::-1])[::-1]
-
-    rank = np.empty(n, dtype=int)
-    rank[order] = pos
     return RiskIndex(
         order=order,
-        rank=rank,
         first_tie=first_tie,
         last_tie=last_tie,
         status_sorted=dataset.status[order],
@@ -208,7 +194,7 @@ def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
     return log_s, pi1, pi2
 
 
-def cox_terms(eta, dataset: SurvivalDataset, index: RiskIndex):
+def cox_terms(eta, dataset: SurvivalDataset):
     """Loss, score residual and curvature of q at eta, from one risk-set pass.
 
     Returns (q, resid, w): q is the averaged negative log partial
@@ -223,6 +209,7 @@ def cox_terms(eta, dataset: SurvivalDataset, index: RiskIndex):
     if not np.all(np.isfinite(eta)):
         raise ValueError("non-finite predictor")
     n = dataset.n
+    index = dataset.index
     eta_s = eta[index.order]
     log_s, pi1, pi2 = _sorted_terms(eta_s, index)
     terms = index.status_sorted * (eta_s - log_s)

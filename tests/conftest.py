@@ -47,6 +47,20 @@ def naive_history_set(times, m):
     return {i for i in range(len(times)) if times[i] <= times[m]}
 
 
+def index_sets(index):
+    """Per-subject (risk sets, history sets) read off a RiskIndex.
+
+    The subject at sorted position k has the suffix order[first_tie[k]:] as
+    its risk set and the prefix order[:last_tie[k] + 1] as its history set.
+    """
+    n = index.order.size
+    risk, history = [None] * n, [None] * n
+    for k, i in enumerate(index.order):
+        risk[i] = set(index.order[index.first_tie[k]:].tolist())
+        history[i] = set(index.order[:index.last_tie[k] + 1].tolist())
+    return risk, history
+
+
 def naive_neg_log_pl(times, status, eta):
     """Literal partial-likelihood sum over explicit risk sets."""
     n = len(times)

@@ -10,10 +10,11 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from dplc import (AdamState, FitConfig, MethodConfig, NetworkArch,
-                  ScadConfig, SimConfig, build_risk_index, cd_fit, cox_terms,
-                  forward, init_network, loss_and_grads, run_experiment,
+                  ScadConfig, SimConfig, cd_fit, cox_terms, forward,
+                  init_network, loss_and_grads, run_experiment,
                   scad_threshold, simulate_dataset)
 from dplc.cli import main as cli_main
 
@@ -50,9 +51,8 @@ def test_gradient_suite():
         depth = int(rng.integers(1, 3))
         width = int(rng.integers(2, 9))
         ds, eta = random_instance(int(rng.integers(0, 2 ** 31)), n=n, p=2, r=r)
-        idx = build_risk_index(ds)
 
-        grad = -cox_terms(eta, ds, idx)[1] / ds.n
+        grad = -cox_terms(eta, ds)[1] / ds.n
         fd = fd_gradient(lambda e: naive_neg_log_pl(ds.times, ds.status, e),
                          eta, step=1e-6)
         if not fd_close(grad, fd, rtol=1e-5, atol=1e-8):
@@ -62,10 +62,10 @@ def test_gradient_suite():
         net = init_network(NetworkArch((width,) * depth, 0.0), r,
                            seed=case)
         beta = rng.standard_normal(ds.p) * 0.5
-        _, grads = loss_and_grads(net, ds, idx, beta)
+        _, grads = loss_and_grads(net, ds, beta)
 
         def loss_with(net_mod):
-            g = forward(net_mod, ds.z, mode="train")
+            g = forward(net_mod, ds.z)
             return naive_neg_log_pl(ds.times, ds.status, ds.x @ beta + g)
 
         step = 1e-6
@@ -111,11 +111,10 @@ def test_partial_likelihood_properties():
     hess_worst = 0.0
     for seed in range(12):
         ds, eta = random_instance(seed + MASTER_SEED, n=None)
-        idx = build_risk_index(ds)
-        q0, resid, W = cox_terms(eta, ds, idx)
+        q0, resid, W = cox_terms(eta, ds)
         for c in (-3.0, 11.0):
             shift_worst = max(shift_worst, abs(
-                cox_terms(eta + c, ds, idx)[0] - q0))
+                cox_terms(eta + c, ds)[0] - q0))
         score_worst = max(score_worst, abs((-resid / ds.n).sum()))
         w_min = min(w_min, float(W.min()))
         fd = fd_hessian_diag(lambda e: naive_neg_log_pl(ds.times, ds.status, e),
@@ -141,6 +140,7 @@ def test_unpenalized_newton_equivalence():
            "max |dev| = %.2e over 20 seeds" % worst)
 
 
+@pytest.mark.slow
 def test_null_calibration():
     """Pure-noise data: median test C-index stays near one half."""
     start = time.time()
@@ -156,6 +156,7 @@ def test_null_calibration():
            "median C = %.3f over %d replicates; %.0fs" % (med, len(cs), elapsed))
 
 
+@pytest.mark.slow
 def test_linear_truth_desk_reproduction():
     """Linear truth at desk scale: prediction and selection trend levels."""
     start = time.time()
@@ -174,6 +175,7 @@ def test_linear_truth_desk_reproduction():
                                                           elapsed))
 
 
+@pytest.mark.slow
 def test_nonlinear_ordering():
     """Nonlinear truth: the network model beats the g==0 baseline clearly."""
     start = time.time()
@@ -197,6 +199,7 @@ def test_nonlinear_ordering():
            % (med["dplc"], med["cox_scad"], gap, elapsed))
 
 
+@pytest.mark.slow
 def test_selection_consistency_trend():
     """Mean FNN and FPN do not grow as n grows (one small inversion allowed)."""
     start = time.time()

@@ -132,6 +132,30 @@ class TestFit:
         err = capsys.readouterr().err
         assert "line 6" in err and "x_3" in err and "missing" in err
 
+    @pytest.mark.parametrize("events", ["none", "latest_only"])
+    def test_undefined_train_c_index_is_null(self, tmp_path, small_config,
+                                             capsys, events):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        with open(data_csv) as fh:
+            rows = list(csv.reader(fh))
+        time, status = rows[0].index("time"), rows[0].index("status")
+        latest = max(rows[1:], key=lambda row: float(row[time]))
+        for row in rows[1:]:
+            row[status] = "1" if events == "latest_only" and row is latest \
+                else "0"
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        fit_dir = tmp_path / "fit"
+        capsys.readouterr()
+        assert run("fit", "--data", str(edited), "--config", small_config,
+                   "--out", str(fit_dir)) == 0
+        captured = capsys.readouterr()
+        assert "train c_index=" not in captured.out
+        assert "c_index not reported: no comparable pairs" in captured.err
+        bundle = json.loads((fit_dir / "model.json").read_text())
+        assert bundle["diagnostics"]["c_index_train"] is None
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"fit": {"max_outre": 3}}))
@@ -396,6 +420,42 @@ class TestPredict:
         code = run("predict", "--model", str(fit_dir / "model.json"),
                    "--data", str(renamed), "--out", str(tmp_path / "p.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["short_x", "no_z", "list", "duplicate"])
+    def test_invalid_columns_record_exit_2(self, tmp_path, small_config,
+                                           capsys, case):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        run("fit", "--data", str(data_csv), "--config", small_config,
+            "--out", str(fit_dir))
+        bundle = json.loads((fit_dir / "model.json").read_text())
+        columns = bundle["columns"]
+        dropped = []
+        if case == "short_x":
+            dropped = columns["x"][3:]
+            columns["x"] = columns["x"][:3]
+        elif case == "no_z":
+            del columns["z"]
+        elif case == "list":
+            bundle["columns"] = columns["x"] + columns["z"]
+        else:
+            dropped = [columns["x"][1]]
+            columns["x"][1] = columns["x"][0]
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps(bundle))
+        # the data carries exactly the names the record lists
+        with open(data_csv) as fh:
+            rows = list(csv.reader(fh))
+        keep = [k for k, name in enumerate(rows[0]) if name not in dropped]
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as fh:
+            csv.writer(fh).writerows([[row[k] for k in keep] for row in rows])
+        capsys.readouterr()
+        pred_csv = tmp_path / "p.csv"
+        assert run("predict", "--model", str(model_json), "--data",
+                   str(edited), "--out", str(pred_csv)) == 2
+        assert "invalid model file: columns" in capsys.readouterr().err
+        assert not pred_csv.exists()
 
     def test_predict_without_outcome_columns(self, tmp_path, small_config):
         data_csv, _ = simulate_into(tmp_path, small_config)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from dplc import (NumericalDivergence, ScadConfig, build_risk_index, cd_fit,
-                  cox_terms, scad_value)
+from dplc import NumericalDivergence, ScadConfig, cd_fit, cox_terms, scad_value
 from dplc.coordinate_descent import (V_FLOOR, _surrogate_move_delta, _sweep,
                                      _working_response)
 
@@ -205,13 +204,12 @@ class TestSurrogateBookkeeping:
     def _sweeps(self, seed, lam, n_sweeps=20):
         ds, g = sim_cox(seed, n=60, p=6, beta_true=[1.0, -0.8, 0, 0, 0.5, 0])
         X = (ds.x - ds.x.mean(0)) / ds.x.std(0)
-        idx = build_risk_index(ds)
         cfg = ScadConfig(lam=lam)
         beta = np.zeros(X.shape[1])
         out = []
         for _ in range(n_sweeps):
             xi = X @ beta
-            _, resid, W = cox_terms(xi + g, ds, idx)
+            _, resid, W = cox_terms(xi + g, ds)
             y = _working_response(xi, resid, W, ds.n)
             r = y - xi
             before = beta.copy()

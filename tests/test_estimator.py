@@ -12,7 +12,7 @@ from dplc import (AdamState, FitConfig, NetworkArch, ScadConfig, SimConfig,
                   simulate_dataset, tune_architecture, tune_lambda,
                   zero_network)
 from dplc.estimator import FittedModel
-from dplc.survival import build_risk_index, cox_terms
+from dplc.survival import cox_terms
 
 from conftest import make_dataset
 
@@ -139,9 +139,8 @@ class TestBic:
         data = sim_data(6, n=100, p=6, s_beta=2)
         model = fit(data.dataset, quick_cfg(lam=0.1))
         ds = data.dataset
-        idx = build_risk_index(ds)
         eta = predict_eta(model, ds.x, ds.z)
-        q = cox_terms(eta, ds, idx)[0]
+        q = cox_terms(eta, ds)[0]
         expected = 2.0 * ds.n * q + np.log(ds.n) * model.support.size
         assert bic(model, ds) == pytest.approx(expected, rel=1e-12)
 
@@ -155,9 +154,8 @@ class TestBic:
         model = fit(data.dataset, quick_cfg(lam=5.0))
         assert model.support.size == 0
         ds = data.dataset
-        idx = build_risk_index(ds)
         eta = predict_eta(model, ds.x, ds.z)
-        q = cox_terms(eta, ds, idx)[0]
+        q = cox_terms(eta, ds)[0]
         assert bic(model, ds) == pytest.approx(2.0 * ds.n * q, rel=1e-12)
 
     def test_spurious_coefficient_increases_bic(self):

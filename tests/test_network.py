@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dplc import (AdamState, Network, NetworkArch, NumericalDivergence,
-                  adam_fit, build_risk_index, center, forward, init_network,
-                  loss_and_grads, network_from_dict, network_to_dict,
-                  zero_network)
+                  adam_fit, center, forward, init_network, loss_and_grads,
+                  network_from_dict, network_to_dict, zero_network)
+from dplc.network import _forward_cached
 
 from conftest import fd_close, make_dataset, naive_neg_log_pl, random_instance
 
@@ -62,8 +62,8 @@ class TestForward:
     def test_train_equals_eval_without_dropout(self, rng):
         net = init_network(NetworkArch((4, 4), 0.0), 3, seed=2)
         z = rng.standard_normal((9, 3))
-        assert np.array_equal(forward(net, z, mode="train"),
-                              forward(net, z, mode="eval"))
+        assert np.array_equal(_forward_cached(net, z, True, None)[0],
+                              forward(net, z))
 
     def test_hand_relu_composition(self):
         net = hand_net([[1.0, 0.0]], [0.0], [[1.0]], [0.0])
@@ -73,8 +73,9 @@ class TestForward:
     def test_eval_subtracts_offset(self):
         net = hand_net([[1.0, 0.0]], [0.0], [[1.0]], [0.0])
         net.center_offset = 0.75
-        assert forward(net, [[2.0, 0.0]], mode="eval")[0] == pytest.approx(1.25)
-        assert forward(net, [[2.0, 0.0]], mode="train")[0] == pytest.approx(2.0)
+        assert forward(net, [[2.0, 0.0]])[0] == pytest.approx(1.25)
+        raw, _ = _forward_cached(net, np.array([[2.0, 0.0]]), True, None)
+        assert raw[0] == pytest.approx(2.0)
 
     def test_eval_deterministic_bitwise(self, rng):
         net = init_network(NetworkArch((8, 8), 0.0), 4, seed=5)
@@ -86,17 +87,12 @@ class TestForward:
         with pytest.raises(ValueError, match="columns"):
             forward(net, np.zeros((2, 5)))
 
-    def test_train_dropout_requires_rng(self):
-        net = init_network(NetworkArch((4,), dropout_rate=0.4), 2, seed=0)
-        with pytest.raises(ValueError, match="rng"):
-            forward(net, np.zeros((2, 2)), mode="train")
-
     def test_dropout_expectation_matches_eval(self):
         net = init_network(NetworkArch((6,), dropout_rate=0.4), 2, seed=3)
         z = np.random.default_rng(8).standard_normal((5, 2))
-        raw_eval = forward(net, z, mode="eval")  # offset is 0 after init
+        raw_eval = forward(net, z)  # offset is 0 after init
         rng = np.random.default_rng(123)
-        draws = np.stack([forward(net, z, mode="train", rng=rng)
+        draws = np.stack([_forward_cached(net, z, True, rng)[0]
                           for _ in range(10_000)])
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -106,22 +102,20 @@ class TestForward:
 class TestGradParams:
     def test_no_events_gives_zero_grads(self):
         ds = make_dataset([1.0, 2.0], [0, 0], z=np.array([[0.3], [0.5]]))
-        idx = build_risk_index(ds)
         net = init_network(NetworkArch((3,), 0.0), 1, seed=0)
-        _, grads = loss_and_grads(net, ds, idx, np.zeros(ds.p))
+        _, grads = loss_and_grads(net, ds, np.zeros(ds.p))
         assert all(np.all(gw == 0.0) and np.all(gb == 0.0)
                    for gw, gb in grads)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
         ds, _ = random_instance(seed, n=12, p=2, r=2)
-        idx = build_risk_index(ds)
         net = init_network(NetworkArch((3,), 0.0), 2, seed=seed)
         beta = np.array([0.4, -0.2])
-        _, grads = loss_and_grads(net, ds, idx, beta)
+        _, grads = loss_and_grads(net, ds, beta)
 
         def loss_with(net_mod):
-            g = forward(net_mod, ds.z, mode="train")
+            g = forward(net_mod, ds.z)
             return naive_neg_log_pl(ds.times, ds.status, ds.x @ beta + g)
 
         step = 1e-6
@@ -144,11 +138,16 @@ class TestGradParams:
                 fd = (up - down) / (2 * step)
                 assert fd_close(gb[r_], fd)
 
+    def test_dropout_requires_rng(self):
+        ds, _ = random_instance(0, n=6, p=1, r=2)
+        net = init_network(NetworkArch((4,), dropout_rate=0.4), 2, seed=0)
+        with pytest.raises(ValueError, match="rng"):
+            loss_and_grads(net, ds, np.zeros(ds.p))
+
     def test_fully_dropped_layer_kills_incoming_gradients(self):
         ds, _ = random_instance(1, n=10, p=1, r=2)
-        idx = build_risk_index(ds)
         net = init_network(NetworkArch((4,), dropout_rate=0.5), 2, seed=2)
-        _, grads = loss_and_grads(net, ds, idx, np.zeros(ds.p),
+        _, grads = loss_and_grads(net, ds, np.zeros(ds.p),
                                   rng=ZeroRng())
         gw1, gb1 = grads[0]
         assert np.all(gw1 == 0.0) and np.all(gb1 == 0.0)
@@ -157,16 +156,16 @@ class TestGradParams:
 class TestAdamFit:
     def _toy(self, seed=0, n=40):
         ds, _ = random_instance(seed, n=n, p=1, r=2)
-        return ds, build_risk_index(ds)
+        return ds
 
     def test_first_step_is_scaled_sign_of_gradient(self):
-        ds, idx = self._toy()
+        ds = self._toy()
         net = init_network(NetworkArch((3,), 0.0), 2, seed=4)
         beta = np.zeros(ds.p)
-        _, grads = loss_and_grads(net, ds, idx, beta)
+        _, grads = loss_and_grads(net, ds, beta)
         before = net.copy()
         cfg = AdamState(gamma=0.05, eps0=1e-8)
-        adam_fit(net, ds, idx, beta, cfg, inner_steps=1)
+        adam_fit(net, ds, beta, cfg, inner_steps=1)
         for l, (gw, _) in enumerate(grads):
             step = before.weights[l] - net.weights[l]
             expected = cfg.gamma * gw / (np.abs(gw) + cfg.eps0)
@@ -175,10 +174,9 @@ class TestAdamFit:
     def test_zero_gradient_leaves_parameters(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0, 0, 0],
                           z=np.random.default_rng(0).standard_normal((3, 2)))
-        idx = build_risk_index(ds)
         net = init_network(NetworkArch((3,), 0.0), 2, seed=1)
         before = net.copy()
-        adam_fit(net, ds, idx, np.zeros(ds.p), AdamState(), inner_steps=5)
+        adam_fit(net, ds, np.zeros(ds.p), AdamState(), inner_steps=5)
         assert all(np.array_equal(a, b)
                    for a, b in zip(net.weights, before.weights))
 
@@ -190,7 +188,6 @@ class TestAdamFit:
         eta0 = z @ alpha
         u = rng.exponential(size=n) / np.exp(eta0)
         ds = make_dataset(u + 1e-9, np.ones(n), x=np.zeros((n, 1)), z=z)
-        idx = build_risk_index(ds)
         net = init_network(NetworkArch((4, 4), 0.0), 2, seed=7)
         beta = np.zeros(1)
 
@@ -199,22 +196,22 @@ class TestAdamFit:
             return naive_neg_log_pl(ds.times, ds.status, g)
 
         q0 = q_now()
-        adam_fit(net, ds, idx, beta, AdamState(gamma=0.02), inner_steps=200,
+        adam_fit(net, ds, beta, AdamState(gamma=0.02), inner_steps=200,
                  tol=1e-12)
         assert q_now() < q0
 
     def test_centered_after_fit(self):
-        ds, idx = self._toy(seed=3, n=60)
+        ds = self._toy(seed=3, n=60)
         net = init_network(NetworkArch((4,), 0.0), 2, seed=9)
-        adam_fit(net, ds, idx, np.zeros(ds.p), AdamState(), inner_steps=10)
+        adam_fit(net, ds, np.zeros(ds.p), AdamState(), inner_steps=10)
         assert abs(forward(net, ds.z).mean()) < 1e-10
 
     def test_divergence_raises(self):
-        ds, idx = self._toy()
+        ds = self._toy()
         net = init_network(NetworkArch((3,), 0.0), 2, seed=0)
         net.weights[0][:] = np.nan
         with pytest.raises((NumericalDivergence, ValueError)):
-            adam_fit(net, ds, idx, np.zeros(ds.p), AdamState(), inner_steps=2)
+            adam_fit(net, ds, np.zeros(ds.p), AdamState(), inner_steps=2)
 
 
 class TestCenter:

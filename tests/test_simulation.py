@@ -408,6 +408,31 @@ class TestRunExperiment:
             assert a.c_index_test == b.c_index_test
             assert a.lambda_selected == b.lambda_selected
 
+    def test_workers_capped_at_replicates(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("dplc.simulation.ProcessPoolExecutor",
+                            InProcessPool)
+        sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=8)
+        methods = [MethodConfig("dplc", small_fit_cfg(), (0.2,))]
+        report = run_experiment(sim, methods, replicates=2, n_workers=10_000)
+        assert [r.replicate for r in report.rows] == [0, 1]
+        run_experiment(sim, methods, replicates=1, n_workers=4)
+        assert sizes == [2]
+
     def test_empty_truth_skips_fn_metrics(self):
         sim = SimConfig(n=120, p=5, r=8, s_beta=0, g0_kind="zero", seed=5)
         methods = [MethodConfig("dplc", small_fit_cfg(), (0.3,))]

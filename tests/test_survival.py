@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dplc import build_risk_index, cox_terms, stratified_split
+from dplc import cox_terms, stratified_split
 from dplc.coordinate_descent import _working_response
 
-from conftest import (fd_gradient, fd_hessian_diag, make_dataset,
+from conftest import (fd_gradient, fd_hessian_diag, index_sets, make_dataset,
                       naive_history_set, naive_neg_log_pl, naive_risk_set,
                       random_instance, rel_err)
 
@@ -36,134 +36,123 @@ class TestDataset:
 class TestRiskIndex:
     def test_two_subjects(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
-        idx = build_risk_index(ds)
-        assert set(idx.risk_set(0)) == {0, 1}
-        assert set(idx.risk_set(1)) == {1}
-        assert set(idx.history_set(0)) == {0}
-        assert set(idx.history_set(1)) == {0, 1}
+        risk, history = index_sets(ds.index)
+        assert risk[0] == {0, 1}
+        assert risk[1] == {1}
+        assert history[0] == {0}
+        assert history[1] == {0, 1}
 
     def test_tied_times_mutually_included(self):
         ds = make_dataset([2.0, 2.0], [1, 0])
-        idx = build_risk_index(ds)
+        risk, history = index_sets(ds.index)
         for i in range(2):
-            assert set(idx.risk_set(i)) == {0, 1}
-            assert set(idx.history_set(i)) == {0, 1}
+            assert risk[i] == {0, 1}
+            assert history[i] == {0, 1}
 
     def test_unsorted_input(self):
         ds = make_dataset([3.0, 1.0, 2.0], [1, 1, 1])
-        idx = build_risk_index(ds)
-        assert set(idx.risk_set(0)) == {0}
-        assert set(idx.risk_set(1)) == {0, 1, 2}
-        assert set(idx.risk_set(2)) == {0, 2}
+        risk, _ = index_sets(ds.index)
+        assert risk[0] == {0}
+        assert risk[1] == {0, 1, 2}
+        assert risk[2] == {0, 2}
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_set_comprehension_oracle(self, seed):
         ds, _ = random_instance(seed)
-        idx = build_risk_index(ds)
+        risk, history = index_sets(ds.index)
         for i in range(ds.n):
-            assert set(idx.risk_set(i)) == naive_risk_set(ds.times, i)
-            assert set(idx.history_set(i)) == naive_history_set(ds.times, i)
-            assert i in set(idx.risk_set(i))
-            assert i in set(idx.history_set(i))
+            assert risk[i] == naive_risk_set(ds.times, i)
+            assert history[i] == naive_history_set(ds.times, i)
+            assert i in risk[i]
+            assert i in history[i]
 
     def test_monotone_in_time(self):
         ds, _ = random_instance(3, n=15)
-        idx = build_risk_index(ds)
+        risk, history = index_sets(ds.index)
         by_time = sorted(range(ds.n), key=lambda i: ds.times[i])
-        sizes_r = [len(idx.risk_set(i)) for i in by_time]
-        sizes_c = [len(idx.history_set(i)) for i in by_time]
+        sizes_r = [len(risk[i]) for i in by_time]
+        sizes_c = [len(history[i]) for i in by_time]
         assert all(a >= b for a, b in zip(sizes_r, sizes_r[1:]))
         assert all(a <= b for a, b in zip(sizes_c, sizes_c[1:]))
 
 
-def _q(eta, ds, idx):
-    return cox_terms(eta, ds, idx)[0]
+def _q(eta, ds):
+    return cox_terms(eta, ds)[0]
 
 
-def _grad(eta, ds, idx):
-    return -cox_terms(eta, ds, idx)[1] / ds.n
+def _grad(eta, ds):
+    return -cox_terms(eta, ds)[1] / ds.n
 
 
-def _hess(eta, ds, idx):
-    return cox_terms(eta, ds, idx)[2]
+def _hess(eta, ds):
+    return cox_terms(eta, ds)[2]
 
 
-def _working(xi, eta, ds, idx):
+def _working(xi, eta, ds):
     """Working response and weights at eta, built as in one CD sweep."""
-    _, resid, W = cox_terms(eta, ds, idx)
+    _, resid, W = cox_terms(eta, ds)
     return _working_response(np.asarray(xi, float), resid, W, ds.n), W
 
 
 class TestNegLogPartialLikelihood:
     def test_symmetric_pair(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
-        idx = build_risk_index(ds)
-        q = _q([0.0, 0.0], ds, idx)
+        q = _q([0.0, 0.0], ds)
         assert q == pytest.approx(np.log(2.0) / 2.0, abs=1e-12)
 
     def test_no_events_is_zero(self):
         ds = make_dataset([1.0, 2.0], [0, 0])
-        idx = build_risk_index(ds)
-        assert _q([0.3, -0.5], ds, idx) == 0.0
+        assert _q([0.3, -0.5], ds) == 0.0
 
     def test_matches_literal_oracle(self):
         ds = make_dataset([1.0, 2.0, 3.0], [1, 0, 1])
-        idx = build_risk_index(ds)
         eta = np.array([1.0, 0.0, -1.0])
         expected = naive_neg_log_pl(ds.times, ds.status, eta)
-        assert _q(eta, ds, idx) == pytest.approx(expected, rel=1e-12)
+        assert _q(eta, ds) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_oracle_random(self, seed):
         ds, eta = random_instance(seed)
-        idx = build_risk_index(ds)
         expected = naive_neg_log_pl(ds.times, ds.status, eta)
-        assert _q(eta, ds, idx) == pytest.approx(expected, rel=1e-10)
+        assert _q(eta, ds) == pytest.approx(expected, rel=1e-10)
 
     def test_shift_invariance(self):
         ds, eta = random_instance(4)
-        idx = build_risk_index(ds)
-        q0 = _q(eta, ds, idx)
+        q0 = _q(eta, ds)
         for c in (-7.0, 0.5, 13.0):
-            qc = _q(eta + c, ds, idx)
+            qc = _q(eta + c, ds)
             assert abs(qc - q0) < 1e-12
 
     def test_large_eta_no_overflow(self):
         ds, eta = random_instance(2, n=12)
-        idx = build_risk_index(ds)
-        q = _q(eta * 20.0, ds, idx)
+        q = _q(eta * 20.0, ds)
         assert np.isfinite(q)
 
     def test_rejects_nonfinite(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
-        idx = build_risk_index(ds)
         with pytest.raises(ValueError, match="non-finite predictor"):
-            cox_terms([np.nan, 0.0], ds, idx)
+            cox_terms([np.nan, 0.0], ds)
 
     def test_rejects_wrong_length(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
-        idx = build_risk_index(ds)
         with pytest.raises(ValueError, match="length"):
-            cox_terms([0.0, 0.0, 0.0], ds, idx)
+            cox_terms([0.0, 0.0, 0.0], ds)
 
 
 class TestGradEta:
     def test_two_subject_value(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
-        idx = build_risk_index(ds)
-        grad = _grad([0.0, 0.0], ds, idx)
+        grad = _grad([0.0, 0.0], ds)
         assert grad == pytest.approx([-0.25, 0.25], abs=1e-12)
 
     def test_no_events_zero(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0, 0, 0])
-        idx = build_risk_index(ds)
-        assert np.all(_grad([1.0, 2.0, 3.0], ds, idx) == 0.0)
+        assert np.all(_grad([1.0, 2.0, 3.0], ds) == 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
         ds, eta = random_instance(seed)
-        idx = build_risk_index(ds)
-        grad = _grad(eta, ds, idx)
+        grad = _grad(eta, ds)
         fd = fd_gradient(lambda e: naive_neg_log_pl(ds.times, ds.status, e),
                          eta, step=1e-6)
         assert np.max(rel_err(grad, fd, floor=1e-6)) < 1e-6
@@ -171,32 +160,27 @@ class TestGradEta:
     @pytest.mark.parametrize("seed", range(10))
     def test_score_sums_to_zero(self, seed):
         ds, eta = random_instance(seed)
-        idx = build_risk_index(ds)
-        assert abs(_grad(eta, ds, idx).sum()) < 1e-12
+        assert abs(_grad(eta, ds).sum()) < 1e-12
 
 
 class TestHessianDiag:
     def test_two_subject_value(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
-        idx = build_risk_index(ds)
-        W = _hess([0.0, 0.0], ds, idx)
+        W = _hess([0.0, 0.0], ds)
         assert W == pytest.approx([0.125, 0.125], abs=1e-12)
 
     def test_no_events_zero(self):
         ds = make_dataset([1.0, 2.0], [0, 0])
-        idx = build_risk_index(ds)
-        assert np.all(_hess([0.4, 0.1], ds, idx) == 0.0)
+        assert np.all(_hess([0.4, 0.1], ds) == 0.0)
 
     def test_single_subject_degenerate(self):
         ds = make_dataset([1.0], [1])
-        idx = build_risk_index(ds)
-        assert _hess([0.7], ds, idx) == pytest.approx([0.0], abs=1e-15)
+        assert _hess([0.7], ds) == pytest.approx([0.0], abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_fd_hessian_diagonal(self, seed):
         ds, eta = random_instance(seed)
-        idx = build_risk_index(ds)
-        W = _hess(eta, ds, idx)
+        W = _hess(eta, ds)
         fd = fd_hessian_diag(lambda e: naive_neg_log_pl(ds.times, ds.status, e),
                              eta, step=1e-4)
         assert np.max(rel_err(W, fd, floor=1e-4)) < 1e-4
@@ -206,24 +190,21 @@ class TestHessianDiag:
 class TestWorkingResponse:
     def test_two_subject_value(self):
         ds = make_dataset([1.0, 2.0], [1, 1])
-        idx = build_risk_index(ds)
-        y, _ = _working([0.0, 0.0], [0.0, 0.0], ds, idx)
+        y, _ = _working([0.0, 0.0], [0.0, 0.0], ds)
         assert y == pytest.approx([2.0, -2.0], abs=1e-12)
 
     def test_zero_gradient_subject_keeps_xi(self):
         # Censored earliest subject: empty event history, delta = 0.
         ds = make_dataset([1.0, 2.0, 3.0], [0, 1, 1])
-        idx = build_risk_index(ds)
         eta = [0.3, -0.1, 0.2]
-        y, _ = _working(eta, eta, ds, idx)
+        y, _ = _working(eta, eta, ds)
         assert y[0] == pytest.approx(0.3, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sign_identity_with_gradient(self, seed):
         ds, eta = random_instance(seed)
-        idx = build_risk_index(ds)
-        y, W = _working(eta, eta, ds, idx)
-        grad = _grad(eta, ds, idx)
+        y, W = _working(eta, eta, ds)
+        grad = _grad(eta, ds)
         solid = W > 1e-6
         assert np.allclose((eta - y)[solid], (grad / W)[solid],
                            rtol=1e-9, atol=1e-12)

@@ -8,19 +8,17 @@ Adam on the partial-likelihood loss, alternating until both stabilize.
 
 from .coordinate_descent import cd_fit
 from .errors import NumericalDivergence
-from .estimator import (ArchSelection, FitConfig, FittedModel,
-                        LambdaPathEntry, bic, fit, model_from_dict,
+from .estimator import (FitConfig, FittedModel, bic, fit, model_from_dict,
                         model_to_dict, predict_eta, tune_architecture,
                         tune_lambda)
 from .network import (AdamState, Network, NetworkArch, adam_fit, center,
                       forward, init_network, loss_and_grads,
                       network_from_dict, network_to_dict, zero_network)
 from .scad import ScadConfig, scad_threshold, scad_value
-from .simulation import (ExperimentReport, MethodConfig, ReplicateRow,
-                         SelectionRow, SimConfig, SimulatedData, c_index,
-                         calibrate_censoring, g0_eval, gen_beta0,
-                         gen_covariates, gen_survival, run_experiment,
-                         selection_metrics, simulate_dataset)
+from .simulation import (MethodConfig, ReplicateRow, SelectionRow, SimConfig,
+                         SimulatedData, c_index, calibrate_censoring, g0_eval,
+                         gen_beta0, gen_covariates, gen_survival,
+                         run_experiment, selection_metrics, simulate_dataset)
 from .survival import (RiskIndex, SurvivalDataset, cox_terms,
                        stratified_split, subset)
 

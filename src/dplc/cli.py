@@ -323,50 +323,42 @@ def cmd_fit(args) -> int:
     if args.arch_grid:
         tune = _parse_arch_grid(args.arch_grid, tune)
     os.makedirs(args.out, exist_ok=True)
+    if tune["enabled"]:
+        try:
+            # the grid is checked in full before the first fit
+            cfg, _ = tune_architecture(
+                dataset, tune["depth_grid"], tune["width_grid"],
+                tune["dropout_grid"], tune["lr_grid"], cfg,
+                criterion=tune["criterion"])
+        except ValueError as exc:
+            raise CliInputError("architecture grid: %s" % exc)
+    model, path = tune_lambda(dataset, lambda_grid, cfg)
+    eta_train = predict_eta(model, dataset.x, dataset.z)
     try:
-        if tune["enabled"]:
-            try:
-                # the grid is checked in full before the first fit
-                choice = tune_architecture(
-                    dataset, tune["depth_grid"], tune["width_grid"],
-                    tune["dropout_grid"], tune["lr_grid"], cfg,
-                    criterion=tune["criterion"])
-            except ValueError as exc:
-                raise CliInputError("architecture grid: %s" % exc)
-            cfg = replace(cfg, arch=choice.arch,
-                          adam=replace(cfg.adam, gamma=choice.learning_rate))
-        best, path = tune_lambda(dataset, lambda_grid, cfg)
-        model = best.model
-        eta_train = predict_eta(model, dataset.x, dataset.z)
-        model.diagnostics["lambda_selected"] = best.lam
-    except NumericalDivergence as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
-    try:
-        model.diagnostics["c_index_train"] = c_index(eta_train, dataset.times,
-                                                     dataset.status)
+        c_train = c_index(eta_train, dataset.times, dataset.status)
     except ValueError as exc:
+        c_train = None
         print("c_index not reported: %s" % exc, file=sys.stderr)
 
-    _json_dump(model_to_dict(model, cfg, x_names=x_names, z_names=z_names),
-               os.path.join(args.out, "model.json"))
+    bundle = model_to_dict(model, cfg, x_names=x_names, z_names=z_names)
+    bundle["diagnostics"]["c_index_train"] = c_train
+    _json_dump(bundle, os.path.join(args.out, "model.json"))
 
     with open(os.path.join(args.out, "bic_path.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "bic", "n_selected"])
-        for entry in path:
-            writer.writerow([fmt_value(entry.lam), fmt_value(entry.bic),
-                             entry.n_selected])
+        for m in path:
+            writer.writerow([fmt_value(m.lam), fmt_value(m.diagnostics["bic"]),
+                             m.n_selected])
 
     write_selection_table(os.path.join(args.out, "selection.txt"),
                           model.beta_hat, model.support, x_names)
 
     print("selected %d of %d features at lambda=%s (bic=%s)"
-          % (model.n_selected, dataset.p, fmt_value(best.lam),
+          % (model.n_selected, dataset.p, fmt_value(model.lam),
              fmt_value(model.diagnostics["bic"])))
-    if "c_index_train" in model.diagnostics:
-        print("train c_index=%s"
-              % fmt_value(model.diagnostics["c_index_train"]))
+    if c_train is not None:
+        print("train c_index=%s" % fmt_value(c_train))
     return 0
 
 
@@ -406,11 +398,7 @@ def cmd_predict(args) -> int:
     x = x[:, [x_names.index(n) for n in columns["x"]]]
     z = z[:, [z_names.index(n) for n in columns["z"]]]
 
-    try:
-        eta = predict_eta(model, x, z)
-    except NumericalDivergence as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
+    eta = predict_eta(model, x, z)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "eta"])
@@ -476,17 +464,17 @@ def cmd_benchmark(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     with ReplicateCsvWriter(os.path.join(args.out, "replicates.csv")) as sink:
-        report = run_experiment(sim_cfg, methods, n_workers=threads,
-                                row_callback=sink.write_row)
+        rows, summary = run_experiment(sim_cfg, methods, n_workers=threads,
+                                       row_callback=sink.write_row)
 
     _json_dump({"sim": asdict(sim_cfg), "methods": [m.name for m in methods],
-                "summary": report.summary},
+                "summary": summary},
                os.path.join(args.out, "summary.json"))
 
     with open(os.path.join(args.out, "cindex_long.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "method", "c_index"])
-        for row in report.rows:
+        for row in rows:
             if row.error is None:
                 writer.writerow([row.replicate, row.method,
                                  fmt_value(row.c_index_test)])
@@ -500,7 +488,7 @@ def cmd_benchmark(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(header)
         for m in methods:
-            entry = report.summary[m.name]
+            entry = summary[m.name]
             cells = [m.name]
             for name in sel_fields:
                 stats = entry.get(name)
@@ -509,7 +497,7 @@ def cmd_benchmark(args) -> int:
             writer.writerow(cells)
 
     for m in methods:
-        entry = report.summary[m.name]
+        entry = summary[m.name]
         cstats = entry.get("c_index")
         print("%s: ok=%d failed=%d%s"
               % (m.name, entry["replicates_ok"], entry["replicates_failed"],

@@ -11,6 +11,7 @@ architecture by held-out partial likelihood or BIC.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -59,11 +60,13 @@ class FitConfig:
 
 @dataclass
 class FittedModel:
-    """Sparse coefficients, the centered network, and fit diagnostics."""
+    """Sparse coefficients, the centered network, the penalty strength lam
+    they were fitted at, and fit diagnostics."""
 
     beta_hat: np.ndarray
     net: Network
     support: np.ndarray
+    lam: Optional[float]
     diagnostics: dict
 
     @property
@@ -125,7 +128,7 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
 
     support = np.flatnonzero(beta != 0.0)
     model = FittedModel(beta_hat=beta, net=net, support=support,
-                        diagnostics={
+                        lam=float(cfg.scad.lam), diagnostics={
                             "loss_path": loss_path,
                             "outer_iters": len(cd_sweeps),
                             "cd_sweeps": cd_sweeps,
@@ -161,23 +164,14 @@ def bic(model: FittedModel, dataset: SurvivalDataset) -> float:
     return float(2.0 * dataset.n * q + np.log(dataset.n) * model.n_selected)
 
 
-@dataclass
-class LambdaPathEntry:
-    lam: float
-    beta: np.ndarray
-    bic: float
-    n_selected: int
-    model: FittedModel
-
-
 def tune_lambda(dataset: SurvivalDataset, lambda_grid: Sequence[float],
                 cfg: FitConfig):
     """Fit along an ascending penalty grid and pick the BIC minimizer.
 
     Each fit is warm-started from the previous grid point's coefficients
     and network.  BIC ties go to the later grid point, so the larger
-    penalty (the sparser model).  Returns (best_entry, path), where
-    best_entry is the chosen LambdaPathEntry itself.
+    penalty (the sparser model).  Returns (best, path): path holds the
+    fitted models in grid order and best is one of them.
     """
     grid = [float(l) for l in lambda_grid]
     if not grid:
@@ -186,39 +180,32 @@ def tune_lambda(dataset: SurvivalDataset, lambda_grid: Sequence[float],
         raise ValueError("lambda_grid must be ascending")
     path = []
     beta_warm, net_warm = None, None
-    best = None
     for lam in grid:
         cfg_lam = replace(cfg, scad=replace(cfg.scad, lam=lam))
         model = fit(dataset, cfg_lam, beta_init=beta_warm, net_init=net_warm)
-        entry = LambdaPathEntry(lam=lam, beta=model.beta_hat.copy(),
-                                bic=model.diagnostics["bic"],
-                                n_selected=model.n_selected, model=model)
-        path.append(entry)
+        path.append(model)
         beta_warm, net_warm = model.beta_hat, model.net
-        if best is None or entry.bic <= best.bic:
-            best = entry
+    # min keeps the first of equal keys, so scan from the largest penalty
+    best = min(reversed(path), key=lambda m: m.diagnostics["bic"])
     return best, path
 
 
-@dataclass
-class ArchSelection:
-    arch: NetworkArch
-    learning_rate: float
-    criterion: str
-    table: list
+VAL_FRACTION = 0.2
 
 
 def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
                       dropout_grid, lr_grid, cfg: FitConfig, *,
-                      criterion: str = "validation",
-                      val_fraction: float = 0.2) -> ArchSelection:
+                      criterion: str = "validation"):
     """Exhaustive grid search over depth, width, dropout, learning rate.
 
     criterion "validation" scores each cell by partial likelihood on a
-    held-out stratified split; "bic" refits on all data and scores by BIC.
-    Ties keep the smaller cell (depth, then width, then dropout, then
-    learning rate; grids are sorted ascending before the scan).  Every
-    cell's settings are checked before the first fit.
+    held-out stratified split of VAL_FRACTION; "bic" refits on all data
+    and scores by BIC.  Cell k is fitted at seed cfg.seed + k.  Ties keep
+    the smaller cell (depth, then width, then dropout, then learning rate;
+    grids are sorted ascending before the scan).  Every cell's settings
+    are checked before the first fit.  Returns (best_cfg, table): the
+    winning cell's FitConfig, which is cfg with its arch and adam.gamma
+    set, and one score row per cell.
     """
     if criterion not in ("validation", "bic"):
         raise ValueError("criterion must be 'validation' or 'bic'")
@@ -230,23 +217,23 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
         raise ValueError("all grids must be non-empty")
     if depths[0] < 0:
         raise ValueError("depths must be >= 0")
-    cells = [(depth, width, rate, lr, NetworkArch((width,) * depth, rate),
-              replace(cfg.adam, gamma=lr))
+    cells = [(depth, width, rate, lr,
+              replace(cfg, arch=NetworkArch((width,) * depth, rate),
+                      adam=replace(cfg.adam, gamma=lr)))
              for depth in depths for width in widths
              for rate in dropouts for lr in lrs]
 
     if criterion == "validation":
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
-        train_idx, val_idx = stratified_split(dataset.status, val_fraction, rng)
+        train_idx, val_idx = stratified_split(dataset.status, VAL_FRACTION, rng)
         train_ds, val_ds = subset(dataset, train_idx), subset(dataset, val_idx)
     else:
         train_ds, val_ds = dataset, None
 
     table = []
     best = None
-    for cell, (depth, width, rate, lr, arch, adam) in enumerate(cells):
-        model = fit(train_ds, replace(cfg, arch=arch, adam=adam,
-                                      seed=cfg.seed + cell))
+    for k, (depth, width, rate, lr, cell_cfg) in enumerate(cells):
+        model = fit(train_ds, replace(cell_cfg, seed=cfg.seed + k))
         if criterion == "validation":
             eta = predict_eta(model, val_ds.x, val_ds.z)
             score = cox_terms(eta, val_ds)[0]
@@ -255,9 +242,8 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
         table.append({"depth": depth, "width": width,
                       "dropout": rate, "lr": lr, "score": score})
         if best is None or score < best[0]:
-            best = (score, arch, lr)
-    return ArchSelection(arch=best[1], learning_rate=best[2],
-                         criterion=criterion, table=table)
+            best = (score, cell_cfg)
+    return best[1], table
 
 
 MODEL_FORMAT = "dplc-model"
@@ -280,8 +266,7 @@ def model_to_dict(model: FittedModel, cfg: FitConfig,
             "cd_sweeps": model.diagnostics.get("cd_sweeps"),
             "converged": model.diagnostics.get("converged"),
             "bic": model.diagnostics.get("bic"),
-            "c_index_train": model.diagnostics.get("c_index_train"),
-            "lambda_selected": model.diagnostics.get("lambda_selected"),
+            "lambda_selected": model.lam,
         },
     }
     if x_names is not None:
@@ -289,15 +274,39 @@ def model_to_dict(model: FittedModel, cfg: FitConfig,
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def model_from_dict(data: dict) -> FittedModel:
-    if data.get("format") != MODEL_FORMAT:
+    """The model of a model_to_dict record; raises ValueError when the
+    record is not one (a bad sparse beta included)."""
+    if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a model record")
     if data.get("version") != MODEL_VERSION:
         raise ValueError("unsupported model version: %r" % (data.get("version"),))
-    beta = np.zeros(int(data["p"]))
-    for j, value in data["beta"]:
-        beta[int(j)] = float(value)
+    p = data.get("p")
+    if not _is_int(p) or p < 1:
+        raise ValueError("p must be an integer >= 1")
+    beta = np.zeros(p)
+    seen = set()
+    for entry in data["beta"]:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError("beta entries must be [index, value] pairs")
+        j, value = entry
+        if not _is_int(j) or not 0 <= j < p or j in seen:
+            raise ValueError("beta index %r is not a distinct integer in "
+                             "[0, %d)" % (j, p))
+        # abs() <= max is False for NaN, the infinities and huge integers
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise ValueError("beta value at index %d is not a finite number"
+                             % j)
+        seen.add(j)
+        beta[j] = value
     net = network_from_dict(data["network"])
+    diagnostics = dict(data.get("diagnostics", {}))
     return FittedModel(beta_hat=beta, net=net,
                        support=np.flatnonzero(beta != 0.0),
-                       diagnostics=dict(data.get("diagnostics", {})))
+                       lam=diagnostics.get("lambda_selected"),
+                       diagnostics=diagnostics)

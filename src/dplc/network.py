@@ -251,7 +251,7 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
-    if data.get("format") != NETWORK_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != NETWORK_FORMAT:
         raise ValueError("not a network record")
     if data.get("version") != NETWORK_VERSION:
         raise ValueError("unsupported network version: %r" % (data.get("version"),))

@@ -120,7 +120,7 @@ def g0_eval(z, kind: str, alpha0=None):
     return float(out[0]) if single else out
 
 
-def gen_survival(X, Z, beta0, g0_vals, mu, rng) -> np.ndarray:
+def gen_survival(X, beta0, g0_vals, mu, rng) -> np.ndarray:
     """Exponential event times by inverse CDF: -log(U) / (mu * exp(eta0))."""
     if mu <= 0:
         raise ValueError("mu must be > 0")
@@ -286,7 +286,7 @@ def simulate_dataset(cfg: SimConfig, replicate: int = 0) -> SimulatedData:
     beta0 = gen_beta0(cfg, rng)
     alpha0 = rng.uniform(-2.0, 2.0, size=cfg.r) if cfg.g0_kind == "linear" else None
     g0_vals = g0_eval(Z, cfg.g0_kind, alpha0)
-    U = gen_survival(X, Z, beta0, g0_vals, cfg.mu, rng)
+    U = gen_survival(X, beta0, g0_vals, cfg.mu, rng)
     bound = calibrate_censoring(U, cfg.target_censoring)
     C = rng.uniform(0.0, bound, size=cfg.n)
     status = (U <= C).astype(float)
@@ -336,13 +336,6 @@ REPLICATE_FIELDS = ["replicate", "method", "censoring_rate", "lambda_selected",
                     "fnn", "fnr_pct", "error"]
 
 
-@dataclass
-class ExperimentReport:
-    rows: list
-    summary: dict
-    sim: SimConfig
-
-
 def _run_replicate(args):
     """Worker for one replicate: generate, split, fit every method."""
     sim_cfg, methods, rep = args
@@ -369,11 +362,11 @@ def _run_replicate(args):
                 .generate_state(1)[0]))
             best, _ = tune_lambda(train_ds, m.lambda_grid, fit_cfg)
             row.lambda_selected = best.lam
-            eta_test = predict_eta(best.model, test_ds.x, test_ds.z)
+            eta_test = predict_eta(best, test_ds.x, test_ds.z)
             row.c_index_test = c_index(eta_test, test_ds.times, test_ds.status)
             row.selected_count = best.n_selected
             if data.support0.size > 0:
-                sel = selection_metrics(best.model.support, data.support0,
+                sel = selection_metrics(best.support, data.support0,
                                         sim_cfg.p)
                 row.fpn, row.fpr_pct = sel.fpn, sel.fpr_pct
                 row.fnn, row.fnr_pct = sel.fnn, sel.fnr_pct
@@ -410,9 +403,9 @@ def _aggregate(rows, methods):
 
 
 def run_experiment(sim_cfg: SimConfig, methods: Sequence[MethodConfig],
-                   replicates: Optional[int] = None, n_workers: int = 1,
-                   row_callback=None) -> ExperimentReport:
-    """Run every method on `replicates` independently generated datasets.
+                   n_workers: int = 1, row_callback=None):
+    """Run every method on sim_cfg.replicates independently generated
+    datasets; returns (rows, summary).
 
     All methods within a replicate see the same data and the same split.
     Replicates run in parallel on up to n_workers processes, never more
@@ -421,16 +414,12 @@ def run_experiment(sim_cfg: SimConfig, methods: Sequence[MethodConfig],
     fixed master seed.  Failed replicates are recorded in their rows,
     never dropped.
     """
-    if replicates is None:
-        replicates = sim_cfg.replicates
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("method names must be unique")
-    jobs = [(sim_cfg, tuple(methods), rep) for rep in range(replicates)]
+    jobs = [(sim_cfg, tuple(methods), rep) for rep in range(sim_cfg.replicates)]
     # the pool starts all its workers on the first submit
-    n_workers = min(n_workers, replicates)
+    n_workers = min(n_workers, sim_cfg.replicates)
     all_rows = []
     with contextlib.ExitStack() as stack:
         run_map = map
@@ -442,9 +431,7 @@ def run_experiment(sim_cfg: SimConfig, methods: Sequence[MethodConfig],
             if row_callback is not None:
                 for row in rep_rows:
                     row_callback(row)
-    return ExperimentReport(rows=all_rows,
-                            summary=_aggregate(all_rows, methods),
-                            sim=sim_cfg)
+    return all_rows, _aggregate(all_rows, methods)
 
 
 def fmt_value(value) -> str:

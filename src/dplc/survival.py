@@ -16,6 +16,7 @@ plain eta array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,18 +172,23 @@ def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
         pi2_m = sum over the history prefix of status_i * pi(m, i)**2.
 
     The fast path subtracts the max before exponentiating; if the predictor
-    spread is so extreme that suffix sums underflow anyway, everything is
-    redone with log-space accumulation, which stays finite for any finite
-    eta.
+    spread is so extreme that it cannot keep status / a**2 and its running
+    sum finite, everything is redone with log-space accumulation, which
+    stays finite for any finite eta.
     """
     shift = float(eta_s.max())
     e = np.exp(eta_s - shift)
     a = np.cumsum(e[::-1])[::-1][index.first_tie]
-    if float(a.min()) > 1e-280:
+    # status / a**2 overflows once a drops below about 1e-154, and tie
+    # groups repeat its terms in the running sum, so no bare bound on a
+    # (1e-150, say) keeps that sum finite: check the sum itself.
+    with np.errstate(all="ignore"):
         d = index.status_sorted / a
+        d2_sum = np.cumsum(d / a)
+    if math.isfinite(d2_sum[-1]):
         log_s = np.log(a) + shift
         pi1 = e * np.cumsum(d)[index.last_tie]
-        pi2 = (e * e) * np.cumsum(d / a)[index.last_tie]
+        pi2 = (e * e) * d2_sum[index.last_tie]
         return log_s, pi1, pi2
     log_s = np.logaddexp.accumulate(eta_s[::-1])[::-1][index.first_tie]
     with np.errstate(divide="ignore"):

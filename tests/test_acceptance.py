@@ -145,10 +145,10 @@ def test_null_calibration():
     """Pure-noise data: median test C-index stays near one half."""
     start = time.time()
     sim = SimConfig(n=300, p=50, r=8, s_beta=0, g0_kind="zero",
-                    seed=MASTER_SEED)
+                    replicates=20, seed=MASTER_SEED)
     methods = [MethodConfig("dplc", desk_cfg(), LAMBDA_GRID)]
-    rep = run_experiment(sim, methods, replicates=20)
-    cs = [r.c_index_test for r in rep.rows if r.error is None]
+    rows, _ = run_experiment(sim, methods)
+    cs = [r.c_index_test for r in rows if r.error is None]
     med = float(np.median(cs))
     elapsed = time.time() - start
     ok = 0.45 <= med <= 0.55 and len(cs) == 20 and elapsed < 300.0
@@ -161,10 +161,10 @@ def test_linear_truth_desk_reproduction():
     """Linear truth at desk scale: prediction and selection trend levels."""
     start = time.time()
     sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="linear",
-                    seed=MASTER_SEED)
+                    replicates=20, seed=MASTER_SEED)
     methods = [MethodConfig("dplc", desk_cfg(), LAMBDA_GRID)]
-    rep = run_experiment(sim, methods, replicates=20)
-    good = [r for r in rep.rows if r.error is None]
+    rows, _ = run_experiment(sim, methods)
+    good = [r for r in rows if r.error is None]
     med_c = float(np.median([r.c_index_test for r in good]))
     mean_fnr = float(np.mean([r.fnr_pct for r in good]))
     elapsed = time.time() - start
@@ -180,15 +180,15 @@ def test_nonlinear_ordering():
     """Nonlinear truth: the network model beats the g==0 baseline clearly."""
     start = time.time()
     sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="nonlinear",
-                    seed=MASTER_SEED)
+                    replicates=10, seed=MASTER_SEED)
     cfg = desk_cfg(hidden=(16, 16), outer=20)
     methods = [MethodConfig("dplc", cfg, LAMBDA_GRID),
                MethodConfig("cox_scad", replace(cfg, fit_g=False),
                             LAMBDA_GRID)]
-    rep = run_experiment(sim, methods, replicates=10)
+    rows, _ = run_experiment(sim, methods)
     med = {}
     for name in ("dplc", "cox_scad"):
-        vals = [r.c_index_test for r in rep.rows
+        vals = [r.c_index_test for r in rows
                 if r.method == name and r.error is None]
         med[name] = float(np.median(vals))
     gap = med["dplc"] - med["cox_scad"]
@@ -206,11 +206,10 @@ def test_selection_consistency_trend():
     means = {"fnn": [], "fpn": []}
     for n in (300, 600, 1200):
         sim = SimConfig(n=n, p=100, r=8, s_beta=10, g0_kind="linear",
-                        seed=MASTER_SEED + n)
-        rep = run_experiment(sim, [MethodConfig("dplc", desk_cfg(),
-                                                LAMBDA_GRID)],
-                             replicates=10)
-        good = [r for r in rep.rows if r.error is None]
+                        replicates=10, seed=MASTER_SEED + n)
+        rows, _ = run_experiment(sim, [MethodConfig("dplc", desk_cfg(),
+                                                    LAMBDA_GRID)])
+        good = [r for r in rows if r.error is None]
         means["fnn"].append(float(np.mean([r.fnn for r in good])))
         means["fpn"].append(float(np.mean([r.fpn for r in good])))
 

@@ -156,6 +156,32 @@ class TestFit:
         bundle = json.loads((fit_dir / "model.json").read_text())
         assert bundle["diagnostics"]["c_index_train"] is None
 
+    def test_separable_data_fit_has_no_traceback(self, tmp_path):
+        # x_1 orders the event times, so at lambda 0 the partial likelihood
+        # has no maximum and the predictor spread keeps growing
+        z = np.random.default_rng(0).standard_normal(40)
+        data = write_rows(tmp_path / "separable.csv",
+                          [[i + 1, 1, (40 - i) / 10.0, z[i]]
+                           for i in range(40)])
+        code = run("fit", "--data", data, "--out", str(tmp_path / "fit"),
+                   "--lambda-grid", "0")
+        assert code in (0, 3)
+
+    def test_numerical_failure_exit_3(self, tmp_path, small_config, capsys,
+                                      monkeypatch):
+        from dplc import NumericalDivergence
+
+        def diverge(*args, **kwargs):
+            raise NumericalDivergence("divergence in the lambda path")
+
+        monkeypatch.setattr("dplc.cli.tune_lambda", diverge)
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        capsys.readouterr()
+        assert run("fit", "--data", str(data_csv), "--config", small_config,
+                   "--out", str(tmp_path / "fit")) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: divergence in the lambda path\n"
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"fit": {"max_outre": 3}}))
@@ -457,6 +483,38 @@ class TestPredict:
         assert "invalid model file: columns" in capsys.readouterr().err
         assert not pred_csv.exists()
 
+    @pytest.mark.parametrize("case", ["list_root", "index_past_p",
+                                      "negative_index", "float_index",
+                                      "repeated_index", "nan_value",
+                                      "float_p", "list_network"])
+    def test_invalid_model_record_exit_2(self, tmp_path, small_config,
+                                         capsys, case):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        run("fit", "--data", str(data_csv), "--config", small_config,
+            "--out", str(fit_dir))
+        bundle = json.loads((fit_dir / "model.json").read_text())
+        edits = {"index_past_p": [[99, 1.0]], "negative_index": [[-1, 1.0]],
+                 "float_index": [[1.7, 1.0]],
+                 "repeated_index": [[0, 1.0], [0, 2.0]],
+                 "nan_value": [[0, float("nan")]]}
+        if case == "list_root":
+            bundle = [1, 2]
+        elif case == "float_p":
+            bundle["p"] = float(bundle["p"])
+        elif case == "list_network":
+            bundle["network"] = [bundle["network"]]
+        else:
+            bundle["beta"] = edits[case]
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        pred_csv = tmp_path / "p.csv"
+        assert run("predict", "--model", str(model_json), "--data",
+                   str(data_csv), "--out", str(pred_csv)) == 2
+        assert "input error: invalid model file: " in capsys.readouterr().err
+        assert not pred_csv.exists()
+
     def test_predict_without_outcome_columns(self, tmp_path, small_config):
         data_csv, _ = simulate_into(tmp_path, small_config)
         fit_dir = tmp_path / "fit"
@@ -626,8 +684,7 @@ class TestBenchmark:
         import dplc.cli as cli_mod
         from dplc.simulation import ReplicateRow
 
-        def fake_run(sim_cfg, methods, replicates=None, n_workers=1,
-                     row_callback=None):
+        def fake_run(sim_cfg, methods, n_workers=1, row_callback=None):
             row_callback(ReplicateRow(replicate=0, method="dplc",
                                       censoring_rate=0.3, c_index_test=0.5))
             raise KeyboardInterrupt()

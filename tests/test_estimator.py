@@ -76,8 +76,8 @@ class TestFit:
             _, path = tune_lambda(data.dataset,
                                   (0.05, 0.1, 0.2, 0.4, 0.8),
                                   quick_cfg(seed=seed))
-            best = min(path, key=lambda e: e.bic)
-            if set(top2) <= set(best.model.support):
+            best = min(path, key=lambda m: m.diagnostics["bic"])
+            if set(top2) <= set(best.support):
                 hits += 1
         assert hits >= 18
 
@@ -102,7 +102,8 @@ class TestFit:
 class TestPredictEta:
     def test_null_model_predicts_zero(self):
         model = FittedModel(beta_hat=np.zeros(3), net=zero_network(2),
-                            support=np.array([], int), diagnostics={})
+                            support=np.array([], int), lam=None,
+                            diagnostics={})
         assert np.all(predict_eta(model, np.ones((5, 3)), np.ones((5, 2))) == 0.0)
 
     def test_monotone_in_positive_coefficient(self):
@@ -129,7 +130,8 @@ class TestPredictEta:
 
     def test_dimension_mismatch(self):
         model = FittedModel(beta_hat=np.zeros(3), net=zero_network(2),
-                            support=np.array([], int), diagnostics={})
+                            support=np.array([], int), lam=None,
+                            diagnostics={})
         with pytest.raises(ValueError):
             predict_eta(model, np.ones((2, 4)), np.ones((2, 2)))
 
@@ -162,8 +164,8 @@ class TestBic:
         data = sim_data(6, n=100, p=6, s_beta=2)
         model = fit(data.dataset, quick_cfg(lam=0.2))
         noise_cols = [j for j in range(6) if j not in set(model.support)]
-        bumped = FittedModel(beta_hat=model.beta_hat.copy(),
-                             net=model.net, support=None, diagnostics={})
+        bumped = FittedModel(beta_hat=model.beta_hat.copy(), net=model.net,
+                             support=None, lam=model.lam, diagnostics={})
         bumped.beta_hat[noise_cols[0]] = 1e-9
         bumped.support = np.flatnonzero(bumped.beta_hat)
         assert bic(bumped, data.dataset) > bic(model, data.dataset)
@@ -173,7 +175,16 @@ class TestTuneLambda:
     def test_single_value_grid(self):
         data = sim_data(1, n=80, p=4)
         best, path = tune_lambda(data.dataset, [0.3], quick_cfg())
-        assert best.lam == 0.3 and path == [best]
+        assert best.lam == 0.3 and len(path) == 1 and path[0] is best
+
+    def test_path_holds_the_fitted_models_in_grid_order(self):
+        data = sim_data(1, n=80, p=4)
+        cfg = quick_cfg(max_outer=3)
+        best, path = tune_lambda(data.dataset, [0.1, 0.3], cfg)
+        assert [m.lam for m in path] == [0.1, 0.3]
+        assert any(m is best for m in path)
+        cold = fit(data.dataset, replace(cfg, scad=replace(cfg.scad, lam=0.1)))
+        assert np.array_equal(path[0].beta_hat, cold.beta_hat)
 
     def test_repeated_lambda_returns_bic_minimizer(self):
         # Warm starts keep moving the fit, so a repeated lambda gives
@@ -182,10 +193,9 @@ class TestTuneLambda:
         data = sim_data(0, n=100, p=5)
         best, path = tune_lambda(data.dataset, [0.1, 0.1, 0.1],
                                  quick_cfg(max_outer=3))
-        bics = [e.bic for e in path]
+        bics = [m.diagnostics["bic"] for m in path]
         assert len(set(bics)) == 3
         assert best is path[int(np.argmin(bics))]
-        assert best.model.diagnostics["bic"] == min(bics)
 
     def test_rejects_bad_grid(self):
         data = sim_data(1, n=80, p=4)
@@ -200,7 +210,7 @@ class TestTuneLambda:
                           x=np.eye(4)[:, :3],
                           z=np.linspace(0, 1, 8).reshape(4, 2))
         best, path = tune_lambda(ds, [0.1, 0.5, 2.0], quick_cfg())
-        assert len({e.bic for e in path}) == 1
+        assert len({m.diagnostics["bic"] for m in path}) == 1
         assert best is path[-1]
 
     def test_null_signal_selects_sparse_models(self):
@@ -212,9 +222,9 @@ class TestTuneLambda:
             _, path = tune_lambda(data.dataset,
                                   (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2),
                                   quick_cfg(hidden=(4,), seed=seed))
-            best = min(path, key=lambda e: e.bic)
-            chosen = max((e for e in path if e.bic == best.bic),
-                         key=lambda e: e.lam)
+            low = min(m.diagnostics["bic"] for m in path)
+            chosen = max((m for m in path if m.diagnostics["bic"] == low),
+                         key=lambda m: m.lam)
             if chosen.n_selected <= 2:
                 wins += 1
         assert wins >= 18
@@ -241,11 +251,11 @@ class TestTuneLambda:
             data = sim_data(40 + seed, n=300, p=10, s_beta=2)
             cfg = quick_cfg(seed=seed)
             _, path = tune_lambda(data.dataset, grid, cfg)
-            for entry in path:
+            for model in path:
                 cold = fit(data.dataset,
-                           replace(cfg, scad=replace(cfg.scad, lam=entry.lam)))
+                           replace(cfg, scad=replace(cfg.scad, lam=model.lam)))
                 total += 1
-                if np.array_equal(np.flatnonzero(entry.beta), cold.support):
+                if np.array_equal(model.support, cold.support):
                     agree += 1
         assert agree / total >= 0.9
 
@@ -253,12 +263,13 @@ class TestTuneLambda:
 class TestTuneArchitecture:
     def test_single_cell_grid(self):
         data = sim_data(2, n=100, p=5)
-        choice = tune_architecture(data.dataset, [2], [4], [0.0], [0.01],
-                                   quick_cfg())
-        assert choice.arch.hidden_widths == (4, 4)
-        assert choice.arch.dropout_rate == 0.0
-        assert choice.learning_rate == 0.01
-        assert len(choice.table) == 1
+        cfg = quick_cfg(seed=5)
+        best, table = tune_architecture(data.dataset, [2], [4], [0.0], [0.01],
+                                        cfg)
+        # the winning cell's config is cfg with only arch and gamma set
+        assert best == replace(cfg, arch=NetworkArch((4, 4), 0.0),
+                               adam=replace(cfg.adam, gamma=0.01))
+        assert len(table) == 1
 
     def test_tie_break_prefers_smaller_network(self):
         # No events: every cell scores an identical (zero) likelihood.
@@ -266,16 +277,16 @@ class TestTuneArchitecture:
         ds = make_dataset(np.arange(1.0, n + 1.0), [0] * n,
                           x=np.arange(n, dtype=float).reshape(n, 1),
                           z=np.linspace(0, 1, 2 * n).reshape(n, 2))
-        choice = tune_architecture(ds, [2, 1], [8, 2], [0.0], [0.01],
-                                   quick_cfg(), criterion="validation")
-        assert choice.arch.hidden_widths == (2,)
+        best, _ = tune_architecture(ds, [2, 1], [8, 2], [0.0], [0.01],
+                                    quick_cfg(), criterion="validation")
+        assert best.arch.hidden_widths == (2,)
 
     def test_bic_criterion_runs(self):
         data = sim_data(3, n=100, p=5)
-        choice = tune_architecture(data.dataset, [1], [2, 4], [0.0], [0.02],
-                                   quick_cfg(), criterion="bic")
-        assert choice.criterion == "bic"
-        assert len(choice.table) == 2
+        _, table = tune_architecture(data.dataset, [1], [2, 4], [0.0], [0.02],
+                                     quick_cfg(), criterion="bic")
+        assert [(row["depth"], row["width"]) for row in table] == \
+            [(1, 2), (1, 4)]
 
     def test_rejects_unknown_criterion(self):
         data = sim_data(3, n=60, p=4)
@@ -290,9 +301,9 @@ class TestTuneArchitecture:
             cfg_sim = SimConfig(n=200, p=8, r=8, s_beta=2, g0_kind="linear",
                                 seed=900 + seed)
             data = simulate_dataset(cfg_sim, 0)
-            choice = tune_architecture(data.dataset, [1, 2, 3], [4], [0.0],
-                                       [0.02], quick_cfg(seed=seed))
-            if len(choice.arch.hidden_widths) <= 2:
+            best, _ = tune_architecture(data.dataset, [1, 2, 3], [4], [0.0],
+                                        [0.02], quick_cfg(seed=seed))
+            if len(best.arch.hidden_widths) <= 2:
                 shallow += 1
         assert shallow > runs / 2
 
@@ -306,6 +317,7 @@ class TestPersistence:
                                         x_names=[f"x_{j}" for j in range(8)],
                                         z_names=[f"z_{k}" for k in range(8)]))
         back = model_from_dict(json.loads(blob))
+        assert back.lam == model.lam == 0.1
         assert np.array_equal(back.beta_hat, model.beta_hat)
         assert np.array_equal(back.support, model.support)
         eta_a = predict_eta(model, data.dataset.x, data.dataset.z)

@@ -3,6 +3,7 @@
 import csv
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,14 +113,14 @@ class TestGenSurvival:
     def test_unit_exponential_mean(self):
         rng = np.random.default_rng(3)
         n = 100_000
-        U = gen_survival(np.zeros((n, 1)), None, [0.0], np.zeros(n), 1.0, rng)
+        U = gen_survival(np.zeros((n, 1)), [0.0], np.zeros(n), 1.0, rng)
         assert abs(U.mean() - 1.0) < 0.02
 
     def test_doubling_mu_halves_times(self):
         X = np.zeros((1000, 1))
         g = np.zeros(1000)
-        u1 = gen_survival(X, None, [0.0], g, 1.0, np.random.default_rng(4))
-        u2 = gen_survival(X, None, [0.0], g, 2.0, np.random.default_rng(4))
+        u1 = gen_survival(X, [0.0], g, 1.0, np.random.default_rng(4))
+        u2 = gen_survival(X, [0.0], g, 2.0, np.random.default_rng(4))
         assert np.allclose(u1, 2.0 * u2)
 
     def test_rescaled_times_are_unit_exponential(self):
@@ -129,7 +130,7 @@ class TestGenSurvival:
         beta0 = np.array([0.8, -0.5])
         g0 = 0.3 * rng.standard_normal(n)
         mu = 1.7
-        U = gen_survival(x, None, beta0, g0, mu, rng)
+        U = gen_survival(x, beta0, g0, mu, rng)
         rescaled = U * mu * np.exp(x @ beta0 + g0)
         assert stats.kstest(rescaled, "expon").pvalue > 0.01
 
@@ -367,9 +368,9 @@ class TestRunExperiment:
     def test_single_replicate_deterministic(self):
         sim = SimConfig(n=120, p=6, r=8, s_beta=2, seed=21)
         methods = [MethodConfig("dplc", small_fit_cfg(), (0.1, 0.4))]
-        r1 = run_experiment(sim, methods, replicates=1)
-        r2 = run_experiment(sim, methods, replicates=1)
-        a, b = r1.rows[0], r2.rows[0]
+        sim = replace(sim, replicates=1)
+        (a,), _ = run_experiment(sim, methods)
+        (b,), _ = run_experiment(sim, methods)
         assert a.c_index_test == b.c_index_test
         assert a.lambda_selected == b.lambda_selected
         assert a.fpn == b.fpn and a.fnn == b.fnn
@@ -379,31 +380,31 @@ class TestRunExperiment:
         # tune_lambda rejects a descending grid inside every replicate
         methods = [MethodConfig("good", small_fit_cfg(), (0.2,)),
                    MethodConfig("bad", small_fit_cfg(), (0.4, 0.2))]
-        report = run_experiment(sim, methods, replicates=2)
-        good = [r for r in report.rows if r.method == "good"]
-        bad = [r for r in report.rows if r.method == "bad"]
+        rows, summary = run_experiment(replace(sim, replicates=2), methods)
+        good = [r for r in rows if r.method == "good"]
+        bad = [r for r in rows if r.method == "bad"]
         assert all(r.error is None for r in good)
         assert all(r.error is not None for r in bad)
-        assert report.summary["bad"]["replicates_failed"] == 2
+        assert summary["bad"]["replicates_failed"] == 2
 
     def test_summary_se_is_sd_over_sqrt_n(self):
         sim = SimConfig(n=150, p=8, r=8, s_beta=2, seed=13)
         methods = [MethodConfig("dplc", small_fit_cfg(), (0.1, 0.3))]
-        report = run_experiment(sim, methods, replicates=4)
-        vals = np.array([r.fpn for r in report.rows if r.error is None],
-                        dtype=float)
+        rows, summary = run_experiment(replace(sim, replicates=4), methods)
+        vals = np.array([r.fpn for r in rows if r.error is None], dtype=float)
         expected = vals.std(ddof=1) / np.sqrt(vals.size)
-        assert report.summary["dplc"]["fpn"]["se"] == pytest.approx(expected)
-        cs = np.array([r.c_index_test for r in report.rows if r.error is None])
-        assert report.summary["dplc"]["c_index"]["median"] == \
+        assert summary["dplc"]["fpn"]["se"] == pytest.approx(expected)
+        cs = np.array([r.c_index_test for r in rows if r.error is None])
+        assert summary["dplc"]["c_index"]["median"] == \
             pytest.approx(np.median(cs))
 
     def test_parallel_matches_sequential(self):
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=8)
         methods = [MethodConfig("dplc", small_fit_cfg(), (0.2, 0.6))]
-        seq = run_experiment(sim, methods, replicates=3, n_workers=1)
-        par = run_experiment(sim, methods, replicates=3, n_workers=2)
-        for a, b in zip(seq.rows, par.rows):
+        sim = replace(sim, replicates=3)
+        seq, _ = run_experiment(sim, methods, n_workers=1)
+        par, _ = run_experiment(sim, methods, n_workers=2)
+        for a, b in zip(seq, par):
             assert (a.replicate, a.method) == (b.replicate, b.method)
             assert a.c_index_test == b.c_index_test
             assert a.lambda_selected == b.lambda_selected
@@ -428,16 +429,16 @@ class TestRunExperiment:
                             InProcessPool)
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=8)
         methods = [MethodConfig("dplc", small_fit_cfg(), (0.2,))]
-        report = run_experiment(sim, methods, replicates=2, n_workers=10_000)
-        assert [r.replicate for r in report.rows] == [0, 1]
-        run_experiment(sim, methods, replicates=1, n_workers=4)
+        rows, _ = run_experiment(replace(sim, replicates=2), methods,
+                                 n_workers=10_000)
+        assert [r.replicate for r in rows] == [0, 1]
+        run_experiment(replace(sim, replicates=1), methods, n_workers=4)
         assert sizes == [2]
 
     def test_empty_truth_skips_fn_metrics(self):
         sim = SimConfig(n=120, p=5, r=8, s_beta=0, g0_kind="zero", seed=5)
         methods = [MethodConfig("dplc", small_fit_cfg(), (0.3,))]
-        report = run_experiment(sim, methods, replicates=1)
-        row = report.rows[0]
+        (row,), _ = run_experiment(replace(sim, replicates=1), methods)
         assert row.error is None
         assert row.fnn is None and row.fnr_pct is None
         assert row.fpn is not None
@@ -455,7 +456,8 @@ class TestReplicateCsvWriter:
                 sink.write_row(row)
                 with open(path) as fh:
                     seen.append(len(list(csv.reader(fh))))
-            run_experiment(sim, methods, replicates=2, row_callback=spy)
+            run_experiment(replace(sim, replicates=2), methods,
+                           row_callback=spy)
         assert seen == [2, 3]  # header plus one row after each replicate
         with open(path) as fh:
             rows = list(csv.DictReader(fh))

@@ -1,5 +1,7 @@
 """Risk-set indexing and the Cox kernel against literal oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,44 @@ class TestHessianDiag:
                              eta, step=1e-4)
         assert np.max(rel_err(W, fd, floor=1e-4)) < 1e-4
         assert np.all(W >= -1e-12)
+
+
+def lse_cox_terms(times, status, eta):
+    """(q, resid, w) with each subject's risk-set sum taken in log space.
+
+    w_m sums pi * (1 - pi) over the events whose risk set holds m, with
+    pi = exp(eta_m - log S_i), so no term can overflow.
+    """
+    n = len(times)
+    log_s = []
+    for i in range(n):
+        vals = [eta[j] for j in naive_risk_set(times, i)]
+        top = max(vals)
+        log_s.append(top + math.log(sum(math.exp(v - top) for v in vals)))
+    q = -sum(eta[i] - log_s[i] for i in range(n) if status[i] == 1) / n
+    pi1, w = np.zeros(n), np.zeros(n)
+    for i in range(n):
+        if status[i] == 1:
+            for m in naive_risk_set(times, i):
+                pi = math.exp(eta[m] - log_s[i])
+                pi1[m] += pi
+                w[m] += pi * (1.0 - pi)
+    return q, np.asarray(status) - pi1, w / n
+
+
+class TestWideSpread:
+    # For spreads of about 355 to 645, status / a**2 can overflow on the
+    # fast path (NaN curvature) before the log-space path takes over.
+    @pytest.mark.parametrize("spread", [400.0, 600.0])
+    def test_matches_log_sum_exp_reference(self, spread):
+        ds = make_dataset(np.arange(1.0, 7.0), [1] * 6)
+        eta = np.linspace(spread, 0.0, 6)
+        q, resid, w = cox_terms(eta, ds)
+        ref_q, ref_resid, ref_w = lse_cox_terms(ds.times, ds.status, eta)
+        assert np.isfinite(w).all() and np.isfinite(resid).all()
+        assert q == pytest.approx(ref_q, abs=1e-12)
+        assert np.allclose(resid, ref_resid, rtol=1e-9, atol=1e-12)
+        assert np.allclose(w, ref_w, rtol=1e-9, atol=1e-12)
 
 
 class TestWorkingResponse:

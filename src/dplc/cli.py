@@ -371,22 +371,15 @@ def cmd_predict(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliInputError("model %s line %d column %d: %s"
                             % (args.model, exc.lineno, exc.colno, exc.msg))
+    # model_from_dict checks the column names against p before it
+    # allocates beta, so they must be there first
+    if isinstance(bundle, dict) and not bundle.get("columns"):
+        raise CliInputError("model file lacks column names; cannot match data")
     try:
         model = model_from_dict(bundle)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError("invalid model file: %s" % exc)
-    columns = bundle.get("columns")
-    if not columns:
-        raise CliInputError("model file lacks column names; cannot match data")
-    if not isinstance(columns, dict):
-        raise CliInputError("invalid model file: columns must be an object")
-    for key, width in (("x", model.beta_hat.size), ("z", model.net.input_dim)):
-        names = columns.get(key)
-        if (not isinstance(names, list) or len(names) != width
-                or not all(isinstance(name, str) for name in names)
-                or len(set(names)) != width):
-            raise CliInputError("invalid model file: columns %s must be %d "
-                                "distinct names" % (key, width))
+    columns = bundle["columns"]
 
     times, status, x, z, x_names, z_names = load_dataset_csv(
         args.data, require_outcome=False)

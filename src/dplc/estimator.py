@@ -280,7 +280,8 @@ def _is_int(value) -> bool:
 
 def model_from_dict(data: dict) -> FittedModel:
     """The model of a model_to_dict record; raises ValueError when the
-    record is not one (a bad sparse beta included)."""
+    record is not one (a bad sparse beta or columns record included).
+    Column names, when present, are counted before beta is allocated."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a model record")
     if data.get("version") != MODEL_VERSION:
@@ -288,6 +289,18 @@ def model_from_dict(data: dict) -> FittedModel:
     p = data.get("p")
     if not _is_int(p) or p < 1:
         raise ValueError("p must be an integer >= 1")
+    net = network_from_dict(data["network"])
+    columns = data.get("columns")
+    if columns is not None:
+        if not isinstance(columns, dict):
+            raise ValueError("columns must be an object")
+        for key, width in (("x", p), ("z", net.input_dim)):
+            names = columns.get(key)
+            if (not isinstance(names, list) or len(names) != width
+                    or not all(isinstance(name, str) for name in names)
+                    or len(set(names)) != width):
+                raise ValueError("columns %s must be %d distinct names"
+                                 % (key, width))
     beta = np.zeros(p)
     seen = set()
     for entry in data["beta"]:
@@ -304,7 +317,6 @@ def model_from_dict(data: dict) -> FittedModel:
                              % j)
         seen.add(j)
         beta[j] = value
-    net = network_from_dict(data["network"])
     diagnostics = dict(data.get("diagnostics", {}))
     return FittedModel(beta_hat=beta, net=net,
                        support=np.flatnonzero(beta != 0.0),

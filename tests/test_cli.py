@@ -486,7 +486,7 @@ class TestPredict:
     @pytest.mark.parametrize("case", ["list_root", "index_past_p",
                                       "negative_index", "float_index",
                                       "repeated_index", "nan_value",
-                                      "float_p", "list_network"])
+                                      "float_p", "huge_p", "list_network"])
     def test_invalid_model_record_exit_2(self, tmp_path, small_config,
                                          capsys, case):
         data_csv, _ = simulate_into(tmp_path, small_config)
@@ -502,6 +502,9 @@ class TestPredict:
             bundle = [1, 2]
         elif case == "float_p":
             bundle["p"] = float(bundle["p"])
+        elif case == "huge_p":
+            # must fail on the column count, not by allocating p floats
+            bundle["p"] = 10 ** 13
         elif case == "list_network":
             bundle["network"] = [bundle["network"]]
         else:
@@ -514,6 +517,22 @@ class TestPredict:
                    str(data_csv), "--out", str(pred_csv)) == 2
         assert "input error: invalid model file: " in capsys.readouterr().err
         assert not pred_csv.exists()
+
+    def test_missing_columns_exit_2_before_allocating_p(self, tmp_path,
+                                                        small_config, capsys):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        run("fit", "--data", str(data_csv), "--config", small_config,
+            "--out", str(fit_dir))
+        bundle = json.loads((fit_dir / "model.json").read_text())
+        del bundle["columns"]
+        bundle["p"] = 10 ** 13
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert run("predict", "--model", str(model_json), "--data",
+                   str(data_csv), "--out", str(tmp_path / "p.csv")) == 2
+        assert "model file lacks column names" in capsys.readouterr().err
 
     def test_predict_without_outcome_columns(self, tmp_path, small_config):
         data_csv, _ = simulate_into(tmp_path, small_config)

@@ -226,6 +226,18 @@ class TestWideSpread:
         assert np.allclose(resid, ref_resid, rtol=1e-9, atol=1e-12)
         assert np.allclose(w, ref_w, rtol=1e-9, atol=1e-12)
 
+    def test_tiny_sums_on_censored_tail_only(self):
+        # The risk-set sums of the censored tail are below 1e-280 while the
+        # events' stay above 1e-154; censored rows add nothing to
+        # status / a**2, so the fast path serves this input.
+        ds = make_dataset(np.arange(1.0, 7.0), [1, 1, 0, 0, 0, 0])
+        eta = np.array([700.0, 400.0, 0.0, 0.0, 0.0, 0.0])
+        q, resid, w = cox_terms(eta, ds)
+        ref_q, ref_resid, ref_w = lse_cox_terms(ds.times, ds.status, eta)
+        assert q == pytest.approx(ref_q, abs=1e-12)
+        assert np.allclose(resid, ref_resid, rtol=1e-9, atol=1e-12)
+        assert np.allclose(w, ref_w, rtol=1e-9, atol=1e-12)
+
 
 class TestWorkingResponse:
     def test_two_subject_value(self):

@@ -15,7 +15,7 @@ from .network import (AdamState, Network, NetworkArch, adam_fit, center,
                       forward, init_network, loss_and_grads,
                       network_from_dict, network_to_dict, zero_network)
 from .scad import ScadConfig, scad_threshold, scad_value
-from .simulation import (MethodConfig, ReplicateRow, SelectionRow, SimConfig,
+from .simulation import (ReplicateRow, SelectionRow, SimConfig,
                          SimulatedData, c_index, calibrate_censoring, g0_eval,
                          gen_beta0, gen_covariates, gen_survival,
                          run_experiment, selection_metrics, simulate_dataset)

@@ -7,11 +7,12 @@ errors with line/column diagnostics; nothing is imputed or coerced.
 
 Run configuration is a JSON file whose "sim" and "fit" sections take the
 fields of SimConfig and FitConfig by name (FitConfig's "scad", "arch" and
-"adam" nest the same way), next to the top-level "seed", "lambda_grid",
-"tune_arch" and "benchmark".  Every field is optional and defaults to the
-record's own default; unknown keys are rejected, integer fields need JSON
-integers and number fields finite numbers.  All randomness flows from one
-seed, so repeated invocations produce byte-identical outputs.
+"adam" nest the same way; "fit" also holds the BIC "lambda_grid"), next to
+the top-level "seed", "tune_arch" and "benchmark".  Every field is optional
+and defaults to the record's own default; unknown keys are rejected,
+integer fields need JSON integers and number fields finite numbers.  All
+randomness flows from one seed, so repeated invocations produce
+byte-identical outputs.
 
 Exit codes: 0 success, 2 input/schema error, 3 numerical failure.
 The DPLC_LOG environment variable (DEBUG/INFO/WARNING) controls logging.
@@ -34,8 +35,8 @@ import numpy as np
 from .errors import NumericalDivergence
 from .estimator import (FitConfig, model_from_dict, model_to_dict,
                         predict_eta, tune_architecture, tune_lambda)
-from .simulation import (MethodConfig, ReplicateCsvWriter, SimConfig,
-                         c_index, fmt_value, run_experiment, simulate_dataset)
+from .simulation import (ReplicateCsvWriter, SimConfig, c_index, fmt_value,
+                         run_experiment, simulate_dataset)
 from .survival import SurvivalDataset
 
 logger = logging.getLogger(__name__)
@@ -45,8 +46,6 @@ class CliInputError(Exception):
     """Bad input file, schema violation, or inconsistent configuration."""
 
 
-DEFAULT_LAMBDA_GRID = [round(v, 6) for v in np.geomspace(0.05, 5.0, 12)]
-
 # The run-config layout.  "sim" and "fit" take the fields of SimConfig and
 # FitConfig, whose defaults are the only copy; the seed is set once at the
 # top level, and fit_g belongs to the benchmark's baseline method.
@@ -55,7 +54,6 @@ CONFIG_DEFAULTS = {
     "sim": {k: v for k, v in asdict(SimConfig()).items() if k != "seed"},
     "fit": {k: v for k, v in asdict(FitConfig()).items()
             if k not in ("seed", "fit_g")},
-    "lambda_grid": DEFAULT_LAMBDA_GRID,
     "tune_arch": {
         "enabled": False, "depth_grid": [1, 2], "width_grid": [2, 4, 8],
         "dropout_grid": [0.3, 0.5], "lr_grid": [0.005, 0.02],
@@ -127,6 +125,17 @@ def load_run_config(path) -> dict:
     if not isinstance(user, dict):
         raise CliInputError("config root must be a JSON object")
     return _merge_config(CONFIG_DEFAULTS, user)
+
+
+def _set_lambda_grid(config, text):
+    """Put the values of a --lambda-grid flag, when given, in the config's
+    fit.lambda_grid, where FitConfig checks them as it checks the file's."""
+    if text:
+        try:
+            config["fit"]["lambda_grid"] = [
+                float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise CliInputError("--lambda-grid must be comma-separated numbers")
 
 
 def _record(default, values):
@@ -243,24 +252,6 @@ def _first_bad_cell(path, names, rows):
     return None
 
 
-def _check_lambda_grid(grid, where):
-    if not grid:
-        raise CliInputError("%s must be non-empty" % where)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise CliInputError("%s must be ascending" % where)
-    if not all(0.0 <= lam < math.inf for lam in grid):
-        raise CliInputError("%s values must be finite and >= 0" % where)
-    return grid
-
-
-def _parse_lambda_grid(text: str):
-    try:
-        grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliInputError("--lambda-grid must be comma-separated numbers")
-    return _check_lambda_grid(grid, "--lambda-grid")
-
-
 def _parse_arch_grid(text: str, tune_defaults: dict) -> dict:
     """Parse 'depths=1,2;widths=4,8;dropout=0.3;lr=0.01' into grid settings."""
     grids = dict(tune_defaults)
@@ -303,21 +294,15 @@ def write_selection_table(path, beta, support, x_names):
                                            math.exp(beta[j])))
 
 
-def _lambda_grid_from(config, args):
-    if getattr(args, "lambda_grid", None):
-        return _parse_lambda_grid(args.lambda_grid)
-    return _check_lambda_grid(config["lambda_grid"], "config lambda_grid")
-
-
 def cmd_fit(args) -> int:
     config = load_run_config(args.config)
+    _set_lambda_grid(config, args.lambda_grid)
     _, cfg = run_records(config, args.seed)
     times, status, x, z, x_names, z_names = load_dataset_csv(args.data)
     try:
         dataset = SurvivalDataset(times=times, status=status, x=x, z=z)
     except ValueError as exc:
         raise CliInputError("%s: %s" % (args.data, exc))
-    lambda_grid = _lambda_grid_from(config, args)
 
     tune = config["tune_arch"]
     if args.arch_grid:
@@ -332,7 +317,7 @@ def cmd_fit(args) -> int:
                 criterion=tune["criterion"])
         except ValueError as exc:
             raise CliInputError("architecture grid: %s" % exc)
-    model, path = tune_lambda(dataset, lambda_grid, cfg)
+    model, path = tune_lambda(dataset, cfg)
     eta_train = predict_eta(model, dataset.x, dataset.z)
     try:
         c_train = c_index(eta_train, dataset.times, dataset.status)
@@ -371,10 +356,6 @@ def cmd_predict(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliInputError("model %s line %d column %d: %s"
                             % (args.model, exc.lineno, exc.colno, exc.msg))
-    # model_from_dict checks the column names against p before it
-    # allocates beta, so they must be there first
-    if isinstance(bundle, dict) and not bundle.get("columns"):
-        raise CliInputError("model file lacks column names; cannot match data")
     try:
         model = model_from_dict(bundle)
     except (ValueError, KeyError, TypeError) as exc:
@@ -442,25 +423,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = load_run_config(args.config)
+    _set_lambda_grid(config, args.lambda_grid)
     sim_cfg, fit_cfg = run_records(config, args.seed)
     threads = args.threads if args.threads is not None \
         else config["benchmark"]["threads"]
     if threads < 1:
         raise CliInputError("--threads must be >= 1")
-    lambda_grid = _lambda_grid_from(config, args)
-    methods = [MethodConfig(name="dplc", fit=fit_cfg,
-                            lambda_grid=tuple(lambda_grid))]
+    methods = {"dplc": fit_cfg}
     if config["benchmark"]["baseline"]:
-        methods.append(MethodConfig(name="cox_scad",
-                                    fit=replace(fit_cfg, fit_g=False),
-                                    lambda_grid=tuple(lambda_grid)))
+        methods["cox_scad"] = replace(fit_cfg, fit_g=False)
 
     os.makedirs(args.out, exist_ok=True)
     with ReplicateCsvWriter(os.path.join(args.out, "replicates.csv")) as sink:
         rows, summary = run_experiment(sim_cfg, methods, n_workers=threads,
                                        row_callback=sink.write_row)
 
-    _json_dump({"sim": asdict(sim_cfg), "methods": [m.name for m in methods],
+    _json_dump({"sim": asdict(sim_cfg), "methods": list(methods),
                 "summary": summary},
                os.path.join(args.out, "summary.json"))
 
@@ -480,20 +458,20 @@ def cmd_benchmark(args) -> int:
               newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for m in methods:
-            entry = summary[m.name]
-            cells = [m.name]
+        for method in methods:
+            entry = summary[method]
+            cells = [method]
             for name in sel_fields:
                 stats = entry.get(name)
                 cells += ["" if stats is None else fmt_value(stats["mean"]),
                           "" if stats is None else fmt_value(stats["se"])]
             writer.writerow(cells)
 
-    for m in methods:
-        entry = summary[m.name]
+    for method in methods:
+        entry = summary[method]
         cstats = entry.get("c_index")
         print("%s: ok=%d failed=%d%s"
-              % (m.name, entry["replicates_ok"], entry["replicates_failed"],
+              % (method, entry["replicates_ok"], entry["replicates_failed"],
                  "" if cstats is None else
                  " median c_index=%s (iqr=%s)" % (fmt_value(cstats["median"]),
                                                   fmt_value(cstats["iqr"]))))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +31,14 @@ class FitConfig:
     """Everything one fit needs besides the data.
 
     The defaults are the full default fit, and the run config's "fit"
-    section sets these fields by name.  fit_g=False disables the network
-    entirely (g identically zero), which is the plain SCAD-penalized Cox
-    baseline.
+    section sets these fields by name.  fit() uses scad.lam; tune_lambda
+    fits along lambda_grid, which must be ascending, finite and >= 0.
+    fit_g=False disables the network entirely (g identically zero), which
+    is the plain SCAD-penalized Cox baseline.
     """
 
     scad: ScadConfig = field(default_factory=ScadConfig)
+    lambda_grid: tuple = tuple(round(v, 6) for v in np.geomspace(0.05, 5.0, 12))
     arch: NetworkArch = field(default_factory=NetworkArch)
     adam: AdamState = field(default_factory=AdamState)
     inner_steps: int = 20
@@ -49,6 +51,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        grid = tuple(float(lam) for lam in self.lambda_grid)
+        object.__setattr__(self, "lambda_grid", grid)
+        if not grid or any(b < a for a, b in zip(grid, grid[1:])):
+            raise ValueError("lambda_grid must be non-empty and ascending")
+        if not all(0.0 <= lam < np.inf for lam in grid):
+            raise ValueError("lambda_grid values must be finite and >= 0")
         for name in ("adam_tol", "cd_tol", "outer_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError("%s must be > 0" % name)
@@ -164,23 +172,17 @@ def bic(model: FittedModel, dataset: SurvivalDataset) -> float:
     return float(2.0 * dataset.n * q + np.log(dataset.n) * model.n_selected)
 
 
-def tune_lambda(dataset: SurvivalDataset, lambda_grid: Sequence[float],
-                cfg: FitConfig):
-    """Fit along an ascending penalty grid and pick the BIC minimizer.
+def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig):
+    """Fit along cfg.lambda_grid and pick the BIC minimizer.
 
     Each fit is warm-started from the previous grid point's coefficients
     and network.  BIC ties go to the later grid point, so the larger
     penalty (the sparser model).  Returns (best, path): path holds the
     fitted models in grid order and best is one of them.
     """
-    grid = [float(l) for l in lambda_grid]
-    if not grid:
-        raise ValueError("lambda_grid is empty")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda_grid must be ascending")
     path = []
     beta_warm, net_warm = None, None
-    for lam in grid:
+    for lam in cfg.lambda_grid:
         cfg_lam = replace(cfg, scad=replace(cfg.scad, lam=lam))
         model = fit(dataset, cfg_lam, beta_init=beta_warm, net_init=net_warm)
         path.append(model)
@@ -250,15 +252,16 @@ MODEL_FORMAT = "dplc-model"
 MODEL_VERSION = 1
 
 
-def model_to_dict(model: FittedModel, cfg: FitConfig,
-                  x_names=None, z_names=None) -> dict:
-    """JSON bundle: sparse coefficients, network, config echo, diagnostics."""
-    out = {
+def model_to_dict(model: FittedModel, cfg: FitConfig, x_names, z_names) -> dict:
+    """JSON bundle: sparse coefficients, network, column names, config echo,
+    diagnostics."""
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "p": int(model.beta_hat.size),
         "beta": [[int(j), float(model.beta_hat[j])] for j in model.support],
         "network": network_to_dict(model.net),
+        "columns": {"x": list(x_names), "z": list(z_names)},
         "config": asdict(cfg),
         "diagnostics": {
             "loss_path": [float(v) for v in model.diagnostics.get("loss_path", [])],
@@ -269,9 +272,6 @@ def model_to_dict(model: FittedModel, cfg: FitConfig,
             "lambda_selected": model.lam,
         },
     }
-    if x_names is not None:
-        out["columns"] = {"x": list(x_names), "z": list(z_names or [])}
-    return out
 
 
 def _is_int(value) -> bool:
@@ -280,8 +280,8 @@ def _is_int(value) -> bool:
 
 def model_from_dict(data: dict) -> FittedModel:
     """The model of a model_to_dict record; raises ValueError when the
-    record is not one (a bad sparse beta or columns record included).
-    Column names, when present, are counted before beta is allocated."""
+    record is not one (a bad sparse beta or missing or bad column names
+    included).  The column names are counted before beta is allocated."""
     if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise ValueError("not a model record")
     if data.get("version") != MODEL_VERSION:
@@ -291,16 +291,17 @@ def model_from_dict(data: dict) -> FittedModel:
         raise ValueError("p must be an integer >= 1")
     net = network_from_dict(data["network"])
     columns = data.get("columns")
-    if columns is not None:
-        if not isinstance(columns, dict):
-            raise ValueError("columns must be an object")
-        for key, width in (("x", p), ("z", net.input_dim)):
-            names = columns.get(key)
-            if (not isinstance(names, list) or len(names) != width
-                    or not all(isinstance(name, str) for name in names)
-                    or len(set(names)) != width):
-                raise ValueError("columns %s must be %d distinct names"
-                                 % (key, width))
+    if columns is None:
+        raise ValueError("model file lacks column names")
+    if not isinstance(columns, dict):
+        raise ValueError("columns must be an object")
+    for key, width in (("x", p), ("z", net.input_dim)):
+        names = columns.get(key)
+        if (not isinstance(names, list) or len(names) != width
+                or not all(isinstance(name, str) for name in names)
+                or len(set(names)) != width):
+            raise ValueError("columns %s must be %d distinct names"
+                             % (key, width))
     beta = np.zeros(p)
     seen = set()
     for entry in data["beta"]:

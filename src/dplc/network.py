@@ -77,8 +77,8 @@ class AdamState:
     def __post_init__(self):
         if not (0.0 < self.r1 < 1.0 and 0.0 < self.r2 < 1.0):
             raise ValueError("decay rates must be in (0, 1)")
-        if self.gamma <= 0.0 or self.eps0 <= 0.0:
-            raise ValueError("gamma and eps0 must be > 0")
+        if not (0.0 < self.gamma < np.inf and 0.0 < self.eps0 < np.inf):
+            raise ValueError("gamma and eps0 must be finite and > 0")
 
 
 def init_network(arch: NetworkArch, input_dim: int, seed) -> Network:

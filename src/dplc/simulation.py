@@ -18,7 +18,7 @@ import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -299,21 +299,6 @@ def simulate_dataset(cfg: SimConfig, replicate: int = 0) -> SimulatedData:
                          censoring_rate=float(1.0 - status.mean()))
 
 
-@dataclass(frozen=True)
-class MethodConfig:
-    """One method entry in an experiment: a fit config plus its lambda grid."""
-
-    name: str
-    fit: FitConfig
-    lambda_grid: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_grid",
-                           tuple(float(l) for l in self.lambda_grid))
-        if not self.lambda_grid:
-            raise ValueError("lambda_grid is empty")
-
-
 @dataclass
 class ReplicateRow:
     """One (replicate, method) outcome; error is set when the fit failed."""
@@ -343,24 +328,24 @@ def _run_replicate(args):
     try:
         data = simulate_dataset(sim_cfg, rep)
     except Exception as exc:  # generation failures poison every method
-        return [ReplicateRow(replicate=rep, method=m.name,
+        return [ReplicateRow(replicate=rep, method=method,
                              censoring_rate=float("nan"),
                              error="generation failed: %s" % exc)
-                for m in methods]
+                for method in methods]
     split_rng = np.random.default_rng(
         np.random.SeedSequence([sim_cfg.seed, rep, 424243]))
     train_idx, test_idx = stratified_split(data.dataset.status, 0.2, split_rng)
     train_ds = subset(data.dataset, train_idx)
     test_ds = subset(data.dataset, test_idx)
-    for m in methods:
-        row = ReplicateRow(replicate=rep, method=m.name,
+    for method, cfg in methods.items():
+        row = ReplicateRow(replicate=rep, method=method,
                            censoring_rate=data.censoring_rate)
         try:
-            name_tag = zlib.crc32(m.name.encode("utf-8"))
-            fit_cfg = replace(m.fit, seed=int(
+            name_tag = zlib.crc32(method.encode("utf-8"))
+            fit_cfg = replace(cfg, seed=int(
                 np.random.SeedSequence([sim_cfg.seed, rep, name_tag])
                 .generate_state(1)[0]))
-            best, _ = tune_lambda(train_ds, m.lambda_grid, fit_cfg)
+            best, _ = tune_lambda(train_ds, fit_cfg)
             row.lambda_selected = best.lam
             eta_test = predict_eta(best, test_ds.x, test_ds.z)
             row.c_index_test = c_index(eta_test, test_ds.times, test_ds.status)
@@ -381,9 +366,9 @@ def _run_replicate(args):
 
 def _aggregate(rows, methods):
     summary = {}
-    for m in methods:
-        ok = [r for r in rows if r.method == m.name and r.error is None]
-        failed = [r for r in rows if r.method == m.name and r.error is not None]
+    for method in methods:
+        ok = [r for r in rows if r.method == method and r.error is None]
+        failed = [r for r in rows if r.method == method and r.error is not None]
         entry = {"replicates_ok": len(ok), "replicates_failed": len(failed)}
         if ok:
             cvals = np.array([r.c_index_test for r in ok])
@@ -398,26 +383,25 @@ def _aggregate(rows, methods):
                         if vals.size > 1 else 0.0
                     entry[name] = {"mean": float(vals.mean()), "se": se,
                                    "n": int(vals.size)}
-        summary[m.name] = entry
+        summary[method] = entry
     return summary
 
 
-def run_experiment(sim_cfg: SimConfig, methods: Sequence[MethodConfig],
+def run_experiment(sim_cfg: SimConfig, methods: dict[str, FitConfig],
                    n_workers: int = 1, row_callback=None):
     """Run every method on sim_cfg.replicates independently generated
     datasets; returns (rows, summary).
 
-    All methods within a replicate see the same data and the same split.
+    methods maps each method's name to its FitConfig, lambda grid included;
+    rows and summary keep the dict's order.  All methods within a
+    replicate see the same data and the same split.
     Replicates run in parallel on up to n_workers processes, never more
     than there are replicates; rows are always delivered (and passed to
     row_callback) in replicate order, so outputs are reproducible for a
     fixed master seed.  Failed replicates are recorded in their rows,
     never dropped.
     """
-    names = [m.name for m in methods]
-    if len(set(names)) != len(names):
-        raise ValueError("method names must be unique")
-    jobs = [(sim_cfg, tuple(methods), rep) for rep in range(sim_cfg.replicates)]
+    jobs = [(sim_cfg, methods, rep) for rep in range(sim_cfg.replicates)]
     # the pool starts all its workers on the first submit
     n_workers = min(n_workers, sim_cfg.replicates)
     all_rows = []

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dplc import (AdamState, FitConfig, MethodConfig, NetworkArch,
+from dplc import (AdamState, FitConfig, NetworkArch,
                   ScadConfig, SimConfig, cd_fit, cox_terms, forward,
                   init_network, loss_and_grads, run_experiment,
                   scad_threshold, simulate_dataset)
@@ -28,7 +28,7 @@ LAMBDA_GRID = (0.05, 0.08, 0.12, 0.19, 0.3, 0.48, 0.76, 1.2, 1.9, 3.0, 5.0)
 
 
 def desk_cfg(hidden=(8, 8), dropout=0.3, lr=0.02, inner=20, outer=15):
-    return FitConfig(scad=ScadConfig(lam=0.3),
+    return FitConfig(scad=ScadConfig(lam=0.3), lambda_grid=LAMBDA_GRID,
                      arch=NetworkArch(hidden, dropout),
                      adam=AdamState(gamma=lr),
                      inner_steps=inner, max_outer=outer, seed=0)
@@ -146,8 +146,7 @@ def test_null_calibration():
     start = time.time()
     sim = SimConfig(n=300, p=50, r=8, s_beta=0, g0_kind="zero",
                     replicates=20, seed=MASTER_SEED)
-    methods = [MethodConfig("dplc", desk_cfg(), LAMBDA_GRID)]
-    rows, _ = run_experiment(sim, methods)
+    rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
     cs = [r.c_index_test for r in rows if r.error is None]
     med = float(np.median(cs))
     elapsed = time.time() - start
@@ -162,8 +161,7 @@ def test_linear_truth_desk_reproduction():
     start = time.time()
     sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="linear",
                     replicates=20, seed=MASTER_SEED)
-    methods = [MethodConfig("dplc", desk_cfg(), LAMBDA_GRID)]
-    rows, _ = run_experiment(sim, methods)
+    rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
     good = [r for r in rows if r.error is None]
     med_c = float(np.median([r.c_index_test for r in good]))
     mean_fnr = float(np.mean([r.fnr_pct for r in good]))
@@ -182,9 +180,7 @@ def test_nonlinear_ordering():
     sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="nonlinear",
                     replicates=10, seed=MASTER_SEED)
     cfg = desk_cfg(hidden=(16, 16), outer=20)
-    methods = [MethodConfig("dplc", cfg, LAMBDA_GRID),
-               MethodConfig("cox_scad", replace(cfg, fit_g=False),
-                            LAMBDA_GRID)]
+    methods = {"dplc": cfg, "cox_scad": replace(cfg, fit_g=False)}
     rows, _ = run_experiment(sim, methods)
     med = {}
     for name in ("dplc", "cox_scad"):
@@ -207,8 +203,7 @@ def test_selection_consistency_trend():
     for n in (300, 600, 1200):
         sim = SimConfig(n=n, p=100, r=8, s_beta=10, g0_kind="linear",
                         replicates=10, seed=MASTER_SEED + n)
-        rows, _ = run_experiment(sim, [MethodConfig("dplc", desk_cfg(),
-                                                    LAMBDA_GRID)])
+        rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
         good = [r for r in rows if r.error is None]
         means["fnn"].append(float(np.mean([r.fnn for r in good])))
         means["fpn"].append(float(np.mean([r.fpn for r in good])))
@@ -244,8 +239,8 @@ def test_cli_determinism(tmp_path):
         "seed": int(MASTER_SEED % 100000),
         "sim": {"n": 120, "p": 6, "r": 8, "s_beta": 2, "replicates": 2},
         "fit": {"arch": {"hidden_widths": [4], "dropout_rate": 0.3},
-                "inner_steps": 10, "max_outer": 6},
-        "lambda_grid": [0.05, 0.15, 0.45],
+                "inner_steps": 10, "max_outer": 6,
+                "lambda_grid": [0.05, 0.15, 0.45]},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

@@ -20,8 +20,8 @@ def small_config(tmp_path):
         "seed": 7,
         "sim": {"n": 120, "p": 6, "r": 8, "s_beta": 2, "replicates": 2},
         "fit": {"arch": {"hidden_widths": [4], "dropout_rate": 0.0},
-                "inner_steps": 10, "max_outer": 6},
-        "lambda_grid": [0.05, 0.15, 0.45],
+                "inner_steps": 10, "max_outer": 6,
+                "lambda_grid": [0.05, 0.15, 0.45]},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -231,6 +231,16 @@ class TestFit:
             lams = [float(r["lambda"]) for r in csv.DictReader(fh)]
         assert lams == [0.1, 0.4]
 
+    def test_model_echoes_the_flag_grid(self, tmp_path, small_config):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        assert run("fit", "--data", str(data_csv), "--config", small_config,
+                   "--out", str(fit_dir), "--lambda-grid", "0.1,0.4") == 0
+        with open(fit_dir / "bic_path.csv") as fh:
+            lams = [float(r["lambda"]) for r in csv.DictReader(fh)]
+        echo = json.loads((fit_dir / "model.json").read_text())["config"]
+        assert echo["lambda_grid"] == lams
+
     def test_repeated_lambda_saves_bic_minimizer(self, tmp_path, small_config,
                                                  capsys):
         data_csv, _ = simulate_into(tmp_path, small_config)
@@ -258,6 +268,8 @@ class TestFit:
     @pytest.mark.parametrize("arch_grid, message", [
         ("depths=1;widths=2;dropout=0.0,1.5", "dropout_rate"),
         ("depths=1;widths=2;dropout=0.0;lr=0.01,0", "gamma"),
+        ("depths=1;widths=2;dropout=0.0;lr=nan", "gamma"),
+        ("depths=1;widths=2;dropout=0.0;lr=inf", "gamma"),
         ("depths=1;widths=0,2;dropout=0.0", "widths"),
         ("depths=-1,1;widths=2;dropout=0.0", "depths"),
     ])
@@ -306,7 +318,8 @@ class TestConfig:
         ("simulate", '{"sim": {"mu": NaN}}', "sim.mu"),
         ("fit", '{"fit": {"outer_tol": NaN}}', "fit.outer_tol"),
         ("fit", '{"fit": {"scad": {"lam": 1e400}}}', "fit.scad.lam"),
-        ("fit", '{"lambda_grid": [0.1, -Infinity]}', "lambda_grid[1]"),
+        ("fit", '{"fit": {"lambda_grid": [0.1, -Infinity]}}',
+         "fit.lambda_grid[1]"),
         ("fit", '{"fit": {"max_outer": 2.7}}', "fit.max_outer"),
         ("benchmark", '{"benchmark": {"threads": 2.5}}', "benchmark.threads"),
         ("simulate", '{"seed": 1.5}', "seed"),
@@ -355,6 +368,7 @@ class TestConfig:
         ('{"fit": {"fit_g": false}}', "fit.fit_g"),
         ('{"sim": {"seed": 3}}', "sim.seed"),
         ('{"fit": {"arch": {"input_dim": 8}}}', "fit.arch.input_dim"),
+        ('{"lambda_grid": [0.1, 0.4]}', "lambda_grid"),
     ])
     def test_keys_outside_the_schema_exit_2(self, tmp_path, capsys, text,
                                             key):
@@ -719,7 +733,7 @@ class TestBenchmark:
     def test_negative_lambda_in_config_exit_2(self, tmp_path, small_config,
                                               capsys):
         cfg = json.loads(open(small_config).read())
-        cfg["lambda_grid"] = [-1, 0.5]
+        cfg["fit"]["lambda_grid"] = [-1, 0.5]
         path = tmp_path / "neg.json"
         path.write_text(json.dumps(cfg))
         code = run("benchmark", "--config", str(path),

@@ -73,9 +73,8 @@ class TestFit:
                                 seed=100 + seed)
             data = simulate_dataset(cfg_sim, 0)
             top2 = data.support0[np.argsort(-np.abs(data.beta0[data.support0]))][:2]
-            _, path = tune_lambda(data.dataset,
-                                  (0.05, 0.1, 0.2, 0.4, 0.8),
-                                  quick_cfg(seed=seed))
+            _, path = tune_lambda(data.dataset, quick_cfg(
+                seed=seed, lambda_grid=(0.05, 0.1, 0.2, 0.4, 0.8)))
             best = min(path, key=lambda m: m.diagnostics["bic"])
             if set(top2) <= set(best.support):
                 hits += 1
@@ -97,6 +96,21 @@ class TestFit:
     def test_config_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="outer_tol"):
             FitConfig(outer_tol=tol)
+
+    def test_config_rejects_bad_lambda_grid(self):
+        for grid in ([], [0.5, 0.1]):
+            with pytest.raises(ValueError, match="non-empty and ascending"):
+                FitConfig(lambda_grid=grid)
+        for grid in ([-0.1, 0.5], [0.1, np.inf], [np.nan]):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                FitConfig(lambda_grid=grid)
+
+    def test_config_stores_lambda_grid_as_float_tuple(self):
+        cfg = FitConfig(lambda_grid=[0, np.float64(0.5), 2])
+        assert cfg.lambda_grid == (0.0, 0.5, 2.0)
+        assert all(type(lam) is float for lam in cfg.lambda_grid)
+        default = FitConfig().lambda_grid
+        assert len(default) == 12 and (default[0], default[-1]) == (0.05, 5.0)
 
 
 class TestPredictEta:
@@ -174,13 +188,13 @@ class TestBic:
 class TestTuneLambda:
     def test_single_value_grid(self):
         data = sim_data(1, n=80, p=4)
-        best, path = tune_lambda(data.dataset, [0.3], quick_cfg())
+        best, path = tune_lambda(data.dataset, quick_cfg(lambda_grid=[0.3]))
         assert best.lam == 0.3 and len(path) == 1 and path[0] is best
 
     def test_path_holds_the_fitted_models_in_grid_order(self):
         data = sim_data(1, n=80, p=4)
-        cfg = quick_cfg(max_outer=3)
-        best, path = tune_lambda(data.dataset, [0.1, 0.3], cfg)
+        cfg = quick_cfg(max_outer=3, lambda_grid=[0.1, 0.3])
+        best, path = tune_lambda(data.dataset, cfg)
         assert [m.lam for m in path] == [0.1, 0.3]
         assert any(m is best for m in path)
         cold = fit(data.dataset, replace(cfg, scad=replace(cfg.scad, lam=0.1)))
@@ -191,25 +205,18 @@ class TestTuneLambda:
         # different BICs; the chosen entry is the minimizer, not the
         # first entry with the chosen lambda.
         data = sim_data(0, n=100, p=5)
-        best, path = tune_lambda(data.dataset, [0.1, 0.1, 0.1],
-                                 quick_cfg(max_outer=3))
+        best, path = tune_lambda(data.dataset, quick_cfg(
+            max_outer=3, lambda_grid=[0.1, 0.1, 0.1]))
         bics = [m.diagnostics["bic"] for m in path]
         assert len(set(bics)) == 3
         assert best is path[int(np.argmin(bics))]
-
-    def test_rejects_bad_grid(self):
-        data = sim_data(1, n=80, p=4)
-        with pytest.raises(ValueError):
-            tune_lambda(data.dataset, [], quick_cfg())
-        with pytest.raises(ValueError):
-            tune_lambda(data.dataset, [0.5, 0.1], quick_cfg())
 
     def test_tie_broken_toward_larger_lambda(self):
         # With no events every fit is null and all BIC values tie.
         ds = make_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0],
                           x=np.eye(4)[:, :3],
                           z=np.linspace(0, 1, 8).reshape(4, 2))
-        best, path = tune_lambda(ds, [0.1, 0.5, 2.0], quick_cfg())
+        best, path = tune_lambda(ds, quick_cfg(lambda_grid=[0.1, 0.5, 2.0]))
         assert len({m.diagnostics["bic"] for m in path}) == 1
         assert best is path[-1]
 
@@ -219,9 +226,9 @@ class TestTuneLambda:
             cfg_sim = SimConfig(n=300, p=20, r=8, s_beta=0, g0_kind="zero",
                                 seed=300 + seed)
             data = simulate_dataset(cfg_sim, 0)
-            _, path = tune_lambda(data.dataset,
-                                  (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2),
-                                  quick_cfg(hidden=(4,), seed=seed))
+            _, path = tune_lambda(data.dataset, quick_cfg(
+                hidden=(4,), seed=seed,
+                lambda_grid=(0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)))
             low = min(m.diagnostics["bic"] for m in path)
             chosen = max((m for m in path if m.diagnostics["bic"] == low),
                          key=lambda m: m.lam)
@@ -237,7 +244,8 @@ class TestTuneLambda:
             cfg_sim = SimConfig(n=250, p=20, r=8, s_beta=4, g0_kind="linear",
                                 seed=600 + seed)
             data = simulate_dataset(cfg_sim, 0)
-            best, _ = tune_lambda(data.dataset, grid, quick_cfg(seed=seed))
+            best, _ = tune_lambda(data.dataset,
+                                  quick_cfg(seed=seed, lambda_grid=grid))
             if grid[0] < best.lam < grid[-1]:
                 interior += 1
         assert interior > runs / 2
@@ -249,8 +257,8 @@ class TestTuneLambda:
         grid = (0.05, 0.1, 0.2, 0.4)
         for seed in range(6):
             data = sim_data(40 + seed, n=300, p=10, s_beta=2)
-            cfg = quick_cfg(seed=seed)
-            _, path = tune_lambda(data.dataset, grid, cfg)
+            cfg = quick_cfg(seed=seed, lambda_grid=grid)
+            _, path = tune_lambda(data.dataset, cfg)
             for model in path:
                 cold = fit(data.dataset,
                            replace(cfg, scad=replace(cfg.scad, lam=model.lam)))
@@ -327,3 +335,14 @@ class TestPersistence:
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             model_from_dict({"format": "nope"})
+
+    def test_rejects_missing_columns_before_allocating_p(self):
+        data = sim_data(12, n=120, p=8, s_beta=2)
+        cfg = quick_cfg(lam=0.1)
+        record = model_to_dict(fit(data.dataset, cfg), cfg,
+                               x_names=[f"x_{j}" for j in range(8)],
+                               z_names=[f"z_{k}" for k in range(8)])
+        del record["columns"]
+        record["p"] = 10 ** 13
+        with pytest.raises(ValueError, match="lacks column names"):
+            model_from_dict(record)

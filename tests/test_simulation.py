@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dplc import (FitConfig, MethodConfig, NetworkArch, ScadConfig, SimConfig,
+from dplc import (FitConfig, NetworkArch, ScadConfig, SimConfig,
                   c_index, calibrate_censoring, g0_eval, gen_beta0,
                   gen_covariates, gen_survival, run_experiment,
-                  selection_metrics, simulate_dataset)
+                  selection_metrics, simulate_dataset, tune_lambda)
 from dplc.simulation import ReplicateCsvWriter, censoring_rate
 
 
@@ -45,8 +45,8 @@ def blocked_c_index(risk, times, status, block=256):
     return float((concordant + 0.5 * tied) / total)
 
 
-def small_fit_cfg(seed=0):
-    return FitConfig(scad=ScadConfig(lam=0.2),
+def small_fit_cfg(lambda_grid, seed=0):
+    return FitConfig(scad=ScadConfig(lam=0.2), lambda_grid=lambda_grid,
                      arch=NetworkArch((4,), 0.0),
                      max_outer=6, seed=seed)
 
@@ -367,7 +367,7 @@ class TestSimulateDataset:
 class TestRunExperiment:
     def test_single_replicate_deterministic(self):
         sim = SimConfig(n=120, p=6, r=8, s_beta=2, seed=21)
-        methods = [MethodConfig("dplc", small_fit_cfg(), (0.1, 0.4))]
+        methods = {"dplc": small_fit_cfg((0.1, 0.4))}
         sim = replace(sim, replicates=1)
         (a,), _ = run_experiment(sim, methods)
         (b,), _ = run_experiment(sim, methods)
@@ -375,11 +375,17 @@ class TestRunExperiment:
         assert a.lambda_selected == b.lambda_selected
         assert a.fpn == b.fpn and a.fnn == b.fnn
 
-    def test_failed_method_recorded_not_raised(self):
+    def test_failed_method_recorded_not_raised(self, monkeypatch):
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=3)
-        # tune_lambda rejects a descending grid inside every replicate
-        methods = [MethodConfig("good", small_fit_cfg(), (0.2,)),
-                   MethodConfig("bad", small_fit_cfg(), (0.4, 0.2))]
+
+        def fails_for_bad(dataset, cfg):
+            # the runner reseeds each config; the grid marks the bad method
+            if cfg.lambda_grid == (0.4,):
+                raise ValueError("bad method")
+            return tune_lambda(dataset, cfg)
+
+        monkeypatch.setattr("dplc.simulation.tune_lambda", fails_for_bad)
+        methods = {"good": small_fit_cfg((0.2,)), "bad": small_fit_cfg((0.4,))}
         rows, summary = run_experiment(replace(sim, replicates=2), methods)
         good = [r for r in rows if r.method == "good"]
         bad = [r for r in rows if r.method == "bad"]
@@ -389,7 +395,7 @@ class TestRunExperiment:
 
     def test_summary_se_is_sd_over_sqrt_n(self):
         sim = SimConfig(n=150, p=8, r=8, s_beta=2, seed=13)
-        methods = [MethodConfig("dplc", small_fit_cfg(), (0.1, 0.3))]
+        methods = {"dplc": small_fit_cfg((0.1, 0.3))}
         rows, summary = run_experiment(replace(sim, replicates=4), methods)
         vals = np.array([r.fpn for r in rows if r.error is None], dtype=float)
         expected = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -400,7 +406,7 @@ class TestRunExperiment:
 
     def test_parallel_matches_sequential(self):
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=8)
-        methods = [MethodConfig("dplc", small_fit_cfg(), (0.2, 0.6))]
+        methods = {"dplc": small_fit_cfg((0.2, 0.6))}
         sim = replace(sim, replicates=3)
         seq, _ = run_experiment(sim, methods, n_workers=1)
         par, _ = run_experiment(sim, methods, n_workers=2)
@@ -428,7 +434,7 @@ class TestRunExperiment:
         monkeypatch.setattr("dplc.simulation.ProcessPoolExecutor",
                             InProcessPool)
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=8)
-        methods = [MethodConfig("dplc", small_fit_cfg(), (0.2,))]
+        methods = {"dplc": small_fit_cfg((0.2,))}
         rows, _ = run_experiment(replace(sim, replicates=2), methods,
                                  n_workers=10_000)
         assert [r.replicate for r in rows] == [0, 1]
@@ -437,7 +443,7 @@ class TestRunExperiment:
 
     def test_empty_truth_skips_fn_metrics(self):
         sim = SimConfig(n=120, p=5, r=8, s_beta=0, g0_kind="zero", seed=5)
-        methods = [MethodConfig("dplc", small_fit_cfg(), (0.3,))]
+        methods = {"dplc": small_fit_cfg((0.3,))}
         (row,), _ = run_experiment(replace(sim, replicates=1), methods)
         assert row.error is None
         assert row.fnn is None and row.fnr_pct is None
@@ -448,7 +454,7 @@ class TestReplicateCsvWriter:
     def test_rows_flushed_incrementally(self, tmp_path):
         path = tmp_path / "rows.csv"
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=9)
-        methods = [MethodConfig("dplc", small_fit_cfg(), (0.3,))]
+        methods = {"dplc": small_fit_cfg((0.3,))}
         seen = []
 
         with ReplicateCsvWriter(path) as sink:

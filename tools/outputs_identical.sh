@@ -6,8 +6,9 @@
 # Unpacks src/ at REV with `git archive` into a temporary directory (no
 # worktree), then runs the same commands against that copy and against the
 # working tree's src/: simulate --seed 0, the default fit, a fit with a
-# small architecture grid, predict with the default fit's model, and
-# benchmark with {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2.
+# small architecture grid, a fit with --lambda-grid 0.05,0.1,0.2, predict
+# with the default fit's model, and benchmark with
+# {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2.
 # Every output file, stdout and stderr included, is compared with diff -r;
 # the exit status is non-zero on any difference.
 set -u
@@ -33,6 +34,8 @@ run_side() {  # run_side SRC OUT
     run fit fit --data sim/dataset.csv --out fit
     run fit_arch fit --data sim/dataset.csv --out fit_arch \
         --arch-grid "depths=1;widths=2,4;dropout=0.3;lr=0.01"
+    run fit_grid fit --data sim/dataset.csv --out fit_grid \
+        --lambda-grid 0.05,0.1,0.2
     run predict predict --model fit/model.json --data sim/dataset.csv \
         --out predict.csv
     for s in 0 1 2; do

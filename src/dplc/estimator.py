@@ -2,16 +2,21 @@
 
 One outer iteration runs a short Adam pass on the network with the linear
 coefficients held fixed, then penalized coordinate descent on the
-coefficients with the network held fixed.  The loop stops when the L2
-change of the coefficients plus the empirical L2 change of the network
-outputs drops below the outer tolerance.  Tuning utilities pick the
-penalty strength by BIC over a grid (warm-started along the path) and the
-architecture by held-out partial likelihood or BIC.
+coefficients with the network held fixed.  One Adam state is carried
+through all outer iterations of a fit, at step size gamma / k in outer
+iteration k (Kingma & Ba 2015).  The loop stops once the eval-mode
+penalized loss has changed by at most outer_tol, relative, on
+OUTER_WINDOW consecutive outer iterations with the coefficient support
+unchanged.  Tuning utilities pick the penalty strength by BIC over a grid
+(warm-started along the path) and the architecture by held-out partial
+likelihood or BIC.
 """
 
 from __future__ import annotations
 
+import logging
 import sys
+import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -24,6 +29,10 @@ from .network import (AdamState, Network, NetworkArch, adam_fit, center,
                       network_to_dict, zero_network)
 from .scad import ScadConfig, scad_value
 from .survival import SurvivalDataset, cox_terms, stratified_split, subset
+
+logger = logging.getLogger(__name__)
+
+OUTER_WINDOW = 2  # consecutive stable outer iterations that end a fit
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class FitConfig:
     adam_tol: float = 1e-7
     cd_tol: float = 1e-5
     max_sweeps: int = 100
-    outer_tol: float = 1e-4
+    outer_tol: float = 1e-3
     max_outer: int = 25
     fit_g: bool = True
     seed: int = 0
@@ -88,7 +97,17 @@ def _penalty_total(beta, scad_cfg):
 
 def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
         beta_init=None, net_init: Optional[Network] = None) -> FittedModel:
-    """Alternate network and coefficient updates until both stabilize."""
+    """Alternate network and coefficient updates until both stabilize.
+
+    Outer iteration k runs cfg.inner_steps Adam steps at step size
+    cfg.adam.gamma / k, continuing the Adam moments of iteration k - 1,
+    then coordinate descent on beta.  The fit has converged once the
+    eval-mode penalized loss (diagnostics "loss_path") has changed by at
+    most cfg.outer_tol, relative to its previous value, on OUTER_WINDOW
+    consecutive outer iterations with the support of beta unchanged over
+    them; otherwise it stops after cfg.max_outer iterations with
+    "converged" False.
+    """
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
     if net_init is not None and net_init.input_dim != dataset.r:
@@ -114,24 +133,27 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
 
     loss_path = [penalized_loss(beta, g_vals)]
     cd_sweeps = []
-    converged = False
-    for _ in range(cfg.max_outer):
+    moments = {}
+    stable = 0
+    for k in range(1, cfg.max_outer + 1):
         if cfg.fit_g:
-            adam_fit(net, dataset, beta, cfg.adam,
+            adam_fit(net, dataset, beta,
+                     replace(cfg.adam, gamma=cfg.adam.gamma / k),
                      inner_steps=cfg.inner_steps, tol=cfg.adam_tol,
-                     rng=adam_rng)
-        g_new = forward(net, dataset.z)
+                     rng=adam_rng, moments=moments)
+        g_vals = forward(net, dataset.z)
         cd_info = {}
-        beta_new = cd_fit(dataset, g_new, beta, cfg.scad,
+        beta_new = cd_fit(dataset, g_vals, beta, cfg.scad,
                           tol=cfg.cd_tol, max_sweeps=cfg.max_sweeps,
                           info=cd_info)
         cd_sweeps.append(cd_info["sweeps"])
-        loss_path.append(penalized_loss(beta_new, g_new))
-        delta = float(np.linalg.norm(beta_new - beta)) \
-            + float(np.sqrt(np.mean((g_new - g_vals) ** 2)))
-        beta, g_vals = beta_new, g_new
-        if delta <= cfg.outer_tol:
-            converged = True
+        loss_path.append(penalized_loss(beta_new, g_vals))
+        settled = (np.array_equal(beta_new != 0.0, beta != 0.0)
+                   and abs(loss_path[-1] - loss_path[-2])
+                   <= cfg.outer_tol * abs(loss_path[-2]))
+        beta = beta_new
+        stable = stable + 1 if settled else 0
+        if stable == OUTER_WINDOW:
             break
 
     support = np.flatnonzero(beta != 0.0)
@@ -140,7 +162,7 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
                             "loss_path": loss_path,
                             "outer_iters": len(cd_sweeps),
                             "cd_sweeps": cd_sweeps,
-                            "converged": converged,
+                            "converged": stable == OUTER_WINDOW,
                         })
     model.diagnostics["bic"] = bic(model, dataset)
     return model
@@ -178,13 +200,20 @@ def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig):
     Each fit is warm-started from the previous grid point's coefficients
     and network.  BIC ties go to the later grid point, so the larger
     penalty (the sparser model).  Returns (best, path): path holds the
-    fitted models in grid order and best is one of them.
+    fitted models in grid order and best is one of them.  Each fit is
+    logged at INFO level.
     """
     path = []
     beta_warm, net_warm = None, None
     for lam in cfg.lambda_grid:
         cfg_lam = replace(cfg, scad=replace(cfg.scad, lam=lam))
+        start = time.perf_counter()
         model = fit(dataset, cfg_lam, beta_init=beta_warm, net_init=net_warm)
+        info = model.diagnostics
+        logger.info("lambda=%g selected=%d bic=%.6g outer_iters=%d "
+                    "converged=%s seconds=%.3f", lam, model.n_selected,
+                    info["bic"], info["outer_iters"], info["converged"],
+                    time.perf_counter() - start)
         path.append(model)
         beta_warm, net_warm = model.beta_hat, model.net
     # min keeps the first of equal keys, so scan from the largest penalty

@@ -5,8 +5,8 @@ Hidden layers use ReLU with inverted dropout (survivors scaled at train
 time, so evaluation is a plain forward pass); the output layer is linear
 because the risk term must take both signs.  Training runs a short Adam
 loop on the partial-likelihood loss with the linear coefficients held
-fixed, and the fitted network is recentered so its average over the
-training z is zero.
+fixed, optionally continuing a caller's Adam moments, and the fitted
+network is recentered so its average over the training z is zero.
 """
 
 from __future__ import annotations
@@ -180,28 +180,38 @@ def loss_and_grads(net: Network, dataset: SurvivalDataset, beta_fixed,
 
 def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed,
              adam_cfg: AdamState, inner_steps: int = 20, tol: float = 1e-7,
-             rng=None) -> Network:
+             rng=None, moments=None) -> Network:
     """Run up to inner_steps Adam updates on the network, beta held fixed.
 
-    Moments restart at zero on every call; a long run is unnecessary
-    because the surrounding alternation revisits the network, and early
-    stopping keeps it from overfitting.  Stops once the parameter step has
-    L2 norm <= tol.  The returned network is recentered on the training z.
+    moments carries the Adam state between calls: a dict with the first
+    and second moment lists "m" and "v" and the step count "t", updated in
+    place.  An empty dict is filled with zero moments at t = 0; with
+    moments=None the moments start at zero and are dropped on return.  So
+    two calls that share one moments dict (and one rng) take the same
+    steps as one call running both step counts.  Stops once the parameter
+    step has L2 norm <= tol.  The returned network is recentered on the
+    training z.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
     r1, r2, gamma, eps0 = adam_cfg.r1, adam_cfg.r2, adam_cfg.gamma, adam_cfg.eps0
-    m = [(np.zeros_like(w), np.zeros_like(b))
-         for w, b in zip(net.weights, net.biases)]
-    v = [(np.zeros_like(w), np.zeros_like(b))
-         for w, b in zip(net.weights, net.biases)]
+    if moments is None:
+        moments = {}
+    if not moments:
+        moments["m"] = [(np.zeros_like(w), np.zeros_like(b))
+                        for w, b in zip(net.weights, net.biases)]
+        moments["v"] = [(np.zeros_like(w), np.zeros_like(b))
+                        for w, b in zip(net.weights, net.biases)]
+        moments["t"] = 0
+    m, v = moments["m"], moments["v"]
 
-    for t in range(1, inner_steps + 1):
+    for _ in range(inner_steps):
         loss, grads = loss_and_grads(net, dataset, beta_fixed, rng)
         if not np.isfinite(loss):
             raise NumericalDivergence("training diverged")
-        bc1 = 1.0 - r1 ** t
-        bc2 = 1.0 - r2 ** t
+        moments["t"] += 1
+        bc1 = 1.0 - r1 ** moments["t"]
+        bc2 = 1.0 - r2 ** moments["t"]
         step_sq = 0.0
         for l, (gw, gb) in enumerate(grads):
             mw, mb = m[l]

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dplc
 from dplc.cli import (load_dataset_csv, load_run_config, main, run_records,
                       write_selection_table)
 
@@ -68,6 +72,27 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_info_logs_each_lambda_default_stderr_repeats(self, tmp_path,
+                                                         small_config):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        env = dict(os.environ, PYTHONPATH=str(Path(dplc.__file__).parents[1]))
+        env.pop("DPLC_LOG", None)
+
+        def fit_stderr(name, **extra):
+            return subprocess.run(
+                [sys.executable, "-m", "dplc.cli", "fit", "--data",
+                 str(data_csv), "--config", small_config,
+                 "--out", str(tmp_path / name)],
+                env=dict(env, **extra), capture_output=True, check=True).stderr
+
+        quiet = fit_stderr("a")
+        assert quiet == fit_stderr("b") and b"dplc.estimator" not in quiet
+        lines = fit_stderr("c", DPLC_LOG="INFO").decode().splitlines()
+        fits = [line for line in lines
+                if line.startswith("INFO dplc.estimator: lambda=")]
+        assert [line.split()[2] for line in fits] == \
+            ["lambda=0.05", "lambda=0.15", "lambda=0.45"]
+
     def test_fit_then_predict_round_trip(self, tmp_path, small_config):
         data_csv, _ = simulate_into(tmp_path, small_config)
         fit_dir = tmp_path / "fit"
@@ -601,14 +626,16 @@ class TestPredict:
             "--out", str(fit_dir))
         bundle = json.loads((fit_dir / "model.json").read_text())
         beta = dict(bundle["beta"])
-        # beta'x overflows when every selected cell is 1e308 with beta's sign
-        assert sum(abs(b) for b in beta.values()) * 1e308 == np.inf
+        # beta'x overflows when every selected cell is the largest finite
+        # float with beta's sign, which takes only sum|beta| > 1
+        big = sys.float_info.max
+        assert sum(abs(b) for b in beta.values()) * big == np.inf
         with open(data_csv) as fh:
             rows = list(csv.reader(fh))
         for j, b in beta.items():
             col = rows[0].index(bundle["columns"]["x"][j])
             for row in rows[1:]:
-                row[col] = "1e308" if b > 0 else "-1e308"
+                row[col] = repr(big if b > 0 else -big)
         huge = tmp_path / "huge.csv"
         with open(huge, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)

@@ -1,6 +1,7 @@
 """Alternating estimator, BIC tuning, and model persistence."""
 
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,19 @@ class TestFit:
         model = fit(data.dataset, replace(quick_cfg(), fit_g=False))
         z_out = predict_eta(model, np.zeros((4, 8)), np.ones((4, 8)))
         assert np.all(z_out == 0.0)
+
+    def test_default_path_converges(self):
+        data = simulate_dataset(SimConfig(seed=1), 0)
+        _, path = tune_lambda(data.dataset, FitConfig())
+        assert sum(m.diagnostics["converged"] for m in path) >= 10
+        _, path = tune_lambda(data.dataset, FitConfig(fit_g=False))
+        assert all(m.diagnostics["converged"] for m in path)
+
+    def test_outer_cap_reports_not_converged(self):
+        data = simulate_dataset(SimConfig(seed=1), 0)
+        model = fit(data.dataset, FitConfig(max_outer=2))
+        assert model.diagnostics["converged"] is False
+        assert model.diagnostics["outer_iters"] == 2
 
     def test_arch_mismatch_rejected(self):
         data = sim_data(1, n=60, p=4, r=8)
@@ -199,6 +213,21 @@ class TestTuneLambda:
         assert any(m is best for m in path)
         cold = fit(data.dataset, replace(cfg, scad=replace(cfg.scad, lam=0.1)))
         assert np.array_equal(path[0].beta_hat, cold.beta_hat)
+
+    def test_logs_one_line_per_lambda(self, caplog):
+        data = sim_data(1, n=80, p=4)
+        with caplog.at_level(logging.INFO, logger="dplc.estimator"):
+            _, path = tune_lambda(data.dataset,
+                                  quick_cfg(lambda_grid=[0.1, 0.3]))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "dplc.estimator"]
+        assert len(lines) == 2
+        for line, model in zip(lines, path):
+            info = model.diagnostics
+            assert line.startswith(
+                "lambda=%g selected=%d bic=%.6g outer_iters=%d converged=%s "
+                "seconds=" % (model.lam, model.n_selected, info["bic"],
+                              info["outer_iters"], info["converged"]))
 
     def test_repeated_lambda_returns_bic_minimizer(self):
         # Warm starts keep moving the fit, so a repeated lambda gives

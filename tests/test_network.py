@@ -206,6 +206,24 @@ class TestAdamFit:
         adam_fit(net, ds, np.zeros(ds.p), AdamState(), inner_steps=10)
         assert abs(forward(net, ds.z).mean()) < 1e-10
 
+    def test_shared_moments_continue_the_same_steps(self):
+        ds = self._toy(seed=5, n=60)
+        beta = np.full(ds.p, 0.3)
+        cfg = AdamState(gamma=0.03)
+        one = init_network(NetworkArch((4, 4), 0.3), 2, seed=2)
+        two = one.copy()
+        adam_fit(one, ds, beta, cfg, inner_steps=20, tol=0.0,
+                 rng=np.random.default_rng(8))
+        moments, rng = {}, np.random.default_rng(8)
+        for _ in range(2):
+            adam_fit(two, ds, beta, cfg, inner_steps=10, tol=0.0, rng=rng,
+                     moments=moments)
+        assert moments["t"] == 20
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(one.weights + one.biases,
+                                   two.weights + two.biases))
+        assert one.center_offset == two.center_offset
+
     def test_divergence_raises(self):
         ds = self._toy()
         net = init_network(NetworkArch((3,), 0.0), 2, seed=0)

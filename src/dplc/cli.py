@@ -39,8 +39,6 @@ from .simulation import (ReplicateCsvWriter, SimConfig, c_index, fmt_value,
                          run_experiment, simulate_dataset)
 from .survival import SurvivalDataset
 
-logger = logging.getLogger(__name__)
-
 
 class CliInputError(Exception):
     """Bad input file, schema violation, or inconsistent configuration."""
@@ -115,10 +113,13 @@ def load_run_config(path) -> dict:
     if path is None:
         return copy.deepcopy(CONFIG_DEFAULTS)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
     except OSError as exc:
         raise CliInputError("cannot read config: %s" % exc)
+    except UnicodeDecodeError as exc:
+        raise CliInputError("config %s: not UTF-8 text (%s)"
+                            % (path, exc.reason))
     except json.JSONDecodeError as exc:
         raise CliInputError("config %s line %d column %d: %s"
                             % (path, exc.lineno, exc.colno, exc.msg))
@@ -165,57 +166,53 @@ def load_dataset_csv(path, require_outcome: bool = True):
     """Parse a dataset CSV into arrays plus the covariate column names.
 
     Returns (times, status, x, z, x_names, z_names); times/status are None
-    when absent and not required.
+    when absent and not required.  The file is read as UTF-8, a leading
+    byte-order mark dropped.  The data rows go through numpy's C parser
+    (`_read_floats`); a file that parser cannot take whole is read again
+    cell by cell (`_read_cells`), which accepts every cell Python's
+    float() does and names the first bad one.  Both give the same array.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliInputError("cannot read data: %s" % exc)
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliInputError("%s: empty file" % path)
-        names = [h.strip() for h in header]
-        if len(set(names)) != len(names):
-            raise CliInputError("%s: duplicate column names" % path)
-        col_of = {name: k for k, name in enumerate(names)}
-        x_names = [n for n in names if n.startswith("x_")]
-        z_names = [n for n in names if n.startswith("z_")]
-        extras = [n for n in names
-                  if n not in ("time", "status") and not n.startswith(("x_", "z_"))]
-        if extras:
-            raise CliInputError("%s: unrecognized columns: %s"
-                                % (path, ", ".join(extras)))
-        for required in ("time", "status") if require_outcome else ():
-            if required not in col_of:
-                raise CliInputError("%s: missing required column '%s'"
-                                    % (path, required))
-        if not x_names or not z_names:
-            raise CliInputError("%s: need at least one x_ and one z_ column"
-                                % path)
-
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                # a bad cell on an earlier line is reported first
-                raise CliInputError(
-                    _first_bad_cell(path, names, rows)
-                    or "%s line %d: expected %d cells, got %d"
-                    % (path, lineno, len(names), len(row)))
-            rows.append(row)
-        if not rows:
-            raise CliInputError("%s: no data rows" % path)
-
-    # numpy parses each cell with Python's float(), whitespace included
     try:
-        data = np.array(rows, dtype=float)
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        raise CliInputError(_first_bad_cell(path, names, rows)
-                            or "%s: cells are not all finite numbers" % path)
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CliInputError("%s: empty file" % path)
+            names = [h.strip() for h in header]
+            if len(set(names)) != len(names):
+                raise CliInputError("%s: duplicate column names" % path)
+            col_of = {name: k for k, name in enumerate(names)}
+            x_names = [n for n in names if n.startswith("x_")]
+            z_names = [n for n in names if n.startswith("z_")]
+            extras = [n for n in names if n not in ("time", "status")
+                      and not n.startswith(("x_", "z_"))]
+            if extras:
+                raise CliInputError("%s: unrecognized columns: %s"
+                                    % (path, ", ".join(extras)))
+            for required in ("time", "status") if require_outcome else ():
+                if required not in col_of:
+                    raise CliInputError("%s: missing required column '%s'"
+                                        % (path, required))
+            if not x_names or not z_names:
+                raise CliInputError(
+                    "%s: need at least one x_ and one z_ column" % path)
+
+            data = None
+            if fh.seekable():  # the fallback reads the rows a second time
+                data = _read_floats(fh, len(names))
+                if data is None:
+                    fh.seek(0)
+                    next(reader)
+            if data is None:
+                data = _read_cells(path, names, reader)
+    except UnicodeDecodeError as exc:
+        raise CliInputError("%s: not UTF-8 text (%s)" % (path, exc.reason))
+
     times = status = None
     if "time" in col_of:
         times = data[:, col_of["time"]]
@@ -230,6 +227,65 @@ def load_dataset_csv(path, require_outcome: bool = True):
     x = data[:, [col_of[n] for n in x_names]]
     z = data[:, [col_of[n] for n in z_names]]
     return times, status, x, z, x_names, z_names
+
+
+def _read_floats(fh, width):
+    """The rest of `fh` as a float array with one row per line, parsed by
+    numpy's C reader; None when the file needs `_read_cells` instead.
+
+    That is the case when the reader rejects a cell (it takes no
+    underscores, quotes or non-ASCII digits, which float() accepts), when
+    a value is not finite, when a row is not `width` cells wide, and when
+    a line is blank or there is none (the reader would skip the line or
+    warn, where a blank line is an error).
+    """
+    lines = 0
+
+    def data_lines():
+        nonlocal lines
+        for line in fh:
+            if line in ("\n", "\r\n", "\r"):
+                raise ValueError("blank line")
+            lines += 1
+            yield line
+        if not lines:
+            raise ValueError("no data rows")
+
+    try:
+        data = np.loadtxt(data_lines(), dtype=float, delimiter=",",
+                          comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (lines, width) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _read_cells(path, names, reader):
+    """The data rows of `reader` as a float array, read cell by cell with
+    float(); a CliInputError names the first row or cell that is not one
+    of `len(names)` finite numbers."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(names):
+            # a bad cell on an earlier line is reported first
+            raise CliInputError(
+                _first_bad_cell(path, names, rows)
+                or "%s line %d: expected %d cells, got %d"
+                % (path, lineno, len(names), len(row)))
+        rows.append(row)
+    if not rows:
+        raise CliInputError("%s: no data rows" % path)
+
+    # numpy parses each cell with Python's float(), whitespace included
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        raise CliInputError(_first_bad_cell(path, names, rows)
+                            or "%s: cells are not all finite numbers" % path)
+    return data
 
 
 def _first_bad_cell(path, names, rows):
@@ -294,6 +350,41 @@ def write_selection_table(path, beta, support, x_names):
                                            math.exp(beta[j])))
 
 
+# Rows per string handed to write(): enough to amortise the call, few
+# enough that the text of a block stays small next to the arrays.
+WRITE_BLOCK_ROWS = 1024
+
+
+def _write_rows(fh, line, columns):
+    """Write `line % row` for every row of `columns` set side by side
+    (a 1-D array is one column, a 2-D array several), a block of rows per
+    write.  Rows come from `.tolist()`, so `%r` writes each value's float
+    repr, the text `fmt_value` gives; a cell like that never needs CSV
+    quoting, so the bytes are those of csv.writer given `line`'s CRLF."""
+    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + WRITE_BLOCK_ROWS]
+                                 for c in columns])
+        fh.write("".join([line % tuple(row) for row in block.tolist()]))
+
+
+def write_dataset_csv(path, ds):
+    """A SurvivalDataset as the dataset CSV that `load_dataset_csv` reads:
+    `time`, `status` (an integer), then `x_1..x_p` and `z_1..z_r`."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["time", "status"]
+                                + ["x_%d" % (j + 1) for j in range(ds.p)]
+                                + ["z_%d" % (k + 1) for k in range(ds.r)])
+        _write_rows(fh, "%r,%d" + ",%r" * (ds.p + ds.r) + "\r\n",
+                    [ds.times, ds.status, ds.x, ds.z])
+
+
+def write_predictions_csv(path, eta):
+    """`predictions.csv`: the row number and linear predictor per row."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["row", "eta"])
+        _write_rows(fh, "%d,%r\r\n", [np.arange(eta.size), eta])
+
+
 def cmd_fit(args) -> int:
     config = load_run_config(args.config)
     _set_lambda_grid(config, args.lambda_grid)
@@ -349,10 +440,13 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     try:
-        with open(args.model) as fh:
+        with open(args.model, encoding="utf-8") as fh:
             bundle = json.load(fh)
     except OSError as exc:
         raise CliInputError("cannot read model: %s" % exc)
+    except UnicodeDecodeError as exc:
+        raise CliInputError("model %s: not UTF-8 text (%s)"
+                            % (args.model, exc.reason))
     except json.JSONDecodeError as exc:
         raise CliInputError("model %s line %d column %d: %s"
                             % (args.model, exc.lineno, exc.colno, exc.msg))
@@ -373,11 +467,7 @@ def cmd_predict(args) -> int:
     z = z[:, [z_names.index(n) for n in columns["z"]]]
 
     eta = predict_eta(model, x, z)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "eta"])
-        for i, value in enumerate(eta):
-            writer.writerow([i, fmt_value(float(value))])
+    write_predictions_csv(args.out, eta)
     if times is not None and status is not None:
         try:
             cidx = c_index(eta, times, status)
@@ -395,16 +485,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ds = data.dataset
     csv_path = os.path.join(args.out, "dataset.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "status"]
-                        + ["x_%d" % (j + 1) for j in range(ds.p)]
-                        + ["z_%d" % (k + 1) for k in range(ds.r)])
-        for i in range(ds.n):
-            writer.writerow([fmt_value(float(ds.times[i])),
-                             int(ds.status[i])]
-                            + [fmt_value(float(v)) for v in ds.x[i]]
-                            + [fmt_value(float(v)) for v in ds.z[i]])
+    write_dataset_csv(csv_path, ds)
     truth = {
         "beta0": [[int(j), float(data.beta0[j])] for j in data.support0],
         "support": [int(j) for j in data.support0],

@@ -706,6 +706,43 @@ class TestLoadDatasetCsv:
         assert capsys.readouterr().err == \
             "input error: %s %s\n" % (path, where)
 
+    def test_utf8_bom_is_dropped(self, tmp_path):
+        path = write_rows(tmp_path / "d.csv", [self.GOOD])
+        with open(path, "rb") as fh:
+            text = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + text)
+        times, _, x, _, x_names, _ = load_dataset_csv(path)
+        assert times.tolist() == [2.5] and x_names == ["x_1"]
+
+
+class TestFileEncoding:
+    ROWS = b"time,status,x_1,z_1\n" + b"1.5,1,0.25,-1\n" * 3000
+
+    @pytest.mark.parametrize("bad, prefix, content", [
+        ("data", "", b"time,\xffstatus,x_1,z_1\n1.5,1,0.25,-1\n"),
+        ("data", "", ROWS + b"1.5,1,\xe9,-1\n"),
+        ("config", "config ", b'{"seed": 1, "sim": {"\xff": 2}}'),
+        ("model", "model ", b'{"p": 1, "beta": "\xff"}'),
+    ], ids=["data_header", "data_row", "config", "model"])
+    def test_non_utf8_file_exit_2_names_it(self, tmp_path, capsys, bad,
+                                           prefix, content):
+        good = tmp_path / "good.csv"
+        good.write_bytes(self.ROWS)
+        path = tmp_path / ("bad_" + bad)
+        path.write_bytes(content)
+        out = str(tmp_path / "out")
+        argv = {"data": ["fit", "--data", str(path), "--out", out],
+                "config": ["fit", "--data", str(good), "--config", str(path),
+                           "--out", out],
+                "model": ["predict", "--model", str(path), "--data", str(good),
+                          "--out", out]}[bad]
+        assert run(*argv) == 2
+        reason = "invalid continuation byte" if b"\xe9" in content \
+            else "invalid start byte"
+        assert capsys.readouterr().err == "input error: %s%s: not UTF-8 " \
+            "text (%s)\n" % (prefix, path, reason)
+
 
 class TestBenchmark:
     def test_outputs_and_determinism(self, tmp_path, small_config):

@@ -7,7 +7,11 @@
 # worktree), then runs the same commands against that copy and against the
 # working tree's src/: simulate --seed 0, the default fit, a fit with a
 # small architecture grid, a fit with --lambda-grid 0.05,0.1,0.2, predict
-# with the default fit's model, and benchmark with
+# with the default fit's model on the simulated data and on a copy with
+# odd but valid cells (quoted, padded, digit-grouped; CRLF endings, so the
+# loader's cell-by-cell fallback reads it), simulate with
+# {"sim": {"n": 2500}} and predict on that (the CSV writers then cross
+# row-block boundaries), and benchmark with
 # {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2.
 # Every output file, stdout and stderr included, is compared with diff -r;
 # the exit status is non-zero on any difference.
@@ -38,6 +42,14 @@ run_side() {  # run_side SRC OUT
         --lambda-grid 0.05,0.1,0.2
     run predict predict --model fit/model.json --data sim/dataset.csv \
         --out predict.csv
+    sed -e '2s/^\([^,]*\)/"\1"/' -e '3s/,/, /g' \
+        -e '4s/\([0-9]\)\([0-9]\)/\1_\2/' sim/dataset.csv > odd.csv
+    run predict_odd predict --model fit/model.json --data odd.csv \
+        --out predict_odd.csv
+    echo '{"sim": {"n": 2500}}' > sim_2500.json
+    run simulate_2500 simulate --config sim_2500.json --out sim_2500
+    run predict_2500 predict --model fit/model.json \
+        --data sim_2500/dataset.csv --out predict_2500.csv
     for s in 0 1 2; do
         echo "{\"seed\": $s, \"sim\": {\"replicates\": 1}}" > "bench_$s.json"
         run "bench_$s" benchmark --config "bench_$s.json" --out "bench_$s"

@@ -8,9 +8,10 @@ updated one at a time through the SCAD thresholding operator with the
 usual rank-one residual update.  W and y are refreshed once per sweep, not
 per coordinate, so the quadratic stays fixed while a sweep runs.
 
-Columns of x are centered and scaled to unit variance internally (constant
-columns become exact zeros); the returned coefficients are on the original
-scale, with thresholded entries exactly zero.
+The sweeps run on the dataset's standardized x (`SurvivalDataset.standardized`:
+columns centered and scaled to unit variance, constant columns exact
+zeros, built once per dataset); the returned coefficients are on the
+original scale, with thresholded entries exactly zero.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
     surrogate; the thresholding operator guarantees that when v_j = 1, and
     the guard covers low-curvature columns where the closed form can
     overshoot.  Raises NumericalDivergence if the coefficients blow up.
-    If given, info["sweeps"] receives the number of sweeps run.
+    If given, info["sweeps"] receives the number of sweeps run and
+    info["converged"] whether the sweep change reached tol before
+    max_sweeps ran out.
     """
     g_vals = np.asarray(g_vals, dtype=float)
     if g_vals.shape != (dataset.n,):
@@ -100,17 +103,10 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
     if not np.all(np.isfinite(beta_init)):
         raise ValueError("beta_init must be finite")
 
-    # A constant column is centered on its own value, so it becomes exactly
-    # zero; its rounded mean could leave a +-1e-17 column behind that the
-    # scaling would blow up to +-1.
-    constant = np.all(dataset.x == dataset.x[0], axis=0)
-    mean = np.where(constant, dataset.x[0], dataset.x.mean(axis=0))
-    sd = dataset.x.std(axis=0)
-    scale = np.where((sd > 0) & ~constant, sd, 1.0)
-    X = (dataset.x - mean) / scale
-
+    X, scale = dataset.standardized
     beta = beta_init * scale
     sweeps_run = 0
+    converged = False
     for sweep in range(1, max_sweeps + 1):
         sweeps_run = sweep
         xi = X @ beta
@@ -121,8 +117,10 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
         if np.max(np.abs(beta), initial=0.0) > BETA_CAP:
             raise NumericalDivergence("divergence; reduce step or increase lambda")
         if float(np.linalg.norm(beta - beta_prev)) <= tol:
+            converged = True
             break
 
     if info is not None:
         info["sweeps"] = sweeps_run
+        info["converged"] = converged
     return beta / scale

@@ -105,8 +105,9 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     eval-mode penalized loss (diagnostics "loss_path") has changed by at
     most cfg.outer_tol, relative to its previous value, on OUTER_WINDOW
     consecutive outer iterations with the support of beta unchanged over
-    them; otherwise it stops after cfg.max_outer iterations with
-    "converged" False.
+    them; otherwise it stops after cfg.max_outer iterations.  "converged"
+    is True only when that stopping rule held and the last coordinate
+    descent call converged too (it did not run out of cfg.max_sweeps).
     """
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
@@ -133,7 +134,7 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
 
     loss_path = [penalized_loss(beta, g_vals)]
     cd_sweeps = []
-    moments = {}
+    moments = {}  # Adam's flat m and v, laid out like net.params, and t
     stable = 0
     for k in range(1, cfg.max_outer + 1):
         if cfg.fit_g:
@@ -162,7 +163,8 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
                             "loss_path": loss_path,
                             "outer_iters": len(cd_sweeps),
                             "cd_sweeps": cd_sweeps,
-                            "converged": stable == OUTER_WINDOW,
+                            "converged": (stable == OUTER_WINDOW
+                                          and cd_info["converged"]),
                         })
     model.diagnostics["bic"] = bic(model, dataset)
     return model

@@ -3,15 +3,20 @@
 The network maps the z covariates to a scalar log-hazard contribution.
 Hidden layers use ReLU with inverted dropout (survivors scaled at train
 time, so evaluation is a plain forward pass); the output layer is linear
-because the risk term must take both signs.  Training runs a short Adam
-loop on the partial-likelihood loss with the linear coefficients held
-fixed, optionally continuing a caller's Adam moments, and the fitted
-network is recentered so its average over the training z is zero.
+because the risk term must take both signs.  All weights and biases are
+views into one flat parameter vector, `Network.params`, and gradients and
+Adam moments are flat vectors with the same layout, so one Adam step
+updates every layer in a few whole-vector operations.  Training runs a
+short Adam loop on the partial-likelihood loss with the linear
+coefficients held fixed, optionally continuing a caller's Adam moments,
+and the fitted network is recentered so its average over the training z
+is zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,14 +49,43 @@ class NetworkArch:
         return (input_dim,) + self.hidden_widths + (1,)
 
 
+def _layer_views(flat: np.ndarray, shapes) -> tuple:
+    """Tuples of the per-layer weight and bias views into flat, layer by
+    layer, each layer's weight matrix (row-major) followed by its bias."""
+    weights, biases, at = [], [], 0
+    for w_shape, b_shape in shapes:
+        size = w_shape[0] * w_shape[1]
+        weights.append(flat[at:at + size].reshape(w_shape))
+        at += size
+        biases.append(flat[at:at + b_shape[0]])
+        at += b_shape[0]
+    return tuple(weights), tuple(biases)
+
+
 @dataclass
 class Network:
-    """Weights, biases, and the centering offset subtracted at evaluation."""
+    """Weights, biases, and the centering offset subtracted at evaluation.
+
+    All parameters live in one contiguous float64 vector `params`, and
+    `weights[l]` and `biases[l]` are views into it, so an in-place edit of
+    either is an edit of `params` and an update of `params` moves every
+    layer.  The arrays passed in are copied, never kept, and `weights` and
+    `biases` are stored as tuples, so a layer cannot be swapped for an
+    array outside `params`.
+    """
 
     arch: NetworkArch
-    weights: list
-    biases: list
+    weights: Sequence
+    biases: Sequence
     center_offset: float = 0.0
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pairs = [(np.asarray(w, dtype=float), np.asarray(b, dtype=float))
+                 for w, b in zip(self.weights, self.biases)]
+        self.params = np.concatenate([a.ravel() for pair in pairs for a in pair])
+        self.weights, self.biases = _layer_views(
+            self.params, [(w.shape, b.shape) for w, b in pairs])
 
     @property
     def input_dim(self) -> int:
@@ -59,10 +93,8 @@ class Network:
         return self.weights[0].shape[1]
 
     def copy(self) -> "Network":
-        return Network(arch=self.arch,
-                       weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases],
-                       center_offset=self.center_offset)
+        return Network(arch=self.arch, weights=self.weights,
+                       biases=self.biases, center_offset=self.center_offset)
 
 
 @dataclass(frozen=True)
@@ -107,28 +139,39 @@ def zero_network(input_dim: int) -> Network:
 def _forward_cached(net: Network, z: np.ndarray, train: bool, rng):
     """Forward pass returning raw outputs and the per-layer caches.
 
-    In train mode one dropout mask per hidden layer is sampled from rng and
-    kept in the cache so the backward pass reuses it.
+    Cache l is (input of layer l, gate of layer l).  In train mode a hidden
+    layer's gate is its ReLU derivative times its dropout mask, so the
+    backward pass multiplies by it once; the output layer's gate, and every
+    gate in eval mode, is None.  With dropout, the uniforms of all hidden
+    layers come from one rng.random call, split layer by layer in order
+    (the same values and stream position as one draw per layer).
     """
-    a = z
-    caches = []
     n_layers = len(net.weights)
     rate = net.arch.dropout_rate
+    masks = []
+    if train and rate > 0.0 and n_layers > 1:
+        n, at = z.shape[0], 0
+        widths = [w.shape[0] for w in net.weights[:-1]]
+        flat = (rng.random(n * sum(widths)) >= rate) / (1.0 - rate)
+        for width in widths:
+            masks.append(flat[at:at + n * width].reshape(n, width))
+            at += n * width
+    a = z
+    caches = []
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         pre = a @ w.T + b
-        if l < n_layers - 1:
-            act = np.maximum(pre, 0.0)
-            if train and rate > 0.0:
-                mask = (rng.random(act.shape) >= rate) / (1.0 - rate)
-                out = act * mask
-            else:
-                mask = None
-                out = act
-            caches.append((a, pre, mask))
-            a = out
+        gate = None
+        if l == n_layers - 1:
+            out = pre
         else:
-            caches.append((a, pre, None))
-            a = pre
+            out = np.maximum(pre, 0.0)
+            if train:
+                gate = pre > 0.0
+                if masks:
+                    out = out * masks[l]
+                    gate = gate * masks[l]
+        caches.append((a, gate))
+        a = out
     return a[:, 0], caches
 
 
@@ -147,34 +190,32 @@ def forward(net: Network, z_batch) -> np.ndarray:
 
 
 def loss_and_grads(net: Network, dataset: SurvivalDataset, beta_fixed,
-                   rng=None):
+                   rng=None, *, out=None):
     """Partial-likelihood loss and its gradients for every weight and bias.
 
     The penalty does not involve the network, so this is the full loss
     gradient.  One dropout mask per hidden layer is sampled here and shared
-    between the forward and backward passes.
+    between the forward and backward passes.  The gradient is written into
+    one flat vector laid out like net.params (out, if given, else a new
+    one), and returned as per-layer (weight, bias) views into it.
     """
     beta_fixed = np.asarray(beta_fixed, dtype=float)
-    train = net.arch.dropout_rate > 0.0
-    if train and rng is None:
+    if net.arch.dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout needs an rng")
-    g_raw, caches = _forward_cached(net, dataset.z, train, rng)
+    g_raw, caches = _forward_cached(net, dataset.z, True, rng)
     loss, resid, _ = cox_terms(dataset.x @ beta_fixed + g_raw, dataset)
-    dq_dg = -resid / dataset.n
 
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    delta = dq_dg[:, None]
+    grad = np.empty_like(net.params) if out is None else out
+    grads_w, grads_b = _layer_views(
+        grad, [(w.shape, b.shape) for w, b in zip(net.weights, net.biases)])
+    delta = (-resid / dataset.n)[:, None]
     for l in range(len(net.weights) - 1, -1, -1):
-        inputs, pre, mask = caches[l]
-        grads_w[l] = delta.T @ inputs
-        grads_b[l] = delta.sum(axis=0)
+        inputs, _ = caches[l]
+        np.matmul(delta.T, inputs, out=grads_w[l])
+        delta.sum(axis=0, out=grads_b[l])
         if l > 0:
             delta = delta @ net.weights[l]
-            _, pre_prev, mask_prev = caches[l - 1]
-            if mask_prev is not None:
-                delta = delta * mask_prev
-            delta = delta * (pre_prev > 0.0)
+            delta *= caches[l - 1][1]
     return loss, list(zip(grads_w, grads_b))
 
 
@@ -183,14 +224,15 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed,
              rng=None, moments=None) -> Network:
     """Run up to inner_steps Adam updates on the network, beta held fixed.
 
-    moments carries the Adam state between calls: a dict with the first
-    and second moment lists "m" and "v" and the step count "t", updated in
-    place.  An empty dict is filled with zero moments at t = 0; with
-    moments=None the moments start at zero and are dropped on return.  So
-    two calls that share one moments dict (and one rng) take the same
-    steps as one call running both step counts.  Stops once the parameter
-    step has L2 norm <= tol.  The returned network is recentered on the
-    training z.
+    Each step updates the whole of net.params at once.  moments carries
+    the Adam state between calls: a dict with the first and second moments
+    "m" and "v", flat vectors laid out like net.params, and the step count
+    "t", all updated in place.  An empty dict is filled with zero moments
+    at t = 0; with moments=None the moments start at zero and are dropped
+    on return.  So two calls that share one moments dict (and one rng)
+    take the same steps as one call running both step counts.  Stops once
+    the parameter step has L2 norm <= tol.  The returned network is
+    recentered on the training z.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
@@ -198,35 +240,26 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed,
     if moments is None:
         moments = {}
     if not moments:
-        moments["m"] = [(np.zeros_like(w), np.zeros_like(b))
-                        for w, b in zip(net.weights, net.biases)]
-        moments["v"] = [(np.zeros_like(w), np.zeros_like(b))
-                        for w, b in zip(net.weights, net.biases)]
+        moments["m"] = np.zeros_like(net.params)
+        moments["v"] = np.zeros_like(net.params)
         moments["t"] = 0
-    m, v = moments["m"], moments["v"]
+    m, v, params = moments["m"], moments["v"], net.params
+    grad = np.empty_like(params)
 
     for _ in range(inner_steps):
-        loss, grads = loss_and_grads(net, dataset, beta_fixed, rng)
+        loss, _ = loss_and_grads(net, dataset, beta_fixed, rng, out=grad)
         if not np.isfinite(loss):
             raise NumericalDivergence("training diverged")
         moments["t"] += 1
         bc1 = 1.0 - r1 ** moments["t"]
         bc2 = 1.0 - r2 ** moments["t"]
-        step_sq = 0.0
-        for l, (gw, gb) in enumerate(grads):
-            mw, mb = m[l]
-            vw, vb = v[l]
-            mw = r1 * mw + (1.0 - r1) * gw
-            mb = r1 * mb + (1.0 - r1) * gb
-            vw = r2 * vw + (1.0 - r2) * gw ** 2
-            vb = r2 * vb + (1.0 - r2) * gb ** 2
-            m[l] = (mw, mb)
-            v[l] = (vw, vb)
-            step_w = gamma * (mw / bc1) / (np.sqrt(vw / bc2) + eps0)
-            step_b = gamma * (mb / bc1) / (np.sqrt(vb / bc2) + eps0)
-            net.weights[l] -= step_w
-            net.biases[l] -= step_b
-            step_sq += float((step_w ** 2).sum() + (step_b ** 2).sum())
+        m *= r1
+        m += (1.0 - r1) * grad
+        v *= r2
+        v += (1.0 - r2) * grad ** 2
+        step = gamma * (m / bc1) / (np.sqrt(v / bc2) + eps0)
+        params -= step
+        step_sq = float(step @ step)
         if not np.isfinite(step_sq):
             raise NumericalDivergence("training diverged")
         if np.sqrt(step_sq) <= tol:

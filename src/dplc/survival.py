@@ -78,6 +78,24 @@ class SurvivalDataset:
         """Time ordering with tie groups, built on first use and kept."""
         return build_risk_index(self)
 
+    @cached_property
+    def standardized(self) -> tuple:
+        """(X, scale): x with each column centered and divided by scale,
+        its standard deviation, built on first use and kept read-only.
+
+        A constant column is centered on its own value, so it becomes
+        exactly zero, and its scale is 1; its rounded mean could leave a
+        +-1e-17 column behind that the scaling would blow up to +-1.
+        """
+        x = self.x
+        constant = np.all(x == x[0], axis=0)
+        mean = np.where(constant, x[0], x.mean(axis=0))
+        sd = x.std(axis=0)
+        scale = np.where((sd > 0) & ~constant, sd, 1.0)
+        X = (x - mean) / scale
+        X.flags.writeable = scale.flags.writeable = False
+        return X, scale
+
 
 def subset(dataset: SurvivalDataset, idx: np.ndarray) -> SurvivalDataset:
     """Row-subset of a dataset (used by train/test splitting)."""

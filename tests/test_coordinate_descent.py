@@ -175,6 +175,16 @@ class TestCdFit:
         assert beta[0] != 0.0
         assert info["sweeps"] >= 1
 
+    def test_reports_convergence(self):
+        ds, g = sim_cox(3, n=80, p=4, beta_true=[1.0, -0.5, 0.0, 0.0])
+        capped, full, settled = {}, {}, {}
+        cd_fit(ds, g, None, ScadConfig(lam=0.05), max_sweeps=1, info=capped)
+        cd_fit(ds, g, None, ScadConfig(lam=0.05), info=full)
+        cd_fit(ds, g, None, ScadConfig(lam=50.0), max_sweeps=1, info=settled)
+        assert capped == {"sweeps": 1, "converged": False}
+        assert full["converged"] and 1 < full["sweeps"] < 100
+        assert settled == {"sweeps": 1, "converged": True}
+
     def test_warm_start_respected(self):
         ds, g = sim_cox(9, n=70, p=5, beta_true=[1.0, 0, 0, 0, 0])
         cfg = ScadConfig(lam=0.1)

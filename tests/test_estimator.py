@@ -50,6 +50,17 @@ class TestFit:
                    for x, y in zip(a.net.weights, b.net.weights))
         assert a.net.center_offset == b.net.center_offset
 
+    def test_sweep_cap_makes_a_settled_fit_unconverged(self):
+        ds = simulate_dataset(SimConfig(n=100, p=10, seed=1), 0).dataset
+        cfg = FitConfig(scad=ScadConfig(lam=0.1), fit_g=False)
+        capped = fit(ds, replace(cfg, max_sweeps=1)).diagnostics
+        # The loss-path stopping rule held before max_outer ...
+        assert capped["outer_iters"] < cfg.max_outer
+        # ... but every coordinate descent call ran out of sweeps.
+        assert capped["cd_sweeps"] == [1] * capped["outer_iters"]
+        assert capped["converged"] is False
+        assert fit(ds, cfg).diagnostics["converged"] is True
+
     def test_support_matches_nonzeros(self):
         data = sim_data(7, n=200, p=12, s_beta=3)
         model = fit(data.dataset, quick_cfg(lam=0.1))

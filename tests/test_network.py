@@ -1,13 +1,15 @@
 """Network forward/backward against finite differences and hand cases."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dplc import (AdamState, Network, NetworkArch, NumericalDivergence,
-                  adam_fit, center, forward, init_network, loss_and_grads,
-                  network_from_dict, network_to_dict, zero_network)
+                  adam_fit, center, cox_terms, forward, init_network,
+                  loss_and_grads, network_from_dict, network_to_dict,
+                  zero_network)
 from dplc.network import _forward_cached
 
 from conftest import fd_close, make_dataset, naive_neg_log_pl, random_instance
@@ -279,3 +281,243 @@ class TestSerialization:
         data["weights"][0] = [[1.0, 2.0]]
         with pytest.raises(ValueError, match="shape|layer"):
             network_from_dict(data)
+
+
+def layerwise(arrays):
+    """Per-layer (weight, bias) arrays concatenated in params order."""
+    return np.concatenate([a.ravel() for pair in arrays for a in pair])
+
+
+def reference_loss_and_grads(net, dataset, beta_fixed, rng):
+    """The per-layer training pass: one dropout draw per hidden layer in the
+    forward pass, one (weight, bias) gradient pair per layer backward."""
+    a, caches = dataset.z, []
+    n_layers, rate = len(net.weights), net.arch.dropout_rate
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = a @ w.T + b
+        if l < n_layers - 1:
+            act = np.maximum(pre, 0.0)
+            mask = None
+            if rate > 0.0:
+                mask = (rng.random(act.shape) >= rate) / (1.0 - rate)
+            caches.append((a, pre, mask))
+            a = act if mask is None else act * mask
+        else:
+            caches.append((a, pre, None))
+            a = pre
+    loss, resid, _ = cox_terms(dataset.x @ beta_fixed + a[:, 0], dataset)
+    grads = [None] * n_layers
+    delta = (-resid / dataset.n)[:, None]
+    for l in range(n_layers - 1, -1, -1):
+        inputs = caches[l][0]
+        grads[l] = (delta.T @ inputs, delta.sum(axis=0))
+        if l > 0:
+            delta = delta @ net.weights[l]
+            _, pre_prev, mask_prev = caches[l - 1]
+            if mask_prev is not None:
+                delta = delta * mask_prev
+            delta = delta * (pre_prev > 0.0)
+    return loss, grads
+
+
+def reference_adam_fit(net, dataset, beta_fixed, cfg, inner_steps, tol, rng,
+                       moments):
+    """The per-layer Adam loop on a namespace of separate layer arrays.
+
+    Returns the L2 norm of each step taken."""
+    r1, r2, gamma, eps0 = cfg.r1, cfg.r2, cfg.gamma, cfg.eps0
+    if not moments:
+        zeros = [(np.zeros_like(w), np.zeros_like(b))
+                 for w, b in zip(net.weights, net.biases)]
+        moments.update(m=zeros, v=list(zeros), t=0)
+    m, v = moments["m"], moments["v"]
+    norms = []
+    for _ in range(inner_steps):
+        _, grads = reference_loss_and_grads(net, dataset, beta_fixed, rng)
+        moments["t"] += 1
+        bc1 = 1.0 - r1 ** moments["t"]
+        bc2 = 1.0 - r2 ** moments["t"]
+        step_sq = 0.0
+        for l, (gw, gb) in enumerate(grads):
+            (mw, mb), (vw, vb) = m[l], v[l]
+            mw = r1 * mw + (1.0 - r1) * gw
+            mb = r1 * mb + (1.0 - r1) * gb
+            vw = r2 * vw + (1.0 - r2) * gw ** 2
+            vb = r2 * vb + (1.0 - r2) * gb ** 2
+            m[l], v[l] = (mw, mb), (vw, vb)
+            step_w = gamma * (mw / bc1) / (np.sqrt(vw / bc2) + eps0)
+            step_b = gamma * (mb / bc1) / (np.sqrt(vb / bc2) + eps0)
+            net.weights[l] = net.weights[l] - step_w
+            net.biases[l] = net.biases[l] - step_b
+            step_sq += float((step_w ** 2).sum() + (step_b ** 2).sum())
+        norms.append(np.sqrt(step_sq))
+        if norms[-1] <= tol:
+            break
+    a = dataset.z
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w.T + b
+        if l < len(net.weights) - 1:
+            a = np.maximum(a, 0.0)
+    net.center_offset = float(a[:, 0].mean())
+    return norms
+
+
+class TestFlatAdamMatchesLayerwise:
+    """The flat-vector Adam step against the per-layer loop it replaced."""
+
+    @pytest.mark.parametrize("hidden", [(8, 8), (3,), ()])
+    def test_three_calls_bitwise(self, hidden):
+        ds, _ = random_instance(4, n=50, p=3, r=3)
+        beta = np.array([0.5, 0.0, -0.3])
+        net = init_network(NetworkArch(hidden, dropout_rate=0.3), 3, seed=6)
+        ref = SimpleNamespace(arch=net.arch,
+                              weights=[w.copy() for w in net.weights],
+                              biases=[b.copy() for b in net.biases],
+                              center_offset=0.0)
+        moments, ref_moments = {}, {}
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for k in range(1, 4):
+            cfg = AdamState(gamma=0.05 / k)
+            adam_fit(net, ds, beta, cfg, inner_steps=7, rng=rng,
+                     moments=moments)
+            reference_adam_fit(ref, ds, beta, cfg, 7, 1e-7, ref_rng,
+                               ref_moments)
+        assert moments["t"] == ref_moments["t"] == 21
+        assert np.array_equal(net.params,
+                              layerwise(zip(ref.weights, ref.biases)))
+        assert np.array_equal(moments["m"], layerwise(ref_moments["m"]))
+        assert np.array_equal(moments["v"], layerwise(ref_moments["v"]))
+        assert net.center_offset == ref.center_offset
+        assert rng.random() == ref_rng.random()  # same stream position
+
+    @pytest.mark.parametrize("hidden", [(8, 8), ()])
+    def test_early_stop_bitwise(self, hidden):
+        """A tol that ends the loop early stops both at the same step."""
+        ds, _ = random_instance(4, n=50, p=3, r=3)
+        beta = np.array([0.5, 0.0, -0.3])
+        net = init_network(NetworkArch(hidden, dropout_rate=0.3), 3, seed=6)
+        cfg, steps = AdamState(gamma=0.05), 30
+
+        def layer_copy():
+            return SimpleNamespace(arch=net.arch,
+                                   weights=[w.copy() for w in net.weights],
+                                   biases=[b.copy() for b in net.biases],
+                                   center_offset=0.0)
+
+        norms = reference_adam_fit(layer_copy(), ds, beta, cfg, steps, 0.0,
+                                   np.random.default_rng(9), {})
+        smallest = sorted(norms[:-1])[:2]
+        tol = 0.5 * (smallest[0] + smallest[1])
+        stop_at = norms.index(smallest[0]) + 1
+        ref, moments, ref_moments = layer_copy(), {}, {}
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        adam_fit(net, ds, beta, cfg, inner_steps=steps, tol=tol, rng=rng,
+                 moments=moments)
+        reference_adam_fit(ref, ds, beta, cfg, steps, tol, ref_rng,
+                           ref_moments)
+        assert moments["t"] == ref_moments["t"] == stop_at < steps
+        assert np.array_equal(net.params,
+                              layerwise(zip(ref.weights, ref.biases)))
+        assert net.center_offset == ref.center_offset
+        assert rng.random() == ref_rng.random()
+
+    def test_gradients_bitwise(self):
+        ds, _ = random_instance(2, n=30, p=2, r=2)
+        net = init_network(NetworkArch((5, 4), dropout_rate=0.3), 2, seed=1)
+        beta = np.array([0.2, -0.1])
+        loss, grads = loss_and_grads(net, ds, beta, np.random.default_rng(3))
+        ref_loss, ref_grads = reference_loss_and_grads(
+            net, ds, beta, np.random.default_rng(3))
+        assert loss == ref_loss
+        assert np.array_equal(layerwise(grads), layerwise(ref_grads))
+
+
+def constructed(kind):
+    """A network built the way `kind` names, with its source if it has one."""
+    arch = NetworkArch((4, 3), dropout_rate=0.3)
+    if kind == "init_network":
+        return init_network(arch, 2, seed=5), None
+    if kind == "zero_network":
+        return zero_network(3), None
+    if kind == "network_from_dict":
+        data = network_to_dict(init_network(arch, 2, seed=5))
+        return network_from_dict(json.loads(json.dumps(data))), None
+    if kind == "copy":
+        source = init_network(arch, 2, seed=5)
+        return source.copy(), source
+    rng = np.random.default_rng(0)
+    weights = [rng.standard_normal((4, 2)), rng.standard_normal((3, 4)),
+               rng.standard_normal((1, 3))]
+    biases = [rng.standard_normal(4), rng.standard_normal(3),
+              rng.standard_normal(1)]
+    return Network(arch=arch, weights=weights, biases=biases), \
+        SimpleNamespace(weights=weights, biases=biases, params=None)
+
+
+KINDS = ["init_network", "zero_network", "network_from_dict", "copy",
+         "Network"]
+
+
+class TestParamsViews:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_layers_are_views_of_params(self, kind):
+        net, _ = constructed(kind)
+        assert net.params.dtype == np.float64 and net.params.ndim == 1
+        assert net.params.flags.c_contiguous
+        assert all(a.base is net.params for a in net.weights + net.biases)
+        # The views tile params in layer order, weights before biases.
+        before = layerwise(zip(net.weights, net.biases))
+        assert np.array_equal(before, net.params)
+        net.params[:] = np.arange(net.params.size)
+        assert np.array_equal(layerwise(zip(net.weights, net.biases)),
+                              np.arange(net.params.size))
+
+    @pytest.mark.parametrize("kind", ["copy", "Network"])
+    def test_shares_no_memory_with_its_source(self, kind):
+        net, source = constructed(kind)
+        arrays = list(source.weights) + list(source.biases)
+        if source.params is not None:
+            arrays.append(source.params)
+        assert not any(np.shares_memory(net.params, a) for a in arrays)
+        snapshot = [a.copy() for a in arrays]
+        net.params += 1.0
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, snapshot))
+
+    def test_layers_cannot_be_swapped_out(self):
+        net = init_network(NetworkArch((4,), 0.0), 2, seed=3)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((4, 2))
+
+    def test_in_place_layer_edit_is_seen_by_forward(self):
+        net = init_network(NetworkArch((4,), 0.0), 2, seed=3)
+        z = np.random.default_rng(1).standard_normal((5, 2))
+        before = forward(net, z)
+        probe = net.copy()
+        probe.weights[1][0, :] += 1.0
+        probe.biases[1][0] += 0.5
+        assert not np.array_equal(forward(probe, z), before)
+        assert np.array_equal(forward(net, z), before)
+        assert probe.params[-1] == net.params[-1] + 0.5
+
+    def test_init_draws_each_layer_in_order(self):
+        net = init_network(NetworkArch((4, 3), 0.0), 2, seed=8)
+        rng = np.random.default_rng(8)
+        for w, (fan_in, fan_out) in zip(net.weights, [(2, 4), (4, 3), (3, 1)]):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            assert np.array_equal(
+                w, rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+
+    def test_to_dict_bytes_are_the_layer_lists(self):
+        net, source = constructed("Network")
+        net.center_offset = 0.125
+        expected = {
+            "format": "dplc-network", "version": 1, "input_dim": 2,
+            "hidden_widths": [4, 3], "dropout_rate": 0.3,
+            "weights": [w.tolist() for w in source.weights],
+            "biases": [b.tolist() for b in source.biases],
+            "center_offset": 0.125,
+        }
+        blob = json.dumps(network_to_dict(net), indent=2)
+        assert blob == json.dumps(expected, indent=2)
+        again = network_to_dict(network_from_dict(json.loads(blob)))
+        assert json.dumps(again, indent=2) == blob

@@ -34,6 +34,20 @@ class TestDataset:
         ds = make_dataset([1.0, 2.0], [1, 0], x=np.zeros((2, 9)))
         assert ds.p == 9 and ds.n == 2
 
+    def test_standardized_built_once(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((30, 3)) * [1.0, 50.0, 0.0] + [0.0, 3.0, 2.7]
+        ds = make_dataset(np.arange(1.0, 31.0), np.ones(30), x=x)
+        X, scale = ds.standardized
+        assert ds.standardized[0] is X
+        assert np.allclose(X[:, :2].mean(axis=0), 0.0, atol=1e-14)
+        assert np.allclose(X[:, :2].std(axis=0), 1.0, rtol=1e-14)
+        assert np.array_equal(scale[:2], x[:, :2].std(axis=0))
+        # the constant column is exactly zero, with unit scale
+        assert np.all(X[:, 2] == 0.0) and scale[2] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
+
 
 class TestRiskIndex:
     def test_two_subjects(self):

@@ -1,0 +1,169 @@
+"""Time the per-layer operations of dplc, side by side for source trees.
+
+    python3 tools/bench_layers.py --side NAME=SRC [--side NAME=SRC ...]
+        [--out BENCH_layers.json]
+
+Each --side names a directory holding the `dplc` package (for example
+`src`, or the `src/` of another revision unpacked with `git archive`).
+Times five operations on `simulate_dataset(SimConfig(n=N, seed=1), 0)` at
+each N of SIZES (300, 3 000 and 30 000), with the default p = 50 and
+r = 8:
+
+  cox_terms       one Cox kernel pass at the true linear predictor
+  loss_and_grads  one training pass of the default (8, 8) network, dropout 0.3
+  adam_step       adam_fit with the default 20 inner steps, per step
+  cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started
+  c_index         Harrell's C of the true linear predictor
+
+Every side is measured once in each of ROUNDS rounds, in a fresh process
+that imports dplc from its directory, and the sides take turns going
+first, so a slow spell of a shared machine falls on all of them alike.
+Within a process each operation is warmed up and then run in REPEATS
+blocks of calls lasting about BLOCK_S seconds.  Rows give, per side, the
+median and quartiles of the time per call in microseconds over all blocks
+of all rounds.  The output holds those rows and a record of the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+OPS = ("cox_terms", "loss_and_grads", "adam_step", "cd_sweep", "c_index")
+SIZES = (300, 3000, 30000)
+ROUNDS = 8
+REPEATS = 5
+BLOCK_S = 0.1
+
+
+def machine() -> dict:
+    """The hardware and software the numbers were measured on."""
+    cpu = "unknown"
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": "%s %s" % (blas.get("name"), blas.get("version")),
+    }
+
+
+def per_call_us(fn) -> list:
+    """Microseconds per call of fn, one value per block of calls."""
+    fn()
+    calls, start = 0, time.perf_counter()
+    while time.perf_counter() - start < BLOCK_S / 4 or calls < 1:
+        fn()
+        calls += 1
+    per_block = max(1, round(calls * BLOCK_S / (time.perf_counter() - start)))
+    out = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(per_block):
+            fn()
+        out.append((time.perf_counter() - start) / per_block * 1e6)
+    return out
+
+
+def operations(n: int) -> dict:
+    """The timed operations on one simulated dataset of n rows, each with
+    the number of steps one call makes."""
+    from dplc import (AdamState, NetworkArch, ScadConfig, SimConfig,
+                      adam_fit, c_index, cd_fit, cox_terms, init_network,
+                      loss_and_grads, simulate_dataset)
+
+    data = simulate_dataset(SimConfig(n=n, seed=1), 0)
+    ds = data.dataset
+    eta = ds.x @ data.beta0
+    net = init_network(NetworkArch(), ds.r, seed=1)
+    rng = np.random.default_rng(1)
+    moments = {}
+    steps = 20
+    g_vals = np.zeros(ds.n)
+    beta_warm = cd_fit(ds, g_vals, None, ScadConfig(lam=0.1))
+    return {
+        "cox_terms": (lambda: cox_terms(eta, ds), 1),
+        "loss_and_grads": (lambda: loss_and_grads(net, ds, data.beta0, rng), 1),
+        "adam_step": (lambda: adam_fit(net, ds, data.beta0, AdamState(),
+                                       inner_steps=steps, tol=0.0, rng=rng,
+                                       moments=moments), steps),
+        "cd_sweep": (lambda: cd_fit(ds, g_vals, beta_warm,
+                                    ScadConfig(lam=0.1), max_sweeps=1), 1),
+        "c_index": (lambda: c_index(eta, ds.times, ds.status), 1),
+    }
+
+
+def measure() -> dict:
+    """{"op n": [us per call, one per block]} for the importable dplc."""
+    out = {}
+    for n in SIZES:
+        for op, (fn, steps) in operations(n).items():
+            out["%s %d" % (op, n)] = [us / steps for us in per_call_us(fn)]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", action="append", default=[],
+                        metavar="NAME=SRC", help="a dplc source directory")
+    parser.add_argument("--out", default="BENCH_layers.json")
+    parser.add_argument("--child", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        json.dump(measure(), sys.stdout)
+        return 0
+    sides = [spec.split("=", 1) for spec in args.side]
+    if not sides or any(len(side) != 2 for side in sides):
+        parser.error("give at least one --side NAME=SRC")
+
+    blocks = {name: {} for name, _ in sides}
+    for r in range(ROUNDS):
+        for name, src in (sides if r % 2 == 0 else sides[::-1]):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            child = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child"],
+                env=env, stdout=subprocess.PIPE, check=True, text=True)
+            for key, values in json.loads(child.stdout).items():
+                blocks[name].setdefault(key, []).extend(values)
+            print("round %d: %s done" % (r + 1, name), file=sys.stderr)
+
+    rows = []
+    for n in SIZES:
+        for op in OPS:
+            row = {"op": op, "n": n}
+            for name, _ in sides:
+                q1, med, q3 = np.percentile(blocks[name]["%s %d" % (op, n)],
+                                            [25, 50, 75])
+                row[name] = {"us_median": round(med, 2),
+                             "us_q1": round(q1, 2), "us_q3": round(q3, 2)}
+            rows.append(row)
+            print("%-15s n=%-6d " % (op, n) + "  ".join(
+                "%s %.1f [%.1f, %.1f]" % (name, row[name]["us_median"],
+                                          row[name]["us_q1"], row[name]["us_q3"])
+                for name, _ in sides))
+    with open(args.out, "w") as fh:
+        json.dump({"machine": machine(),
+                   "settings": {"rounds": ROUNDS, "repeats": REPEATS,
+                                "block_s": BLOCK_S,
+                                "sides": [name for name, _ in sides]},
+                   "rows": rows}, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,8 +6,8 @@ and network covariates prefixed `z_`.  Missing or malformed cells are hard
 errors with line/column diagnostics; nothing is imputed or coerced.
 
 Run configuration is a JSON file whose "sim" and "fit" sections take the
-fields of SimConfig and FitConfig by name (FitConfig's "scad", "arch" and
-"adam" nest the same way; "fit" also holds the BIC "lambda_grid"), next to
+fields of SimConfig and FitConfig by name (FitConfig's "scad" and "arch"
+nest the same way; "fit" also holds the BIC "lambda_grid"), next to
 the top-level "seed", "tune_arch" and "benchmark".  Every field is optional
 and defaults to the record's own default; unknown keys are rejected,
 integer fields need JSON integers and number fields finite numbers.  All
@@ -104,6 +104,23 @@ def _checked(base, value, where):
     return value
 
 
+def _read_json(path, what):
+    """The JSON document in the UTF-8 file `path`; the CliInputError of a
+    file that cannot be read or parsed names it as `what` ("config" or
+    "model") and gives the path, or the line and column of a JSON error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliInputError("cannot read %s: %s" % (what, exc))
+    except UnicodeDecodeError as exc:
+        raise CliInputError("%s %s: not UTF-8 text (%s)"
+                            % (what, path, exc.reason))
+    except json.JSONDecodeError as exc:
+        raise CliInputError("%s %s line %d column %d: %s"
+                            % (what, path, exc.lineno, exc.colno, exc.msg))
+
+
 def load_run_config(path) -> dict:
     """Read and validate a run-config JSON file; defaults fill the gaps.
 
@@ -112,17 +129,7 @@ def load_run_config(path) -> dict:
     """
     if path is None:
         return copy.deepcopy(CONFIG_DEFAULTS)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
-    except OSError as exc:
-        raise CliInputError("cannot read config: %s" % exc)
-    except UnicodeDecodeError as exc:
-        raise CliInputError("config %s: not UTF-8 text (%s)"
-                            % (path, exc.reason))
-    except json.JSONDecodeError as exc:
-        raise CliInputError("config %s line %d column %d: %s"
-                            % (path, exc.lineno, exc.colno, exc.msg))
+    user = _read_json(path, "config")
     if not isinstance(user, dict):
         raise CliInputError("config root must be a JSON object")
     return _merge_config(CONFIG_DEFAULTS, user)
@@ -439,17 +446,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        with open(args.model, encoding="utf-8") as fh:
-            bundle = json.load(fh)
-    except OSError as exc:
-        raise CliInputError("cannot read model: %s" % exc)
-    except UnicodeDecodeError as exc:
-        raise CliInputError("model %s: not UTF-8 text (%s)"
-                            % (args.model, exc.reason))
-    except json.JSONDecodeError as exc:
-        raise CliInputError("model %s line %d column %d: %s"
-                            % (args.model, exc.lineno, exc.colno, exc.msg))
+    bundle = _read_json(args.model, "model")
     try:
         model = model_from_dict(bundle)
     except (ValueError, KeyError, TypeError) as exc:

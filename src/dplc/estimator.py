@@ -5,11 +5,12 @@ coefficients held fixed, then penalized coordinate descent on the
 coefficients with the network held fixed.  One Adam state is carried
 through all outer iterations of a fit, at step size gamma / k in outer
 iteration k (Kingma & Ba 2015).  The loop stops once the eval-mode
-penalized loss has changed by at most outer_tol, relative, on
+penalized loss has changed by at most OUTER_TOL, relative, on
 OUTER_WINDOW consecutive outer iterations with the coefficient support
-unchanged.  Tuning utilities pick the penalty strength by BIC over a grid
-(warm-started along the path) and the architecture by held-out partial
-likelihood or BIC.
+unchanged.  Adam always runs its inner steps, and coordinate descent
+stops at cd_fit's default tolerance.  Tuning utilities pick the penalty
+strength by BIC over a grid (warm-started along the path) and the
+architecture by held-out partial likelihood or BIC.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ import numpy as np
 
 from .coordinate_descent import cd_fit
 from .errors import NumericalDivergence
-from .network import (AdamState, Network, NetworkArch, adam_fit, center,
-                      forward, init_network, network_from_dict,
-                      network_to_dict, zero_network)
+from .network import (Network, NetworkArch, adam_fit, center, forward,
+                      init_network, network_from_dict, network_to_dict,
+                      zero_network)
 from .scad import ScadConfig, scad_value
 from .survival import SurvivalDataset, cox_terms, stratified_split, subset
 
 logger = logging.getLogger(__name__)
 
 OUTER_WINDOW = 2  # consecutive stable outer iterations that end a fit
+OUTER_TOL = 1e-3  # relative loss change of a stable outer iteration
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,17 @@ class FitConfig:
     The defaults are the full default fit, and the run config's "fit"
     section sets these fields by name.  fit() uses scad.lam; tune_lambda
     fits along lambda_grid, which must be ascending, finite and >= 0.
-    fit_g=False disables the network entirely (g identically zero), which
-    is the plain SCAD-penalized Cox baseline.
+    gamma is Adam's step size, finite and > 0; the stopping tolerances are
+    fixed (see fit).  fit_g=False disables the network entirely (g
+    identically zero), which is the plain SCAD-penalized Cox baseline.
     """
 
     scad: ScadConfig = field(default_factory=ScadConfig)
     lambda_grid: tuple = tuple(round(v, 6) for v in np.geomspace(0.05, 5.0, 12))
     arch: NetworkArch = field(default_factory=NetworkArch)
-    adam: AdamState = field(default_factory=AdamState)
+    gamma: float = 0.01
     inner_steps: int = 20
-    adam_tol: float = 1e-7
-    cd_tol: float = 1e-5
     max_sweeps: int = 100
-    outer_tol: float = 1e-3
     max_outer: int = 25
     fit_g: bool = True
     seed: int = 0
@@ -66,9 +66,8 @@ class FitConfig:
             raise ValueError("lambda_grid must be non-empty and ascending")
         if not all(0.0 <= lam < np.inf for lam in grid):
             raise ValueError("lambda_grid values must be finite and >= 0")
-        for name in ("adam_tol", "cd_tol", "outer_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError("%s must be > 0" % name)
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and > 0")
         if self.inner_steps < 1 or self.max_sweeps < 1 or self.max_outer < 1:
             raise ValueError("iteration limits must be >= 1")
         if self.seed < 0:
@@ -100,14 +99,15 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     """Alternate network and coefficient updates until both stabilize.
 
     Outer iteration k runs cfg.inner_steps Adam steps at step size
-    cfg.adam.gamma / k, continuing the Adam moments of iteration k - 1,
-    then coordinate descent on beta.  The fit has converged once the
-    eval-mode penalized loss (diagnostics "loss_path") has changed by at
-    most cfg.outer_tol, relative to its previous value, on OUTER_WINDOW
-    consecutive outer iterations with the support of beta unchanged over
-    them; otherwise it stops after cfg.max_outer iterations.  "converged"
-    is True only when that stopping rule held and the last coordinate
-    descent call converged too (it did not run out of cfg.max_sweeps).
+    cfg.gamma / k, continuing the Adam moments of iteration k - 1, then
+    coordinate descent on beta at cd_fit's default tolerance.  The fit has
+    converged once the eval-mode penalized loss (diagnostics "loss_path")
+    has changed by at most OUTER_TOL, relative to its previous value, on
+    OUTER_WINDOW consecutive outer iterations with the support of beta
+    unchanged over them; otherwise it stops after cfg.max_outer
+    iterations.  "converged" is True only when that stopping rule held and
+    the last coordinate descent call converged too (it did not run out of
+    cfg.max_sweeps).
     """
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
@@ -138,20 +138,18 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
     stable = 0
     for k in range(1, cfg.max_outer + 1):
         if cfg.fit_g:
-            adam_fit(net, dataset, beta,
-                     replace(cfg.adam, gamma=cfg.adam.gamma / k),
-                     inner_steps=cfg.inner_steps, tol=cfg.adam_tol,
-                     rng=adam_rng, moments=moments)
+            adam_fit(net, dataset, beta, cfg.gamma / k,
+                     inner_steps=cfg.inner_steps, rng=adam_rng,
+                     moments=moments)
         g_vals = forward(net, dataset.z)
         cd_info = {}
         beta_new = cd_fit(dataset, g_vals, beta, cfg.scad,
-                          tol=cfg.cd_tol, max_sweeps=cfg.max_sweeps,
-                          info=cd_info)
+                          max_sweeps=cfg.max_sweeps, info=cd_info)
         cd_sweeps.append(cd_info["sweeps"])
         loss_path.append(penalized_loss(beta_new, g_vals))
         settled = (np.array_equal(beta_new != 0.0, beta != 0.0)
                    and abs(loss_path[-1] - loss_path[-2])
-                   <= cfg.outer_tol * abs(loss_path[-2]))
+                   <= OUTER_TOL * abs(loss_path[-2]))
         beta = beta_new
         stable = stable + 1 if settled else 0
         if stable == OUTER_WINDOW:
@@ -237,8 +235,8 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
     the smaller cell (depth, then width, then dropout, then learning rate;
     grids are sorted ascending before the scan).  Every cell's settings
     are checked before the first fit.  Returns (best_cfg, table): the
-    winning cell's FitConfig, which is cfg with its arch and adam.gamma
-    set, and one score row per cell.
+    winning cell's FitConfig, which is cfg with its arch and gamma set,
+    and one score row per cell.
     """
     if criterion not in ("validation", "bic"):
         raise ValueError("criterion must be 'validation' or 'bic'")
@@ -252,7 +250,7 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
         raise ValueError("depths must be >= 0")
     cells = [(depth, width, rate, lr,
               replace(cfg, arch=NetworkArch((width,) * depth, rate),
-                      adam=replace(cfg.adam, gamma=lr)))
+                      gamma=lr))
              for depth in depths for width in widths
              for rate in dropouts for lr in lrs]
 

@@ -7,10 +7,11 @@ because the risk term must take both signs.  All weights and biases are
 views into one flat parameter vector, `Network.params`, and gradients and
 Adam moments are flat vectors with the same layout, so one Adam step
 updates every layer in a few whole-vector operations.  Training runs a
-short Adam loop on the partial-likelihood loss with the linear
-coefficients held fixed, optionally continuing a caller's Adam moments,
-and the fitted network is recentered so its average over the training z
-is zero.
+fixed number of Adam steps at a caller's step size on the
+partial-likelihood loss with the linear coefficients held fixed,
+optionally continuing a caller's Adam moments; the decay rates and the
+denominator guard are the constants ADAM_R1, ADAM_R2 and ADAM_EPS.  The
+fitted network is recentered so its average over the training z is zero.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ import numpy as np
 
 from .errors import NumericalDivergence
 from .survival import SurvivalDataset, cox_terms
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_R1 = 0.9
+ADAM_R2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,22 +101,6 @@ class Network:
     def copy(self) -> "Network":
         return Network(arch=self.arch, weights=self.weights,
                        biases=self.biases, center_offset=self.center_offset)
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Adam hyperparameters: decay rates r1, r2, step size gamma, eps0."""
-
-    r1: float = 0.9
-    r2: float = 0.999
-    gamma: float = 0.01
-    eps0: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.r1 < 1.0 and 0.0 < self.r2 < 1.0):
-            raise ValueError("decay rates must be in (0, 1)")
-        if not (0.0 < self.gamma < np.inf and 0.0 < self.eps0 < np.inf):
-            raise ValueError("gamma and eps0 must be finite and > 0")
 
 
 def init_network(arch: NetworkArch, input_dim: int, seed) -> Network:
@@ -219,24 +209,25 @@ def loss_and_grads(net: Network, dataset: SurvivalDataset, beta_fixed,
     return loss, list(zip(grads_w, grads_b))
 
 
-def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed,
-             adam_cfg: AdamState, inner_steps: int = 20, tol: float = 1e-7,
-             rng=None, moments=None) -> Network:
-    """Run up to inner_steps Adam updates on the network, beta held fixed.
+def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
+             inner_steps: int = 20, rng=None, moments=None) -> Network:
+    """Run inner_steps Adam updates at step size gamma, beta held fixed.
 
-    Each step updates the whole of net.params at once.  moments carries
-    the Adam state between calls: a dict with the first and second moments
-    "m" and "v", flat vectors laid out like net.params, and the step count
-    "t", all updated in place.  An empty dict is filled with zero moments
-    at t = 0; with moments=None the moments start at zero and are dropped
-    on return.  So two calls that share one moments dict (and one rng)
-    take the same steps as one call running both step counts.  Stops once
-    the parameter step has L2 norm <= tol.  The returned network is
-    recentered on the training z.
+    Each step updates the whole of net.params at once, with the decay
+    rates ADAM_R1 and ADAM_R2 and the denominator guard ADAM_EPS.  moments
+    carries the Adam state between calls: a dict with the first and second
+    moments "m" and "v", flat vectors laid out like net.params, and the
+    step count "t", all updated in place.  An empty dict is filled with
+    zero moments at t = 0; with moments=None the moments start at zero and
+    are dropped on return.  So two calls that share one moments dict (and
+    one rng) take the same steps as one call running both step counts.
+    Raises NumericalDivergence when the loss or a step is not finite.  The
+    returned network is recentered on the training z.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
-    r1, r2, gamma, eps0 = adam_cfg.r1, adam_cfg.r2, adam_cfg.gamma, adam_cfg.eps0
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be finite and > 0")
     if moments is None:
         moments = {}
     if not moments:
@@ -251,19 +242,16 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed,
         if not np.isfinite(loss):
             raise NumericalDivergence("training diverged")
         moments["t"] += 1
-        bc1 = 1.0 - r1 ** moments["t"]
-        bc2 = 1.0 - r2 ** moments["t"]
-        m *= r1
-        m += (1.0 - r1) * grad
-        v *= r2
-        v += (1.0 - r2) * grad ** 2
-        step = gamma * (m / bc1) / (np.sqrt(v / bc2) + eps0)
+        bc1 = 1.0 - ADAM_R1 ** moments["t"]
+        bc2 = 1.0 - ADAM_R2 ** moments["t"]
+        m *= ADAM_R1
+        m += (1.0 - ADAM_R1) * grad
+        v *= ADAM_R2
+        v += (1.0 - ADAM_R2) * grad ** 2
+        step = gamma * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         params -= step
-        step_sq = float(step @ step)
-        if not np.isfinite(step_sq):
+        if not np.isfinite(step @ step):
             raise NumericalDivergence("training diverged")
-        if np.sqrt(step_sq) <= tol:
-            break
     return center(net, dataset.z)
 
 
@@ -294,14 +282,26 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
+    """The network of a network_to_dict record; raises ValueError when the
+    record is not one, a weight, bias or center_offset included that is
+    not a finite number."""
     if not isinstance(data, dict) or data.get("format") != NETWORK_FORMAT:
         raise ValueError("not a network record")
     if data.get("version") != NETWORK_VERSION:
         raise ValueError("unsupported network version: %r" % (data.get("version"),))
     arch = NetworkArch(hidden_widths=tuple(data["hidden_widths"]),
                        dropout_rate=float(data["dropout_rate"]))
-    weights = [np.asarray(w, dtype=float) for w in data["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in data["biases"]]
+    not_finite = "network weights, biases and center_offset must be " \
+        "finite numbers"
+    try:
+        weights = [np.asarray(w, dtype=float) for w in data["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in data["biases"]]
+        offset = float(data["center_offset"])
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(not_finite)
+    if not (np.isfinite(offset)
+            and all(np.isfinite(a).all() for a in weights + biases)):
+        raise ValueError(not_finite)
     dims = arch.layer_dims(int(data["input_dim"]))
     if len(weights) != len(dims) - 1 or len(biases) != len(weights):
         raise ValueError("layer count does not match architecture")
@@ -309,4 +309,4 @@ def network_from_dict(data: dict) -> Network:
         if w.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
             raise ValueError("layer %d has wrong shape" % l)
     return Network(arch=arch, weights=weights, biases=biases,
-                   center_offset=float(data["center_offset"]))
+                   center_offset=offset)

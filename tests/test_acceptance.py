@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dplc import (AdamState, FitConfig, NetworkArch,
+from dplc import (FitConfig, NetworkArch,
                   ScadConfig, SimConfig, cd_fit, cox_terms, forward,
                   init_network, loss_and_grads, run_experiment,
                   scad_threshold, simulate_dataset)
@@ -30,7 +30,7 @@ LAMBDA_GRID = (0.05, 0.08, 0.12, 0.19, 0.3, 0.48, 0.76, 1.2, 1.9, 3.0, 5.0)
 def desk_cfg(hidden=(8, 8), dropout=0.3, lr=0.02, inner=20, outer=15):
     return FitConfig(scad=ScadConfig(lam=0.3), lambda_grid=LAMBDA_GRID,
                      arch=NetworkArch(hidden, dropout),
-                     adam=AdamState(gamma=lr),
+                     gamma=lr,
                      inner_steps=inner, max_outer=outer, seed=0)
 
 

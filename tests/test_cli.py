@@ -231,7 +231,7 @@ class TestFit:
                    "--arch-grid", "depths=2;widths=2;dropout=0.0;lr=0.02") == 0
         bundle = json.loads((fit_dir / "model.json").read_text())
         assert bundle["config"]["arch"]["hidden_widths"] == [2, 2]
-        assert bundle["config"]["adam"]["gamma"] == 0.02
+        assert bundle["config"]["gamma"] == 0.02
 
     def test_outputs_contain_no_numpy_reprs(self, tmp_path, small_config,
                                             capsys):
@@ -341,7 +341,7 @@ class TestConfig:
         ("simulate", '{"sim": {"n": Infinity}}', "sim.n"),
         ("fit", '{"fit": {"max_outer": Infinity}}', "fit.max_outer"),
         ("simulate", '{"sim": {"mu": NaN}}', "sim.mu"),
-        ("fit", '{"fit": {"outer_tol": NaN}}', "fit.outer_tol"),
+        ("fit", '{"fit": {"gamma": NaN}}', "fit.gamma"),
         ("fit", '{"fit": {"scad": {"lam": 1e400}}}', "fit.scad.lam"),
         ("fit", '{"fit": {"lambda_grid": [0.1, -Infinity]}}',
          "fit.lambda_grid[1]"),
@@ -394,6 +394,10 @@ class TestConfig:
         ('{"sim": {"seed": 3}}', "sim.seed"),
         ('{"fit": {"arch": {"input_dim": 8}}}', "fit.arch.input_dim"),
         ('{"lambda_grid": [0.1, 0.4]}', "lambda_grid"),
+        ('{"fit": {"adam": {"gamma": 0.02}}}', "fit.adam"),
+        ('{"fit": {"adam_tol": 1e-7}}', "fit.adam_tol"),
+        ('{"fit": {"cd_tol": 1e-5}}', "fit.cd_tol"),
+        ('{"fit": {"outer_tol": 1e-3}}', "fit.outer_tol"),
     ])
     def test_keys_outside_the_schema_exit_2(self, tmp_path, capsys, text,
                                             key):
@@ -525,7 +529,9 @@ class TestPredict:
     @pytest.mark.parametrize("case", ["list_root", "index_past_p",
                                       "negative_index", "float_index",
                                       "repeated_index", "nan_value",
-                                      "float_p", "huge_p", "list_network"])
+                                      "float_p", "huge_p", "list_network",
+                                      "nan_weight", "inf_bias", "nan_offset",
+                                      "huge_int_weight"])
     def test_invalid_model_record_exit_2(self, tmp_path, small_config,
                                          capsys, case):
         data_csv, _ = simulate_into(tmp_path, small_config)
@@ -546,6 +552,14 @@ class TestPredict:
             bundle["p"] = 10 ** 13
         elif case == "list_network":
             bundle["network"] = [bundle["network"]]
+        elif case == "nan_weight":
+            bundle["network"]["weights"][0][0][0] = float("nan")
+        elif case == "inf_bias":
+            bundle["network"]["biases"][0][0] = float("inf")
+        elif case == "nan_offset":
+            bundle["network"]["center_offset"] = float("nan")
+        elif case == "huge_int_weight":
+            bundle["network"]["weights"][0][0][0] = 10 ** 400
         else:
             bundle["beta"] = edits[case]
         model_json = tmp_path / "model.json"
@@ -742,6 +756,31 @@ class TestFileEncoding:
             else "invalid start byte"
         assert capsys.readouterr().err == "input error: %s%s: not UTF-8 " \
             "text (%s)\n" % (prefix, path, reason)
+
+    @pytest.mark.parametrize("what", ["config", "model"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read {what}: [Errno 2] No such file or directory: "
+               "'{path}'"),
+        ('{"seed": 1,,}', "{what} {path} line 1 column 12: Expecting "
+                          "property name enclosed in double quotes"),
+        ('{\n  "p": 1\n  "beta": []}', "{what} {path} line 3 column 3: "
+                                       "Expecting ',' delimiter"),
+    ], ids=["missing", "double_comma", "no_comma"])
+    def test_unreadable_json_file_exit_2_names_it(self, tmp_path, capsys,
+                                                  what, content, message):
+        good = tmp_path / "good.csv"
+        good.write_bytes(self.ROWS)
+        path = tmp_path / ("bad_" + what)
+        if content is not None:
+            path.write_text(content)
+        out = str(tmp_path / "out")
+        argv = {"config": ["fit", "--data", str(good), "--config", str(path),
+                           "--out", out],
+                "model": ["predict", "--model", str(path), "--data",
+                          str(good), "--out", out]}[what]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "input error: %s\n" \
+            % message.format(what=what, path=path)
 
 
 class TestBenchmark:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dplc import (AdamState, FitConfig, NetworkArch, ScadConfig, SimConfig,
+from dplc import (FitConfig, NetworkArch, ScadConfig, SimConfig,
                   bic, fit, init_network, model_from_dict, model_to_dict,
                   predict_eta,
                   simulate_dataset, tune_architecture, tune_lambda,
@@ -22,7 +22,7 @@ def quick_cfg(lam=0.15, hidden=(4, 4), dropout=0.0, gamma=0.02,
               max_outer=8, seed=0, **kw):
     return FitConfig(scad=ScadConfig(lam=lam),
                      arch=NetworkArch(hidden, dropout),
-                     adam=AdamState(gamma=gamma),
+                     gamma=gamma,
                      max_outer=max_outer, seed=seed, **kw)
 
 
@@ -117,10 +117,11 @@ class TestFit:
         with pytest.raises(ValueError, match=r"takes 5 .* r=8"):
             fit(data.dataset, quick_cfg(), net_init=net)
 
-    @pytest.mark.parametrize("tol", [0.0, float("nan")])
-    def test_config_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="outer_tol"):
-            FitConfig(outer_tol=tol)
+    @pytest.mark.parametrize("gamma", [0.0, -0.01, float("nan"),
+                                       float("inf")])
+    def test_config_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            FitConfig(gamma=gamma)
 
     def test_config_rejects_bad_lambda_grid(self):
         for grid in ([], [0.5, 0.1]):
@@ -316,7 +317,7 @@ class TestTuneArchitecture:
                                         cfg)
         # the winning cell's config is cfg with only arch and gamma set
         assert best == replace(cfg, arch=NetworkArch((4, 4), 0.0),
-                               adam=replace(cfg.adam, gamma=0.01))
+                               gamma=0.01)
         assert len(table) == 1
 
     def test_tie_break_prefers_smaller_network(self):

@@ -11,7 +11,8 @@ r = 8:
 
   cox_terms       one Cox kernel pass at the true linear predictor
   loss_and_grads  one training pass of the default (8, 8) network, dropout 0.3
-  adam_step       adam_fit with the default 20 inner steps, per step
+  adam_step       adam_fit with the default 20 inner steps and step size
+                  0.01, per step
   cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started
   c_index         Harrell's C of the true linear predictor
 
@@ -81,9 +82,10 @@ def per_call_us(fn) -> list:
 def operations(n: int) -> dict:
     """The timed operations on one simulated dataset of n rows, each with
     the number of steps one call makes."""
-    from dplc import (AdamState, NetworkArch, ScadConfig, SimConfig,
-                      adam_fit, c_index, cd_fit, cox_terms, init_network,
-                      loss_and_grads, simulate_dataset)
+    import dplc
+    from dplc import (NetworkArch, ScadConfig, SimConfig, adam_fit, c_index,
+                      cd_fit, cox_terms, init_network, loss_and_grads,
+                      simulate_dataset)
 
     data = simulate_dataset(SimConfig(n=n, seed=1), 0)
     ds = data.dataset
@@ -92,13 +94,15 @@ def operations(n: int) -> dict:
     rng = np.random.default_rng(1)
     moments = {}
     steps = 20
+    # an older dplc takes its Adam settings as an AdamState, not a step size
+    gamma = dplc.AdamState() if hasattr(dplc, "AdamState") else 0.01
     g_vals = np.zeros(ds.n)
     beta_warm = cd_fit(ds, g_vals, None, ScadConfig(lam=0.1))
     return {
         "cox_terms": (lambda: cox_terms(eta, ds), 1),
         "loss_and_grads": (lambda: loss_and_grads(net, ds, data.beta0, rng), 1),
-        "adam_step": (lambda: adam_fit(net, ds, data.beta0, AdamState(),
-                                       inner_steps=steps, tol=0.0, rng=rng,
+        "adam_step": (lambda: adam_fit(net, ds, data.beta0, gamma,
+                                       inner_steps=steps, rng=rng,
                                        moments=moments), steps),
         "cd_sweep": (lambda: cd_fit(ds, g_vals, beta_warm,
                                     ScadConfig(lam=0.1), max_sweeps=1), 1),

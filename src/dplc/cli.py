@@ -5,14 +5,15 @@ Datasets are CSV files with a header row: required outcome columns `time`
 and network covariates prefixed `z_`.  Missing or malformed cells are hard
 errors with line/column diagnostics; nothing is imputed or coerced.
 
-Run configuration is a JSON file whose "sim" and "fit" sections take the
-fields of SimConfig and FitConfig by name (FitConfig's "scad" and "arch"
-nest the same way; "fit" also holds the BIC "lambda_grid"), next to
-the top-level "seed", "tune_arch" and "benchmark".  Every field is optional
-and defaults to the record's own default; unknown keys are rejected,
-integer fields need JSON integers and number fields finite numbers.  All
-randomness flows from one seed, so repeated invocations produce
-byte-identical outputs.
+Run configuration is a JSON file holding the top-level "seed" and the
+"sim" and "fit" sections, which take the fields of SimConfig and FitConfig
+by name (FitConfig's "scad" and "arch" nest the same way; "fit" also holds
+the BIC "lambda_grid").  Every field is optional and defaults to the
+record's own default; unknown keys are rejected, integer fields need JSON
+integers and number fields finite numbers.  Architecture search runs only
+on `fit --arch-grid`, and `benchmark` always fits the penalized Cox
+baseline next to the full model.  All randomness flows from one seed, so
+repeated invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 2 input/schema error, 3 numerical failure.
 The DPLC_LOG environment variable (DEBUG/INFO/WARNING) controls logging.
@@ -52,13 +53,14 @@ CONFIG_DEFAULTS = {
     "sim": {k: v for k, v in asdict(SimConfig()).items() if k != "seed"},
     "fit": {k: v for k, v in asdict(FitConfig()).items()
             if k not in ("seed", "fit_g")},
-    "tune_arch": {
-        "enabled": False, "depth_grid": [1, 2], "width_grid": [2, 4, 8],
-        "dropout_grid": [0.3, 0.5], "lr_grid": [0.005, 0.02],
-        "criterion": "validation",
-    },
-    "benchmark": {"baseline": True, "threads": 1},
 }
+
+# The grids of --arch-grid by name: the tune_architecture argument each
+# sets, its value type, and the grid searched when the flag leaves it out.
+ARCH_GRIDS = {"depths": ("depth_grid", int, [1, 2]),
+              "widths": ("width_grid", int, [2, 4, 8]),
+              "dropout": ("dropout_grid", float, [0.3, 0.5]),
+              "lr": ("lr_grid", float, [0.005, 0.02])}
 
 
 def _merge_config(defaults, user, path=""):
@@ -315,12 +317,11 @@ def _first_bad_cell(path, names, rows):
     return None
 
 
-def _parse_arch_grid(text: str, tune_defaults: dict) -> dict:
-    """Parse 'depths=1,2;widths=4,8;dropout=0.3;lr=0.01' into grid settings."""
-    grids = dict(tune_defaults)
-    grids["enabled"] = True
-    keymap = {"depths": ("depth_grid", int), "widths": ("width_grid", int),
-              "dropout": ("dropout_grid", float), "lr": ("lr_grid", float)}
+def _parse_arch_grid(text: str) -> dict:
+    """Parse 'depths=1,2;widths=4,8;dropout=0.3;lr=0.01' into the grid
+    arguments of tune_architecture; a grid left out is its ARCH_GRIDS
+    default."""
+    grids = {key: default for key, _, default in ARCH_GRIDS.values()}
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -329,9 +330,9 @@ def _parse_arch_grid(text: str, tune_defaults: dict) -> dict:
             raise CliInputError("--arch-grid parts must look like name=v1,v2")
         name, _, values = part.partition("=")
         name = name.strip()
-        if name not in keymap:
+        if name not in ARCH_GRIDS:
             raise CliInputError("--arch-grid: unknown grid '%s'" % name)
-        key, cast = keymap[name]
+        key, cast, _ = ARCH_GRIDS[name]
         try:
             grids[key] = [cast(tok) for tok in values.split(",") if tok.strip()]
         except ValueError:
@@ -402,17 +403,12 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise CliInputError("%s: %s" % (args.data, exc))
 
-    tune = config["tune_arch"]
-    if args.arch_grid:
-        tune = _parse_arch_grid(args.arch_grid, tune)
+    grids = _parse_arch_grid(args.arch_grid) if args.arch_grid else None
     os.makedirs(args.out, exist_ok=True)
-    if tune["enabled"]:
+    if grids is not None:
         try:
             # the grid is checked in full before the first fit
-            cfg, _ = tune_architecture(
-                dataset, tune["depth_grid"], tune["width_grid"],
-                tune["dropout_grid"], tune["lr_grid"], cfg,
-                criterion=tune["criterion"])
+            cfg, _ = tune_architecture(dataset, cfg=cfg, **grids)
         except ValueError as exc:
             raise CliInputError("architecture grid: %s" % exc)
     model, path = tune_lambda(dataset, cfg)
@@ -503,17 +499,14 @@ def cmd_benchmark(args) -> int:
     config = load_run_config(args.config)
     _set_lambda_grid(config, args.lambda_grid)
     sim_cfg, fit_cfg = run_records(config, args.seed)
-    threads = args.threads if args.threads is not None \
-        else config["benchmark"]["threads"]
-    if threads < 1:
+    if args.threads < 1:
         raise CliInputError("--threads must be >= 1")
-    methods = {"dplc": fit_cfg}
-    if config["benchmark"]["baseline"]:
-        methods["cox_scad"] = replace(fit_cfg, fit_g=False)
+    methods = {"dplc": fit_cfg, "cox_scad": replace(fit_cfg, fit_g=False)}
 
     os.makedirs(args.out, exist_ok=True)
     with ReplicateCsvWriter(os.path.join(args.out, "replicates.csv")) as sink:
-        rows, summary = run_experiment(sim_cfg, methods, n_workers=threads,
+        rows, summary = run_experiment(sim_cfg, methods,
+                                       n_workers=args.threads,
                                        row_callback=sink.write_row)
 
     _json_dump({"sim": asdict(sim_cfg), "methods": list(methods),
@@ -591,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--threads", type=int)
+    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--lambda-grid", dest="lambda_grid")
     p_bench.set_defaults(func=cmd_benchmark)
     return parser

@@ -10,7 +10,7 @@ OUTER_WINDOW consecutive outer iterations with the coefficient support
 unchanged.  Adam always runs its inner steps, and coordinate descent
 stops at cd_fit's default tolerance.  Tuning utilities pick the penalty
 strength by BIC over a grid (warm-started along the path) and the
-architecture by held-out partial likelihood or BIC.
+architecture by held-out partial likelihood.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 
 from .coordinate_descent import cd_fit
 from .errors import NumericalDivergence
-from .network import (Network, NetworkArch, adam_fit, center, forward,
-                      init_network, network_from_dict, network_to_dict,
-                      zero_network)
+from .network import (Network, NetworkArch, _is_int, adam_fit, center,
+                      forward, init_network, network_from_dict,
+                      network_to_dict, zero_network)
 from .scad import ScadConfig, scad_value
 from .survival import SurvivalDataset, cox_terms, stratified_split, subset
 
@@ -225,21 +225,17 @@ VAL_FRACTION = 0.2
 
 
 def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
-                      dropout_grid, lr_grid, cfg: FitConfig, *,
-                      criterion: str = "validation"):
+                      dropout_grid, lr_grid, cfg: FitConfig):
     """Exhaustive grid search over depth, width, dropout, learning rate.
 
-    criterion "validation" scores each cell by partial likelihood on a
-    held-out stratified split of VAL_FRACTION; "bic" refits on all data
-    and scores by BIC.  Cell k is fitted at seed cfg.seed + k.  Ties keep
-    the smaller cell (depth, then width, then dropout, then learning rate;
-    grids are sorted ascending before the scan).  Every cell's settings
-    are checked before the first fit.  Returns (best_cfg, table): the
-    winning cell's FitConfig, which is cfg with its arch and gamma set,
-    and one score row per cell.
+    Each cell is fitted on a stratified split of the data and scored by
+    partial likelihood on the held-out VAL_FRACTION of it.  Cell k is
+    fitted at seed cfg.seed + k.  Ties keep the smaller cell (depth, then
+    width, then dropout, then learning rate; grids are sorted ascending
+    before the scan).  Every cell's settings are checked before the first
+    fit.  Returns (best_cfg, table): the winning cell's FitConfig, which
+    is cfg with its arch and gamma set, and one score row per cell.
     """
-    if criterion not in ("validation", "bic"):
-        raise ValueError("criterion must be 'validation' or 'bic'")
     depths = sorted(int(d) for d in depth_grid)
     widths = sorted(int(w) for w in width_grid)
     dropouts = sorted(float(d) for d in dropout_grid)
@@ -254,22 +250,15 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
              for depth in depths for width in widths
              for rate in dropouts for lr in lrs]
 
-    if criterion == "validation":
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
-        train_idx, val_idx = stratified_split(dataset.status, VAL_FRACTION, rng)
-        train_ds, val_ds = subset(dataset, train_idx), subset(dataset, val_idx)
-    else:
-        train_ds, val_ds = dataset, None
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
+    train_idx, val_idx = stratified_split(dataset.status, VAL_FRACTION, rng)
+    train_ds, val_ds = subset(dataset, train_idx), subset(dataset, val_idx)
 
     table = []
     best = None
     for k, (depth, width, rate, lr, cell_cfg) in enumerate(cells):
         model = fit(train_ds, replace(cell_cfg, seed=cfg.seed + k))
-        if criterion == "validation":
-            eta = predict_eta(model, val_ds.x, val_ds.z)
-            score = cox_terms(eta, val_ds)[0]
-        else:
-            score = bic(model, train_ds)
+        score = cox_terms(predict_eta(model, val_ds.x, val_ds.z), val_ds)[0]
         table.append({"depth": depth, "width": width,
                       "dropout": rate, "lr": lr, "score": score})
         if best is None or score < best[0]:
@@ -301,10 +290,6 @@ def model_to_dict(model: FittedModel, cfg: FitConfig, x_names, z_names) -> dict:
             "lambda_selected": model.lam,
         },
     }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def model_from_dict(data: dict) -> FittedModel:

@@ -281,16 +281,29 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is an int and not a bool (JSON true loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def network_from_dict(data: dict) -> Network:
     """The network of a network_to_dict record; raises ValueError when the
-    record is not one, a weight, bias or center_offset included that is
-    not a finite number."""
+    record is not one: input_dim and the hidden widths must be integers,
+    dropout_rate a number, and the weights, biases and center_offset
+    finite numbers."""
     if not isinstance(data, dict) or data.get("format") != NETWORK_FORMAT:
         raise ValueError("not a network record")
     if data.get("version") != NETWORK_VERSION:
         raise ValueError("unsupported network version: %r" % (data.get("version"),))
-    arch = NetworkArch(hidden_widths=tuple(data["hidden_widths"]),
-                       dropout_rate=float(data["dropout_rate"]))
+    widths, rate = data.get("hidden_widths"), data.get("dropout_rate")
+    input_dim = data.get("input_dim")
+    if not isinstance(widths, list) \
+            or not all(_is_int(w) for w in widths + [input_dim]):
+        raise ValueError("network input_dim and hidden_widths must be "
+                         "integers")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        raise ValueError("network dropout_rate must be a number")
+    arch = NetworkArch(hidden_widths=tuple(widths), dropout_rate=rate)
     not_finite = "network weights, biases and center_offset must be " \
         "finite numbers"
     try:
@@ -302,7 +315,7 @@ def network_from_dict(data: dict) -> Network:
     if not (np.isfinite(offset)
             and all(np.isfinite(a).all() for a in weights + biases)):
         raise ValueError(not_finite)
-    dims = arch.layer_dims(int(data["input_dim"]))
+    dims = arch.layer_dims(input_dim)
     if len(weights) != len(dims) - 1 or len(biases) != len(weights):
         raise ValueError("layer count does not match architecture")
     for l, (w, b) in enumerate(zip(weights, biases)):

@@ -17,7 +17,7 @@ import logging
 import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -316,9 +316,7 @@ class ReplicateRow:
     error: Optional[str] = None
 
 
-REPLICATE_FIELDS = ["replicate", "method", "censoring_rate", "lambda_selected",
-                    "c_index_test", "selected_count", "fpn", "fpr_pct",
-                    "fnn", "fnr_pct", "error"]
+REPLICATE_FIELDS = [f.name for f in fields(ReplicateRow)]
 
 
 def _run_replicate(args):

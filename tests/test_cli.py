@@ -297,6 +297,7 @@ class TestFit:
         ("depths=1;widths=2;dropout=0.0;lr=inf", "gamma"),
         ("depths=1;widths=0,2;dropout=0.0", "widths"),
         ("depths=-1,1;widths=2;dropout=0.0", "depths"),
+        ("depths=1;widths=2;lr=", "empty grid"),
     ])
     def test_bad_arch_grid_exit_2_before_fitting(self, tmp_path, small_config,
                                                  capsys, monkeypatch,
@@ -306,27 +307,6 @@ class TestFit:
         forbid_fitting(monkeypatch)
         code = run("fit", "--data", str(data_csv), "--config", small_config,
                    "--out", str(tmp_path / "fit"), "--arch-grid", arch_grid)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "input error" in err and message in err
-
-    @pytest.mark.parametrize("tune, message", [
-        ({"dropout_grid": [0.0, 1.5]}, "dropout_rate"),
-        ({"depth_grid": [-1]}, "depths"),
-        ({"lr_grid": []}, "non-empty"),
-        ({"criterion": "aic"}, "criterion"),
-    ])
-    def test_bad_tune_arch_config_exit_2(self, tmp_path, small_config, capsys,
-                                         monkeypatch, tune, message):
-        data_csv, _ = simulate_into(tmp_path, small_config)
-        cfg = json.loads(open(small_config).read())
-        cfg["tune_arch"] = dict(tune, enabled=True)
-        path = tmp_path / "tune.json"
-        path.write_text(json.dumps(cfg))
-        capsys.readouterr()
-        forbid_fitting(monkeypatch)
-        code = run("fit", "--data", str(data_csv), "--config", str(path),
-                   "--out", str(tmp_path / "fit"))
         assert code == 2
         err = capsys.readouterr().err
         assert "input error" in err and message in err
@@ -346,10 +326,7 @@ class TestConfig:
         ("fit", '{"fit": {"lambda_grid": [0.1, -Infinity]}}',
          "fit.lambda_grid[1]"),
         ("fit", '{"fit": {"max_outer": 2.7}}', "fit.max_outer"),
-        ("benchmark", '{"benchmark": {"threads": 2.5}}', "benchmark.threads"),
         ("simulate", '{"seed": 1.5}', "seed"),
-        ("fit", '{"tune_arch": {"depth_grid": [1.5]}}',
-         "tune_arch.depth_grid[0]"),
     ])
     def test_bad_value_exit_2_names_key(self, tmp_path, small_config, capsys,
                                         command, text, key):
@@ -398,6 +375,8 @@ class TestConfig:
         ('{"fit": {"adam_tol": 1e-7}}', "fit.adam_tol"),
         ('{"fit": {"cd_tol": 1e-5}}', "fit.cd_tol"),
         ('{"fit": {"outer_tol": 1e-3}}', "fit.outer_tol"),
+        ('{"benchmark": {"threads": 2.5}}', "benchmark"),
+        ('{"tune_arch": {"depth_grid": [1.5]}}', "tune_arch"),
     ])
     def test_keys_outside_the_schema_exit_2(self, tmp_path, capsys, text,
                                             key):
@@ -531,7 +510,8 @@ class TestPredict:
                                       "repeated_index", "nan_value",
                                       "float_p", "huge_p", "list_network",
                                       "nan_weight", "inf_bias", "nan_offset",
-                                      "huge_int_weight"])
+                                      "huge_int_weight", "float_input_dim",
+                                      "float_width", "string_dropout"])
     def test_invalid_model_record_exit_2(self, tmp_path, small_config,
                                          capsys, case):
         data_csv, _ = simulate_into(tmp_path, small_config)
@@ -560,6 +540,13 @@ class TestPredict:
             bundle["network"]["center_offset"] = float("nan")
         elif case == "huge_int_weight":
             bundle["network"]["weights"][0][0][0] = 10 ** 400
+        elif case == "float_input_dim":
+            bundle["network"]["input_dim"] += 0.9
+        elif case == "float_width":
+            bundle["network"]["hidden_widths"][0] += 0.6
+        elif case == "string_dropout":
+            bundle["network"]["dropout_rate"] = \
+                str(bundle["network"]["dropout_rate"])
         else:
             bundle["beta"] = edits[case]
         model_json = tmp_path / "model.json"
@@ -813,6 +800,14 @@ class TestBenchmark:
                    str(par_dir), "--threads", "2") == 0
         for name in ("replicates.csv", "summary.json", "cindex_long.csv"):
             assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
+
+    def test_zero_threads_exit_2(self, tmp_path, small_config, capsys):
+        out = tmp_path / "b"
+        assert run("benchmark", "--config", small_config, "--out", str(out),
+                   "--threads", "0") == 2
+        assert "input error: --threads must be >= 1" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_interrupted_run_leaves_valid_partial_csv(self, tmp_path,
                                                       small_config,

@@ -326,22 +326,12 @@ class TestTuneArchitecture:
         ds = make_dataset(np.arange(1.0, n + 1.0), [0] * n,
                           x=np.arange(n, dtype=float).reshape(n, 1),
                           z=np.linspace(0, 1, 2 * n).reshape(n, 2))
-        best, _ = tune_architecture(ds, [2, 1], [8, 2], [0.0], [0.01],
-                                    quick_cfg(), criterion="validation")
+        best, table = tune_architecture(ds, [2, 1], [8, 2], [0.0], [0.01],
+                                        quick_cfg())
         assert best.arch.hidden_widths == (2,)
-
-    def test_bic_criterion_runs(self):
-        data = sim_data(3, n=100, p=5)
-        _, table = tune_architecture(data.dataset, [1], [2, 4], [0.0], [0.02],
-                                     quick_cfg(), criterion="bic")
+        # one row per cell, in the sorted scan order
         assert [(row["depth"], row["width"]) for row in table] == \
-            [(1, 2), (1, 4)]
-
-    def test_rejects_unknown_criterion(self):
-        data = sim_data(3, n=60, p=4)
-        with pytest.raises(ValueError):
-            tune_architecture(data.dataset, [1], [2], [0.0], [0.01],
-                              quick_cfg(), criterion="oops")
+            [(1, 2), (1, 8), (2, 2), (2, 8)]
 
     def test_linear_truth_prefers_shallow(self):
         shallow = 0

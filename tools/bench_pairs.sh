@@ -11,9 +11,10 @@
 # Pair s (s = 1..N) runs `perfbench/run.py --workload WORKLOAD --seed s`
 # with BENCHMARK.json's run_seconds on each side, REV first when s is odd
 # and the working tree first when s is even.  Prints, per end-to-end metric
-# of BENCHMARK.json, each side's median and quartiles and the number of
-# pairs the working tree wins (ties count for neither side).  The exit
-# status is non-zero when a run fails its output checks.
+# of BENCHMARK.json, each side's median and quartiles, the number of
+# pairs the working tree wins and the number of pairs where both sides
+# give the same value (a tie is a win for neither side).  The exit status
+# is non-zero when a run fails its output checks.
 set -u
 rev=${1:?usage: tools/bench_pairs.sh REV WORKLOAD N}
 workload=${2:?usage: tools/bench_pairs.sh REV WORKLOAD N}
@@ -70,8 +71,9 @@ runs = {side: [metrics(side, s) for s in range(1, pairs + 1)]
         for side in ("rev", "tree")}
 print("%d pairs, seeds 1-%d: %s against the working tree"
       % (pairs, pairs, rev))
-print("%-14s %-5s %28s %28s %6s" % ("metric", "unit", "REV median [q1, q3]",
-                                    "tree median [q1, q3]", "wins"))
+print("%-14s %-5s %28s %28s %6s %6s"
+      % ("metric", "unit", "REV median [q1, q3]", "tree median [q1, q3]",
+         "wins", "ties"))
 for spec in json.load(open(bench_json))["end_to_end"]:
     name = spec["name"]
     if not all(name in m for side in runs.values() for m in side):
@@ -81,9 +83,11 @@ for spec in json.load(open(bench_json))["end_to_end"]:
             for side, ms in runs.items()}
     sign = 1.0 if spec["better"] == "higher" else -1.0
     wins = int(np.sum(sign * (vals["tree"] - vals["rev"]) > 0))
+    ties = int(np.sum(vals["tree"] == vals["rev"]))
     cells = ["%.4g [%.4g, %.4g]" % (np.median(v), *np.percentile(v, [25, 75]))
              for v in (vals["rev"], vals["tree"])]
-    print("%-14s %-5s %28s %28s %3d/%d"
-          % (name, spec["unit"], cells[0], cells[1], wins, pairs))
+    print("%-14s %-5s %28s %28s %3d/%d %3d/%d"
+          % (name, spec["unit"], cells[0], cells[1], wins, pairs,
+             ties, pairs))
 EOF
 exit $status

@@ -2,10 +2,16 @@
 
 Each sweep makes one `cox_terms` pass at the current linear predictor and
 builds the diagonal IRLS surrogate of the partial likelihood from it:
-weights W (the Hessian diagonal), working response
-y = xi + resid / (n * W) and residual r = y - xi.  Coordinates are then
-updated one at a time through the SCAD thresholding operator with the
-usual rank-one residual update.  W and y are refreshed once per sweep, not
+weights W (the Hessian diagonal) and working residual
+r = resid / (n * W), W floored at EPS_W.  Coordinates are then updated
+one at a time through the SCAD thresholding operator.  The sweep works on
+covariances (Friedman, Hastie & Tibshirani 2010, JSS 33(1), section 2.2):
+it computes c = X' W r once, and a move of coordinate j updates
+c -= delta * G_j with the Gram row G_j = (x_j * W)' X.  Rows are built
+only for the coordinates that are nonzero at the start of the sweep and
+for those that enter during it, never the full p x p Gram, and a zero
+coordinate with |c_j| <= lam is skipped after one comparison, since the
+threshold leaves it at zero.  W and r are refreshed once per sweep, not
 per coordinate, so the quadratic stays fixed while a sweep runs.
 
 The sweeps run on the dataset's standardized x (`SurvivalDataset.standardized`:
@@ -16,7 +22,7 @@ original scale, with thresholded entries exactly zero.
 
 from __future__ import annotations
 
-import logging
+import math
 from typing import Optional
 
 import numpy as np
@@ -25,34 +31,18 @@ from .errors import NumericalDivergence
 from .scad import ScadConfig, scad_threshold, scad_value
 from .survival import SurvivalDataset, cox_terms
 
-logger = logging.getLogger(__name__)
-
 V_FLOOR = 1e-10
 BETA_CAP = 1e6
-# Curvature floor in the working-response division; entries this small
-# carry essentially no weight in the downstream least-squares aggregates.
+# Curvature floor in the working-residual division resid / (n * W);
+# entries this small carry essentially no weight in the sweep's aggregates.
 EPS_W = 1e-8
-
-
-def _working_response(xi, resid, W, n):
-    """IRLS pseudo-outcome y = xi + resid / (n * W), W floored at EPS_W.
-
-    The floor keeps subjects with a nearly empty history contribution from
-    blowing up the division; floored entries get a log note because they
-    carry negligible weight downstream anyway.
-    """
-    floored = W < EPS_W
-    if np.any(floored):
-        logger.debug("working response floored %d curvature entries",
-                     int(floored.sum()))
-    return xi + resid / (n * np.maximum(W, EPS_W))
 
 
 def _surrogate_move_delta(h, v, old, new, cfg):
     """Exact change of the penalized quadratic surrogate for one move.
 
-    Equals the change of 0.5*(y-xi)'W(y-xi) + sum p(|beta_k|) evaluated
-    fresh, folded down to one coordinate.
+    Equals the change of 0.5*(r-X delta)'W(r-X delta) + sum p(|beta_k|)
+    evaluated fresh, folded down to one coordinate.
     """
     quad = 0.5 * v * (new * new - old * old) - h * (new - old)
     return quad + scad_value(abs(new), cfg) - scad_value(abs(old), cfg)
@@ -61,20 +51,37 @@ def _surrogate_move_delta(h, v, old, new, cfg):
 def _sweep(X, W, r, beta, cfg):
     """One pass over the coordinates of the surrogate fixed by (W, r).
 
-    Coordinate j sees h_j = x_j' W r + v_j beta_j and v_j = x_j' W x_j,
-    with v_j floored so a degenerate column cannot divide by zero.  A move
-    is kept only if it does not increase the penalized surrogate; beta and
-    the residual r = y - X beta are updated in place.
+    The surrogate is 0.5 (r - X d)' W (r - X d) + sum p(|beta_k|) in the
+    move d = beta - beta_start, so r is the working residual at the start
+    of the sweep.  Coordinate j sees h_j = c_j + v_j beta_j and
+    v_j = x_j' W x_j, with v_j floored so a degenerate column cannot divide
+    by zero, where c = X' W (r - X d) is kept up to date by covariance
+    updates: a move of beta_j subtracts its size times the Gram row
+    G_j = (x_j * W)' X, and v_j = G_jj.  Rows are built for the
+    coordinates nonzero at the start, in one product, and for each zero
+    one when it is visited.  A zero coordinate with |c_j| <= lam stays zero
+    (the SCAD threshold of such an h is zero at any v), so it is skipped
+    after one comparison.  A move is kept only if it does not increase the
+    penalized surrogate.  beta is updated in place, and c after the sweep
+    is returned.
     """
-    WX = X * W[:, None]
-    v_all = np.maximum(np.einsum("ij,ij->j", WX, X), V_FLOOR).tolist()
-    for j, v in enumerate(v_all):
-        old = float(beta[j])
-        h = float(WX[:, j] @ r) + v * old
+    c = (W * r) @ X
+    active = np.flatnonzero(beta)
+    rows = dict(zip(active.tolist(), (X[:, active] * W[:, None]).T @ X))
+    lam = cfg.lam
+    for j, old in enumerate(beta.tolist()):
+        if old == 0.0 and abs(c[j]) <= lam:
+            continue
+        row = rows.get(j)
+        if row is None:
+            row = (X[:, j] * W) @ X
+        v = max(float(row[j]), V_FLOOR)
+        h = float(c[j]) + v * old
         new = scad_threshold(h, v, cfg)
         if new != old and _surrogate_move_delta(h, v, old, new, cfg) <= 0.0:
-            r -= (new - old) * X[:, j]
+            c -= (new - old) * row
             beta[j] = new
+    return c
 
 
 def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
@@ -104,6 +111,7 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
         raise ValueError("beta_init must be finite")
 
     X, scale = dataset.standardized
+    n = dataset.n
     beta = beta_init * scale
     sweeps_run = 0
     converged = False
@@ -111,12 +119,12 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
         sweeps_run = sweep
         xi = X @ beta
         _, resid, W = cox_terms(xi + g_vals, dataset)
-        r = _working_response(xi, resid, W, dataset.n) - xi
         beta_prev = beta.copy()
-        _sweep(X, W, r, beta, cfg)
-        if np.max(np.abs(beta), initial=0.0) > BETA_CAP:
+        _sweep(X, W, resid / (n * np.maximum(W, EPS_W)), beta, cfg)
+        if np.abs(beta).max(initial=0.0) > BETA_CAP:
             raise NumericalDivergence("divergence; reduce step or increase lambda")
-        if float(np.linalg.norm(beta - beta_prev)) <= tol:
+        change = beta - beta_prev
+        if math.sqrt(change @ change) <= tol:  # the 2-norm, as np.linalg.norm
             converged = True
             break
 

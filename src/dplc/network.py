@@ -10,19 +10,25 @@ updates every layer in a few whole-vector operations.  Training runs a
 fixed number of Adam steps at a caller's step size on the
 partial-likelihood loss with the linear coefficients held fixed,
 optionally continuing a caller's Adam moments; the decay rates and the
-denominator guard are the constants ADAM_R1, ADAM_R2 and ADAM_EPS.  The
-fitted network is recentered so its average over the training z is zero.
+denominator guard are the constants ADAM_R1, ADAM_R2 and ADAM_EPS.
+`loss_and_grads` and `adam_fit` share one training pass, `_TrainPass`,
+which is set up once per call and then writes each forward pass, each
+dropout draw, the loss and score residual of the Cox kernel (not its
+curvature) and the backward pass into buffers it already holds; the Adam
+update is in place too, so a step allocates no arrays.  The fitted
+network is recentered so its average over the training z is zero.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalDivergence
-from .survival import SurvivalDataset, cox_terms
+from .survival import SurvivalDataset, _loss_terms
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
 ADAM_R1 = 0.9
@@ -126,87 +132,150 @@ def zero_network(input_dim: int) -> Network:
                    biases=[np.zeros(1)], center_offset=0.0)
 
 
-def _forward_cached(net: Network, z: np.ndarray, train: bool, rng):
-    """Forward pass returning raw outputs and the per-layer caches.
-
-    Cache l is (input of layer l, gate of layer l).  In train mode a hidden
-    layer's gate is its ReLU derivative times its dropout mask, so the
-    backward pass multiplies by it once; the output layer's gate, and every
-    gate in eval mode, is None.  With dropout, the uniforms of all hidden
-    layers come from one rng.random call, split layer by layer in order
-    (the same values and stream position as one draw per layer).
-    """
-    n_layers = len(net.weights)
-    rate = net.arch.dropout_rate
-    masks = []
-    if train and rate > 0.0 and n_layers > 1:
-        n, at = z.shape[0], 0
-        widths = [w.shape[0] for w in net.weights[:-1]]
-        flat = (rng.random(n * sum(widths)) >= rate) / (1.0 - rate)
-        for width in widths:
-            masks.append(flat[at:at + n * width].reshape(n, width))
-            at += n * width
+def _raw_forward(net: Network, z: np.ndarray) -> np.ndarray:
+    """Evaluation outputs before the centering offset: no dropout."""
     a = z
-    caches = []
+    last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        pre = a @ w.T + b
-        gate = None
-        if l == n_layers - 1:
-            out = pre
-        else:
-            out = np.maximum(pre, 0.0)
-            if train:
-                gate = pre > 0.0
-                if masks:
-                    out = out * masks[l]
-                    gate = gate * masks[l]
-        caches.append((a, gate))
-        a = out
-    return a[:, 0], caches
+        a = a @ w.T + b
+        if l < last:
+            a = np.maximum(a, 0.0)
+    return a[:, 0]
 
 
 def forward(net: Network, z_batch) -> np.ndarray:
     """Evaluation outputs for a batch of z rows.
 
     No dropout is applied and the centering offset is subtracted; training
-    passes with dropout run inside `loss_and_grads`.
+    passes with dropout run inside `loss_and_grads` and `adam_fit`.
     """
     z = np.atleast_2d(np.asarray(z_batch, dtype=float))
     if z.shape[1] != net.input_dim:
         raise ValueError("z has %d columns, network expects %d"
                          % (z.shape[1], net.input_dim))
-    out, _ = _forward_cached(net, z, False, None)
-    return out - net.center_offset
+    return _raw_forward(net, z) - net.center_offset
+
+
+def _split_rows(flat: np.ndarray, n: int, widths) -> list:
+    """Consecutive (n, width) views into flat, one per width."""
+    views, at = [], 0
+    for width in widths:
+        views.append(flat[at:at + n * width].reshape(n, width))
+        at += n * width
+    return views
+
+
+class _TrainPass:
+    """Training passes of one network on one dataset, beta held fixed.
+
+    Built once per `loss_and_grads` or `adam_fit` call: it computes
+    x @ beta_fixed, lays per-layer (weight, bias) gradient views over the
+    flat vector `self.grad` (laid out like net.params), and allocates every
+    activation, gate, dropout and backward buffer, so a pass writes only
+    into memory it already holds.  Each pass reads the current net.params.
+    Hidden layers use ReLU with inverted dropout; a hidden layer's gate is
+    its ReLU derivative times its dropout mask, so the backward pass
+    multiplies by it once.  The dropout uniforms of all hidden layers come
+    from one rng.random call into one buffer, split layer by layer in
+    order (the same values and stream position as one draw per layer).
+    The loss and score residual come from `survival._loss_terms`, which
+    skips the curvature and the predictor checks of `cox_terms`, so passes
+    run with floating-point warnings ignored and a non-finite predictor
+    shows up as a non-finite loss, which callers check.
+    """
+
+    def __init__(self, net: Network, dataset: SurvivalDataset, beta_fixed,
+                 rng):
+        if net.arch.dropout_rate > 0.0 and rng is None:
+            raise ValueError("dropout needs an rng")
+        n = dataset.n
+        self.net, self.dataset, self.rng = net, dataset, rng
+        self.xb = dataset.x @ np.asarray(beta_fixed, dtype=float)
+        self.grad = np.empty_like(net.params)
+        self.grads_w, self.grads_b = _layer_views(
+            self.grad, [(w.shape, b.shape)
+                        for w, b in zip(net.weights, net.biases)])
+        widths = [w.shape[0] for w in net.weights[:-1]]
+        size = n * sum(widths)
+        self.dropout = size > 0 and net.arch.dropout_rate > 0.0
+        # The activations, gates and dropout masks of all hidden layers are
+        # one flat buffer each, in the layout of the one rng.random draw,
+        # so the masks and the gates of every layer are each formed in two
+        # whole-buffer operations.
+        self.acts, self.gates, self.masks = \
+            np.empty(size), np.empty(size), np.empty(size)
+        self.layer_acts, self.layer_gates, self.layer_masks = (
+            _split_rows(flat, n, widths)
+            for flat in (self.acts, self.gates, self.masks))
+        self.deltas = [np.empty((n, k)) for k in widths]
+        self.out = np.empty((n, 1))
+        self.eta = np.empty(n)
+
+    def forward(self) -> np.ndarray:
+        """Train-mode raw outputs (a view into a buffer the next pass
+        overwrites), with fresh dropout masks."""
+        net = self.net
+        scale = 1.0 / (1.0 - net.arch.dropout_rate)
+        if self.dropout:  # masks = (u >= rate) / (1 - rate)
+            np.greater_equal(self.rng.random(out=self.masks),
+                             net.arch.dropout_rate, out=self.masks)
+            self.masks *= scale
+        a = self.dataset.z
+        for l, act in enumerate(self.layer_acts):
+            np.dot(a, net.weights[l].T, out=act)
+            act += net.biases[l]
+            np.maximum(act, 0.0, out=act)
+            if self.dropout:
+                act *= self.layer_masks[l]
+            a = act
+        # A unit's gate (pre > 0) * mask is scale where its activation is
+        # positive and 0 elsewhere: scale > 1, so a kept positive
+        # pre-activation stays positive.
+        np.greater(self.acts, 0.0, out=self.gates)
+        if self.dropout:
+            self.gates *= scale
+        np.dot(a, net.weights[-1].T, out=self.out)
+        self.out += net.biases[-1]
+        return self.out[:, 0]
+
+    def __call__(self) -> float:
+        """One forward and backward pass: the gradient goes into self.grad,
+        and the partial-likelihood loss is returned."""
+        net, dataset = self.net, self.dataset
+        np.add(self.xb, self.forward(), out=self.eta)
+        loss, resid, _ = _loss_terms(self.eta, dataset)
+        np.divide(resid, -dataset.n, out=resid)
+        delta = resid[:, None]
+        last = len(net.weights) - 1
+        for l in range(last, -1, -1):
+            inputs = self.layer_acts[l - 1] if l > 0 else dataset.z
+            np.dot(delta.T, inputs, out=self.grads_w[l])
+            np.add.reduce(delta, axis=0, out=self.grads_b[l])  # .sum(axis=0)
+            if l > 0:
+                prev = self.deltas[l - 1]
+                if l == last:  # (n, 1) times (1, k): an exact outer product
+                    np.multiply(delta, net.weights[l], out=prev)
+                else:
+                    np.dot(delta, net.weights[l], out=prev)
+                prev *= self.layer_gates[l - 1]
+                delta = prev
+        return loss
 
 
 def loss_and_grads(net: Network, dataset: SurvivalDataset, beta_fixed,
-                   rng=None, *, out=None):
+                   rng=None):
     """Partial-likelihood loss and its gradients for every weight and bias.
 
     The penalty does not involve the network, so this is the full loss
     gradient.  One dropout mask per hidden layer is sampled here and shared
-    between the forward and backward passes.  The gradient is written into
-    one flat vector laid out like net.params (out, if given, else a new
-    one), and returned as per-layer (weight, bias) views into it.
+    between the forward and backward passes.  The gradient is one new flat
+    vector laid out like net.params, returned as per-layer (weight, bias)
+    views into it.  A non-finite predictor gives a non-finite loss.
     """
-    beta_fixed = np.asarray(beta_fixed, dtype=float)
-    if net.arch.dropout_rate > 0.0 and rng is None:
-        raise ValueError("dropout needs an rng")
-    g_raw, caches = _forward_cached(net, dataset.z, True, rng)
-    loss, resid, _ = cox_terms(dataset.x @ beta_fixed + g_raw, dataset)
-
-    grad = np.empty_like(net.params) if out is None else out
-    grads_w, grads_b = _layer_views(
-        grad, [(w.shape, b.shape) for w, b in zip(net.weights, net.biases)])
-    delta = (-resid / dataset.n)[:, None]
-    for l in range(len(net.weights) - 1, -1, -1):
-        inputs, _ = caches[l]
-        np.matmul(delta.T, inputs, out=grads_w[l])
-        delta.sum(axis=0, out=grads_b[l])
-        if l > 0:
-            delta = delta @ net.weights[l]
-            delta *= caches[l - 1][1]
-    return loss, list(zip(grads_w, grads_b))
+    train = _TrainPass(net, dataset, beta_fixed, rng)
+    with np.errstate(all="ignore"):
+        loss = train()
+    return loss, list(zip(train.grads_w, train.grads_b))
 
 
 def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
@@ -214,52 +283,64 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
     """Run inner_steps Adam updates at step size gamma, beta held fixed.
 
     Each step updates the whole of net.params at once, with the decay
-    rates ADAM_R1 and ADAM_R2 and the denominator guard ADAM_EPS.  moments
-    carries the Adam state between calls: a dict with the first and second
-    moments "m" and "v", flat vectors laid out like net.params, and the
-    step count "t", all updated in place.  An empty dict is filled with
-    zero moments at t = 0; with moments=None the moments start at zero and
-    are dropped on return.  So two calls that share one moments dict (and
-    one rng) take the same steps as one call running both step counts.
-    Raises NumericalDivergence when the loss or a step is not finite.  The
-    returned network is recentered on the training z.
+    rates ADAM_R1 and ADAM_R2 and the denominator guard ADAM_EPS, and
+    allocates no arrays: the training pass and the update write into
+    buffers made once per call.  moments carries the Adam state between
+    calls: a dict with the first and second moments "m" and "v", flat
+    vectors laid out like net.params, and the step count "t", all updated
+    in place.  An empty dict is filled with zero moments at t = 0; with
+    moments=None the moments start at zero and are dropped on return.  So
+    two calls that share one moments dict (and one rng) take the same
+    steps as one call running both step counts.  Raises
+    NumericalDivergence when the loss (so also the predictor) or a step is
+    not finite.  The returned network is recentered on the training z.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
     if not 0.0 < gamma < np.inf:
         raise ValueError("gamma must be finite and > 0")
+    train = _TrainPass(net, dataset, beta_fixed, rng)
     if moments is None:
         moments = {}
     if not moments:
         moments["m"] = np.zeros_like(net.params)
         moments["v"] = np.zeros_like(net.params)
         moments["t"] = 0
-    m, v, params = moments["m"], moments["v"], net.params
-    grad = np.empty_like(params)
+    m, v, params, grad = moments["m"], moments["v"], net.params, train.grad
+    step, tmp = np.empty_like(params), np.empty_like(params)
 
-    for _ in range(inner_steps):
-        loss, _ = loss_and_grads(net, dataset, beta_fixed, rng, out=grad)
-        if not np.isfinite(loss):
-            raise NumericalDivergence("training diverged")
-        moments["t"] += 1
-        bc1 = 1.0 - ADAM_R1 ** moments["t"]
-        bc2 = 1.0 - ADAM_R2 ** moments["t"]
-        m *= ADAM_R1
-        m += (1.0 - ADAM_R1) * grad
-        v *= ADAM_R2
-        v += (1.0 - ADAM_R2) * grad ** 2
-        step = gamma * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        params -= step
-        if not np.isfinite(step @ step):
-            raise NumericalDivergence("training diverged")
+    with np.errstate(all="ignore"):
+        for _ in range(inner_steps):
+            if not math.isfinite(train()):
+                raise NumericalDivergence("training diverged")
+            moments["t"] += 1
+            bc1 = 1.0 - ADAM_R1 ** moments["t"]
+            bc2 = 1.0 - ADAM_R2 ** moments["t"]
+            # m = R1 m + (1 - R1) grad and v = R2 v + (1 - R2) grad**2
+            m *= ADAM_R1
+            np.multiply(grad, 1.0 - ADAM_R1, out=tmp)
+            m += tmp
+            v *= ADAM_R2
+            np.square(grad, out=tmp)
+            tmp *= 1.0 - ADAM_R2
+            v += tmp
+            # step = gamma (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
+            np.divide(m, bc1, out=step)
+            step *= gamma
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            step /= tmp
+            params -= step
+            if not math.isfinite(step @ step):
+                raise NumericalDivergence("training diverged")
     return center(net, dataset.z)
 
 
 def center(net: Network, z_train) -> Network:
     """Set the offset so evaluation outputs average to zero on z_train."""
     z = np.atleast_2d(np.asarray(z_train, dtype=float))
-    raw, _ = _forward_cached(net, z, train=False, rng=None)
-    net.center_offset = float(raw.mean())
+    net.center_offset = float(_raw_forward(net, z).mean())
     return net
 
 

@@ -189,33 +189,64 @@ def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
         pi1_m = sum over the history prefix of status_i * pi(m, i),
         pi2_m = sum over the history prefix of status_i * pi(m, i)**2.
 
-    The fast path subtracts the max before exponentiating; if the predictor
-    spread is so extreme that it cannot keep status / a**2 and its running
-    sum finite, everything is redone with log-space accumulation, which
-    stays finite for any finite eta.
+    pi2 is returned as a function of no arguments that computes it, so a
+    caller that needs only the loss and the score residual does not pay
+    for the curvature.  The fast path subtracts the max before
+    exponentiating; if the predictor spread is so extreme that it cannot
+    keep status / a**2 and its running sum finite, everything is redone
+    with log-space accumulation, which stays finite for any finite eta.
+    The fast path divides by sums that may underflow to zero, so callers
+    run this with floating-point warnings ignored.
     """
-    shift = float(eta_s.max())
+    # np.add.accumulate and np.maximum.reduce are np.cumsum and max without
+    # their Python wrappers, which cost as much as the work at n in the
+    # hundreds, where this runs once per Adam step and CD sweep
+    shift = float(np.maximum.reduce(eta_s))
     e = np.exp(eta_s - shift)
-    a = np.cumsum(e[::-1])[::-1][index.first_tie]
+    a = np.add.accumulate(e[::-1])[::-1][index.first_tie]
     # status / a**2 overflows once a drops below about 1e-154, and tie
     # groups repeat its terms in the running sum, so no bare bound on a
     # (1e-150, say) keeps that sum finite: check the sum itself.
-    with np.errstate(all="ignore"):
-        d = index.status_sorted / a
-        d2_sum = np.cumsum(d / a)
+    d = index.status_sorted / a
+    d2_sum = np.add.accumulate(d / a)
     if math.isfinite(d2_sum[-1]):
         log_s = np.log(a) + shift
-        pi1 = e * np.cumsum(d)[index.last_tie]
-        pi2 = (e * e) * d2_sum[index.last_tie]
-        return log_s, pi1, pi2
+        pi1 = e * np.add.accumulate(d)[index.last_tie]
+        return log_s, pi1, lambda: (e * e) * d2_sum[index.last_tie]
     log_s = np.logaddexp.accumulate(eta_s[::-1])[::-1][index.first_tie]
-    with np.errstate(divide="ignore"):
-        log_d = np.where(index.status_sorted > 0, -log_s, -np.inf)
+    log_d = np.where(index.status_sorted > 0, -log_s, -np.inf)
     log_p1 = np.logaddexp.accumulate(log_d)[index.last_tie]
-    log_p2 = np.logaddexp.accumulate(2.0 * log_d)[index.last_tie]
     pi1 = np.exp(eta_s + log_p1)
-    pi2 = np.exp(2.0 * eta_s + log_p2)
-    return log_s, pi1, pi2
+    return log_s, pi1, lambda: np.exp(
+        2.0 * eta_s + np.logaddexp.accumulate(2.0 * log_d)[index.last_tie])
+
+
+def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
+    """(q, resid, curvature) of a float eta of length n, unchecked.
+
+    q and resid are those of `cox_terms`; curvature is a function of no
+    arguments that returns its w.  A non-finite eta gives a non-finite q.
+    Run with floating-point warnings ignored (see `_sorted_terms`).
+    """
+    n = dataset.n
+    index = dataset.index
+    eta_s = eta[index.order]
+    log_s, pi1, pi2 = _sorted_terms(eta_s, index)
+    terms = index.status_sorted * (eta_s - log_s)
+    loss = float(-np.add.reduce(terms) / n)
+    resid = np.empty(n)
+    resid[index.order] = index.status_sorted - pi1
+
+    def curvature():
+        w_sorted = (pi1 - pi2()) / n
+        # Each contribution is of the form pi * (1 - pi); stray sign from
+        # cancellation is rounding noise only.
+        np.maximum(w_sorted, 0.0, out=w_sorted)
+        w = np.empty(n)
+        w[index.order] = w_sorted
+        return w
+
+    return loss, resid, curvature
 
 
 def cox_terms(eta, dataset: SurvivalDataset):
@@ -230,20 +261,8 @@ def cox_terms(eta, dataset: SurvivalDataset):
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (dataset.n,):
         raise ValueError("predictor length does not match dataset")
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise ValueError("non-finite predictor")
-    n = dataset.n
-    index = dataset.index
-    eta_s = eta[index.order]
-    log_s, pi1, pi2 = _sorted_terms(eta_s, index)
-    terms = index.status_sorted * (eta_s - log_s)
-    loss = float(-terms.sum() / n)
-    w_sorted = (pi1 - pi2) / n
-    # Each contribution is of the form pi * (1 - pi); stray sign from
-    # cancellation is rounding noise only.
-    np.maximum(w_sorted, 0.0, out=w_sorted)
-    resid = np.empty(n)
-    resid[index.order] = index.status_sorted - pi1
-    w = np.empty(n)
-    w[index.order] = w_sorted
-    return loss, resid, w
+    with np.errstate(all="ignore"):
+        loss, resid, curvature = _loss_terms(eta, dataset)
+        return loss, resid, curvature()

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dplc import NumericalDivergence, ScadConfig, cd_fit, cox_terms, scad_value
-from dplc.coordinate_descent import (V_FLOOR, _surrogate_move_delta, _sweep,
-                                     _working_response)
+from dplc import (NumericalDivergence, ScadConfig, cd_fit, cox_terms,
+                  scad_threshold, scad_value)
+from dplc.coordinate_descent import (EPS_W, V_FLOOR, _surrogate_move_delta,
+                                     _sweep)
 
 from conftest import make_dataset, naive_neg_log_pl
 
@@ -60,18 +61,20 @@ class TestSurrogateInputs:
     def test_zero_residual_zero_beta(self):
         # h = 0 with v = 5: the coordinate stays at 0.
         beta, r = np.zeros(1), np.zeros(2)
-        _sweep(np.array([[1.0], [2.0]]), np.ones(2), r, beta,
-               ScadConfig(lam=0.0))
+        c = _sweep(np.array([[1.0], [2.0]]), np.ones(2), r, beta,
+                   ScadConfig(lam=0.0))
         assert beta[0] == 0.0
-        assert np.all(r == 0.0)
+        assert np.all(c == 0.0)
 
     def test_worked_example(self):
-        # h = 0.25, v = 0.125, so the coordinate moves to h / v = 2.
+        # h = 0.25, v = 0.125, so the coordinate moves to h / v = 2, and
+        # the covariance of the moved residual [0, -2] is 0.
         beta, r = np.zeros(1), np.array([2.0, -2.0])
-        _sweep(np.array([[1.0], [0.0]]), np.array([0.125, 0.125]), r, beta,
-               ScadConfig(lam=0.0))
+        c = _sweep(np.array([[1.0], [0.0]]), np.array([0.125, 0.125]), r,
+                   beta, ScadConfig(lam=0.0))
         assert beta[0] == pytest.approx(2.0, abs=1e-15)
-        assert r == pytest.approx([0.0, -2.0], abs=1e-15)
+        assert c == pytest.approx([0.0], abs=1e-15)
+        assert np.array_equal(r, [2.0, -2.0])  # r itself is not moved
 
     def test_ols_solution_under_uniform_weights(self, rng):
         n = 40
@@ -86,9 +89,17 @@ class TestSurrogateInputs:
         # Zero weights give x_j' W x_j = 0, which the thresholding operator
         # rejects as non-positive curvature; the floor keeps the sweep going.
         beta, r = np.zeros(1), np.ones(2)
-        _sweep(np.ones((2, 1)), np.zeros(2), r, beta, ScadConfig(lam=0.0))
+        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, ScadConfig(lam=0.0))
         assert beta[0] == 0.0
-        assert np.all(r == 1.0)
+        assert np.all(c == 0.0)
+
+    def test_degenerate_column_floored_nonzero_start(self):
+        # A zero start is skipped (|c_j| = 0 <= lam); a nonzero one reaches
+        # the operator at the floored v, where h / v = beta_j: it stays put.
+        beta, r = np.ones(1), np.ones(2)
+        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, ScadConfig(lam=0.0))
+        assert beta[0] == 1.0
+        assert np.all(c == 0.0)
 
 
 class TestCdFit:
@@ -220,11 +231,10 @@ class TestSurrogateBookkeeping:
         for _ in range(n_sweeps):
             xi = X @ beta
             _, resid, W = cox_terms(xi + g, ds)
-            y = _working_response(xi, resid, W, ds.n)
-            r = y - xi
+            r = resid / (ds.n * np.maximum(W, EPS_W))
             before = beta.copy()
-            _sweep(X, W, r, beta, cfg)
-            out.append((W, y, before, beta.copy(), r))
+            c = _sweep(X, W, r, beta, cfg)
+            out.append((W, xi + r, before, beta.copy(), c))
         return X, cfg, out
 
     @staticmethod
@@ -266,6 +276,61 @@ class TestSurrogateBookkeeping:
         assert checked
 
     def test_incremental_residual_matches_fresh(self):
+        # The covariances c kept by the sweep's updates against a fresh
+        # X' W (y - X beta) at the end of each sweep.
         X, _, sweeps = self._sweeps(1, lam=0.1)
-        for _, y, _, after, r in sweeps:
-            assert np.max(np.abs(y - X @ after - r)) < 1e-8
+        for W, y, _, after, c in sweeps:
+            assert np.max(np.abs(X.T @ (W * (y - X @ after)) - c)) < 1e-8
+
+
+def reference_sweep(X, W, r, beta, cfg):
+    """The per-coordinate residual sweep the covariance updates replaced:
+    h_j = (W x_j)' r + v_j beta_j on the residual r = y - X beta, which
+    every kept move updates in place."""
+    WX = X * W[:, None]
+    v_all = np.maximum(np.einsum("ij,ij->j", WX, X), V_FLOOR).tolist()
+    for j, v in enumerate(v_all):
+        old = float(beta[j])
+        h = float(WX[:, j] @ r) + v * old
+        new = scad_threshold(h, v, cfg)
+        delta = 0.5 * v * (new * new - old * old) - h * (new - old) \
+            + scad_value(abs(new), cfg) - scad_value(abs(old), cfg)
+        if new != old and delta <= 0.0:
+            r -= (new - old) * X[:, j]
+            beta[j] = new
+
+
+def reference_cd_fit(ds, g, cfg, tol=1e-5, max_sweeps=100):
+    """cd_fit's loop around reference_sweep, with the working response
+    y = xi + resid / (n W) built and xi taken off again; returns the
+    original-scale beta and the sweeps run."""
+    X, scale = ds.standardized
+    beta = np.zeros(ds.p)
+    for sweeps in range(1, max_sweeps + 1):
+        xi = X @ beta
+        _, resid, W = cox_terms(xi + g, ds)
+        y = xi + resid / (ds.n * np.maximum(W, EPS_W))
+        before = beta.copy()
+        reference_sweep(X, W, y - xi, beta, cfg)
+        if float(np.linalg.norm(beta - before)) <= tol:
+            break
+    return beta / scale, sweeps
+
+
+class TestMatchesResidualSweep:
+    """cd_fit against the residual-update sweep, on p < n and p > n."""
+
+    @pytest.mark.parametrize("n,p", [(60, 8), (100, 30), (40, 120)])
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_path(self, seed, lam, n, p):
+        beta_true = np.zeros(p)
+        beta_true[:4] = [1.0, -0.8, 0.6, 0.5]
+        ds, g = sim_cox(seed, n=n, p=p, beta_true=beta_true, g_scale=0.3)
+        cfg = ScadConfig(lam=lam)
+        info = {}
+        beta = cd_fit(ds, g, None, cfg, info=info)
+        ref, ref_sweeps = reference_cd_fit(ds, g, cfg)
+        assert np.array_equal(beta != 0.0, ref != 0.0)
+        assert info["sweeps"] == ref_sweeps
+        assert np.max(np.abs(beta - ref)) <= 1e-10

@@ -9,7 +9,7 @@ import pytest
 from dplc import (Network, NetworkArch, NumericalDivergence, adam_fit,
                   center, cox_terms, forward, init_network, loss_and_grads,
                   network_from_dict, network_to_dict, zero_network)
-from dplc.network import ADAM_EPS, _forward_cached
+from dplc.network import ADAM_EPS, _TrainPass
 
 from conftest import fd_close, make_dataset, naive_neg_log_pl, random_instance
 
@@ -17,8 +17,16 @@ from conftest import fd_close, make_dataset, naive_neg_log_pl, random_instance
 class ZeroRng:
     """Stub rng whose draws force every dropout mask to drop."""
 
-    def random(self, shape):
-        return np.zeros(shape)
+    def random(self, out):
+        out[:] = 0.0
+        return out
+
+
+def train_forward(net, z, rng):
+    """Train-mode raw outputs of net on z (one training pass's forward)."""
+    n = len(z)
+    ds = make_dataset(np.ones(n), np.zeros(n), z=z)
+    return _TrainPass(net, ds, np.zeros(1), rng).forward()
 
 
 def hand_net(w1, b1, w2, b2, rate=0.0):
@@ -63,8 +71,7 @@ class TestForward:
     def test_train_equals_eval_without_dropout(self, rng):
         net = init_network(NetworkArch((4, 4), 0.0), 3, seed=2)
         z = rng.standard_normal((9, 3))
-        assert np.array_equal(_forward_cached(net, z, True, None)[0],
-                              forward(net, z))
+        assert np.array_equal(train_forward(net, z, None), forward(net, z))
 
     def test_hand_relu_composition(self):
         net = hand_net([[1.0, 0.0]], [0.0], [[1.0]], [0.0])
@@ -75,7 +82,8 @@ class TestForward:
         net = hand_net([[1.0, 0.0]], [0.0], [[1.0]], [0.0])
         net.center_offset = 0.75
         assert forward(net, [[2.0, 0.0]])[0] == pytest.approx(1.25)
-        raw, _ = _forward_cached(net, np.array([[2.0, 0.0]]), True, None)
+        # two rows: a dataset needs at least as many rows as z columns
+        raw = train_forward(net, np.array([[2.0, 0.0], [2.0, 0.0]]), None)
         assert raw[0] == pytest.approx(2.0)
 
     def test_eval_deterministic_bitwise(self, rng):
@@ -93,8 +101,9 @@ class TestForward:
         z = np.random.default_rng(8).standard_normal((5, 2))
         raw_eval = forward(net, z)  # offset is 0 after init
         rng = np.random.default_rng(123)
-        draws = np.stack([_forward_cached(net, z, True, rng)[0]
-                          for _ in range(10_000)])
+        train = _TrainPass(net, make_dataset(np.ones(5), np.zeros(5), z=z),
+                           np.zeros(1), rng)
+        draws = np.stack([train.forward().copy() for _ in range(10_000)])
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(mean - raw_eval) <= 3.0 * se + 1e-12)
@@ -237,8 +246,18 @@ class TestAdamFit:
         ds = self._toy()
         net = init_network(NetworkArch((3,), 0.0), 2, seed=0)
         net.weights[0][:] = np.nan
-        with pytest.raises((NumericalDivergence, ValueError)):
+        with pytest.raises(NumericalDivergence):
             adam_fit(net, ds, np.zeros(ds.p), 0.01, inner_steps=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predictor_raises_divergence(self, value):
+        # x @ beta_fixed is not finite: the loss check reports it, where
+        # cox_terms would raise its ValueError.
+        ds = self._toy()
+        net = init_network(NetworkArch((3,), 0.3), 2, seed=0)
+        with pytest.raises(NumericalDivergence):
+            adam_fit(net, ds, np.full(ds.p, value), 0.01, inner_steps=2,
+                     rng=np.random.default_rng(0))
 
 
 class TestCenter:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dplc import cox_terms, stratified_split
-from dplc.coordinate_descent import _working_response
+from dplc.coordinate_descent import EPS_W
+from dplc.survival import _loss_terms
 
 from conftest import (fd_gradient, fd_hessian_diag, index_sets, make_dataset,
                       naive_history_set, naive_neg_log_pl, naive_risk_set,
@@ -105,9 +106,11 @@ def _hess(eta, ds):
 
 
 def _working(xi, eta, ds):
-    """Working response and weights at eta, built as in one CD sweep."""
+    """Working response xi + r and weights W at eta, where
+    r = resid / (n * max(W, EPS_W)) is the working residual of one CD
+    sweep."""
     _, resid, W = cox_terms(eta, ds)
-    return _working_response(np.asarray(xi, float), resid, W, ds.n), W
+    return np.asarray(xi, float) + resid / (ds.n * np.maximum(W, EPS_W)), W
 
 
 class TestNegLogPartialLikelihood:
@@ -153,6 +156,19 @@ class TestNegLogPartialLikelihood:
         ds = make_dataset([1.0, 2.0], [1, 1])
         with pytest.raises(ValueError, match="length"):
             cox_terms([0.0, 0.0, 0.0], ds)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2, 3])
+    def test_unchecked_pass_gives_nonfinite_loss(self, value, at):
+        # The training pass skips cox_terms' checks and relies on its loss
+        # check instead: any non-finite entry, at an event (0, 2) or a
+        # censored subject (1, 3), early or late, must give a non-finite q.
+        ds = make_dataset([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0])
+        eta = np.array([0.2, -0.1, 0.4, 0.3])
+        eta[at] = value
+        with np.errstate(all="ignore"):
+            loss, _, _ = _loss_terms(eta, ds)
+        assert not np.isfinite(loss)
 
 
 class TestGradEta:

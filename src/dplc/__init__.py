@@ -14,7 +14,7 @@ from .estimator import (FitConfig, FittedModel, bic, fit, model_from_dict,
 from .network import (Network, NetworkArch, adam_fit, center, forward,
                       init_network, loss_and_grads, network_from_dict,
                       network_to_dict, zero_network)
-from .scad import ScadConfig, scad_threshold, scad_value
+from .scad import scad_threshold, scad_value
 from .simulation import (ReplicateRow, SelectionRow, SimConfig,
                          SimulatedData, c_index, calibrate_censoring, g0_eval,
                          gen_beta0, gen_covariates, gen_survival,

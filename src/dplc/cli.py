@@ -7,13 +7,14 @@ errors with line/column diagnostics; nothing is imputed or coerced.
 
 Run configuration is a JSON file holding the top-level "seed" and the
 "sim" and "fit" sections, which take the fields of SimConfig and FitConfig
-by name (FitConfig's "scad" and "arch" nest the same way; "fit" also holds
-the BIC "lambda_grid").  Every field is optional and defaults to the
-record's own default; unknown keys are rejected, integer fields need JSON
-integers and number fields finite numbers.  Architecture search runs only
-on `fit --arch-grid`, and `benchmark` always fits the penalized Cox
-baseline next to the full model.  All randomness flows from one seed, so
-repeated invocations produce byte-identical outputs.
+by name (FitConfig's "arch" nests the same way; "fit" also holds the BIC
+"lambda_grid", the only source of the penalty strength).  Every field is
+optional and defaults to the record's own default; unknown keys are
+rejected, integer fields need JSON integers and number fields finite
+numbers.  Architecture search runs only on `fit --arch-grid`, and
+`benchmark` always fits the penalized Cox baseline next to the full model.
+All randomness flows from one seed, so repeated invocations produce
+byte-identical outputs.
 
 Exit codes: 0 success, 2 input/schema error, 3 numerical failure.
 The DPLC_LOG environment variable (DEBUG/INFO/WARNING) controls logging.

@@ -4,20 +4,21 @@ Each sweep makes one `cox_terms` pass at the current linear predictor and
 builds the diagonal IRLS surrogate of the partial likelihood from it:
 weights W (the Hessian diagonal) and working residual
 r = resid / (n * W), W floored at EPS_W.  Coordinates are then updated
-one at a time through the SCAD thresholding operator.  The sweep works on
-covariances (Friedman, Hastie & Tibshirani 2010, JSS 33(1), section 2.2):
-it computes c = X' W r once, and a move of coordinate j updates
-c -= delta * G_j with the Gram row G_j = (x_j * W)' X.  Rows are built
-only for the coordinates that are nonzero at the start of the sweep and
-for those that enter during it, never the full p x p Gram, and a zero
-coordinate with |c_j| <= lam is skipped after one comparison, since the
-threshold leaves it at zero.  W and r are refreshed once per sweep, not
-per coordinate, so the quadratic stays fixed while a sweep runs.
+one at a time through the SCAD thresholding operator at the float lam.
+The sweep works on covariances (Friedman, Hastie & Tibshirani 2010, JSS
+33(1), section 2.2): it computes c = X' W r once, and a move of
+coordinate j updates c -= delta * G_j with the Gram row G_j = (x_j * W)' X.
+Rows are built only for the coordinates that are nonzero at the start of
+the sweep and for those that enter during it, never the full p x p Gram,
+and a zero coordinate with |c_j| <= lam is skipped after one comparison,
+since the threshold leaves it at zero.  W and r are refreshed once per
+sweep, not per coordinate, so the quadratic stays fixed while a sweep runs.
 
 The sweeps run on the dataset's standardized x (`SurvivalDataset.standardized`:
 columns centered and scaled to unit variance, constant columns exact
-zeros, built once per dataset); the returned coefficients are on the
-original scale, with thresholded entries exactly zero.
+zeros, built once per dataset), so lam penalizes the standardized
+coefficients beta * scale; the returned coefficients are on the original
+scale, with thresholded entries exactly zero.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalDivergence
-from .scad import ScadConfig, scad_threshold, scad_value
+from .scad import scad_threshold, scad_value
 from .survival import SurvivalDataset, cox_terms
 
 V_FLOOR = 1e-10
@@ -38,17 +39,17 @@ BETA_CAP = 1e6
 EPS_W = 1e-8
 
 
-def _surrogate_move_delta(h, v, old, new, cfg):
+def _surrogate_move_delta(h, v, old, new, lam):
     """Exact change of the penalized quadratic surrogate for one move.
 
     Equals the change of 0.5*(r-X delta)'W(r-X delta) + sum p(|beta_k|)
     evaluated fresh, folded down to one coordinate.
     """
     quad = 0.5 * v * (new * new - old * old) - h * (new - old)
-    return quad + scad_value(abs(new), cfg) - scad_value(abs(old), cfg)
+    return quad + scad_value(abs(new), lam) - scad_value(abs(old), lam)
 
 
-def _sweep(X, W, r, beta, cfg):
+def _sweep(X, W, r, beta, lam):
     """One pass over the coordinates of the surrogate fixed by (W, r).
 
     The surrogate is 0.5 (r - X d)' W (r - X d) + sum p(|beta_k|) in the
@@ -68,7 +69,6 @@ def _sweep(X, W, r, beta, cfg):
     c = (W * r) @ X
     active = np.flatnonzero(beta)
     rows = dict(zip(active.tolist(), (X[:, active] * W[:, None]).T @ X))
-    lam = cfg.lam
     for j, old in enumerate(beta.tolist()):
         if old == 0.0 and abs(c[j]) <= lam:
             continue
@@ -77,18 +77,19 @@ def _sweep(X, W, r, beta, cfg):
             row = (X[:, j] * W) @ X
         v = max(float(row[j]), V_FLOOR)
         h = float(c[j]) + v * old
-        new = scad_threshold(h, v, cfg)
-        if new != old and _surrogate_move_delta(h, v, old, new, cfg) <= 0.0:
+        new = scad_threshold(h, v, lam)
+        if new != old and _surrogate_move_delta(h, v, old, new, lam) <= 0.0:
             c -= (new - old) * row
             beta[j] = new
     return c
 
 
-def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
+def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
            tol: float = 1e-5, max_sweeps: int = 100, *,
            info: Optional[dict] = None) -> np.ndarray:
     """Run penalized coordinate descent until the sweep change is <= tol.
 
+    lam is the SCAD strength, finite and >= 0, on the standardized scale.
     g_vals is the fixed nonparametric offset per subject.  A coordinate
     move is accepted only if it does not increase the current penalized
     surrogate; the thresholding operator guarantees that when v_j = 1, and
@@ -98,6 +99,8 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
     info["converged"] whether the sweep change reached tol before
     max_sweeps ran out.
     """
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 0")
     g_vals = np.asarray(g_vals, dtype=float)
     if g_vals.shape != (dataset.n,):
         raise ValueError("g_vals length does not match dataset")
@@ -120,7 +123,7 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, cfg: ScadConfig,
         xi = X @ beta
         _, resid, W = cox_terms(xi + g_vals, dataset)
         beta_prev = beta.copy()
-        _sweep(X, W, resid / (n * np.maximum(W, EPS_W)), beta, cfg)
+        _sweep(X, W, resid / (n * np.maximum(W, EPS_W)), beta, lam)
         if np.abs(beta).max(initial=0.0) > BETA_CAP:
             raise NumericalDivergence("divergence; reduce step or increase lambda")
         change = beta - beta_prev

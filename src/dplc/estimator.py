@@ -8,9 +8,10 @@ iteration k (Kingma & Ba 2015).  The loop stops once the eval-mode
 penalized loss has changed by at most OUTER_TOL, relative, on
 OUTER_WINDOW consecutive outer iterations with the coefficient support
 unchanged.  Adam always runs its inner steps, and coordinate descent
-stops at cd_fit's default tolerance.  Tuning utilities pick the penalty
-strength by BIC over a grid (warm-started along the path) and the
-architecture by held-out partial likelihood.
+stops at cd_fit's default tolerance.  The SCAD strength lam is an argument
+of fit, not a setting: tune_lambda picks it by BIC over the config's grid
+(warm-started along the path), and architecture search fits every cell at
+that pick on its training split and scores it by held-out likelihood.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import NumericalDivergence
 from .network import (Network, NetworkArch, _is_int, adam_fit, center,
                       forward, init_network, network_from_dict,
                       network_to_dict, zero_network)
-from .scad import ScadConfig, scad_value
+from .scad import scad_value
 from .survival import SurvivalDataset, cox_terms, stratified_split, subset
 
 logger = logging.getLogger(__name__)
@@ -42,14 +43,13 @@ class FitConfig:
     """Everything one fit needs besides the data.
 
     The defaults are the full default fit, and the run config's "fit"
-    section sets these fields by name.  fit() uses scad.lam; tune_lambda
-    fits along lambda_grid, which must be ascending, finite and >= 0.
+    section sets these fields by name.  tune_lambda fits along
+    lambda_grid, which must be ascending, finite and >= 0.
     gamma is Adam's step size, finite and > 0; the stopping tolerances are
     fixed (see fit).  fit_g=False disables the network entirely (g
     identically zero), which is the plain SCAD-penalized Cox baseline.
     """
 
-    scad: ScadConfig = field(default_factory=ScadConfig)
     lambda_grid: tuple = tuple(round(v, 6) for v in np.geomspace(0.05, 5.0, 12))
     arch: NetworkArch = field(default_factory=NetworkArch)
     gamma: float = 0.01
@@ -90,27 +90,26 @@ class FittedModel:
         return int(self.support.size)
 
 
-def _penalty_total(beta, scad_cfg):
-    return float(np.sum([scad_value(abs(b), scad_cfg) for b in beta]))
-
-
-def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
+def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
         beta_init=None, net_init: Optional[Network] = None) -> FittedModel:
     """Alternate network and coefficient updates until both stabilize.
 
-    Outer iteration k runs cfg.inner_steps Adam steps at step size
-    cfg.gamma / k, continuing the Adam moments of iteration k - 1, then
-    coordinate descent on beta at cd_fit's default tolerance.  The fit has
-    converged once the eval-mode penalized loss (diagnostics "loss_path")
-    has changed by at most OUTER_TOL, relative to its previous value, on
-    OUTER_WINDOW consecutive outer iterations with the support of beta
-    unchanged over them; otherwise it stops after cfg.max_outer
-    iterations.  "converged" is True only when that stopping rule held and
-    the last coordinate descent call converged too (it did not run out of
-    cfg.max_sweeps).
+    lam is the SCAD strength, finite and >= 0.  Outer iteration k runs
+    cfg.inner_steps Adam steps at step size cfg.gamma / k, continuing the
+    Adam moments of iteration k - 1, then coordinate descent on beta at
+    cd_fit's default tolerance.  The fit has converged once the eval-mode
+    penalized loss (diagnostics "loss_path"; it penalizes beta * scale,
+    the standardized beta that coordinate descent penalizes) has changed
+    by at most OUTER_TOL, relative to its previous value, on OUTER_WINDOW
+    consecutive outer iterations with the support of beta unchanged over
+    them; otherwise it stops after cfg.max_outer iterations.  "converged"
+    is True only when that stopping rule held and the last coordinate
+    descent call converged too (it did not run out of cfg.max_sweeps).
     """
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lam must be finite and >= 0")
     if net_init is not None and net_init.input_dim != dataset.r:
         raise ValueError("net_init takes %d z columns but dataset has r=%d"
                          % (net_init.input_dim, dataset.r))
@@ -127,10 +126,11 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
         else np.asarray(beta_init, dtype=float).copy()
     center(net, dataset.z)
     g_vals = forward(net, dataset.z)
+    scale = dataset.standardized[1]
 
     def penalized_loss(b, g):
-        return cox_terms(dataset.x @ b + g, dataset)[0] \
-            + _penalty_total(b, cfg.scad)
+        return cox_terms(dataset.x @ b + g, dataset)[0] + float(np.sum(
+            [scad_value(abs(t), lam) for t in (b * scale).tolist()]))
 
     loss_path = [penalized_loss(beta, g_vals)]
     cd_sweeps = []
@@ -143,7 +143,7 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
                      moments=moments)
         g_vals = forward(net, dataset.z)
         cd_info = {}
-        beta_new = cd_fit(dataset, g_vals, beta, cfg.scad,
+        beta_new = cd_fit(dataset, g_vals, beta, lam,
                           max_sweeps=cfg.max_sweeps, info=cd_info)
         cd_sweeps.append(cd_info["sweeps"])
         loss_path.append(penalized_loss(beta_new, g_vals))
@@ -157,7 +157,7 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, *,
 
     support = np.flatnonzero(beta != 0.0)
     model = FittedModel(beta_hat=beta, net=net, support=support,
-                        lam=float(cfg.scad.lam), diagnostics={
+                        lam=float(lam), diagnostics={
                             "loss_path": loss_path,
                             "outer_iters": len(cd_sweeps),
                             "cd_sweeps": cd_sweeps,
@@ -206,9 +206,8 @@ def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig):
     path = []
     beta_warm, net_warm = None, None
     for lam in cfg.lambda_grid:
-        cfg_lam = replace(cfg, scad=replace(cfg.scad, lam=lam))
         start = time.perf_counter()
-        model = fit(dataset, cfg_lam, beta_init=beta_warm, net_init=net_warm)
+        model = fit(dataset, cfg, lam, beta_init=beta_warm, net_init=net_warm)
         info = model.diagnostics
         logger.info("lambda=%g selected=%d bic=%.6g outer_iters=%d "
                     "converged=%s seconds=%.3f", lam, model.n_selected,
@@ -228,13 +227,14 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
                       dropout_grid, lr_grid, cfg: FitConfig):
     """Exhaustive grid search over depth, width, dropout, learning rate.
 
-    Each cell is fitted on a stratified split of the data and scored by
-    partial likelihood on the held-out VAL_FRACTION of it.  Cell k is
-    fitted at seed cfg.seed + k.  Ties keep the smaller cell (depth, then
-    width, then dropout, then learning rate; grids are sorted ascending
-    before the scan).  Every cell's settings are checked before the first
-    fit.  Returns (best_cfg, table): the winning cell's FitConfig, which
-    is cfg with its arch and gamma set, and one score row per cell.
+    Each cell is fitted on a stratified split of the data, at the lam that
+    tune_lambda picks on that split at cfg and at seed cfg.seed + k for
+    cell k, and scored by partial likelihood on the held-out VAL_FRACTION.
+    Ties keep the smaller cell (depth, then width, then dropout, then
+    learning rate; grids are sorted ascending before the scan).  Every
+    cell's settings are checked before the first fit.  Returns (best_cfg,
+    table): the winning cell's FitConfig, which is cfg with its arch and
+    gamma set, and one row per cell: its score, lam and selected count.
     """
     depths = sorted(int(d) for d in depth_grid)
     widths = sorted(int(w) for w in width_grid)
@@ -253,14 +253,16 @@ def tune_architecture(dataset: SurvivalDataset, depth_grid, width_grid,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
     train_idx, val_idx = stratified_split(dataset.status, VAL_FRACTION, rng)
     train_ds, val_ds = subset(dataset, train_idx), subset(dataset, val_idx)
+    lam = tune_lambda(train_ds, cfg)[0].lam
 
     table = []
     best = None
     for k, (depth, width, rate, lr, cell_cfg) in enumerate(cells):
-        model = fit(train_ds, replace(cell_cfg, seed=cfg.seed + k))
+        model = fit(train_ds, replace(cell_cfg, seed=cfg.seed + k), lam)
         score = cox_terms(predict_eta(model, val_ds.x, val_ds.z), val_ds)[0]
-        table.append({"depth": depth, "width": width,
-                      "dropout": rate, "lr": lr, "score": score})
+        table.append({"depth": depth, "width": width, "dropout": rate,
+                      "lr": lr, "score": score, "lam": lam,
+                      "selected": model.n_selected})
         if best is None or score < best[0]:
             best = (score, cell_cfg)
     return best[1], table

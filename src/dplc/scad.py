@@ -6,38 +6,27 @@ The penalty derivative is the quadratic spline
           = (a*lam - t)+ / (a - 1)      for t > lam
           = 0                           for t >= a*lam
 
-with a > 2, and the value is its integral from zero.  Large coefficients
-beyond a*lam pay a constant penalty, so they are left unshrunk by the
-thresholding operator.  Both functions take and return plain floats: a
-coordinate-descent visit solves a one-variable problem, so there is no
-array path.
+with the shape fixed at Fan & Li's a = SCAD_A = 3.7 (JASA 96(456), 2001),
+and the value is its integral from zero.  The strength lam is a plain
+float, picked by BIC along the fit's grid; the callers (`cd_fit`, `fit`)
+check that it is finite and >= 0.  Large coefficients beyond a*lam pay a
+constant penalty, so they are left unshrunk by the thresholding operator.
+Both functions take and return plain floats: a coordinate-descent visit
+solves a one-variable problem, so there is no array path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+SCAD_A = 3.7
 
 
-@dataclass(frozen=True)
-class ScadConfig:
-    """Penalty parameters: finite strength lam >= 0, shape a > 2."""
-
-    lam: float = 0.5
-    a: float = 3.7
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError("lam must be finite and >= 0")
-        if not self.a > 2.0:
-            raise ValueError("a must be > 2")
-
-
-def scad_value(theta: float, cfg: ScadConfig) -> float:
+def scad_value(theta: float, lam: float) -> float:
     """Penalty value p(theta) for a float theta >= 0 (integral of p')."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    lam, a = cfg.lam, cfg.a
+    a = SCAD_A
     if lam == 0.0:
         return 0.0
     if theta <= lam:
@@ -48,7 +37,7 @@ def scad_value(theta: float, cfg: ScadConfig) -> float:
     return lam ** 2 * (a + 1.0) / 2.0
 
 
-def scad_threshold(h: float, v: float, cfg: ScadConfig) -> float:
+def scad_threshold(h: float, v: float, lam: float) -> float:
     """Univariate SCAD update for the weighted quadratic 0.5*v*b^2 - h*b.
 
     Three zones by |h|: soft-thresholding up to 2*lam, a rescaled
@@ -58,7 +47,7 @@ def scad_threshold(h: float, v: float, cfg: ScadConfig) -> float:
     """
     if not v > 0.0:
         raise ValueError("non-positive curvature")
-    lam, a = cfg.lam, cfg.a
+    a = SCAD_A
     ah = abs(h)
     if ah <= 2.0 * lam:
         return math.copysign(max(ah - lam, 0.0), h) / v

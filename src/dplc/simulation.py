@@ -313,6 +313,7 @@ class ReplicateRow:
     fpr_pct: Optional[float] = None
     fnn: Optional[int] = None
     fnr_pct: Optional[float] = None
+    fits_not_converged: Optional[int] = None  # of the method's lambda path
     error: Optional[str] = None
 
 
@@ -343,7 +344,7 @@ def _run_replicate(args):
             fit_cfg = replace(cfg, seed=int(
                 np.random.SeedSequence([sim_cfg.seed, rep, name_tag])
                 .generate_state(1)[0]))
-            best, _ = tune_lambda(train_ds, fit_cfg)
+            best, path = tune_lambda(train_ds, fit_cfg)
             row.lambda_selected = best.lam
             eta_test = predict_eta(best, test_ds.x, test_ds.z)
             row.c_index_test = c_index(eta_test, test_ds.times, test_ds.status)
@@ -356,6 +357,8 @@ def _run_replicate(args):
             else:
                 row.fpn = best.n_selected
                 row.fpr_pct = 100.0 * best.n_selected / sim_cfg.p
+            row.fits_not_converged = sum(
+                not m.diagnostics["converged"] for m in path)
         except Exception as exc:
             row.error = str(exc)
         rows.append(row)
@@ -367,7 +370,8 @@ def _aggregate(rows, methods):
     for method in methods:
         ok = [r for r in rows if r.method == method and r.error is None]
         failed = [r for r in rows if r.method == method and r.error is not None]
-        entry = {"replicates_ok": len(ok), "replicates_failed": len(failed)}
+        entry = {"replicates_ok": len(ok), "replicates_failed": len(failed),
+                 "fits_not_converged": sum(r.fits_not_converged for r in ok)}
         if ok:
             cvals = np.array([r.c_index_test for r in ok])
             q1, med, q3 = np.percentile(cvals, [25, 50, 75])

@@ -12,9 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dplc import (FitConfig, NetworkArch,
-                  ScadConfig, SimConfig, cd_fit, cox_terms, forward,
-                  init_network, loss_and_grads, run_experiment,
+from dplc import (FitConfig, NetworkArch, SimConfig, cd_fit, cox_terms,
+                  forward, init_network, loss_and_grads, run_experiment,
                   scad_threshold, simulate_dataset)
 from dplc.cli import main as cli_main
 
@@ -28,7 +27,7 @@ LAMBDA_GRID = (0.05, 0.08, 0.12, 0.19, 0.3, 0.48, 0.76, 1.2, 1.9, 3.0, 5.0)
 
 
 def desk_cfg(hidden=(8, 8), dropout=0.3, lr=0.02, inner=20, outer=15):
-    return FitConfig(scad=ScadConfig(lam=0.3), lambda_grid=LAMBDA_GRID,
+    return FitConfig(lambda_grid=LAMBDA_GRID,
                      arch=NetworkArch(hidden, dropout),
                      gamma=lr,
                      inner_steps=inner, max_outer=outer, seed=0)
@@ -95,10 +94,9 @@ def test_scad_operator_oracle():
     start = time.time()
     worst = 0.0
     for lam in (0.1, 0.5, 1.0):
-        cfg = ScadConfig(lam=lam, a=3.7)
         for h in np.arange(-6.0, 6.0 + 1e-9, 0.05):
-            expected = brute_force_threshold(float(h), 1.0, cfg)
-            worst = max(worst, abs(scad_threshold(float(h), 1.0, cfg)
+            expected = brute_force_threshold(float(h), 1.0, lam)
+            worst = max(worst, abs(scad_threshold(float(h), 1.0, lam)
                                    - expected))
     elapsed = time.time() - start
     report("scad-operator-oracle", worst < 1e-6 and elapsed < 10.0,
@@ -133,8 +131,7 @@ def test_unpenalized_newton_equivalence():
     worst = 0.0
     for seed in range(20):
         ds, g = sim_cox(seed + 7000, n=50, p=1, beta_true=[0.9], g_scale=0.4)
-        beta = cd_fit(ds, g, None, ScadConfig(lam=0.0), tol=1e-9,
-                      max_sweeps=300)
+        beta = cd_fit(ds, g, None, 0.0, tol=1e-9, max_sweeps=300)
         worst = max(worst, abs(beta[0] - newton_1d(ds, g)))
     report("unpenalized-newton-equivalence", worst < 1e-3,
            "max |dev| = %.2e over 20 seeds" % worst)

@@ -322,7 +322,6 @@ class TestConfig:
         ("fit", '{"fit": {"max_outer": Infinity}}', "fit.max_outer"),
         ("simulate", '{"sim": {"mu": NaN}}', "sim.mu"),
         ("fit", '{"fit": {"gamma": NaN}}', "fit.gamma"),
-        ("fit", '{"fit": {"scad": {"lam": 1e400}}}', "fit.scad.lam"),
         ("fit", '{"fit": {"lambda_grid": [0.1, -Infinity]}}',
          "fit.lambda_grid[1]"),
         ("fit", '{"fit": {"max_outer": 2.7}}', "fit.max_outer"),
@@ -367,6 +366,7 @@ class TestConfig:
         ('{"network": {"learning_rate": 0.02}}', "network"),
         ('{"solver": {"max_outer": 6}}', "solver"),
         ('{"scad": {"lam": 0.3}}', "scad"),
+        ('{"fit": {"scad": {"lam": 1e400}}}', "fit.scad"),
         ('{"fit": {"fit_g": false}}', "fit.fit_g"),
         ('{"sim": {"seed": 3}}', "sim.seed"),
         ('{"fit": {"arch": {"input_dim": 8}}}', "fit.arch.input_dim"),
@@ -791,6 +791,24 @@ class TestBenchmark:
             assert concept in header
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["summary"]["dplc"]["replicates_ok"] == 2
+
+    def test_counts_fits_not_converged(self, tmp_path, small_config):
+        # One outer iteration can never make the stable window, so every
+        # fit of each method's three-value lambda path is counted.
+        cfg = json.loads(open(small_config).read())
+        cfg["fit"]["max_outer"] = 1
+        path = tmp_path / "one_outer.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "b"
+        assert run("benchmark", "--config", str(path), "--out", str(out)) == 0
+        with open(out / "replicates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(r["error"] == "" and r["fits_not_converged"] == "3"
+                   for r in rows)
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        assert {m: e["fits_not_converged"] for m, e in summary.items()} \
+            == {"dplc": 6, "cox_scad": 6}
 
     def test_threads_flag_same_bytes(self, tmp_path, small_config):
         seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"

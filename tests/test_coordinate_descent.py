@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dplc import (NumericalDivergence, ScadConfig, cd_fit, cox_terms,
-                  scad_threshold, scad_value)
+from dplc import (NumericalDivergence, cd_fit, cox_terms, scad_threshold,
+                  scad_value)
 from dplc.coordinate_descent import (EPS_W, V_FLOOR, _surrogate_move_delta,
                                      _sweep)
 
@@ -62,7 +62,7 @@ class TestSurrogateInputs:
         # h = 0 with v = 5: the coordinate stays at 0.
         beta, r = np.zeros(1), np.zeros(2)
         c = _sweep(np.array([[1.0], [2.0]]), np.ones(2), r, beta,
-                   ScadConfig(lam=0.0))
+                   0.0)
         assert beta[0] == 0.0
         assert np.all(c == 0.0)
 
@@ -71,7 +71,7 @@ class TestSurrogateInputs:
         # the covariance of the moved residual [0, -2] is 0.
         beta, r = np.zeros(1), np.array([2.0, -2.0])
         c = _sweep(np.array([[1.0], [0.0]]), np.array([0.125, 0.125]), r,
-                   beta, ScadConfig(lam=0.0))
+                   beta, 0.0)
         assert beta[0] == pytest.approx(2.0, abs=1e-15)
         assert c == pytest.approx([0.0], abs=1e-15)
         assert np.array_equal(r, [2.0, -2.0])  # r itself is not moved
@@ -82,14 +82,14 @@ class TestSurrogateInputs:
         r = rng.standard_normal(n)
         ols = X.T @ r / np.einsum("ij,ij->j", X, X)
         beta = np.zeros(3)
-        _sweep(X, np.full(n, 1.0 / n), r.copy(), beta, ScadConfig(lam=0.0))
+        _sweep(X, np.full(n, 1.0 / n), r.copy(), beta, 0.0)
         assert beta == pytest.approx(ols, rel=1e-10)
 
     def test_degenerate_column_floored(self):
         # Zero weights give x_j' W x_j = 0, which the thresholding operator
         # rejects as non-positive curvature; the floor keeps the sweep going.
         beta, r = np.zeros(1), np.ones(2)
-        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, ScadConfig(lam=0.0))
+        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, 0.0)
         assert beta[0] == 0.0
         assert np.all(c == 0.0)
 
@@ -97,7 +97,7 @@ class TestSurrogateInputs:
         # A zero start is skipped (|c_j| = 0 <= lam); a nonzero one reaches
         # the operator at the floored v, where h / v = beta_j: it stays put.
         beta, r = np.ones(1), np.ones(2)
-        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, ScadConfig(lam=0.0))
+        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, 0.0)
         assert beta[0] == 1.0
         assert np.all(c == 0.0)
 
@@ -106,7 +106,7 @@ class TestCdFit:
     def test_dominant_penalty_returns_exact_zero_in_one_sweep(self):
         ds, g = sim_cox(1, n=60, p=4)
         info = {}
-        beta = cd_fit(ds, g, None, ScadConfig(lam=50.0), info=info)
+        beta = cd_fit(ds, g, None, 50.0, info=info)
         assert beta.shape == (4,)
         assert np.all(beta == 0.0)
         assert info["sweeps"] == 1
@@ -114,7 +114,7 @@ class TestCdFit:
     @pytest.mark.parametrize("seed", range(6))
     def test_unpenalized_matches_scalar_newton(self, seed):
         ds, g = sim_cox(seed, n=50, p=1, beta_true=[0.8], g_scale=0.3)
-        beta = cd_fit(ds, g, None, ScadConfig(lam=0.0), tol=1e-9,
+        beta = cd_fit(ds, g, None, 0.0, tol=1e-9,
                       max_sweeps=300)
         expected = newton_1d(ds, g)
         assert beta[0] == pytest.approx(expected, abs=1e-3)
@@ -123,13 +123,13 @@ class TestCdFit:
         # Strong signals keep the whole grid box inside the flat tail of the
         # penalty, where the fixed point is the exact (convex) optimum.
         ds, g = sim_cox(7, n=100, p=2, beta_true=[2.0, -1.8])
-        cfg = ScadConfig(lam=0.2)
-        beta = cd_fit(ds, g, None, cfg, tol=1e-10, max_sweeps=400)
-        assert np.all(np.abs(beta) > cfg.a * cfg.lam + 0.5)
+        lam = 0.2
+        beta = cd_fit(ds, g, None, lam, tol=1e-10, max_sweeps=400)
+        assert np.all(np.abs(beta) > 3.7 * lam + 0.5)
 
         def objective(b):
             return direct_q(ds.times, ds.status, ds.x @ b + g) \
-                + sum(scad_value(t, cfg) for t in np.abs(b))
+                + sum(scad_value(t, lam) for t in np.abs(b))
 
         best = objective(beta)
         offsets = np.linspace(-0.5, 0.5, 41)
@@ -139,7 +139,7 @@ class TestCdFit:
 
     def test_exact_zeros_bitwise(self):
         ds, g = sim_cox(3, n=80, p=10, beta_true=[2.0] + [0.0] * 9)
-        beta = cd_fit(ds, g, None, ScadConfig(lam=0.4))
+        beta = cd_fit(ds, g, None, 0.4)
         zeroed = beta[beta == 0.0]
         assert zeroed.size > 0
         assert all(v == 0.0 for v in zeroed)
@@ -148,16 +148,16 @@ class TestCdFit:
         ds, g = sim_cox(11, n=120, p=8, beta_true=[1.5, -1.2, 0.8, 0, 0, 0, 0, 0])
         lam1 = 0.05
         lam2 = 3.7 * lam1 * 2.0
-        s1 = np.count_nonzero(cd_fit(ds, g, None, ScadConfig(lam=lam1)))
-        s2 = np.count_nonzero(cd_fit(ds, g, None, ScadConfig(lam=lam2)))
+        s1 = np.count_nonzero(cd_fit(ds, g, None, lam1))
+        s2 = np.count_nonzero(cd_fit(ds, g, None, lam2))
         assert s2 <= s1
 
     def test_column_rescaling_equivariance(self):
         ds, g = sim_cox(5, n=90, p=3, beta_true=[1.0, -1.0, 0.5])
-        beta1 = cd_fit(ds, g, None, ScadConfig(lam=0.1))
+        beta1 = cd_fit(ds, g, None, 0.1)
         scale = np.array([10.0, 0.2, 1.0])
         ds2 = make_dataset(ds.times, ds.status, x=ds.x * scale, z=ds.z)
-        beta2 = cd_fit(ds2, g, None, ScadConfig(lam=0.1))
+        beta2 = cd_fit(ds2, g, None, 0.1)
         assert np.allclose(beta2 * scale, beta1, rtol=1e-8, atol=1e-12)
 
     def test_divergence_raises(self):
@@ -170,7 +170,7 @@ class TestCdFit:
         ds = make_dataset(times, status, x=np.zeros((n, 1)))
         with pytest.raises(NumericalDivergence, match="divergence"):
             cd_fit(ds, np.linspace(-1, 1, n), np.array([2e6]),
-                   ScadConfig(lam=0.0), max_sweeps=3)
+                   0.0, max_sweeps=3)
 
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     @pytest.mark.parametrize("value", [1.0, 0.1, 2.7])
@@ -181,7 +181,7 @@ class TestCdFit:
         x[:, 1] = value
         ds = make_dataset(ds.times, ds.status, x=x)
         info = {}
-        beta = cd_fit(ds, g, None, ScadConfig(lam=lam), info=info)
+        beta = cd_fit(ds, g, None, lam, info=info)
         assert beta[1] == 0.0
         assert beta[0] != 0.0
         assert info["sweeps"] >= 1
@@ -189,30 +189,41 @@ class TestCdFit:
     def test_reports_convergence(self):
         ds, g = sim_cox(3, n=80, p=4, beta_true=[1.0, -0.5, 0.0, 0.0])
         capped, full, settled = {}, {}, {}
-        cd_fit(ds, g, None, ScadConfig(lam=0.05), max_sweeps=1, info=capped)
-        cd_fit(ds, g, None, ScadConfig(lam=0.05), info=full)
-        cd_fit(ds, g, None, ScadConfig(lam=50.0), max_sweeps=1, info=settled)
+        cd_fit(ds, g, None, 0.05, max_sweeps=1, info=capped)
+        cd_fit(ds, g, None, 0.05, info=full)
+        cd_fit(ds, g, None, 50.0, max_sweeps=1, info=settled)
         assert capped == {"sweeps": 1, "converged": False}
         assert full["converged"] and 1 < full["sweeps"] < 100
         assert settled == {"sweeps": 1, "converged": True}
 
     def test_warm_start_respected(self):
         ds, g = sim_cox(9, n=70, p=5, beta_true=[1.0, 0, 0, 0, 0])
-        cfg = ScadConfig(lam=0.1)
-        cold = cd_fit(ds, g, None, cfg, tol=1e-9, max_sweeps=300)
-        warm = cd_fit(ds, g, cold, cfg, tol=1e-9, max_sweeps=300)
+        lam = 0.1
+        cold = cd_fit(ds, g, None, lam, tol=1e-9, max_sweeps=300)
+        warm = cd_fit(ds, g, cold, lam, tol=1e-9, max_sweeps=300)
         assert np.allclose(warm, cold, atol=1e-6)
 
     def test_rejects_bad_inputs(self):
         ds, g = sim_cox(1, n=20, p=2)
         with pytest.raises(ValueError):
-            cd_fit(ds, g[:-1], None, ScadConfig(lam=0.1))
+            cd_fit(ds, g[:-1], None, 0.1)
         with pytest.raises(ValueError):
-            cd_fit(ds, g, np.zeros(3), ScadConfig(lam=0.1))
+            cd_fit(ds, g, np.zeros(3), 0.1)
         bad = g.copy()
         bad[0] = np.inf
         with pytest.raises(ValueError):
-            cd_fit(ds, bad, None, ScadConfig(lam=0.1))
+            cd_fit(ds, bad, None, 0.1)
+
+    def test_rejects_negative_lambda(self):
+        ds, g = sim_cox(1, n=20, p=2)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            cd_fit(ds, g, None, -0.1)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_nonfinite_lambda(self, lam):
+        ds, g = sim_cox(1, n=20, p=2)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            cd_fit(ds, g, None, lam)
 
 
 class TestSurrogateBookkeeping:
@@ -225,7 +236,6 @@ class TestSurrogateBookkeeping:
     def _sweeps(self, seed, lam, n_sweeps=20):
         ds, g = sim_cox(seed, n=60, p=6, beta_true=[1.0, -0.8, 0, 0, 0.5, 0])
         X = (ds.x - ds.x.mean(0)) / ds.x.std(0)
-        cfg = ScadConfig(lam=lam)
         beta = np.zeros(X.shape[1])
         out = []
         for _ in range(n_sweeps):
@@ -233,15 +243,15 @@ class TestSurrogateBookkeeping:
             _, resid, W = cox_terms(xi + g, ds)
             r = resid / (ds.n * np.maximum(W, EPS_W))
             before = beta.copy()
-            c = _sweep(X, W, r, beta, cfg)
+            c = _sweep(X, W, r, beta, lam)
             out.append((W, xi + r, before, beta.copy(), c))
-        return X, cfg, out
+        return X, lam, out
 
     @staticmethod
-    def _full_surrogate(X, cfg, W, y, beta):
+    def _full_surrogate(X, lam, W, y, beta):
         resid = y - X @ beta
         return 0.5 * float(resid @ (W * resid)) \
-            + sum(scad_value(t, cfg) for t in np.abs(beta))
+            + sum(scad_value(t, lam) for t in np.abs(beta))
 
     @staticmethod
     def _states(before, after):
@@ -250,17 +260,17 @@ class TestSurrogateBookkeeping:
 
     def test_accepted_moves_never_increase_surrogate(self):
         for seed in (0, 1, 2):
-            X, cfg, sweeps = self._sweeps(seed, lam=0.15)
+            X, lam, sweeps = self._sweeps(seed, lam=0.15)
             moves = 0
             for W, y, before, after, _ in sweeps:
                 moves += int(np.count_nonzero(after != before))
-                values = [self._full_surrogate(X, cfg, W, y, b)
+                values = [self._full_surrogate(X, lam, W, y, b)
                           for b in self._states(before, after)]
                 assert all(b - a <= 1e-10 for a, b in zip(values, values[1:]))
             assert moves, "no accepted updates recorded"
 
     def test_coordinate_delta_equals_fresh_full_surrogate(self):
-        X, cfg, sweeps = self._sweeps(0, lam=0.15)
+        X, lam, sweeps = self._sweeps(0, lam=0.15)
         checked = 0
         for W, y, before, after, _ in sweeps:
             states = self._states(before, after)
@@ -268,9 +278,9 @@ class TestSurrogateBookkeeping:
                 b = states[j]
                 v = max(float((W * X[:, j]) @ X[:, j]), V_FLOOR)
                 h = float((W * X[:, j]) @ (y - X @ b)) + v * b[j]
-                delta = _surrogate_move_delta(h, v, before[j], after[j], cfg)
-                fresh = self._full_surrogate(X, cfg, W, y, states[j + 1]) \
-                    - self._full_surrogate(X, cfg, W, y, b)
+                delta = _surrogate_move_delta(h, v, before[j], after[j], lam)
+                fresh = self._full_surrogate(X, lam, W, y, states[j + 1]) \
+                    - self._full_surrogate(X, lam, W, y, b)
                 assert fresh == pytest.approx(delta, abs=1e-9)
                 checked += 1
         assert checked
@@ -283,7 +293,7 @@ class TestSurrogateBookkeeping:
             assert np.max(np.abs(X.T @ (W * (y - X @ after)) - c)) < 1e-8
 
 
-def reference_sweep(X, W, r, beta, cfg):
+def reference_sweep(X, W, r, beta, lam):
     """The per-coordinate residual sweep the covariance updates replaced:
     h_j = (W x_j)' r + v_j beta_j on the residual r = y - X beta, which
     every kept move updates in place."""
@@ -292,15 +302,15 @@ def reference_sweep(X, W, r, beta, cfg):
     for j, v in enumerate(v_all):
         old = float(beta[j])
         h = float(WX[:, j] @ r) + v * old
-        new = scad_threshold(h, v, cfg)
+        new = scad_threshold(h, v, lam)
         delta = 0.5 * v * (new * new - old * old) - h * (new - old) \
-            + scad_value(abs(new), cfg) - scad_value(abs(old), cfg)
+            + scad_value(abs(new), lam) - scad_value(abs(old), lam)
         if new != old and delta <= 0.0:
             r -= (new - old) * X[:, j]
             beta[j] = new
 
 
-def reference_cd_fit(ds, g, cfg, tol=1e-5, max_sweeps=100):
+def reference_cd_fit(ds, g, lam, tol=1e-5, max_sweeps=100):
     """cd_fit's loop around reference_sweep, with the working response
     y = xi + resid / (n W) built and xi taken off again; returns the
     original-scale beta and the sweeps run."""
@@ -311,7 +321,7 @@ def reference_cd_fit(ds, g, cfg, tol=1e-5, max_sweeps=100):
         _, resid, W = cox_terms(xi + g, ds)
         y = xi + resid / (ds.n * np.maximum(W, EPS_W))
         before = beta.copy()
-        reference_sweep(X, W, y - xi, beta, cfg)
+        reference_sweep(X, W, y - xi, beta, lam)
         if float(np.linalg.norm(beta - before)) <= tol:
             break
     return beta / scale, sweeps
@@ -327,10 +337,9 @@ class TestMatchesResidualSweep:
         beta_true = np.zeros(p)
         beta_true[:4] = [1.0, -0.8, 0.6, 0.5]
         ds, g = sim_cox(seed, n=n, p=p, beta_true=beta_true, g_scale=0.3)
-        cfg = ScadConfig(lam=lam)
         info = {}
-        beta = cd_fit(ds, g, None, cfg, info=info)
-        ref, ref_sweeps = reference_cd_fit(ds, g, cfg)
+        beta = cd_fit(ds, g, None, lam, info=info)
+        ref, ref_sweeps = reference_cd_fit(ds, g, lam)
         assert np.array_equal(beta != 0.0, ref != 0.0)
         assert info["sweeps"] == ref_sweeps
         assert np.max(np.abs(beta - ref)) <= 1e-10

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dplc import (FitConfig, NetworkArch, ScadConfig, SimConfig,
+from dplc import (FitConfig, NetworkArch, SimConfig,
                   bic, fit, init_network, model_from_dict, model_to_dict,
                   predict_eta,
                   simulate_dataset, tune_architecture, tune_lambda,
@@ -18,10 +18,12 @@ from dplc.survival import cox_terms
 from conftest import make_dataset
 
 
-def quick_cfg(lam=0.15, hidden=(4, 4), dropout=0.0, gamma=0.02,
-              max_outer=8, seed=0, **kw):
-    return FitConfig(scad=ScadConfig(lam=lam),
-                     arch=NetworkArch(hidden, dropout),
+LAM = 0.15  # the penalty strength of the single fits below
+
+
+def quick_cfg(hidden=(4, 4), dropout=0.0, gamma=0.02, max_outer=8, seed=0,
+              **kw):
+    return FitConfig(arch=NetworkArch(hidden, dropout),
                      gamma=gamma,
                      max_outer=max_outer, seed=seed, **kw)
 
@@ -34,7 +36,7 @@ def sim_data(seed, n=200, p=10, s_beta=2, g0_kind="linear", r=8):
 class TestFit:
     def test_dominant_penalty_gives_pure_network_fit(self):
         data = sim_data(3, n=150, p=5, s_beta=0, g0_kind="nonlinear")
-        model = fit(data.dataset, quick_cfg(lam=5.0))
+        model = fit(data.dataset, quick_cfg(), 5.0)
         assert np.all(model.beta_hat == 0.0)
         assert model.support.size == 0
         # the network still carries signal: its outputs are not constant
@@ -43,8 +45,8 @@ class TestFit:
     def test_deterministic_bitwise(self):
         data = sim_data(5, n=120, p=8)
         cfg = quick_cfg(dropout=0.3, seed=11)
-        a = fit(data.dataset, cfg)
-        b = fit(data.dataset, cfg)
+        a = fit(data.dataset, cfg, LAM)
+        b = fit(data.dataset, cfg, LAM)
         assert np.array_equal(a.beta_hat, b.beta_hat)
         assert all(np.array_equal(x, y)
                    for x, y in zip(a.net.weights, b.net.weights))
@@ -52,18 +54,18 @@ class TestFit:
 
     def test_sweep_cap_makes_a_settled_fit_unconverged(self):
         ds = simulate_dataset(SimConfig(n=100, p=10, seed=1), 0).dataset
-        cfg = FitConfig(scad=ScadConfig(lam=0.1), fit_g=False)
-        capped = fit(ds, replace(cfg, max_sweeps=1)).diagnostics
+        cfg = FitConfig(fit_g=False)
+        capped = fit(ds, replace(cfg, max_sweeps=1), 0.1).diagnostics
         # The loss-path stopping rule held before max_outer ...
         assert capped["outer_iters"] < cfg.max_outer
         # ... but every coordinate descent call ran out of sweeps.
         assert capped["cd_sweeps"] == [1] * capped["outer_iters"]
         assert capped["converged"] is False
-        assert fit(ds, cfg).diagnostics["converged"] is True
+        assert fit(ds, cfg, 0.1).diagnostics["converged"] is True
 
     def test_support_matches_nonzeros(self):
         data = sim_data(7, n=200, p=12, s_beta=3)
-        model = fit(data.dataset, quick_cfg(lam=0.1))
+        model = fit(data.dataset, quick_cfg(), 0.1)
         assert np.array_equal(model.support, np.flatnonzero(model.beta_hat))
 
     def test_loss_trace_mostly_nonincreasing(self):
@@ -71,7 +73,7 @@ class TestFit:
         total, ok = 0, 0
         for seed in range(6):
             data = sim_data(seed, n=250, p=15, s_beta=3)
-            model = fit(data.dataset, quick_cfg(max_outer=12, seed=seed))
+            model = fit(data.dataset, quick_cfg(max_outer=12, seed=seed), LAM)
             path = model.diagnostics["loss_path"]
             steps = [path[k + 1] <= path[k] + 1e-6 for k in range(len(path) - 1)]
             total += len(steps)
@@ -94,7 +96,7 @@ class TestFit:
 
     def test_network_fit_disabled(self):
         data = sim_data(9, n=150, p=8)
-        model = fit(data.dataset, replace(quick_cfg(), fit_g=False))
+        model = fit(data.dataset, replace(quick_cfg(), fit_g=False), LAM)
         z_out = predict_eta(model, np.zeros((4, 8)), np.ones((4, 8)))
         assert np.all(z_out == 0.0)
 
@@ -107,15 +109,38 @@ class TestFit:
 
     def test_outer_cap_reports_not_converged(self):
         data = simulate_dataset(SimConfig(seed=1), 0)
-        model = fit(data.dataset, FitConfig(max_outer=2))
+        model = fit(data.dataset, FitConfig(max_outer=2), 0.5)
         assert model.diagnostics["converged"] is False
         assert model.diagnostics["outer_iters"] == 2
+
+    @pytest.mark.parametrize("lam", [-0.1, np.inf, np.nan])
+    def test_rejects_bad_lambda_before_training(self, lam, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the network was trained")
+
+        monkeypatch.setattr("dplc.estimator.adam_fit", no_training)
+        data = sim_data(1, n=60, p=4)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            fit(data.dataset, quick_cfg(), lam)
+
+    def test_loss_path_penalizes_the_standardized_beta(self):
+        # Coordinate descent penalizes beta * scale, so rescaling the x
+        # columns leaves the objective, and with it the loss path, alone.
+        ds = simulate_dataset(SimConfig(seed=1), 0).dataset
+        rescaled = make_dataset(ds.times, ds.status,
+                                x=ds.x * np.geomspace(0.01, 100, ds.p), z=ds.z)
+        a = fit(ds, FitConfig(seed=1), 0.1)
+        b = fit(rescaled, FitConfig(seed=1), 0.1)
+        assert np.array_equal(a.support, b.support)
+        assert a.diagnostics["outer_iters"] == b.diagnostics["outer_iters"]
+        assert b.diagnostics["loss_path"] == pytest.approx(
+            a.diagnostics["loss_path"], rel=1e-12)
 
     def test_arch_mismatch_rejected(self):
         data = sim_data(1, n=60, p=4, r=8)
         net = init_network(NetworkArch((4,), 0.0), 5, seed=0)
         with pytest.raises(ValueError, match=r"takes 5 .* r=8"):
-            fit(data.dataset, quick_cfg(), net_init=net)
+            fit(data.dataset, quick_cfg(), LAM, net_init=net)
 
     @pytest.mark.parametrize("gamma", [0.0, -0.01, float("nan"),
                                        float("inf")])
@@ -148,7 +173,7 @@ class TestPredictEta:
 
     def test_monotone_in_positive_coefficient(self):
         data = sim_data(2, n=150, p=6, s_beta=2)
-        model = fit(data.dataset, quick_cfg(lam=0.05))
+        model = fit(data.dataset, quick_cfg(), 0.05)
         j = int(model.support[np.argmax(model.beta_hat[model.support])])
         assert model.beta_hat[j] > 0
         x = data.dataset.x[:3].copy()
@@ -162,7 +187,7 @@ class TestPredictEta:
 
     def test_ranking_invariant_to_centering(self):
         data = sim_data(4, n=100, p=5, s_beta=2)
-        model = fit(data.dataset, quick_cfg())
+        model = fit(data.dataset, quick_cfg(), LAM)
         eta1 = predict_eta(model, data.dataset.x, data.dataset.z)
         model.net.center_offset += 3.7
         eta2 = predict_eta(model, data.dataset.x, data.dataset.z)
@@ -179,7 +204,7 @@ class TestPredictEta:
 class TestBic:
     def test_matches_formula(self):
         data = sim_data(6, n=100, p=6, s_beta=2)
-        model = fit(data.dataset, quick_cfg(lam=0.1))
+        model = fit(data.dataset, quick_cfg(), 0.1)
         ds = data.dataset
         eta = predict_eta(model, ds.x, ds.z)
         q = cox_terms(eta, ds)[0]
@@ -193,7 +218,7 @@ class TestBic:
 
     def test_zero_support_is_pure_likelihood(self):
         data = sim_data(8, n=80, p=5, s_beta=0)
-        model = fit(data.dataset, quick_cfg(lam=5.0))
+        model = fit(data.dataset, quick_cfg(), 5.0)
         assert model.support.size == 0
         ds = data.dataset
         eta = predict_eta(model, ds.x, ds.z)
@@ -202,7 +227,7 @@ class TestBic:
 
     def test_spurious_coefficient_increases_bic(self):
         data = sim_data(6, n=100, p=6, s_beta=2)
-        model = fit(data.dataset, quick_cfg(lam=0.2))
+        model = fit(data.dataset, quick_cfg(), 0.2)
         noise_cols = [j for j in range(6) if j not in set(model.support)]
         bumped = FittedModel(beta_hat=model.beta_hat.copy(), net=model.net,
                              support=None, lam=model.lam, diagnostics={})
@@ -223,7 +248,7 @@ class TestTuneLambda:
         best, path = tune_lambda(data.dataset, cfg)
         assert [m.lam for m in path] == [0.1, 0.3]
         assert any(m is best for m in path)
-        cold = fit(data.dataset, replace(cfg, scad=replace(cfg.scad, lam=0.1)))
+        cold = fit(data.dataset, cfg, 0.1)
         assert np.array_equal(path[0].beta_hat, cold.beta_hat)
 
     def test_logs_one_line_per_lambda(self, caplog):
@@ -301,8 +326,7 @@ class TestTuneLambda:
             cfg = quick_cfg(seed=seed, lambda_grid=grid)
             _, path = tune_lambda(data.dataset, cfg)
             for model in path:
-                cold = fit(data.dataset,
-                           replace(cfg, scad=replace(cfg.scad, lam=model.lam)))
+                cold = fit(data.dataset, cfg, model.lam)
                 total += 1
                 if np.array_equal(model.support, cold.support):
                     agree += 1
@@ -333,6 +357,17 @@ class TestTuneArchitecture:
         assert [(row["depth"], row["width"]) for row in table] == \
             [(1, 2), (1, 8), (2, 2), (2, 8)]
 
+    def test_cells_are_fitted_at_the_bic_pick(self):
+        # Every cell is fitted at the lam that BIC picks along the grid on
+        # the search's training split, where the default data select
+        # features; a lam above lambda_max would leave every beta at zero.
+        data = simulate_dataset(SimConfig(seed=0), 0)
+        _, table = tune_architecture(data.dataset, [1], [2, 4], [0.3],
+                                     [0.01], FitConfig(seed=0))
+        assert len(table) == 2
+        assert all(row["lam"] in FitConfig().lambda_grid for row in table)
+        assert all(row["selected"] >= 1 for row in table)
+
     def test_linear_truth_prefers_shallow(self):
         shallow = 0
         runs = 20
@@ -350,8 +385,8 @@ class TestTuneArchitecture:
 class TestPersistence:
     def test_round_trip(self):
         data = sim_data(12, n=120, p=8, s_beta=2)
-        cfg = quick_cfg(lam=0.1, dropout=0.3)
-        model = fit(data.dataset, cfg)
+        cfg = quick_cfg(dropout=0.3)
+        model = fit(data.dataset, cfg, 0.1)
         blob = json.dumps(model_to_dict(model, cfg,
                                         x_names=[f"x_{j}" for j in range(8)],
                                         z_names=[f"z_{k}" for k in range(8)]))
@@ -369,8 +404,8 @@ class TestPersistence:
 
     def test_rejects_missing_columns_before_allocating_p(self):
         data = sim_data(12, n=120, p=8, s_beta=2)
-        cfg = quick_cfg(lam=0.1)
-        record = model_to_dict(fit(data.dataset, cfg), cfg,
+        cfg = quick_cfg()
+        record = model_to_dict(fit(data.dataset, cfg, 0.1), cfg,
                                x_names=[f"x_{j}" for j in range(8)],
                                z_names=[f"z_{k}" for k in range(8)])
         del record["columns"]

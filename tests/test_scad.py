@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dplc import ScadConfig, scad_threshold, scad_value
+from dplc import scad_threshold, scad_value
 
-CFG = ScadConfig(lam=1.0, a=3.7)
+A = 3.7  # Fan & Li's shape, which dplc fixes
+LAM = 1.0
 
 
-def scad_derivative(theta, cfg):
+def scad_derivative(theta, lam):
     """p'(theta) for theta >= 0: the quadratic spline that defines SCAD."""
-    lam, a = cfg.lam, cfg.a
+    a = A
     if lam == 0.0:
         return 0.0
     if theta <= lam:
@@ -19,16 +20,16 @@ def scad_derivative(theta, cfg):
     return max(a * lam - theta, 0.0) / (a - 1.0)
 
 
-def penalty_reference(theta, cfg):
+def penalty_reference(theta, lam):
     """Numerical integral of the derivative spline from 0 to theta."""
-    value, _ = quad(lambda t: scad_derivative(t, cfg), 0.0, theta, limit=200)
+    value, _ = quad(lambda t: scad_derivative(t, lam), 0.0, theta, limit=200)
     return value
 
 
-def penalty_closed_form(theta, cfg):
+def penalty_closed_form(theta, lam):
     """The three-piece SCAD penalty on an array, written apart from dplc."""
     theta = np.asarray(theta, dtype=float)
-    lam, a = cfg.lam, cfg.a
+    a = A
     if lam == 0.0:
         return np.zeros_like(theta)
     return np.where(
@@ -40,7 +41,7 @@ def penalty_closed_form(theta, cfg):
                  lam ** 2 * (a + 1.0) / 2.0))
 
 
-def brute_force_threshold(h, v, cfg, radius=10.0):
+def brute_force_threshold(h, v, lam, radius=10.0):
     """Dense grid plus golden-section refinement of the 1-d objective
 
         0.5 * v * (b - h / v)**2 + p(|b|),
@@ -48,11 +49,11 @@ def brute_force_threshold(h, v, cfg, radius=10.0):
     whose minimizer scad_threshold must reproduce at v = 1.
     """
     def objective(b):
-        return 0.5 * v * (b - h / v) ** 2 + penalty_closed_form(abs(b), cfg)
+        return 0.5 * v * (b - h / v) ** 2 + penalty_closed_form(abs(b), lam)
 
     grid = np.linspace(-radius, radius, 4001)
     values = 0.5 * v * (grid - h / v) ** 2 \
-        + penalty_closed_form(np.abs(grid), cfg)
+        + penalty_closed_form(np.abs(grid), lam)
     k = int(np.argmin(values))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
@@ -70,27 +71,9 @@ def brute_force_threshold(h, v, cfg, radius=10.0):
     return 0.5 * (a + b)
 
 
-class TestConfig:
-    def test_rejects_small_a(self):
-        with pytest.raises(ValueError):
-            ScadConfig(lam=1.0, a=2.0)
-
-    def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            ScadConfig(lam=-0.1)
-
-    @pytest.mark.parametrize("lam", [np.inf, np.nan])
-    def test_rejects_nonfinite_lambda(self, lam):
-        with pytest.raises(ValueError, match="finite"):
-            ScadConfig(lam=lam)
-
-    def test_default_shape(self):
-        assert ScadConfig(lam=0.5).a == 3.7
-
-
-def slope(theta, cfg, step=1e-6):
+def slope(theta, lam, step=1e-6):
     """Central finite-difference slope of scad_value at theta."""
-    return (scad_value(theta + step, cfg) - scad_value(theta - step, cfg)) \
+    return (scad_value(theta + step, lam) - scad_value(theta - step, lam)) \
         / (2.0 * step)
 
 
@@ -98,65 +81,63 @@ class TestDerivative:
     """The slope of scad_value follows the spline that defines SCAD."""
 
     def test_flat_at_lambda_inside(self):
-        assert slope(0.5, CFG) == pytest.approx(1.0)
-        assert scad_value(1e-6, CFG) / 1e-6 == pytest.approx(1.0)
-        assert slope(1.0 - 1e-5, CFG) == pytest.approx(1.0)
+        assert slope(0.5, LAM) == pytest.approx(1.0)
+        assert scad_value(1e-6, LAM) / 1e-6 == pytest.approx(1.0)
+        assert slope(1.0 - 1e-5, LAM) == pytest.approx(1.0)
 
     def test_zero_beyond_a_lambda(self):
-        assert slope(5.0, CFG) == 0.0
-        assert slope(3.7 + 1e-5, CFG) == pytest.approx(0.0, abs=1e-9)
+        assert slope(5.0, LAM) == 0.0
+        assert slope(3.7 + 1e-5, LAM) == pytest.approx(0.0, abs=1e-9)
 
     def test_middle_branch_value(self):
-        assert slope(2.0, CFG) == pytest.approx((3.7 - 2.0) / 2.7, rel=1e-8)
+        assert slope(2.0, LAM) == pytest.approx((3.7 - 2.0) / 2.7, rel=1e-8)
 
     def test_continuity_at_knots(self):
         step = 1e-7
-        for knot in (CFG.lam, CFG.a * CFG.lam):
-            left = (scad_value(knot, CFG) - scad_value(knot - step, CFG)) / step
-            right = (scad_value(knot + step, CFG) - scad_value(knot, CFG)) / step
+        for knot in (LAM, A * LAM):
+            left = (scad_value(knot, LAM) - scad_value(knot - step, LAM)) / step
+            right = (scad_value(knot + step, LAM) - scad_value(knot, LAM)) / step
             assert abs(left - right) < 1e-6
 
     @pytest.mark.parametrize("theta", [0.2, 0.8, 1.5, 2.5, 3.2, 4.5])
     def test_is_derivative_of_value(self, theta):
-        assert slope(theta, CFG) == pytest.approx(scad_derivative(theta, CFG),
+        assert slope(theta, LAM) == pytest.approx(scad_derivative(theta, LAM),
                                                   rel=1e-6, abs=1e-9)
 
 
 class TestValue:
     def test_zero_at_zero(self):
-        assert scad_value(0.0, CFG) == 0.0
+        assert scad_value(0.0, LAM) == 0.0
 
     def test_first_knot(self):
-        assert scad_value(1.0, CFG) == pytest.approx(1.0, rel=1e-12)
+        assert scad_value(1.0, LAM) == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_tail(self):
-        assert scad_value(10.0, CFG) == pytest.approx(2.35, rel=1e-12)
-        assert scad_value(100.0, CFG) == pytest.approx(2.35, rel=1e-12)
+        assert scad_value(10.0, LAM) == pytest.approx(2.35, rel=1e-12)
+        assert scad_value(100.0, LAM) == pytest.approx(2.35, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 1.7, 2.9, 3.7, 6.0])
     def test_matches_quadrature_oracle(self, theta):
-        assert scad_value(theta, CFG) == pytest.approx(
-            penalty_reference(theta, CFG), rel=1e-8)
+        assert scad_value(theta, LAM) == pytest.approx(
+            penalty_reference(theta, LAM), rel=1e-8)
 
     def test_lambda_zero(self):
-        cfg = ScadConfig(lam=0.0)
-        assert scad_value(3.0, cfg) == 0.0
-        assert scad_derivative(3.0, cfg) == 0.0
+        assert scad_value(3.0, 0.0) == 0.0
+        assert scad_derivative(3.0, 0.0) == 0.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            scad_value(-1.0, CFG)
+            scad_value(-1.0, LAM)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0])
     def test_bitwise_equals_closed_form(self, lam):
-        cfg = ScadConfig(lam=lam)
-        knots = [lam, cfg.a * lam]
+        knots = [lam, A * lam]
         theta = np.concatenate([
             np.linspace(0.0, 6.0, 601), knots,
             np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
-        got = [scad_value(t, cfg).hex() for t in theta.tolist()]
+        got = [scad_value(t, lam).hex() for t in theta.tolist()]
         assert got == [t.hex() for t in
-                       penalty_closed_form(theta, cfg).tolist()]
+                       penalty_closed_form(theta, lam).tolist()]
 
 
 class TestSoftThreshold:
@@ -164,53 +145,51 @@ class TestSoftThreshold:
     sign(h) * (|h| - lam)+."""
 
     def test_shrinks(self):
-        assert scad_threshold(3.0, 1.0, ScadConfig(lam=2.0)) == 1.0
+        assert scad_threshold(3.0, 1.0, 2.0) == 1.0
 
     def test_dead_zone(self):
-        assert scad_threshold(-0.5, 1.0, CFG) == 0.0
+        assert scad_threshold(-0.5, 1.0, LAM) == 0.0
 
     def test_sign_zero(self):
-        assert scad_threshold(0.0, 1.0, ScadConfig(lam=0.0)) == 0.0
+        assert scad_threshold(0.0, 1.0, 0.0) == 0.0
 
     def test_odd(self):
-        assert scad_threshold(-3.0, 1.0, ScadConfig(lam=2.0)) == -1.0
+        assert scad_threshold(-3.0, 1.0, 2.0) == -1.0
 
 
 class TestScadThreshold:
     def test_unpenalized_branch(self):
-        assert scad_threshold(5.0, 1.0, CFG) == 5.0
+        assert scad_threshold(5.0, 1.0, LAM) == 5.0
 
     def test_dead_zone(self):
-        assert scad_threshold(0.5, 1.0, CFG) == 0.0
+        assert scad_threshold(0.5, 1.0, LAM) == 0.0
 
     def test_middle_branch_frozen(self):
         # golden-section oracle agrees to 1e-8 (verified by the grid test)
-        assert scad_threshold(3.0, 1.0, CFG) == pytest.approx(
+        assert scad_threshold(3.0, 1.0, LAM) == pytest.approx(
             2.588235294117647, rel=1e-12)
 
     def test_rejects_nonpositive_curvature(self):
         with pytest.raises(ValueError, match="non-positive curvature"):
-            scad_threshold(1.0, 0.0, CFG)
+            scad_threshold(1.0, 0.0, LAM)
 
     def test_zero_set_is_lambda_ball(self):
         for lam in (0.1, 0.5, 1.0):
-            cfg = ScadConfig(lam=lam)
             for h in np.arange(-6.0, 6.0, 0.05):
-                result = scad_threshold(float(h), 1.0, cfg)
+                result = scad_threshold(float(h), 1.0, lam)
                 assert (result == 0.0) == (abs(h) <= lam)
 
     @pytest.mark.parametrize("v", [0.5, 1.0, 2.0])
     def test_shrinkage_bound(self, v):
         for h in np.arange(-6.0, 6.0, 0.11):
-            out = scad_threshold(float(h), v, CFG)
+            out = scad_threshold(float(h), v, LAM)
             assert abs(out) <= abs(h) / v + 1e-12
-            if abs(h) > CFG.a * CFG.lam:
+            if abs(h) > A * LAM:
                 assert out == pytest.approx(h / v, rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0])
     def test_matches_brute_force_at_unit_curvature(self, lam):
-        cfg = ScadConfig(lam=lam, a=3.7)
         for h in np.arange(-6.0, 6.0 + 1e-9, 0.05):
-            expected = brute_force_threshold(float(h), 1.0, cfg)
-            assert scad_threshold(float(h), 1.0, cfg) == pytest.approx(
+            expected = brute_force_threshold(float(h), 1.0, lam)
+            assert scad_threshold(float(h), 1.0, lam) == pytest.approx(
                 expected, abs=1e-6)

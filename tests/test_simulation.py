@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dplc import (FitConfig, NetworkArch, ScadConfig, SimConfig,
+from dplc import (FitConfig, NetworkArch, SimConfig,
                   c_index, calibrate_censoring, g0_eval, gen_beta0,
                   gen_covariates, gen_survival, run_experiment,
                   selection_metrics, simulate_dataset, tune_lambda)
@@ -46,7 +46,7 @@ def blocked_c_index(risk, times, status, block=256):
 
 
 def small_fit_cfg(lambda_grid, seed=0):
-    return FitConfig(scad=ScadConfig(lam=0.2), lambda_grid=lambda_grid,
+    return FitConfig(lambda_grid=lambda_grid,
                      arch=NetworkArch((4,), 0.0),
                      max_outer=6, seed=seed)
 
@@ -392,6 +392,10 @@ class TestRunExperiment:
         assert all(r.error is None for r in good)
         assert all(r.error is not None for r in bad)
         assert summary["bad"]["replicates_failed"] == 2
+        # the count is left empty on an error row and the total skips it
+        assert all(r.fits_not_converged is None for r in bad)
+        assert summary["bad"]["fits_not_converged"] == 0
+        assert all(r.fits_not_converged in (0, 1) for r in good)
 
     def test_summary_se_is_sd_over_sqrt_n(self):
         sim = SimConfig(n=150, p=8, r=8, s_beta=2, seed=13)

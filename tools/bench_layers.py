@@ -83,8 +83,8 @@ def operations(n: int) -> dict:
     """The timed operations on one simulated dataset of n rows, each with
     the number of steps one call makes."""
     import dplc
-    from dplc import (NetworkArch, ScadConfig, SimConfig, adam_fit, c_index,
-                      cd_fit, cox_terms, init_network, loss_and_grads,
+    from dplc import (NetworkArch, SimConfig, adam_fit, c_index, cd_fit,
+                      cox_terms, init_network, loss_and_grads,
                       simulate_dataset)
 
     data = simulate_dataset(SimConfig(n=n, seed=1), 0)
@@ -96,16 +96,18 @@ def operations(n: int) -> dict:
     steps = 20
     # an older dplc takes its Adam settings as an AdamState, not a step size
     gamma = dplc.AdamState() if hasattr(dplc, "AdamState") else 0.01
+    # and its penalty strength as a ScadConfig, not a float
+    lam = dplc.ScadConfig(lam=0.1) if hasattr(dplc, "ScadConfig") else 0.1
     g_vals = np.zeros(ds.n)
-    beta_warm = cd_fit(ds, g_vals, None, ScadConfig(lam=0.1))
+    beta_warm = cd_fit(ds, g_vals, None, lam)
     return {
         "cox_terms": (lambda: cox_terms(eta, ds), 1),
         "loss_and_grads": (lambda: loss_and_grads(net, ds, data.beta0, rng), 1),
         "adam_step": (lambda: adam_fit(net, ds, data.beta0, gamma,
                                        inner_steps=steps, rng=rng,
                                        moments=moments), steps),
-        "cd_sweep": (lambda: cd_fit(ds, g_vals, beta_warm,
-                                    ScadConfig(lam=0.1), max_sweeps=1), 1),
+        "cd_sweep": (lambda: cd_fit(ds, g_vals, beta_warm, lam,
+                                    max_sweeps=1), 1),
         "c_index": (lambda: c_index(eta, ds.times, ds.status), 1),
     }
 

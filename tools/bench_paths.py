@@ -1,0 +1,172 @@
+"""Time the default lambda path of dplc, side by side for source trees.
+
+    python3 tools/bench_paths.py --side NAME=SRC [--side NAME=SRC ...]
+        [--out BENCH_paths.json]
+
+Each --side names a directory holding the `dplc` package (for example
+`src`, or the `src/` of another revision unpacked with `git archive`).
+For each method of METHODS (`dplc`, and `cox_scad` with the network off)
+at each P of SIZES (50 and 500), a side runs
+
+    tune_lambda(simulate_dataset(SimConfig(seed=1, p=P), 0).dataset,
+                FitConfig(seed=1, fit_g=...))
+
+over FitConfig's default 12-value grid and records:
+
+  wall_s          the path's wall time
+  adam_s, cd_s    the part of it spent in adam_fit and in cd_fit
+  cd_calls        cd_fit calls, one per outer iteration
+  cd_sweeps       CD sweeps over all calls
+  cd_capped       cd_fit calls that ran out of max_sweeps
+  fits_converged  fits of the path whose `converged` is true, of `fits`
+  lambda, selected, true_selected
+                  the BIC pick: its lambda, its selected count and how
+                  many of those are in the true support
+
+The timers wrap the `adam_fit` and `cd_fit` that the estimator module
+calls, so the same script measures any tree that has them.  Every side
+runs the whole table once in each of ROUNDS rounds, in a fresh process
+that imports dplc from its directory, and the sides take turns going
+first, as in tools/bench_layers.py.  Times are the median (and quartiles
+for wall_s) over the rounds.  The counts and the pick are deterministic;
+the script fails if they differ between a side's rounds.  The output
+holds one row per method and P and the record of the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+from bench_layers import machine
+
+METHODS = ("dplc", "cox_scad")
+SIZES = (50, 500)
+ROUNDS = 5
+TIMES = ("wall_s", "adam_s", "cd_s")
+
+
+def measure() -> dict:
+    """{"method P": record} for the importable dplc, one path each."""
+    from dplc import FitConfig, SimConfig, estimator, simulate_dataset
+
+    spent = {}
+    cd_calls = []
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return wrapper
+
+    def cd_fit(*args, **kwargs):
+        info = kwargs.setdefault("info", {})
+        beta = cd(*args, **kwargs)
+        cd_calls.append((info["sweeps"], info["converged"]))
+        return beta
+
+    cd = timed("cd_s", estimator.cd_fit)
+    estimator.adam_fit = timed("adam_s", estimator.adam_fit)
+    estimator.cd_fit = cd_fit
+
+    out = {}
+    for p in SIZES:
+        data = simulate_dataset(SimConfig(seed=1, p=p), 0)
+        for method in METHODS:
+            spent.update(adam_s=0.0, cd_s=0.0)
+            cd_calls.clear()
+            cfg = FitConfig(seed=1, fit_g=method == "dplc")
+            start = time.perf_counter()
+            best, path = estimator.tune_lambda(data.dataset, cfg)
+            wall = time.perf_counter() - start
+            out["%s %d" % (method, p)] = {
+                "wall_s": wall, "adam_s": spent["adam_s"],
+                "cd_s": spent["cd_s"],
+                "cd_calls": len(cd_calls),
+                "cd_sweeps": sum(s for s, _ in cd_calls),
+                "cd_capped": sum(not c for _, c in cd_calls),
+                "fits": len(path),
+                "fits_converged": sum(bool(m.diagnostics["converged"])
+                                      for m in path),
+                "lambda": best.lam, "selected": best.n_selected,
+                "true_selected": int(np.isin(best.support,
+                                             data.support0).sum()),
+            }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", action="append", default=[],
+                        metavar="NAME=SRC", help="a dplc source directory")
+    parser.add_argument("--out", default="BENCH_paths.json")
+    parser.add_argument("--child", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        json.dump(measure(), sys.stdout)
+        return 0
+    sides = [spec.split("=", 1) for spec in args.side]
+    if not sides or any(len(side) != 2 for side in sides):
+        parser.error("give at least one --side NAME=SRC")
+
+    runs = {name: [] for name, _ in sides}
+    for r in range(ROUNDS):
+        for name, src in (sides if r % 2 == 0 else sides[::-1]):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            child = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child"],
+                env=env, stdout=subprocess.PIPE, check=True, text=True)
+            runs[name].append(json.loads(child.stdout))
+            print("round %d: %s done" % (r + 1, name), file=sys.stderr)
+
+    rows = []
+    for p in SIZES:
+        for method in METHODS:
+            key = "%s %d" % (method, p)
+            row = {"method": method, "p": p}
+            for name, _ in sides:
+                records = [run[key] for run in runs[name]]
+                counts = [{k: v for k, v in rec.items() if k not in TIMES}
+                          for rec in records]
+                if any(c != counts[0] for c in counts):
+                    raise SystemExit("%s %s: counts differ between rounds"
+                                     % (name, key))
+                times = {k: [rec[k] for rec in records] for k in TIMES}
+                q1, med, q3 = np.percentile(times["wall_s"], [25, 50, 75])
+                row[name] = {"wall_s": round(med, 3),
+                             "wall_s_q1": round(q1, 3),
+                             "wall_s_q3": round(q3, 3),
+                             "adam_s": round(np.median(times["adam_s"]), 3),
+                             "cd_s": round(np.median(times["cd_s"]), 3),
+                             **counts[0]}
+            rows.append(row)
+            print("%-8s p=%-4d " % (method, p) + "  ".join(
+                "%s %.2f s (adam %.2f, cd %.2f) sweeps %d capped %d "
+                "converged %d/%d pick lambda=%g %d sel %d true"
+                % (name, row[name]["wall_s"], row[name]["adam_s"],
+                   row[name]["cd_s"], row[name]["cd_sweeps"],
+                   row[name]["cd_capped"], row[name]["fits_converged"],
+                   row[name]["fits"], row[name]["lambda"],
+                   row[name]["selected"], row[name]["true_selected"])
+                for name, _ in sides))
+    with open(args.out, "w") as fh:
+        json.dump({"machine": machine(),
+                   "settings": {"rounds": ROUNDS,
+                                "sides": [name for name, _ in sides]},
+                   "rows": rows}, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

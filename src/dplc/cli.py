@@ -89,10 +89,7 @@ def _checked(base, value, where):
             raise CliInputError("config key %s must be a list" % where)
         return [_checked(base[0], v, "%s[%d]" % (where, k))
                 for k, v in enumerate(value)]
-    if isinstance(base, bool):
-        if not isinstance(value, bool):
-            raise CliInputError("config key %s must be a boolean" % where)
-    elif isinstance(base, int):
+    if isinstance(base, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise CliInputError("config key %s must be an integer" % where)
     elif isinstance(base, float):

@@ -8,10 +8,12 @@ iteration k (Kingma & Ba 2015).  The loop stops once the eval-mode
 penalized loss has changed by at most OUTER_TOL, relative, on
 OUTER_WINDOW consecutive outer iterations with the coefficient support
 unchanged.  Adam always runs its inner steps, and coordinate descent
-stops at cd_fit's default tolerance.  The SCAD strength lam is an argument
-of fit, not a setting: tune_lambda picks it by BIC over the config's grid
-(warm-started along the path), and architecture search fits every cell at
-that pick on its training split and scores it by held-out likelihood.
+stops at cd_fit's default tolerance.  Without the network (g = 0, the
+baseline) there is nothing to alternate: a fit is one coordinate-descent
+call.  The SCAD strength lam is an argument of fit, not a setting:
+tune_lambda picks it by BIC over the config's grid (warm-started along
+the path), and architecture search fits every cell at that pick on its
+training split and scores it by held-out likelihood.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class FitConfig:
     section sets these fields by name.  tune_lambda fits along
     lambda_grid, which must be ascending, finite and >= 0.
     gamma is Adam's step size, finite and > 0; the stopping tolerances are
-    fixed (see fit).  fit_g=False disables the network entirely (g
-    identically zero), which is the plain SCAD-penalized Cox baseline.
+    fixed (see fit).  fit_g=False is the plain SCAD-penalized Cox baseline:
+    g is identically zero, and a fit is one coordinate-descent call.
     """
 
     lambda_grid: tuple = tuple(round(v, 6) for v in np.geomspace(0.05, 5.0, 12))
@@ -105,6 +107,8 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
     them; otherwise it stops after cfg.max_outer iterations.  "converged"
     is True only when that stopping rule held and the last coordinate
     descent call converged too (it did not run out of cfg.max_sweeps).
+    With cfg.fit_g False the fit stops after that one call ("outer_iters"
+    is 1), and "converged" is the call's own flag.
     """
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
@@ -152,7 +156,8 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
                    <= OUTER_TOL * abs(loss_path[-2]))
         beta = beta_new
         stable = stable + 1 if settled else 0
-        if stable == OUTER_WINDOW:
+        done = stable == OUTER_WINDOW or not cfg.fit_g
+        if done:
             break
 
     support = np.flatnonzero(beta != 0.0)
@@ -161,8 +166,7 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
                             "loss_path": loss_path,
                             "outer_iters": len(cd_sweeps),
                             "cd_sweeps": cd_sweeps,
-                            "converged": (stable == OUTER_WINDOW
-                                          and cd_info["converged"]),
+                            "converged": done and cd_info["converged"],
                         })
     model.diagnostics["bic"] = bic(model, dataset)
     return model

@@ -27,8 +27,6 @@ def scad_value(theta: float, lam: float) -> float:
     if theta < 0:
         raise ValueError("theta must be >= 0")
     a = SCAD_A
-    if lam == 0.0:
-        return 0.0
     if theta <= lam:
         return lam * theta
     if theta <= a * lam:

@@ -137,33 +137,80 @@ def test_unpenalized_newton_equivalence():
            "max |dev| = %.2e over 20 seeds" % worst)
 
 
+# The slow scenarios' configs and statistics, one function each, taking
+# the master seed.  The tests call them at MASTER_SEED, and
+# tools/bench_acceptance.py at MASTER_SEED + 0..4 to record their spread.
+
+def null_calibration(seed):
+    """Pure-noise data: median test C of dplc and replicates that finished."""
+    sim = SimConfig(n=300, p=50, r=8, s_beta=0, g0_kind="zero",
+                    replicates=20, seed=seed)
+    rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
+    cs = [r.c_index_test for r in rows if r.error is None]
+    return {"median_c": float(np.median(cs)), "replicates_ok": len(cs)}
+
+
+def linear_truth_desk(seed):
+    """Linear truth: median test C, mean FNR (%) and replicates finished."""
+    sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="linear",
+                    replicates=20, seed=seed)
+    rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
+    good = [r for r in rows if r.error is None]
+    return {"median_c": float(np.median([r.c_index_test for r in good])),
+            "mean_fnr_pct": float(np.mean([r.fnr_pct for r in good])),
+            "replicates_ok": len(good)}
+
+
+def nonlinear_ordering(seed):
+    """Nonlinear truth: median test C of dplc and of the g == 0 baseline,
+    and their gap."""
+    sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="nonlinear",
+                    replicates=10, seed=seed)
+    cfg = desk_cfg(hidden=(16, 16), outer=20)
+    methods = {"dplc": cfg, "cox_scad": replace(cfg, fit_g=False)}
+    rows, _ = run_experiment(sim, methods)
+    med = {}
+    for name in methods:
+        med[name] = float(np.median([r.c_index_test for r in rows
+                                     if r.method == name and r.error is None]))
+    med["gap"] = med["dplc"] - med["cox_scad"]
+    return med
+
+
+def selection_consistency_trend(seed):
+    """Mean FNN and FPN of dplc at n = 300, 600, 1200 (master seed
+    seed + n each)."""
+    means = {"fnn": [], "fpn": []}
+    for n in (300, 600, 1200):
+        sim = SimConfig(n=n, p=100, r=8, s_beta=10, g0_kind="linear",
+                        replicates=10, seed=seed + n)
+        rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
+        good = [r for r in rows if r.error is None]
+        means["fnn"].append(float(np.mean([r.fnn for r in good])))
+        means["fpn"].append(float(np.mean([r.fpn for r in good])))
+    return means
+
+
 @pytest.mark.slow
 def test_null_calibration():
     """Pure-noise data: median test C-index stays near one half."""
     start = time.time()
-    sim = SimConfig(n=300, p=50, r=8, s_beta=0, g0_kind="zero",
-                    replicates=20, seed=MASTER_SEED)
-    rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
-    cs = [r.c_index_test for r in rows if r.error is None]
-    med = float(np.median(cs))
+    stat = null_calibration(MASTER_SEED)
+    med, count = stat["median_c"], stat["replicates_ok"]
     elapsed = time.time() - start
-    ok = 0.45 <= med <= 0.55 and len(cs) == 20 and elapsed < 300.0
+    ok = 0.45 <= med <= 0.55 and count == 20 and elapsed < 300.0
     report("null-calibration", ok,
-           "median C = %.3f over %d replicates; %.0fs" % (med, len(cs), elapsed))
+           "median C = %.3f over %d replicates; %.0fs" % (med, count, elapsed))
 
 
 @pytest.mark.slow
 def test_linear_truth_desk_reproduction():
     """Linear truth at desk scale: prediction and selection trend levels."""
     start = time.time()
-    sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="linear",
-                    replicates=20, seed=MASTER_SEED)
-    rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
-    good = [r for r in rows if r.error is None]
-    med_c = float(np.median([r.c_index_test for r in good]))
-    mean_fnr = float(np.mean([r.fnr_pct for r in good]))
+    stat = linear_truth_desk(MASTER_SEED)
+    med_c, mean_fnr = stat["median_c"], stat["mean_fnr_pct"]
     elapsed = time.time() - start
-    ok = med_c >= 0.78 and mean_fnr <= 45.0 and len(good) == 20 \
+    ok = med_c >= 0.78 and mean_fnr <= 45.0 and stat["replicates_ok"] == 20 \
         and elapsed < 1800.0
     report("linear-truth-desk", ok,
            "median C = %.3f, mean FNR = %.1f%%; %.0fs" % (med_c, mean_fnr,
@@ -174,36 +221,19 @@ def test_linear_truth_desk_reproduction():
 def test_nonlinear_ordering():
     """Nonlinear truth: the network model beats the g==0 baseline clearly."""
     start = time.time()
-    sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="nonlinear",
-                    replicates=10, seed=MASTER_SEED)
-    cfg = desk_cfg(hidden=(16, 16), outer=20)
-    methods = {"dplc": cfg, "cox_scad": replace(cfg, fit_g=False)}
-    rows, _ = run_experiment(sim, methods)
-    med = {}
-    for name in ("dplc", "cox_scad"):
-        vals = [r.c_index_test for r in rows
-                if r.method == name and r.error is None]
-        med[name] = float(np.median(vals))
-    gap = med["dplc"] - med["cox_scad"]
+    med = nonlinear_ordering(MASTER_SEED)
     elapsed = time.time() - start
-    ok = gap >= 0.03 and elapsed < 1800.0
+    ok = med["gap"] >= 0.03 and elapsed < 1800.0
     report("nonlinear-ordering", ok,
            "dplc %.3f vs baseline %.3f, gap %.3f; %.0fs"
-           % (med["dplc"], med["cox_scad"], gap, elapsed))
+           % (med["dplc"], med["cox_scad"], med["gap"], elapsed))
 
 
 @pytest.mark.slow
 def test_selection_consistency_trend():
     """Mean FNN and FPN do not grow as n grows (one small inversion allowed)."""
     start = time.time()
-    means = {"fnn": [], "fpn": []}
-    for n in (300, 600, 1200):
-        sim = SimConfig(n=n, p=100, r=8, s_beta=10, g0_kind="linear",
-                        replicates=10, seed=MASTER_SEED + n)
-        rows, _ = run_experiment(sim, {"dplc": desk_cfg()})
-        good = [r for r in rows if r.error is None]
-        means["fnn"].append(float(np.mean([r.fnn for r in good])))
-        means["fpn"].append(float(np.mean([r.fpn for r in good])))
+    means = selection_consistency_trend(MASTER_SEED)
 
     def trend_ok(seq):
         inversions = [max(0.0, b - a) for a, b in zip(seq, seq[1:])]

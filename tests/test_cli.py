@@ -794,21 +794,28 @@ class TestBenchmark:
 
     def test_counts_fits_not_converged(self, tmp_path, small_config):
         # One outer iteration can never make the stable window, so every
-        # fit of each method's three-value lambda path is counted.
-        cfg = json.loads(open(small_config).read())
-        cfg["fit"]["max_outer"] = 1
-        path = tmp_path / "one_outer.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "b"
-        assert run("benchmark", "--config", str(path), "--out", str(out)) == 0
-        with open(out / "replicates.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        assert all(r["error"] == "" and r["fits_not_converged"] == "3"
-                   for r in rows)
-        summary = json.loads((out / "summary.json").read_text())["summary"]
-        assert {m: e["fits_not_converged"] for m, e in summary.items()} \
-            == {"dplc": 6, "cox_scad": 6}
+        # dplc fit of the three-value lambda path is counted; a cox_scad
+        # fit is one coordinate-descent call, which max_outer does not cap,
+        # and one sweep leaves that call capped.
+        for limit, counts in (("max_outer", {"dplc": 3, "cox_scad": 0}),
+                              ("max_sweeps", {"dplc": 3, "cox_scad": 3})):
+            cfg = json.loads(open(small_config).read())
+            cfg["fit"][limit] = 1
+            path = tmp_path / ("%s.json" % limit)
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / limit
+            assert run("benchmark", "--config", str(path),
+                       "--out", str(out)) == 0
+            with open(out / "replicates.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 4
+            assert all(r["error"] == "" and
+                       r["fits_not_converged"] == str(counts[r["method"]])
+                       for r in rows)
+            summary = json.loads((out / "summary.json").read_text())
+            assert {m: e["fits_not_converged"]
+                    for m, e in summary["summary"].items()} \
+                == {m: 2 * c for m, c in counts.items()}
 
     def test_threads_flag_same_bytes(self, tmp_path, small_config):
         seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"

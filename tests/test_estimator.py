@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from dplc import (FitConfig, NetworkArch, SimConfig,
-                  bic, fit, init_network, model_from_dict, model_to_dict,
-                  predict_eta,
+                  bic, cd_fit, fit, init_network, model_from_dict,
+                  model_to_dict, predict_eta,
                   simulate_dataset, tune_architecture, tune_lambda,
                   zero_network)
 from dplc.estimator import FittedModel
@@ -54,7 +54,7 @@ class TestFit:
 
     def test_sweep_cap_makes_a_settled_fit_unconverged(self):
         ds = simulate_dataset(SimConfig(n=100, p=10, seed=1), 0).dataset
-        cfg = FitConfig(fit_g=False)
+        cfg = FitConfig(arch=NetworkArch((4, 4), 0.3))
         capped = fit(ds, replace(cfg, max_sweeps=1), 0.1).diagnostics
         # The loss-path stopping rule held before max_outer ...
         assert capped["outer_iters"] < cfg.max_outer
@@ -62,6 +62,34 @@ class TestFit:
         assert capped["cd_sweeps"] == [1] * capped["outer_iters"]
         assert capped["converged"] is False
         assert fit(ds, cfg, 0.1).diagnostics["converged"] is True
+
+    @pytest.mark.parametrize("max_sweeps", [1, 100])
+    def test_baseline_fit_is_one_cd_call(self, max_sweeps, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the network was trained")
+
+        calls = []
+
+        def counted_cd_fit(*args, **kwargs):
+            calls.append(args)
+            return cd_fit(*args, **kwargs)
+
+        monkeypatch.setattr("dplc.estimator.adam_fit", no_training)
+        monkeypatch.setattr("dplc.estimator.cd_fit", counted_cd_fit)
+        ds = simulate_dataset(SimConfig(n=100, p=10, seed=1), 0).dataset
+        cfg = FitConfig(fit_g=False, max_sweeps=max_sweeps)
+        model = fit(ds, cfg, 0.1)
+        assert len(calls) == 1
+        info = {}
+        beta = cd_fit(ds, np.zeros(ds.n), None, 0.1,
+                      max_sweeps=cfg.max_sweeps, info=info)
+        assert model.beta_hat.tobytes() == beta.tobytes()
+        diag = model.diagnostics
+        assert diag["outer_iters"] == 1
+        assert len(diag["loss_path"]) == 2
+        assert diag["cd_sweeps"] == [info["sweeps"]]
+        assert diag["converged"] is info["converged"]
+        assert info["converged"] is (max_sweeps == 100)
 
     def test_support_matches_nonzeros(self):
         data = sim_data(7, n=200, p=12, s_beta=3)

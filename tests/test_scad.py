@@ -122,7 +122,7 @@ class TestValue:
             penalty_reference(theta, LAM), rel=1e-8)
 
     def test_lambda_zero(self):
-        assert scad_value(3.0, 0.0) == 0.0
+        assert scad_value(0.0, 0.0) == scad_value(3.0, 0.0) == 0.0
         assert scad_derivative(3.0, 0.0) == 0.0
 
     def test_rejects_negative(self):

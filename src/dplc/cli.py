@@ -37,6 +37,7 @@ import numpy as np
 from .errors import NumericalDivergence
 from .estimator import (FitConfig, model_from_dict, model_to_dict,
                         predict_eta, tune_architecture, tune_lambda)
+from .network import _is_finite_number, _is_int
 from .simulation import (ReplicateCsvWriter, SimConfig, c_index, fmt_value,
                          run_experiment, simulate_dataset)
 from .survival import SurvivalDataset
@@ -90,12 +91,10 @@ def _checked(base, value, where):
         return [_checked(base[0], v, "%s[%d]" % (where, k))
                 for k, v in enumerate(value)]
     if isinstance(base, int):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise CliInputError("config key %s must be an integer" % where)
     elif isinstance(base, float):
-        # abs() <= max is False for NaN, the infinities and huge integers
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not abs(value) <= sys.float_info.max:
+        if not _is_finite_number(value):
             raise CliInputError("config key %s must be a finite number"
                                 % where)
         return float(value)

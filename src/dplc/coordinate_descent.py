@@ -1,17 +1,17 @@
 """SCAD-penalized coordinate descent on the linear coefficients, g held fixed.
 
 Each sweep makes one `cox_terms` pass at the current linear predictor and
-builds the diagonal IRLS surrogate of the partial likelihood from it:
-weights W (the Hessian diagonal) and working residual
-r = resid / (n * W), W floored at EPS_W.  Coordinates are then updated
-one at a time through the SCAD thresholding operator at the float lam.
-The sweep works on covariances (Friedman, Hastie & Tibshirani 2010, JSS
-33(1), section 2.2): it computes c = X' W r once, and a move of
-coordinate j updates c -= delta * G_j with the Gram row G_j = (x_j * W)' X.
+builds the diagonal quadratic surrogate of the partial likelihood from it:
+the covariances c = -X' grad of its gradient and its Hessian diagonal W.
+Coordinates are then updated one at a time through the SCAD thresholding
+operator at the float lam.  The sweep works on covariances (Friedman,
+Hastie & Tibshirani 2010, JSS 33(1), section 2.2; Simon et al. 2011, JSS
+39(5), for the Cox case): a move of coordinate j updates c -= delta * G_j
+with the Gram row G_j = (x_j * W)' X.
 Rows are built only for the coordinates that are nonzero at the start of
 the sweep and for those that enter during it, never the full p x p Gram,
 and a zero coordinate with |c_j| <= lam is skipped after one comparison,
-since the threshold leaves it at zero.  W and r are refreshed once per
+since the threshold leaves it at zero.  W and c are refreshed once per
 sweep, not per coordinate, so the quadratic stays fixed while a sweep runs.
 
 The sweeps run on the dataset's standardized x (`SurvivalDataset.standardized`:
@@ -34,39 +34,34 @@ from .survival import SurvivalDataset, cox_terms
 
 V_FLOOR = 1e-10
 BETA_CAP = 1e6
-# Curvature floor in the working-residual division resid / (n * W);
-# entries this small carry essentially no weight in the sweep's aggregates.
-EPS_W = 1e-8
 
 
 def _surrogate_move_delta(h, v, old, new, lam):
     """Exact change of the penalized quadratic surrogate for one move.
 
-    Equals the change of 0.5*(r-X delta)'W(r-X delta) + sum p(|beta_k|)
-    evaluated fresh, folded down to one coordinate.
+    Equals the change of -c'd + 0.5 d'X'WXd + sum p(|beta_k|) evaluated
+    fresh, folded down to one coordinate.
     """
     quad = 0.5 * v * (new * new - old * old) - h * (new - old)
     return quad + scad_value(abs(new), lam) - scad_value(abs(old), lam)
 
 
-def _sweep(X, W, r, beta, lam):
-    """One pass over the coordinates of the surrogate fixed by (W, r).
+def _sweep(X, W, c, beta, lam):
+    """One pass over the coordinates of the surrogate fixed by (W, c).
 
-    The surrogate is 0.5 (r - X d)' W (r - X d) + sum p(|beta_k|) in the
-    move d = beta - beta_start, so r is the working residual at the start
-    of the sweep.  Coordinate j sees h_j = c_j + v_j beta_j and
+    The surrogate is -c'd + 0.5 d'X'WXd + sum p(|beta_k|) in the move
+    d = beta - beta_start, where c = -X' grad holds the covariances at the
+    start of the sweep.  Coordinate j sees h_j = c_j + v_j beta_j and
     v_j = x_j' W x_j, with v_j floored so a degenerate column cannot divide
-    by zero, where c = X' W (r - X d) is kept up to date by covariance
-    updates: a move of beta_j subtracts its size times the Gram row
-    G_j = (x_j * W)' X, and v_j = G_jj.  Rows are built for the
-    coordinates nonzero at the start, in one product, and for each zero
-    one when it is visited.  A zero coordinate with |c_j| <= lam stays zero
-    (the SCAD threshold of such an h is zero at any v), so it is skipped
-    after one comparison.  A move is kept only if it does not increase the
-    penalized surrogate.  beta is updated in place, and c after the sweep
-    is returned.
+    by zero, where c is kept up to date by covariance updates: a move of
+    beta_j subtracts its size times the Gram row G_j = (x_j * W)' X, and
+    v_j = G_jj.  Rows are built for the coordinates nonzero at the start,
+    in one product, and for each zero one when it is visited.  A zero
+    coordinate with |c_j| <= lam stays zero (the SCAD threshold of such an
+    h is zero at any v), so it is skipped after one comparison.  A move is
+    kept only if it does not increase the penalized surrogate.  beta and c
+    are updated in place.
     """
-    c = (W * r) @ X
     active = np.flatnonzero(beta)
     rows = dict(zip(active.tolist(), (X[:, active] * W[:, None]).T @ X))
     for j, old in enumerate(beta.tolist()):
@@ -81,7 +76,6 @@ def _sweep(X, W, r, beta, lam):
         if new != old and _surrogate_move_delta(h, v, old, new, lam) <= 0.0:
             c -= (new - old) * row
             beta[j] = new
-    return c
 
 
 def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
@@ -114,16 +108,14 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
         raise ValueError("beta_init must be finite")
 
     X, scale = dataset.standardized
-    n = dataset.n
     beta = beta_init * scale
     sweeps_run = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
         sweeps_run = sweep
-        xi = X @ beta
-        _, resid, W = cox_terms(xi + g_vals, dataset)
+        _, grad, W = cox_terms(X @ beta + g_vals, dataset)
         beta_prev = beta.copy()
-        _sweep(X, W, resid / (n * np.maximum(W, EPS_W)), beta, lam)
+        _sweep(X, W, -(grad @ X), beta, lam)
         if np.abs(beta).max(initial=0.0) > BETA_CAP:
             raise NumericalDivergence("divergence; reduce step or increase lambda")
         change = beta - beta_prev

@@ -19,7 +19,6 @@ training split and scores it by held-out likelihood.
 from __future__ import annotations
 
 import logging
-import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -28,9 +27,9 @@ import numpy as np
 
 from .coordinate_descent import cd_fit
 from .errors import NumericalDivergence
-from .network import (Network, NetworkArch, _is_int, adam_fit, center,
-                      forward, init_network, network_from_dict,
-                      network_to_dict, zero_network)
+from .network import (Network, NetworkArch, _is_finite_number, _is_int,
+                      adam_fit, center, forward, init_network,
+                      network_from_dict, network_to_dict, zero_network)
 from .scad import scad_value
 from .survival import SurvivalDataset, cox_terms, stratified_split, subset
 
@@ -331,9 +330,7 @@ def model_from_dict(data: dict) -> FittedModel:
         if not _is_int(j) or not 0 <= j < p or j in seen:
             raise ValueError("beta index %r is not a distinct integer in "
                              "[0, %d)" % (j, p))
-        # abs() <= max is False for NaN, the infinities and huge integers
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not abs(value) <= sys.float_info.max:
+        if not _is_finite_number(value):
             raise ValueError("beta value at index %d is not a finite number"
                              % j)
         seen.add(j)

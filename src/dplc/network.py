@@ -13,7 +13,7 @@ optionally continuing a caller's Adam moments; the decay rates and the
 denominator guard are the constants ADAM_R1, ADAM_R2 and ADAM_EPS.
 `loss_and_grads` and `adam_fit` share one training pass, `_TrainPass`,
 which is set up once per call and then writes each forward pass, each
-dropout draw, the loss and score residual of the Cox kernel (not its
+dropout draw, the loss and gradient of the Cox kernel (not its
 curvature) and the backward pass into buffers it already holds; the Adam
 update is in place too, so a step allocates no arrays.  The fitted
 network is recentered so its average over the training z is zero.
@@ -22,6 +22,7 @@ network is recentered so its average over the training z is zero.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -178,10 +179,11 @@ class _TrainPass:
     multiplies by it once.  The dropout uniforms of all hidden layers come
     from one rng.random call into one buffer, split layer by layer in
     order (the same values and stream position as one draw per layer).
-    The loss and score residual come from `survival._loss_terms`, which
-    skips the curvature and the predictor checks of `cox_terms`, so passes
-    run with floating-point warnings ignored and a non-finite predictor
-    shows up as a non-finite loss, which callers check.
+    The loss and its gradient in eta, the output delta, come from
+    `survival._loss_terms`, which skips the curvature and the predictor
+    checks of `cox_terms`, so passes run with floating-point warnings
+    ignored and a non-finite predictor shows up as a non-finite loss,
+    which callers check.
     """
 
     def __init__(self, net: Network, dataset: SurvivalDataset, beta_fixed,
@@ -243,9 +245,8 @@ class _TrainPass:
         and the partial-likelihood loss is returned."""
         net, dataset = self.net, self.dataset
         np.add(self.xb, self.forward(), out=self.eta)
-        loss, resid, _ = _loss_terms(self.eta, dataset)
-        np.divide(resid, -dataset.n, out=resid)
-        delta = resid[:, None]
+        loss, grad, _ = _loss_terms(self.eta, dataset)
+        delta = grad[:, None]
         last = len(net.weights) - 1
         for l in range(last, -1, -1):
             inputs = self.layer_acts[l - 1] if l > 0 else dataset.z
@@ -365,6 +366,13 @@ def network_to_dict(net: Network) -> dict:
 def _is_int(value) -> bool:
     """Whether `value` is an int and not a bool (JSON true loads as one)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """Whether `value` is an int or float, not a bool, of finite size."""
+    # abs() <= max is False for NaN, the infinities and huge integers
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and abs(value) <= sys.float_info.max
 
 
 def network_from_dict(data: dict) -> Network:

@@ -279,8 +279,9 @@ class SimulatedData:
 
 
 def simulate_dataset(cfg: SimConfig, replicate: int = 0) -> SimulatedData:
-    """Generate one dataset; replicate seeds derive from the master seed."""
-    child = np.random.SeedSequence(cfg.seed).spawn(replicate + 1)[replicate]
+    """Generate one dataset from the replicate-th spawned child of the
+    master seed."""
+    child = np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
     rng = np.random.default_rng(child)
     X, Z = gen_covariates(cfg, rng)
     beta0 = gen_beta0(cfg, rng)

@@ -9,9 +9,8 @@ time.  All risk-set sums are evaluated with max-subtraction so that
 predictors with |eta| up to a few tens stay overflow-safe.  Because times
 are sorted once, R_i is a suffix and the history set C_m = {i : T_i <= T_m}
 is a prefix of the sorted order (ties grouped), so every quantity here is
-O(n) given the index.  `cox_terms` returns q, its gradient (as the score
-residual status - pi1) and its Hessian diagonal from one such pass over a
-plain eta array.
+O(n) given the index.  `cox_terms` returns q, its gradient and its
+Hessian diagonal from one such pass over a plain eta array.
 """
 
 from __future__ import annotations
@@ -125,7 +124,6 @@ def stratified_split(status, test_fraction, rng):
             continue
         perm = rng.permutation(members)
         n_test = int(round(test_fraction * members.size))
-        n_test = min(max(n_test, 0), members.size)
         test_parts.append(perm[:n_test])
         train_parts.append(perm[n_test:])
     train = np.sort(np.concatenate(train_parts)) if train_parts else np.empty(0, int)
@@ -190,11 +188,11 @@ def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
         pi2_m = sum over the history prefix of status_i * pi(m, i)**2.
 
     pi2 is returned as a function of no arguments that computes it, so a
-    caller that needs only the loss and the score residual does not pay
-    for the curvature.  The fast path subtracts the max before
-    exponentiating; if the predictor spread is so extreme that it cannot
-    keep status / a**2 and its running sum finite, everything is redone
-    with log-space accumulation, which stays finite for any finite eta.
+    caller that needs only the loss and the gradient does not pay for the
+    curvature.  The fast path subtracts the max before exponentiating; if
+    the predictor spread is so extreme that it cannot keep status / a**2
+    and its running sum finite, everything is redone with log-space
+    accumulation, which stays finite for any finite eta.
     The fast path divides by sums that may underflow to zero, so callers
     run this with floating-point warnings ignored.
     """
@@ -222,9 +220,9 @@ def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
 
 
 def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
-    """(q, resid, curvature) of a float eta of length n, unchecked.
+    """(q, grad, curvature) of a float eta of length n, unchecked.
 
-    q and resid are those of `cox_terms`; curvature is a function of no
+    q and grad are those of `cox_terms`; curvature is a function of no
     arguments that returns its w.  A non-finite eta gives a non-finite q.
     Run with floating-point warnings ignored (see `_sorted_terms`).
     """
@@ -234,8 +232,8 @@ def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
     log_s, pi1, pi2 = _sorted_terms(eta_s, index)
     terms = index.status_sorted * (eta_s - log_s)
     loss = float(-np.add.reduce(terms) / n)
-    resid = np.empty(n)
-    resid[index.order] = index.status_sorted - pi1
+    grad = np.empty(n)
+    grad[index.order] = (pi1 - index.status_sorted) / n
 
     def curvature():
         w_sorted = (pi1 - pi2()) / n
@@ -246,17 +244,16 @@ def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
         w[index.order] = w_sorted
         return w
 
-    return loss, resid, curvature
+    return loss, grad, curvature
 
 
 def cox_terms(eta, dataset: SurvivalDataset):
-    """Loss, score residual and curvature of q at eta, from one risk-set pass.
+    """Loss, gradient and curvature of q at eta, from one risk-set pass.
 
-    Returns (q, resid, w): q is the averaged negative log partial
-    likelihood, resid = status - pi1 is the unscaled score residual (the
-    gradient of q is -resid / n, and its components sum to zero), and w is
-    the nonnegative diagonal of the Hessian of q.  resid and w are in
-    subject order.
+    Returns (q, grad, w): q is the averaged negative log partial
+    likelihood, grad = (pi1 - status) / n is its gradient (whose
+    components sum to zero), and w is the nonnegative diagonal of its
+    Hessian.  grad and w are in subject order.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (dataset.n,):
@@ -264,5 +261,5 @@ def cox_terms(eta, dataset: SurvivalDataset):
     if not np.isfinite(eta).all():
         raise ValueError("non-finite predictor")
     with np.errstate(all="ignore"):
-        loss, resid, curvature = _loss_terms(eta, dataset)
-        return loss, resid, curvature()
+        loss, grad, curvature = _loss_terms(eta, dataset)
+        return loss, grad, curvature()

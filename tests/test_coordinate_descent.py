@@ -5,8 +5,7 @@ import pytest
 
 from dplc import (NumericalDivergence, cd_fit, cox_terms, scad_threshold,
                   scad_value)
-from dplc.coordinate_descent import (EPS_W, V_FLOOR, _surrogate_move_delta,
-                                     _sweep)
+from dplc.coordinate_descent import V_FLOOR, _surrogate_move_delta, _sweep
 
 from conftest import make_dataset, naive_neg_log_pl
 
@@ -60,44 +59,46 @@ class TestSurrogateInputs:
 
     def test_zero_residual_zero_beta(self):
         # h = 0 with v = 5: the coordinate stays at 0.
-        beta, r = np.zeros(1), np.zeros(2)
-        c = _sweep(np.array([[1.0], [2.0]]), np.ones(2), r, beta,
-                   0.0)
+        beta, c = np.zeros(1), np.zeros(1)
+        _sweep(np.array([[1.0], [2.0]]), np.ones(2), c, beta, 0.0)
         assert beta[0] == 0.0
         assert np.all(c == 0.0)
 
     def test_worked_example(self):
+        # The two-subject pair at eta = 0: gradient [-0.25, 0.25], W 0.125.
         # h = 0.25, v = 0.125, so the coordinate moves to h / v = 2, and
-        # the covariance of the moved residual [0, -2] is 0.
-        beta, r = np.zeros(1), np.array([2.0, -2.0])
-        c = _sweep(np.array([[1.0], [0.0]]), np.array([0.125, 0.125]), r,
-                   beta, 0.0)
+        # the covariance after the move is 0.25 - 2 * 0.125 = 0.
+        X = np.array([[1.0], [0.0]])
+        beta, c = np.zeros(1), -(np.array([-0.25, 0.25]) @ X)
+        _sweep(X, np.array([0.125, 0.125]), c, beta, 0.0)
         assert beta[0] == pytest.approx(2.0, abs=1e-15)
         assert c == pytest.approx([0.0], abs=1e-15)
-        assert np.array_equal(r, [2.0, -2.0])  # r itself is not moved
 
     def test_ols_solution_under_uniform_weights(self, rng):
         n = 40
         X = np.linalg.qr(rng.standard_normal((n, 3)))[0]
-        r = rng.standard_normal(n)
-        ols = X.T @ r / np.einsum("ij,ij->j", X, X)
+        y = rng.standard_normal(n)
+        ols = X.T @ y / np.einsum("ij,ij->j", X, X)
         beta = np.zeros(3)
-        _sweep(X, np.full(n, 1.0 / n), r.copy(), beta, 0.0)
+        # q = 0.5 * mean((y - eta)**2) has W = 1/n and, at eta = 0, the
+        # gradient -y / n
+        grad = -y / n
+        _sweep(X, np.full(n, 1.0 / n), -(grad @ X), beta, 0.0)
         assert beta == pytest.approx(ols, rel=1e-10)
 
     def test_degenerate_column_floored(self):
         # Zero weights give x_j' W x_j = 0, which the thresholding operator
         # rejects as non-positive curvature; the floor keeps the sweep going.
-        beta, r = np.zeros(1), np.ones(2)
-        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, 0.0)
+        beta, c = np.zeros(1), np.zeros(1)
+        _sweep(np.ones((2, 1)), np.zeros(2), c, beta, 0.0)
         assert beta[0] == 0.0
         assert np.all(c == 0.0)
 
     def test_degenerate_column_floored_nonzero_start(self):
         # A zero start is skipped (|c_j| = 0 <= lam); a nonzero one reaches
         # the operator at the floored v, where h / v = beta_j: it stays put.
-        beta, r = np.ones(1), np.ones(2)
-        c = _sweep(np.ones((2, 1)), np.zeros(2), r, beta, 0.0)
+        beta, c = np.ones(1), np.zeros(1)
+        _sweep(np.ones((2, 1)), np.zeros(2), c, beta, 0.0)
         assert beta[0] == 1.0
         assert np.all(c == 0.0)
 
@@ -239,19 +240,24 @@ class TestSurrogateBookkeeping:
         beta = np.zeros(X.shape[1])
         out = []
         for _ in range(n_sweeps):
-            xi = X @ beta
-            _, resid, W = cox_terms(xi + g, ds)
-            r = resid / (ds.n * np.maximum(W, EPS_W))
-            before = beta.copy()
-            c = _sweep(X, W, r, beta, lam)
-            out.append((W, xi + r, before, beta.copy(), c))
+            _, grad, W = cox_terms(X @ beta + g, ds)
+            c0 = -(grad @ X)
+            before, c = beta.copy(), c0.copy()
+            _sweep(X, W, c, beta, lam)
+            out.append((W, c0, before, beta.copy(), c))
         return X, lam, out
 
     @staticmethod
-    def _full_surrogate(X, lam, W, y, beta):
-        resid = y - X @ beta
-        return 0.5 * float(resid @ (W * resid)) \
+    def _full_surrogate(X, lam, W, c0, start, beta):
+        d = beta - start
+        Xd = X @ d
+        return -float(c0 @ d) + 0.5 * float(Xd @ (W * Xd)) \
             + sum(scad_value(t, lam) for t in np.abs(beta))
+
+    @staticmethod
+    def _covariances(X, W, c0, start, beta):
+        """c = c0 - X' W X (beta - start), fresh."""
+        return c0 - X.T @ (W * (X @ (beta - start)))
 
     @staticmethod
     def _states(before, after):
@@ -262,9 +268,9 @@ class TestSurrogateBookkeeping:
         for seed in (0, 1, 2):
             X, lam, sweeps = self._sweeps(seed, lam=0.15)
             moves = 0
-            for W, y, before, after, _ in sweeps:
+            for W, c0, before, after, _ in sweeps:
                 moves += int(np.count_nonzero(after != before))
-                values = [self._full_surrogate(X, lam, W, y, b)
+                values = [self._full_surrogate(X, lam, W, c0, before, b)
                           for b in self._states(before, after)]
                 assert all(b - a <= 1e-10 for a, b in zip(values, values[1:]))
             assert moves, "no accepted updates recorded"
@@ -272,56 +278,57 @@ class TestSurrogateBookkeeping:
     def test_coordinate_delta_equals_fresh_full_surrogate(self):
         X, lam, sweeps = self._sweeps(0, lam=0.15)
         checked = 0
-        for W, y, before, after, _ in sweeps:
+        for W, c0, before, after, _ in sweeps:
             states = self._states(before, after)
             for j in np.flatnonzero(after != before):
                 b = states[j]
                 v = max(float((W * X[:, j]) @ X[:, j]), V_FLOOR)
-                h = float((W * X[:, j]) @ (y - X @ b)) + v * b[j]
+                h = float(self._covariances(X, W, c0, before, b)[j]) \
+                    + v * b[j]
                 delta = _surrogate_move_delta(h, v, before[j], after[j], lam)
-                fresh = self._full_surrogate(X, lam, W, y, states[j + 1]) \
-                    - self._full_surrogate(X, lam, W, y, b)
+                fresh = self._full_surrogate(X, lam, W, c0, before,
+                                             states[j + 1]) \
+                    - self._full_surrogate(X, lam, W, c0, before, b)
                 assert fresh == pytest.approx(delta, abs=1e-9)
                 checked += 1
         assert checked
 
     def test_incremental_residual_matches_fresh(self):
         # The covariances c kept by the sweep's updates against a fresh
-        # X' W (y - X beta) at the end of each sweep.
+        # c0 - X' W X (beta - beta_start) at the end of each sweep.
         X, _, sweeps = self._sweeps(1, lam=0.1)
-        for W, y, _, after, c in sweeps:
-            assert np.max(np.abs(X.T @ (W * (y - X @ after)) - c)) < 1e-8
+        for W, c0, before, after, c in sweeps:
+            fresh = self._covariances(X, W, c0, before, after)
+            assert np.max(np.abs(fresh - c)) < 1e-8
 
 
-def reference_sweep(X, W, r, beta, lam):
+def reference_sweep(X, W, grad, beta, lam):
     """The per-coordinate residual sweep the covariance updates replaced:
-    h_j = (W x_j)' r + v_j beta_j on the residual r = y - X beta, which
-    every kept move updates in place."""
+    h_j = x_j' u + v_j beta_j on the weighted residual u, which starts at
+    -grad and which every kept move updates in place."""
     WX = X * W[:, None]
+    u = -grad
     v_all = np.maximum(np.einsum("ij,ij->j", WX, X), V_FLOOR).tolist()
     for j, v in enumerate(v_all):
         old = float(beta[j])
-        h = float(WX[:, j] @ r) + v * old
+        h = float(X[:, j] @ u) + v * old
         new = scad_threshold(h, v, lam)
         delta = 0.5 * v * (new * new - old * old) - h * (new - old) \
             + scad_value(abs(new), lam) - scad_value(abs(old), lam)
         if new != old and delta <= 0.0:
-            r -= (new - old) * X[:, j]
+            u -= (new - old) * WX[:, j]
             beta[j] = new
 
 
 def reference_cd_fit(ds, g, lam, tol=1e-5, max_sweeps=100):
-    """cd_fit's loop around reference_sweep, with the working response
-    y = xi + resid / (n W) built and xi taken off again; returns the
-    original-scale beta and the sweeps run."""
+    """cd_fit's loop around reference_sweep; returns the original-scale
+    beta and the sweeps run."""
     X, scale = ds.standardized
     beta = np.zeros(ds.p)
     for sweeps in range(1, max_sweeps + 1):
-        xi = X @ beta
-        _, resid, W = cox_terms(xi + g, ds)
-        y = xi + resid / (ds.n * np.maximum(W, EPS_W))
+        _, grad, W = cox_terms(X @ beta + g, ds)
         before = beta.copy()
-        reference_sweep(X, W, y - xi, beta, lam)
+        reference_sweep(X, W, grad, beta, lam)
         if float(np.linalg.norm(beta - before)) <= tol:
             break
     return beta / scale, sweeps

@@ -331,9 +331,9 @@ def reference_loss_and_grads(net, dataset, beta_fixed, rng):
         else:
             caches.append((a, pre, None))
             a = pre
-    loss, resid, _ = cox_terms(dataset.x @ beta_fixed + a[:, 0], dataset)
+    loss, grad, _ = cox_terms(dataset.x @ beta_fixed + a[:, 0], dataset)
     grads = [None] * n_layers
-    delta = (-resid / dataset.n)[:, None]
+    delta = grad[:, None]
     for l in range(n_layers - 1, -1, -1):
         inputs = caches[l][0]
         grads[l] = (delta.T @ inputs, delta.sum(axis=0))

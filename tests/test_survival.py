@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dplc import cox_terms, stratified_split
-from dplc.coordinate_descent import EPS_W
 from dplc.survival import _loss_terms
 
 from conftest import (fd_gradient, fd_hessian_diag, index_sets, make_dataset,
@@ -98,19 +97,11 @@ def _q(eta, ds):
 
 
 def _grad(eta, ds):
-    return -cox_terms(eta, ds)[1] / ds.n
+    return cox_terms(eta, ds)[1]
 
 
 def _hess(eta, ds):
     return cox_terms(eta, ds)[2]
-
-
-def _working(xi, eta, ds):
-    """Working response xi + r and weights W at eta, where
-    r = resid / (n * max(W, EPS_W)) is the working residual of one CD
-    sweep."""
-    _, resid, W = cox_terms(eta, ds)
-    return np.asarray(xi, float) + resid / (ds.n * np.maximum(W, EPS_W)), W
 
 
 class TestNegLogPartialLikelihood:
@@ -220,7 +211,7 @@ class TestHessianDiag:
 
 
 def lse_cox_terms(times, status, eta):
-    """(q, resid, w) with each subject's risk-set sum taken in log space.
+    """(q, grad, w) with each subject's risk-set sum taken in log space.
 
     w_m sums pi * (1 - pi) over the events whose risk set holds m, with
     pi = exp(eta_m - log S_i), so no term can overflow.
@@ -239,21 +230,22 @@ def lse_cox_terms(times, status, eta):
                 pi = math.exp(eta[m] - log_s[i])
                 pi1[m] += pi
                 w[m] += pi * (1.0 - pi)
-    return q, np.asarray(status) - pi1, w / n
+    return q, (pi1 - np.asarray(status)) / n, w / n
 
 
 class TestWideSpread:
     # For spreads of about 355 to 645, status / a**2 can overflow on the
-    # fast path (NaN curvature) before the log-space path takes over.
+    # fast path (NaN curvature) before the log-space path takes over.  The
+    # gradient's absolute bound 1e-12 / n is 1e-12 on n * grad = pi1 - status.
     @pytest.mark.parametrize("spread", [400.0, 600.0])
     def test_matches_log_sum_exp_reference(self, spread):
         ds = make_dataset(np.arange(1.0, 7.0), [1] * 6)
         eta = np.linspace(spread, 0.0, 6)
-        q, resid, w = cox_terms(eta, ds)
-        ref_q, ref_resid, ref_w = lse_cox_terms(ds.times, ds.status, eta)
-        assert np.isfinite(w).all() and np.isfinite(resid).all()
+        q, grad, w = cox_terms(eta, ds)
+        ref_q, ref_grad, ref_w = lse_cox_terms(ds.times, ds.status, eta)
+        assert np.isfinite(w).all() and np.isfinite(grad).all()
         assert q == pytest.approx(ref_q, abs=1e-12)
-        assert np.allclose(resid, ref_resid, rtol=1e-9, atol=1e-12)
+        assert np.allclose(grad, ref_grad, rtol=1e-9, atol=1e-12 / ds.n)
         assert np.allclose(w, ref_w, rtol=1e-9, atol=1e-12)
 
     def test_tiny_sums_on_censored_tail_only(self):
@@ -262,34 +254,39 @@ class TestWideSpread:
         # status / a**2, so the fast path serves this input.
         ds = make_dataset(np.arange(1.0, 7.0), [1, 1, 0, 0, 0, 0])
         eta = np.array([700.0, 400.0, 0.0, 0.0, 0.0, 0.0])
-        q, resid, w = cox_terms(eta, ds)
-        ref_q, ref_resid, ref_w = lse_cox_terms(ds.times, ds.status, eta)
+        q, grad, w = cox_terms(eta, ds)
+        ref_q, ref_grad, ref_w = lse_cox_terms(ds.times, ds.status, eta)
         assert q == pytest.approx(ref_q, abs=1e-12)
-        assert np.allclose(resid, ref_resid, rtol=1e-9, atol=1e-12)
+        assert np.allclose(grad, ref_grad, rtol=1e-9, atol=1e-12 / ds.n)
         assert np.allclose(w, ref_w, rtol=1e-9, atol=1e-12)
 
 
-class TestWorkingResponse:
-    def test_two_subject_value(self):
-        ds = make_dataset([1.0, 2.0], [1, 1])
-        y, _ = _working([0.0, 0.0], [0.0, 0.0], ds)
-        assert y == pytest.approx([2.0, -2.0], abs=1e-12)
+class TestGradientContract:
+    """The second value of cox_terms is the gradient of q itself."""
 
-    def test_zero_gradient_subject_keeps_xi(self):
-        # Censored earliest subject: empty event history, delta = 0.
+    def test_two_subject_terms(self):
+        ds = make_dataset([1.0, 2.0], [1, 1])
+        q, grad, w = cox_terms([0.0, 0.0], ds)
+        assert q == pytest.approx(np.log(2.0) / 2.0, abs=1e-12)
+        assert grad == pytest.approx([-0.25, 0.25], abs=1e-12)
+        assert w == pytest.approx([0.125, 0.125], abs=1e-12)
+
+    def test_censored_earliest_subject_has_no_gradient(self):
+        # Censored earliest subject: empty event history, so q does not
+        # depend on its eta to first or second order.
         ds = make_dataset([1.0, 2.0, 3.0], [0, 1, 1])
-        eta = [0.3, -0.1, 0.2]
-        y, _ = _working(eta, eta, ds)
-        assert y[0] == pytest.approx(0.3, abs=1e-9)
+        _, grad, w = cox_terms([0.3, -0.1, 0.2], ds)
+        assert grad[0] == 0.0 and w[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_sign_identity_with_gradient(self, seed):
+    def test_unscaled_gradient_and_training_pass_agree(self, seed):
         ds, eta = random_instance(seed)
-        y, W = _working(eta, eta, ds)
-        grad = _grad(eta, ds)
-        solid = W > 1e-6
-        assert np.allclose((eta - y)[solid], (grad / W)[solid],
-                           rtol=1e-9, atol=1e-12)
+        _, grad, _ = cox_terms(eta, ds)
+        fd = fd_gradient(lambda e: naive_neg_log_pl(ds.times, ds.status, e),
+                         eta, step=1e-6)
+        assert np.max(rel_err(grad, fd, floor=1e-6)) < 1e-6
+        assert abs(grad.sum()) < 1e-12
+        assert np.array_equal(_loss_terms(eta, ds)[1], grad)
 
 
 class TestStratifiedSplit:

@@ -82,7 +82,6 @@ def per_call_us(fn) -> list:
 def operations(n: int) -> dict:
     """The timed operations on one simulated dataset of n rows, each with
     the number of steps one call makes."""
-    import dplc
     from dplc import (NetworkArch, SimConfig, adam_fit, c_index, cd_fit,
                       cox_terms, init_network, loss_and_grads,
                       simulate_dataset)
@@ -93,11 +92,7 @@ def operations(n: int) -> dict:
     net = init_network(NetworkArch(), ds.r, seed=1)
     rng = np.random.default_rng(1)
     moments = {}
-    steps = 20
-    # an older dplc takes its Adam settings as an AdamState, not a step size
-    gamma = dplc.AdamState() if hasattr(dplc, "AdamState") else 0.01
-    # and its penalty strength as a ScadConfig, not a float
-    lam = dplc.ScadConfig(lam=0.1) if hasattr(dplc, "ScadConfig") else 0.1
+    steps, gamma, lam = 20, 0.01, 0.1
     g_vals = np.zeros(ds.n)
     beta_warm = cd_fit(ds, g_vals, None, lam)
     return {

@@ -3,16 +3,17 @@
 Each sweep makes one `cox_terms` pass at the current linear predictor and
 builds the diagonal quadratic surrogate of the partial likelihood from it:
 the covariances c = -X' grad of its gradient and its Hessian diagonal W.
-Coordinates are then updated one at a time through the SCAD thresholding
-operator at the float lam.  The sweep works on covariances (Friedman,
-Hastie & Tibshirani 2010, JSS 33(1), section 2.2; Simon et al. 2011, JSS
-39(5), for the Cox case): a move of coordinate j updates c -= delta * G_j
-with the Gram row G_j = (x_j * W)' X.
-Rows are built only for the coordinates that are nonzero at the start of
-the sweep and for those that enter during it, never the full p x p Gram,
-and a zero coordinate with |c_j| <= lam is skipped after one comparison,
-since the threshold leaves it at zero.  W and c are refreshed once per
-sweep, not per coordinate, so the quadratic stays fixed while a sweep runs.
+Coordinates are then moved one at a time to the exact minimiser of the
+penalized surrogate along them, the SCAD threshold at the float lam, so
+no move raises it.  The sweep works on covariances (Friedman, Hastie &
+Tibshirani 2010, JSS 33(1), section 2.2; Simon et al. 2011, JSS 39(5),
+for the Cox case): a move of coordinate j updates c -= delta * G_j with
+the Gram row G_j = (x_j * W)' X, and every v_j = x_j' W x_j comes from
+one diagonal product per sweep.  Rows are built only for the coordinates
+nonzero at the start of the sweep and those that move, never the full
+p x p Gram, and a zero coordinate with |c_j| <= lam and v_j > 1/(a - 1)
+is skipped after one comparison.  W and c are refreshed once per sweep,
+so the quadratic stays fixed while a sweep runs.
 
 The sweeps run on the dataset's standardized x (`SurvivalDataset.standardized`:
 columns centered and scaled to unit variance, constant columns exact
@@ -29,21 +30,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalDivergence
-from .scad import scad_threshold, scad_value
+from .scad import SCAD_A, scad_threshold
 from .survival import SurvivalDataset, cox_terms
 
 V_FLOOR = 1e-10
 BETA_CAP = 1e6
-
-
-def _surrogate_move_delta(h, v, old, new, lam):
-    """Exact change of the penalized quadratic surrogate for one move.
-
-    Equals the change of -c'd + 0.5 d'X'WXd + sum p(|beta_k|) evaluated
-    fresh, folded down to one coordinate.
-    """
-    quad = 0.5 * v * (new * new - old * old) - h * (new - old)
-    return quad + scad_value(abs(new), lam) - scad_value(abs(old), lam)
+CONVEX_V = 1.0 / (SCAD_A - 1.0)  # above it, |h| <= lam thresholds to 0
 
 
 def _sweep(X, W, c, beta, lam):
@@ -51,29 +43,28 @@ def _sweep(X, W, c, beta, lam):
 
     The surrogate is -c'd + 0.5 d'X'WXd + sum p(|beta_k|) in the move
     d = beta - beta_start, where c = -X' grad holds the covariances at the
-    start of the sweep.  Coordinate j sees h_j = c_j + v_j beta_j and
-    v_j = x_j' W x_j, with v_j floored so a degenerate column cannot divide
-    by zero, where c is kept up to date by covariance updates: a move of
-    beta_j subtracts its size times the Gram row G_j = (x_j * W)' X, and
-    v_j = G_jj.  Rows are built for the coordinates nonzero at the start,
-    in one product, and for each zero one when it is visited.  A zero
-    coordinate with |c_j| <= lam stays zero (the SCAD threshold of such an
-    h is zero at any v), so it is skipped after one comparison.  A move is
-    kept only if it does not increase the penalized surrogate.  beta and c
-    are updated in place.
+    start of the sweep.  Coordinate j moves to the minimiser of the
+    surrogate along it, the SCAD threshold of h_j = c_j + v_j beta_j at
+    v_j = x_j' W x_j, floored so a degenerate column cannot divide by
+    zero.  c is kept up to date by covariance updates: a move of beta_j
+    subtracts its size times the Gram row G_j = (x_j * W)' X.  Rows are
+    built for the coordinates nonzero at the start, in one product, and
+    for each zero one when it moves.  Where v_j > 1/(a - 1) the threshold
+    of |h_j| <= lam is zero, so a zero coordinate with |c_j| <= lam is
+    skipped after one comparison.  beta and c are updated in place.
     """
     active = np.flatnonzero(beta)
     rows = dict(zip(active.tolist(), (X[:, active] * W[:, None]).T @ X))
+    curv = np.maximum(np.einsum("i,ij,ij->j", W, X, X), V_FLOOR).tolist()
     for j, old in enumerate(beta.tolist()):
-        if old == 0.0 and abs(c[j]) <= lam:
+        v = curv[j]
+        if old == 0.0 and abs(c[j]) <= lam and v > CONVEX_V:
             continue
-        row = rows.get(j)
-        if row is None:
-            row = (X[:, j] * W) @ X
-        v = max(float(row[j]), V_FLOOR)
-        h = float(c[j]) + v * old
-        new = scad_threshold(h, v, lam)
-        if new != old and _surrogate_move_delta(h, v, old, new, lam) <= 0.0:
+        new = scad_threshold(float(c[j]) + v * old, v, lam)
+        if new != old:
+            row = rows.get(j)
+            if row is None:
+                row = (X[:, j] * W) @ X
             c -= (new - old) * row
             beta[j] = new
 
@@ -84,11 +75,10 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
     """Run penalized coordinate descent until the sweep change is <= tol.
 
     lam is the SCAD strength, finite and >= 0, on the standardized scale.
-    g_vals is the fixed nonparametric offset per subject.  A coordinate
-    move is accepted only if it does not increase the current penalized
-    surrogate; the thresholding operator guarantees that when v_j = 1, and
-    the guard covers low-curvature columns where the closed form can
-    overshoot.  Raises NumericalDivergence if the coefficients blow up.
+    g_vals is the fixed nonparametric offset per subject.  Each sweep
+    moves every coordinate to the exact minimiser of the current penalized
+    surrogate along it (see _sweep).  Raises NumericalDivergence if the
+    coefficients blow up.
     If given, info["sweeps"] receives the number of sweeps run and
     info["converged"] whether the sweep change reached tol before
     max_sweeps ran out.

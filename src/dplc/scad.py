@@ -1,4 +1,4 @@
-"""SCAD penalty: value and the univariate thresholding operator.
+"""SCAD penalty: value and the exact univariate minimiser.
 
 The penalty derivative is the quadratic spline
 
@@ -9,9 +9,9 @@ The penalty derivative is the quadratic spline
 with the shape fixed at Fan & Li's a = SCAD_A = 3.7 (JASA 96(456), 2001),
 and the value is its integral from zero.  The strength lam is a plain
 float, picked by BIC along the fit's grid; the callers (`cd_fit`, `fit`)
-check that it is finite and >= 0.  Large coefficients beyond a*lam pay a
-constant penalty, so they are left unshrunk by the thresholding operator.
-Both functions take and return plain floats: a coordinate-descent visit
+check that it is finite and >= 0.  `scad_threshold` solves one
+coordinate's penalized quadratic exactly, at any curvature.  Both
+functions take and return plain floats: a coordinate-descent visit
 solves a one-variable problem, so there is no array path.
 """
 
@@ -36,21 +36,30 @@ def scad_value(theta: float, lam: float) -> float:
 
 
 def scad_threshold(h: float, v: float, lam: float) -> float:
-    """Univariate SCAD update for the weighted quadratic 0.5*v*b^2 - h*b.
+    """The minimiser b of 0.5*v*b^2 - h*b + p(|b|), with the sign of h.
 
-    Three zones by |h|: soft-thresholding up to 2*lam, a rescaled
-    soft-threshold between 2*lam and a*lam, and the unshrunk h/v beyond.
-    Exact minimizer of the penalized quadratic when v = 1; boundary points
-    fall to the lower branch.  h and v are floats, v > 0.
+    h and v > 0 are floats.  For v > 1/(a - 1) the objective is convex and
+    b has four zones by |h| (Breheny & Huang 2011, AoAS 5(1), section 2),
+    with S the soft threshold: 0 up to lam, S(h, lam)/v up to lam*(1 + v),
+    S(h, a*lam/(a - 1))/(v - 1/(a - 1)) up to a*lam*v, and h/v beyond;
+    boundary points fall to the lower zone.  For v <= 1/(a - 1) the middle
+    piece is concave, and b is the better of min(S(h, lam)/v, lam) and
+    max(|h|/v, a*lam), the minimisers on [0, lam] and [a*lam, inf); a tie
+    goes to the first.
     """
     if not v > 0.0:
         raise ValueError("non-positive curvature")
     a = SCAD_A
     ah = abs(h)
-    if ah <= 2.0 * lam:
-        return math.copysign(max(ah - lam, 0.0), h) / v
-    if ah <= a * lam:
-        # |h| > 2*lam > a*lam/(a-1) here, since a > 2
-        return math.copysign(ah - a * lam / (a - 1.0), h) \
-            / (v * (1.0 - 1.0 / (a - 1.0)))
-    return h / v
+    soft = max(ah - lam, 0.0) / v
+    if v <= 1.0 / (a - 1.0):
+        near, far = min(soft, lam), max(ah / v, a * lam)
+        b = min((near, far), key=lambda t: 0.5 * v * t * t - ah * t
+                + scad_value(t, lam))
+    elif ah <= lam * (1.0 + v):
+        b = soft
+    elif ah <= a * lam * v:
+        b = (ah - a * lam / (a - 1.0)) / (v - 1.0 / (a - 1.0))
+    else:
+        b = ah / v
+    return math.copysign(b, h)

@@ -1,0 +1,106 @@
+"""Properties of the default lambda path that hold for any correct solver.
+
+Stationarity: every converged fit satisfies the SCAD subgradient (KKT)
+conditions on the standardized scale.  Invariances: the order of x's
+columns, the order of the rows and a monotone transform of the times do
+not change the fit.  All run on `simulate_dataset(SimConfig(seed=s), 0)`,
+n = 300, p = 50, at seeds 1-3.
+"""
+
+import numpy as np
+import pytest
+
+from dplc import (FitConfig, SimConfig, SurvivalDataset, cd_fit, cox_terms,
+                  forward, simulate_dataset, tune_lambda)
+from dplc.scad import SCAD_A
+
+SEEDS = (1, 2, 3)
+BASELINE = FitConfig(fit_g=False)
+
+
+def default_data(seed):
+    return simulate_dataset(SimConfig(seed=seed), 0).dataset
+
+
+def rebuilt(ds, rows=slice(None), cols=slice(None), times=None):
+    return SurvivalDataset(times=ds.times[rows] if times is None else times,
+                           status=ds.status[rows], x=ds.x[rows][:, cols],
+                           z=ds.z[rows])
+
+
+def scad_derivative(t, lam):
+    """p'(t) for t >= 0."""
+    if t <= lam:
+        return lam
+    return max(SCAD_A * lam - t, 0.0) / (SCAD_A - 1.0)
+
+
+def kkt_max(ds, beta, lam, g_vals):
+    """Largest SCAD subgradient violation at beta, standardized scale.
+
+    With c = -X' grad q at the final eta: |c_j| - lam for a zero
+    coefficient, |c_j - p'(|b_j|) sign b_j| for a nonzero one.
+    """
+    X, scale = ds.standardized
+    b = beta * scale
+    c = -(cox_terms(X @ b + g_vals, ds)[1] @ X)
+    return max(abs(cj) - lam if bj == 0.0
+               else abs(cj - np.copysign(scad_derivative(abs(bj), lam), bj))
+               for cj, bj in zip(c.tolist(), b.tolist()))
+
+
+def assert_same_up_to(perm, fits, permuted_fits):
+    for beta, beta_perm in zip(fits, permuted_fits):
+        assert np.array_equal(beta[perm] != 0.0, beta_perm != 0.0)
+        assert np.max(np.abs(beta[perm] - beta_perm)) <= 1e-4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_converged_baseline_fits_are_stationary(seed):
+    ds = default_data(seed)
+    _, path = tune_lambda(ds, BASELINE)
+    converged = [m for m in path if m.diagnostics["converged"]]
+    assert converged
+    for model in converged:
+        assert kkt_max(ds, model.beta_hat, model.lam, 0.0) <= 1e-4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_baseline_path_ignores_column_order(seed):
+    ds = default_data(seed)
+    perm = np.random.default_rng(seed).permutation(ds.p)
+    fits = [m.beta_hat for m in tune_lambda(ds, BASELINE)[1]]
+    permuted = [m.beta_hat
+                for m in tune_lambda(rebuilt(ds, cols=perm), BASELINE)[1]]
+    assert_same_up_to(perm, fits, permuted)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_warm_cd_path_at_fixed_network_ignores_column_order(seed):
+    # The network is fixed at the dplc pick's, so only coordinate descent
+    # sees the permuted columns; the path is warm-started as tune_lambda's.
+    ds = default_data(seed)
+    cfg = FitConfig()
+    g_vals = forward(tune_lambda(ds, cfg)[0].net, ds.z)
+    perm = np.random.default_rng(seed).permutation(ds.p)
+    permuted_ds = rebuilt(ds, cols=perm)
+    beta = beta_perm = None
+    fits, permuted = [], []
+    for lam in cfg.lambda_grid:
+        beta = cd_fit(ds, g_vals, beta, lam)
+        beta_perm = cd_fit(permuted_ds, g_vals, beta_perm, lam)
+        fits.append(beta)
+        permuted.append(beta_perm)
+    assert_same_up_to(perm, fits, permuted)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_baseline_path_ignores_row_order_and_monotone_times(seed):
+    ds = default_data(seed)
+    rows = np.random.default_rng(seed).permutation(ds.n)
+    fits = [m.beta_hat for m in tune_lambda(ds, BASELINE)[1]]
+    shuffled = tune_lambda(rebuilt(ds, rows=rows), BASELINE)[1]
+    logged = tune_lambda(rebuilt(ds, times=np.log1p(ds.times)), BASELINE)[1]
+    for beta, row_fit, log_fit in zip(fits, shuffled, logged):
+        assert np.max(np.abs(beta - row_fit.beta_hat)) <= 1e-12
+        assert np.array_equal(beta, log_fit.beta_hat)

@@ -41,17 +41,19 @@ def penalty_closed_form(theta, lam):
                  lam ** 2 * (a + 1.0) / 2.0))
 
 
-def brute_force_threshold(h, v, lam, radius=10.0):
+def brute_force_threshold(h, v, lam):
     """Dense grid plus golden-section refinement of the 1-d objective
 
         0.5 * v * (b - h / v)**2 + p(|b|),
 
-    whose minimizer scad_threshold must reproduce at v = 1.
+    whose minimizer scad_threshold must reproduce at every v > 0.  The
+    grid, spaced 0.005 apart, reaches past the unpenalized h / v.
     """
     def objective(b):
         return 0.5 * v * (b - h / v) ** 2 + penalty_closed_form(abs(b), lam)
 
-    grid = np.linspace(-radius, radius, 4001)
+    radius = max(10.0, 1.5 * abs(h) / v)
+    grid = np.linspace(-radius, radius, int(round(400 * radius)) + 1)
     values = 0.5 * v * (grid - h / v) ** 2 \
         + penalty_closed_form(np.abs(grid), lam)
     k = int(np.argmin(values))
@@ -181,15 +183,37 @@ class TestScadThreshold:
 
     @pytest.mark.parametrize("v", [0.5, 1.0, 2.0])
     def test_shrinkage_bound(self, v):
+        # The penalty is flat beyond a*lam, so the minimizer is the
+        # unshrunk h / v once that lies beyond a*lam, |h| > a*lam*v, and
+        # so wherever |h| > a*lam*max(v, 1).
         for h in np.arange(-6.0, 6.0, 0.11):
             out = scad_threshold(float(h), v, LAM)
             assert abs(out) <= abs(h) / v + 1e-12
-            if abs(h) > A * LAM:
+            if abs(h) > A * LAM * max(v, 1.0):
                 assert out == pytest.approx(h / v, rel=1e-12)
+
+    def test_concave_middle_worked_example(self):
+        # At v = 0.2 < 1/(a - 1) the unshrunk h / v = 2.5 beats 0:
+        # 0.5 * 0.2 * 2.5**2 - 0.5 * 2.5 + p(2.5) = -0.0375 < 0.
+        assert scad_threshold(0.5, 0.2, 0.5) == pytest.approx(2.5,
+                                                             rel=1e-12)
+        assert brute_force_threshold(0.5, 0.2, 0.5) == pytest.approx(
+            2.5, abs=1e-6)
 
     @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0])
     def test_matches_brute_force_at_unit_curvature(self, lam):
         for h in np.arange(-6.0, 6.0 + 1e-9, 0.05):
             expected = brute_force_threshold(float(h), 1.0, lam)
             assert scad_threshold(float(h), 1.0, lam) == pytest.approx(
+                expected, abs=1e-6)
+
+    # Below 1/(a - 1), at 0.2 and at 1/(a - 1) itself, the middle piece
+    # of the objective is not convex; above it, the four zones apply.
+    @pytest.mark.parametrize("v", [0.2, 1.0 / (A - 1.0), 0.5, 0.8, 2.0],
+                             ids="v{:.4g}".format)
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0])
+    def test_matches_brute_force_off_unit_curvature(self, lam, v):
+        for h in np.arange(-6.0, 6.0 + 1e-9, 0.05):
+            expected = brute_force_threshold(float(h), v, lam)
+            assert scad_threshold(float(h), v, lam) == pytest.approx(
                 expected, abs=1e-6)

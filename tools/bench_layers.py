@@ -13,7 +13,9 @@ r = 8:
   loss_and_grads  one training pass of the default (8, 8) network, dropout 0.3
   adam_step       adam_fit with the default 20 inner steps and step size
                   0.01, per step
-  cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started
+  cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started:
+                  one cox_terms pass, the covariances, the curvature
+                  diagonal and the coordinate loop
   c_index         Harrell's C of the true linear predictor
 
 Every side is measured once in each of ROUNDS rounds, in a fresh process

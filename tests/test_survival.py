@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dplc import cox_terms, stratified_split
-from dplc.survival import _loss_terms
+from dplc.survival import _loss_terms, cox_hessian
 
 from conftest import (fd_gradient, fd_hessian_diag, index_sets, make_dataset,
                       naive_history_set, naive_neg_log_pl, naive_risk_set,
@@ -208,6 +208,42 @@ class TestHessianDiag:
                              eta, step=1e-4)
         assert np.max(rel_err(W, fd, floor=1e-4)) < 1e-4
         assert np.all(W >= -1e-12)
+
+
+class TestCoxHessian:
+    """The Hessian block in the coefficients of given columns."""
+
+    @staticmethod
+    def _instance(seed, tied):
+        ds, eta = random_instance(seed, n=40, p=4)
+        if not tied:
+            times = np.random.default_rng(seed).permutation(ds.n) + 1.0
+            ds = make_dataset(times, ds.status, ds.x, ds.z)
+        return ds, eta
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_central_differences_of_gradient(self, seed, tied):
+        ds, eta = self._instance(seed, tied)
+        assert (np.unique(ds.times).size < ds.n) == tied
+        cols, step = ds.x, 1e-5
+        hess = cox_hessian(eta, ds, cols)
+        fd = np.empty_like(hess)
+        for k in range(cols.shape[1]):
+            up = cox_terms(eta + step * cols[:, k], ds)[1] @ cols
+            down = cox_terms(eta - step * cols[:, k], ds)[1] @ cols
+            fd[:, k] = (up - down) / (2.0 * step)
+        assert np.max(np.abs(hess - fd)) < 1e-9
+        assert np.max(np.abs(hess - hess.T)) < 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_columns_give_the_curvature_diagonal(self, seed):
+        # On the unit columns the block is the Hessian in eta itself, whose
+        # diagonal cox_terms returns.
+        ds, eta = random_instance(seed)
+        hess = cox_hessian(eta, ds, np.eye(ds.n))
+        assert np.max(np.abs(np.diag(hess) - cox_terms(eta, ds)[2])) < 1e-15
+        assert np.allclose(hess.sum(axis=0), 0.0, atol=1e-15)
 
 
 def lse_cox_terms(times, status, eta):

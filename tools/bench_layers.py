@@ -13,9 +13,13 @@ r = 8:
   loss_and_grads  one training pass of the default (8, 8) network, dropout 0.3
   adam_step       adam_fit with the default 20 inner steps and step size
                   0.01, per step
-  cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started:
-                  one cox_terms pass, the covariances, the curvature
-                  diagonal and the coordinate loop
+  cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started
+                  at its own fit: one cox_terms pass, the covariances, the
+                  curvature diagonal and the coordinate loop
+  cd_call         cd_fit at lambda 0.1 run to convergence, warm-started at
+                  the lambda 0.05 fit, as one step of a lambda path: its
+                  sweeps and the Newton steps between them; the row also
+                  gives the sweeps the call runs
   c_index         Harrell's C of the true linear predictor
 
 Every side is measured once in each of ROUNDS rounds, in a fresh process
@@ -40,7 +44,8 @@ import time
 
 import numpy as np
 
-OPS = ("cox_terms", "loss_and_grads", "adam_step", "cd_sweep", "c_index")
+OPS = ("cox_terms", "loss_and_grads", "adam_step", "cd_sweep", "cd_call",
+       "c_index")
 SIZES = (300, 3000, 30000)
 ROUNDS = 8
 REPEATS = 5
@@ -81,9 +86,10 @@ def per_call_us(fn) -> list:
     return out
 
 
-def operations(n: int) -> dict:
+def operations(n: int) -> tuple:
     """The timed operations on one simulated dataset of n rows, each with
-    the number of steps one call makes."""
+    the number of steps one call makes, and the info dict that every
+    cd_call call fills."""
     from dplc import (NetworkArch, SimConfig, adam_fit, c_index, cd_fit,
                       cox_terms, init_network, loss_and_grads,
                       simulate_dataset)
@@ -97,6 +103,8 @@ def operations(n: int) -> dict:
     steps, gamma, lam = 20, 0.01, 0.1
     g_vals = np.zeros(ds.n)
     beta_warm = cd_fit(ds, g_vals, None, lam)
+    beta_low = cd_fit(ds, g_vals, None, 0.05)
+    cd_info = {}
     return {
         "cox_terms": (lambda: cox_terms(eta, ds), 1),
         "loss_and_grads": (lambda: loss_and_grads(net, ds, data.beta0, rng), 1),
@@ -105,16 +113,23 @@ def operations(n: int) -> dict:
                                        moments=moments), steps),
         "cd_sweep": (lambda: cd_fit(ds, g_vals, beta_warm, lam,
                                     max_sweeps=1), 1),
+        "cd_call": (lambda: cd_fit(ds, g_vals, beta_low, lam,
+                                   info=cd_info), 1),
         "c_index": (lambda: c_index(eta, ds.times, ds.status), 1),
-    }
+    }, cd_info
 
 
 def measure() -> dict:
-    """{"op n": [us per call, one per block]} for the importable dplc."""
+    """{"op n": [us per call, one per block]} for the importable dplc, and
+    {"cd_call n sweeps": [sweeps]}."""
     out = {}
     for n in SIZES:
-        for op, (fn, steps) in operations(n).items():
+        ops, cd_info = operations(n)
+        for op, (fn, steps) in ops.items():
             out["%s %d" % (op, n)] = [us / steps for us in per_call_us(fn)]
+        if not cd_info["converged"]:
+            raise SystemExit("cd_call at n=%d did not converge" % n)
+        out["cd_call %d sweeps" % n] = [cd_info["sweeps"]]
     return out
 
 
@@ -153,10 +168,19 @@ def main(argv=None) -> int:
                                             [25, 50, 75])
                 row[name] = {"us_median": round(med, 2),
                              "us_q1": round(q1, 2), "us_q3": round(q3, 2)}
+                if op == "cd_call":
+                    sweeps = set(blocks[name]["cd_call %d sweeps" % n])
+                    if len(sweeps) != 1:
+                        raise SystemExit("%s cd_call n=%d: sweeps differ "
+                                         "between rounds" % (name, n))
+                    row[name]["sweeps"] = sweeps.pop()
             rows.append(row)
             print("%-15s n=%-6d " % (op, n) + "  ".join(
-                "%s %.1f [%.1f, %.1f]" % (name, row[name]["us_median"],
-                                          row[name]["us_q1"], row[name]["us_q3"])
+                "%s %.1f [%.1f, %.1f]%s" % (
+                    name, row[name]["us_median"], row[name]["us_q1"],
+                    row[name]["us_q3"],
+                    " sweeps %d" % row[name]["sweeps"]
+                    if "sweeps" in row[name] else "")
                 for name, _ in sides))
     with open(args.out, "w") as fh:
         json.dump({"machine": machine(),

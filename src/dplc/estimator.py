@@ -12,8 +12,9 @@ stops at cd_fit's default tolerance.  Without the network (g = 0, the
 baseline) there is nothing to alternate: a fit is one coordinate-descent
 call.  The SCAD strength lam is an argument of fit, not a setting:
 tune_lambda picks it by BIC over the config's grid (warm-started along
-the path), and architecture search fits every cell at that pick on its
-training split and scores it by held-out likelihood.
+the path, which stops training at its first converged null fit), and
+architecture search fits every cell at that pick on its training split
+and scores it by held-out likelihood.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ class FitConfig:
 @dataclass
 class FittedModel:
     """Sparse coefficients, the centered network, the penalty strength lam
-    they were fitted at, and fit diagnostics."""
+    they were fitted at, and fit diagnostics.  On a tune_lambda path, an
+    entry past the first converged null fit is a copy of that fit at its
+    own lam; its diagnostics show that no fit ran (see tune_lambda)."""
 
     beta_hat: np.ndarray
     net: Network
@@ -201,16 +204,36 @@ def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig):
     """Fit along cfg.lambda_grid and pick the BIC minimizer.
 
     Each fit is warm-started from the previous grid point's coefficients
-    and network.  BIC ties go to the later grid point, so the larger
-    penalty (the sparser model).  Returns (best, path): path holds the
-    fitted models in grid order and best is one of them.  Each fit is
-    logged at INFO level.
+    and network.  Once a fit converges with nothing selected, every later
+    grid point reuses it: |c_j| <= lam held for all j at beta = 0, so it
+    holds at any larger lam, and at beta = 0 the network's objective does
+    not involve lam (Friedman, Hastie & Tibshirani 2010).  A reused entry
+    has its own lam, a zero beta_hat, a copy of the network, the null
+    fit's "converged" and "bic", and diagnostics that show no fit ran:
+    "outer_iters" 0, "cd_sweeps" [] and the null fit's last "loss_path"
+    value.  BIC ties go to the later grid point, so the larger penalty
+    (the sparser model).  Returns (best, path): path holds one model per
+    grid point, in grid order, and best is one of them.  Each grid point
+    is logged at INFO level.
     """
     path = []
     beta_warm, net_warm = None, None
+    null = None  # the first converged fit that selects nothing
     for lam in cfg.lambda_grid:
         start = time.perf_counter()
-        model = fit(dataset, cfg, lam, beta_init=beta_warm, net_init=net_warm)
+        if null is None:
+            model = fit(dataset, cfg, lam, beta_init=beta_warm,
+                        net_init=net_warm)
+            if model.n_selected == 0 and model.diagnostics["converged"]:
+                null = model
+        else:
+            done = null.diagnostics
+            model = FittedModel(
+                beta_hat=np.zeros(dataset.p), net=null.net.copy(),
+                support=null.support.copy(), lam=float(lam), diagnostics={
+                    "loss_path": done["loss_path"][-1:], "outer_iters": 0,
+                    "cd_sweeps": [], "converged": done["converged"],
+                    "bic": done["bic"]})
         info = model.diagnostics
         logger.info("lambda=%g selected=%d bic=%.6g outer_iters=%d "
                     "converged=%s seconds=%.3f", lam, model.n_selected,

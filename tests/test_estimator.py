@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dplc import (FitConfig, NetworkArch, SimConfig,
-                  bic, cd_fit, fit, init_network, model_from_dict,
+                  bic, cd_fit, estimator, fit, init_network, model_from_dict,
                   model_to_dict, predict_eta,
                   simulate_dataset, tune_architecture, tune_lambda,
                   zero_network)
@@ -19,6 +19,8 @@ from conftest import make_dataset
 
 
 LAM = 0.15  # the penalty strength of the single fits below
+# sim_data(1, n=80, p=4) at quick_cfg() selects nothing from 1.0 on
+NULL_TAIL_GRID = (0.1, 0.3, 1.0, 3.0, 5.0)
 
 
 def quick_cfg(hidden=(4, 4), dropout=0.0, gamma=0.02, max_outer=8, seed=0,
@@ -280,19 +282,64 @@ class TestTuneLambda:
         assert np.array_equal(path[0].beta_hat, cold.beta_hat)
 
     def test_logs_one_line_per_lambda(self, caplog):
+        # The fit at 1.0 is the first converged null fit, so the last two
+        # grid points reuse it and show that no fit ran.
         data = sim_data(1, n=80, p=4)
         with caplog.at_level(logging.INFO, logger="dplc.estimator"):
-            _, path = tune_lambda(data.dataset,
-                                  quick_cfg(lambda_grid=[0.1, 0.3]))
+            _, path = tune_lambda(data.dataset, quick_cfg(
+                lambda_grid=NULL_TAIL_GRID))
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "dplc.estimator"]
-        assert len(lines) == 2
+        assert len(lines) == len(NULL_TAIL_GRID)
         for line, model in zip(lines, path):
             info = model.diagnostics
             assert line.startswith(
                 "lambda=%g selected=%d bic=%.6g outer_iters=%d converged=%s "
                 "seconds=" % (model.lam, model.n_selected, info["bic"],
                               info["outer_iters"], info["converged"]))
+        null = path[2]
+        assert null.n_selected == 0 and null.diagnostics["converged"]
+        assert null.diagnostics["outer_iters"] > 0
+        for model in path[3:]:
+            assert model.diagnostics == {
+                "loss_path": null.diagnostics["loss_path"][-1:],
+                "outer_iters": 0, "cd_sweeps": [],
+                "converged": null.diagnostics["converged"],
+                "bic": null.diagnostics["bic"]}
+
+    def test_reused_entries_are_separate_models(self):
+        data = sim_data(1, n=80, p=4)
+        _, path = tune_lambda(data.dataset, quick_cfg(
+            lambda_grid=NULL_TAIL_GRID))
+        assert [m.lam for m in path] == list(NULL_TAIL_GRID)
+        before = [(m.beta_hat.copy(), m.net.params.copy(),
+                   m.net.center_offset) for m in path]
+        path[3].beta_hat[0] = 1.0
+        path[3].net.center_offset += 1.0
+        path[3].net.params += 1.0
+        for k, (beta, params, offset) in enumerate(before):
+            if k != 3:
+                assert np.array_equal(path[k].beta_hat, beta)
+                assert np.array_equal(path[k].net.params, params)
+                assert path[k].net.center_offset == offset
+
+    def test_unconverged_null_fit_is_not_reused(self, monkeypatch):
+        # One outer iteration never reaches the stable window, so no fit
+        # converges and every grid point is fitted, null or not.
+        data = sim_data(1, n=80, p=4)
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(estimator, "fit", counted)
+        _, path = tune_lambda(data.dataset, quick_cfg(
+            max_outer=1, lambda_grid=NULL_TAIL_GRID))
+        assert len(fits) == len(NULL_TAIL_GRID)
+        assert all(a is b for a, b in zip(fits, path))
+        assert path[2].n_selected == 0
+        assert not path[2].diagnostics["converged"]
 
     def test_repeated_lambda_returns_bic_minimizer(self):
         # Warm starts keep moving the fit, so a repeated lambda gives

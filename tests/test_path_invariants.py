@@ -2,9 +2,11 @@
 
 Stationarity: every converged fit satisfies the SCAD subgradient (KKT)
 conditions on the standardized scale, and no coordinate descent call of
-either method's path runs out of sweeps.  Invariances: the order of x's
-columns, the order of the rows and a monotone transform of the times do
-not change the fit.  All run on `simulate_dataset(SimConfig(seed=s), 0)`,
+either method's path runs out of sweeps.  The null tail: every entry from
+the first converged null fit on is stationary at its own lambda, and the
+entries up to that fit are those of a plain chained fit loop.
+Invariances: the order of x's columns, the order of the rows and a
+monotone transform of the times do not change the fit.  All run on `simulate_dataset(SimConfig(seed=s), 0)`,
 n = 300, p = 50, at seeds 1-3.
 """
 
@@ -68,6 +70,12 @@ def kkt_max(ds, beta, lam, g_vals):
                for cj, bj in zip(c.tolist(), b.tolist()))
 
 
+def first_null(path):
+    """Index of the path's first converged fit that selects nothing."""
+    return next(k for k, m in enumerate(path)
+                if m.n_selected == 0 and m.diagnostics["converged"])
+
+
 def assert_same_up_to(perm, fits, permuted_fits):
     for beta, beta_perm in zip(fits, permuted_fits):
         assert np.array_equal(beta[perm] != 0.0, beta_perm != 0.0)
@@ -104,6 +112,49 @@ def test_converged_warm_cd_path_at_fixed_network_is_stationary(seed):
 def test_no_cd_call_runs_out_of_sweeps(seed, fit_g):
     calls = recorded_path(seed, FitConfig(seed=seed, fit_g=fit_g))[2]
     assert calls and all(info["converged"] for info in calls)
+
+
+@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_null_tail_is_stationary_at_every_lambda(seed, fit_g):
+    # At beta = 0 the KKT residual is max_j |c_j| - lam, with c taken at
+    # eta = g-hat of the entry's own network.
+    ds = default_data(seed)
+    path = recorded_path(seed, FitConfig(seed=seed, fit_g=fit_g))[1]
+    tail = path[first_null(path):]
+    assert len(tail) > 1
+    for model in tail:
+        assert not model.beta_hat.any() and model.n_selected == 0
+        assert kkt_max(ds, model.beta_hat, model.lam,
+                       forward(model.net, ds.z)) <= 0.0
+
+
+@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_up_to_the_null_fit_is_the_chained_fit_loop(seed, fit_g):
+    ds = default_data(seed)
+    cfg = FitConfig(seed=seed, fit_g=fit_g)
+    path = recorded_path(seed, cfg)[1]
+    beta, net = None, None
+    for model in path[:first_null(path) + 1]:
+        chained = estimator.fit(ds, cfg, model.lam, beta_init=beta,
+                                net_init=net)
+        assert np.array_equal(chained.beta_hat, model.beta_hat)
+        assert chained.diagnostics["bic"] == model.diagnostics["bic"]
+        beta, net = chained.beta_hat, chained.net
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_baseline_null_tail_matches_warm_fits(seed):
+    ds = default_data(seed)
+    path = recorded_path(seed, BASELINE)[1]
+    tail = path[first_null(path):]
+    assert len(tail) > 1
+    for prev, model in zip(tail, tail[1:]):
+        warm = estimator.fit(ds, BASELINE, model.lam,
+                             beta_init=prev.beta_hat, net_init=prev.net)
+        assert np.array_equal(warm.beta_hat, model.beta_hat)
+        assert warm.diagnostics["bic"] == model.diagnostics["bic"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -19,18 +19,21 @@ over FitConfig's default 12-value grid and records:
   cd_sweeps       CD sweeps over all calls
   cd_capped       cd_fit calls that ran out of max_sweeps
   fits_converged  fits of the path whose `converged` is true, of `fits`
+  fits_run        `estimator.fit` calls the path made; the entries past
+                  its first converged null fit reuse that fit and run none
   lambda, selected, true_selected
                   the BIC pick: its lambda, its selected count and how
                   many of those are in the true support
 
 The timers wrap the `adam_fit` and `cd_fit` that the estimator module
-calls, so the same script measures any tree that has them.  Every side
-runs the whole table once in each of ROUNDS rounds, in a fresh process
-that imports dplc from its directory, and the sides take turns going
-first, as in tools/bench_layers.py.  Times are the median (and quartiles
-for wall_s) over the rounds.  The counts and the pick are deterministic;
-the script fails if they differ between a side's rounds.  The output
-holds one row per method and P and the record of the machine.
+calls, and a counter wraps its `fit`, so the same script measures any
+tree that has them.  Every side runs the whole table once in each of
+ROUNDS rounds, in a fresh process that imports dplc from its directory,
+and the sides take turns going first, as in tools/bench_layers.py.
+Times are the median (and quartiles for wall_s) over the rounds.  The
+counts and the pick are deterministic; the script fails if they differ
+between a side's rounds.  The output holds one row per method and P and
+the record of the machine.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ def measure() -> dict:
 
     spent = {}
     cd_calls = []
+    fit_calls = [0]
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
@@ -74,9 +78,15 @@ def measure() -> dict:
         cd_calls.append((info["sweeps"], info["converged"]))
         return beta
 
+    def fit(*args, **kwargs):
+        fit_calls[0] += 1
+        return fit_one(*args, **kwargs)
+
     cd = timed("cd_s", estimator.cd_fit)
+    fit_one = estimator.fit
     estimator.adam_fit = timed("adam_s", estimator.adam_fit)
     estimator.cd_fit = cd_fit
+    estimator.fit = fit
 
     out = {}
     for p in SIZES:
@@ -84,6 +94,7 @@ def measure() -> dict:
         for method in METHODS:
             spent.update(adam_s=0.0, cd_s=0.0)
             cd_calls.clear()
+            fit_calls[0] = 0
             cfg = FitConfig(seed=1, fit_g=method == "dplc")
             start = time.perf_counter()
             best, path = estimator.tune_lambda(data.dataset, cfg)
@@ -95,6 +106,7 @@ def measure() -> dict:
                 "cd_sweeps": sum(s for s, _ in cd_calls),
                 "cd_capped": sum(not c for _, c in cd_calls),
                 "fits": len(path),
+                "fits_run": fit_calls[0],
                 "fits_converged": sum(bool(m.diagnostics["converged"])
                                       for m in path),
                 "lambda": best.lam, "selected": best.n_selected,
@@ -152,11 +164,12 @@ def main(argv=None) -> int:
             rows.append(row)
             print("%-8s p=%-4d " % (method, p) + "  ".join(
                 "%s %.2f s (adam %.2f, cd %.2f) sweeps %d capped %d "
-                "converged %d/%d pick lambda=%g %d sel %d true"
+                "converged %d/%d run %d pick lambda=%g %d sel %d true"
                 % (name, row[name]["wall_s"], row[name]["adam_s"],
                    row[name]["cd_s"], row[name]["cd_sweeps"],
                    row[name]["cd_capped"], row[name]["fits_converged"],
-                   row[name]["fits"], row[name]["lambda"],
+                   row[name]["fits"], row[name]["fits_run"],
+                   row[name]["lambda"],
                    row[name]["selected"], row[name]["true_selected"])
                 for name, _ in sides))
     with open(args.out, "w") as fh:

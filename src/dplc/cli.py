@@ -346,13 +346,17 @@ def _json_dump(obj, path):
 
 
 def write_selection_table(path, beta, support, x_names):
-    """Selected features with coefficients and hazard ratios exp(beta)."""
+    """Selected features with coefficients and hazard ratios exp(beta);
+    a ratio past the float range is written as inf."""
     order = sorted(support, key=lambda j: (-abs(beta[j]), j))
     with open(path, "w") as fh:
         fh.write("feature\tbeta\thazard_ratio\n")
         for j in order:
-            fh.write("%s\t%.6g\t%.4f\n" % (x_names[j], beta[j],
-                                           math.exp(beta[j])))
+            try:
+                ratio = math.exp(beta[j])
+            except OverflowError:
+                ratio = math.inf
+            fh.write("%s\t%.6g\t%.4f\n" % (x_names[j], beta[j], ratio))
 
 
 # Rows per string handed to write(): enough to amortise the call, few

@@ -1,6 +1,6 @@
 """SCAD-penalized coordinate descent on the linear coefficients, g held fixed.
 
-Each sweep makes one `cox_terms` pass at the current linear predictor and
+Each sweep makes one kernel pass at the current linear predictor and
 builds the diagonal quadratic surrogate of the partial likelihood from it:
 the covariances c = -X' grad of its gradient and its Hessian diagonal W.
 Coordinates are then moved one at a time to the exact minimiser of the
@@ -20,9 +20,9 @@ slowly where correlated coefficients sit in SCAD's concave middle zone.
 So after every sweep that leaves the support unchanged, one Newton step of
 the exact penalized objective is tried on the support's face, where the
 signs and SCAD zones are held and the penalty is quadratic (Fan & Li
-2001, JASA 96(456), section 3.3): it takes one `cox_hessian` pass for the
-Hessian block and one kernel pass at the trial point, which, if the step
-is kept, gives the next sweep its W and c.
+2001, JASA 96(456), section 3.3): it reads its Hessian block off the
+same pass and makes one kernel pass at the trial point, which, if the
+step is kept, gives the next sweep its W and c.
 
 The sweeps run on the dataset's standardized x (`SurvivalDataset.standardized`:
 columns centered and scaled to unit variance, constant columns exact
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalDivergence
 from .scad import SCAD_A, scad_threshold, scad_value
-from .survival import SurvivalDataset, _loss_terms, cox_hessian, cox_terms
+from .survival import SurvivalDataset, _checked_terms, _loss_terms
 
 V_FLOOR = 1e-10
 BETA_CAP = 1e6
@@ -78,26 +78,27 @@ def _sweep(X, W, c, beta, lam):
             beta[j] = new
 
 
-def _newton_step(dataset, X, g_vals, beta, eta, terms, active, lam):
+def _newton_step(dataset, X, g_vals, beta, terms, active, lam):
     """One Newton step of the penalized objective on beta's active face.
 
     With the signs and SCAD zones of beta_S held, the penalty is quadratic
     on the face, so the step is d = -(H_S + diag(curv))^-1 (X_S' grad +
-    p'(|beta_S|) sign beta_S), with H_S the Hessian of q in beta_S
-    (`cox_hessian`) and curv -1/(a - 1) in the middle zone and 0 elsewhere.
+    p'(|beta_S|) sign beta_S), with H_S the Hessian of q in beta_S and
+    curv -1/(a - 1) in the middle zone and 0 elsewhere.  terms is the
+    kernel pass at beta, (q, grad, w, hessian), and H_S its Hessian block.
     Returns the trial (beta, terms) when H_S + diag(curv) is positive
     definite, d is finite, no sign of beta_S changes and the penalized
     objective q + sum p(|beta|) falls; otherwise the given (beta, terms).
     Run with floating-point warnings ignored.
     """
-    loss, grad, _ = terms
+    loss, grad, _, hessian = terms
     b = beta[active]
     t = np.abs(b)
     middle = (t > lam) & (t < SCAD_A * lam)
     slope = np.where(t <= lam, lam, np.maximum(SCAD_A * lam - t, 0.0) * CONVEX_V)
     cols = X[:, active]
-    hess = cox_hessian(eta, dataset, cols)
-    hess[np.diag_indices_from(hess)] -= np.where(middle, CONVEX_V, 0.0)
+    hess = hessian(cols)
+    hess.flat[::active.size + 1] -= np.where(middle, CONVEX_V, 0.0)
     try:
         np.linalg.cholesky(hess)  # raises unless positive definite
     except np.linalg.LinAlgError:
@@ -110,11 +111,11 @@ def _newton_step(dataset, X, g_vals, beta, eta, terms, active, lam):
         return beta, terms
     trial = beta.copy()
     trial[active] = trial_b
-    trial_loss, trial_grad, curvature = _loss_terms(X @ trial + g_vals,
-                                                    dataset)
+    trial_loss, trial_grad, curvature, trial_hessian = _loss_terms(
+        X @ trial + g_vals, dataset)
     if not trial_loss + _penalty(trial_b, lam) < loss + _penalty(b, lam):
         return beta, terms
-    return trial, (trial_loss, trial_grad, curvature())
+    return trial, (trial_loss, trial_grad, curvature(), trial_hessian)
 
 
 def _penalty(b, lam):
@@ -156,12 +157,12 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
 
     X, scale = dataset.standardized
     beta = beta_init * scale
-    terms = cox_terms(X @ beta + g_vals, dataset)
+    terms = _checked_terms(X @ beta + g_vals, dataset)
     sweeps_run = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
         sweeps_run = sweep
-        _, grad, W = terms
+        _, grad, W, _ = terms
         beta_prev = beta.copy()
         _sweep(X, W, -(grad @ X), beta, lam)
         if np.abs(beta).max(initial=0.0) > BETA_CAP:
@@ -172,13 +173,12 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
             break
         if sweep == max_sweeps:
             break
-        eta = X @ beta + g_vals
-        terms = cox_terms(eta, dataset)
+        terms = _checked_terms(X @ beta + g_vals, dataset)
         active = np.flatnonzero(beta)
         if active.size and np.array_equal(active, np.flatnonzero(beta_prev)):
             with np.errstate(all="ignore"):
-                beta, terms = _newton_step(dataset, X, g_vals, beta, eta,
-                                           terms, active, lam)
+                beta, terms = _newton_step(dataset, X, g_vals, beta, terms,
+                                           active, lam)
 
     if info is not None:
         info["sweeps"] = sweeps_run

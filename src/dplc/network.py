@@ -246,7 +246,7 @@ class _TrainPass:
         and the partial-likelihood loss is returned."""
         net, dataset = self.net, self.dataset
         np.add(self.xb, self.forward(), out=self.eta)
-        loss, grad, _ = _loss_terms(self.eta, dataset)
+        loss, grad, _, _ = _loss_terms(self.eta, dataset)
         delta = grad[:, None]
         last = len(net.weights) - 1
         for l in range(last, -1, -1):

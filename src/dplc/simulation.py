@@ -16,7 +16,6 @@ import csv
 import logging
 import math
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -411,6 +410,9 @@ def run_experiment(sim_cfg: SimConfig, methods: dict[str, FitConfig],
     with contextlib.ExitStack() as stack:
         run_map = map
         if n_workers > 1:
+            # imported here: it loads multiprocessing, which no other
+            # command needs
+            from concurrent.futures import ProcessPoolExecutor
             run_map = stack.enter_context(
                 ProcessPoolExecutor(max_workers=n_workers)).map
         for rep_rows in run_map(_run_replicate, jobs):

@@ -10,9 +10,9 @@ predictors with |eta| up to a few tens stay overflow-safe.  Because times
 are sorted once, R_i is a suffix and the history set C_m = {i : T_i <= T_m}
 is a prefix of the sorted order (ties grouped), so every quantity here is
 O(n) given the index.  `cox_terms` returns q, its gradient and its
-Hessian diagonal from one such pass over a plain eta array, and
-`cox_hessian` the full Hessian in the coefficients of a few given columns
-(coordinate descent's Newton step on its active set) from one more.
+Hessian diagonal from one such pass over a plain eta array; the full
+Hessian in the coefficients of a few given columns (coordinate descent's
+Newton step on its active set) comes from the same pass.
 """
 
 from __future__ import annotations
@@ -179,25 +179,33 @@ def build_risk_index(dataset: SurvivalDataset) -> RiskIndex:
     )
 
 
-def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
-    """Shared risk-set aggregates in time-sorted order.
+def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
+    """One risk-set pass at a float eta of length n, unchecked:
+    (q, grad, curvature, hessian).
 
-    Takes the predictor in sorted order and returns (log_s, pi1, pi2) where
-    log_s is the log risk-set sum for each sorted position and, with
-    pi(m, i) = exp(eta_m) / S_i,
+    q and grad are those of `cox_terms`; curvature() returns its w and
+    hessian(cols) the k x k Hessian of q in the coefficients of cols, an
+    (n, k) block of covariates, both from the pass's exponentials e and
+    risk-set sums a.  With pi(m, i) = exp(eta_m) / S_i,
 
         pi1_m = sum over the history prefix of status_i * pi(m, i),
-        pi2_m = sum over the history prefix of status_i * pi(m, i)**2.
+        pi2_m = sum over the history prefix of status_i * pi(m, i)**2,
 
-    pi2 is returned as a function of no arguments that computes it, so a
-    caller that needs only the loss and the gradient does not pay for the
-    curvature.  The fast path subtracts the max before exponentiating; if
-    the predictor spread is so extreme that it cannot keep status / a**2
-    and its running sum finite, everything is redone with log-space
-    accumulation, which stays finite for any finite eta.
-    The fast path divides by sums that may underflow to zero, so callers
-    run this with floating-point warnings ignored.
+    w = (pi1 - pi2) / n, and in time order the block is
+    (cols' diag(pi1) cols - xbar' diag(status) xbar) / n, xbar_i being the
+    e-weighted mean of cols over the risk set R_i.  The fast path subtracts
+    the max before exponentiating; if the predictor spread is too extreme
+    to keep status / a**2 and its running sum finite, q, grad and w are
+    redone in log space, which stays finite for any finite eta.  The block
+    keeps the fast path, so such a spread can give it non-finite entries,
+    which callers check.  The fast path divides by sums that may underflow
+    to zero, so the pass and both functions run with floating-point
+    warnings ignored.  A non-finite eta gives a non-finite q.
     """
+    n = dataset.n
+    index = dataset.index
+    status = index.status_sorted
+    eta_s = eta[index.order]
     # np.add.accumulate and np.maximum.reduce are np.cumsum and max without
     # their Python wrappers, which cost as much as the work at n in the
     # hundreds, where this runs once per Adam step and CD sweep
@@ -207,35 +215,25 @@ def _sorted_terms(eta_s: np.ndarray, index: RiskIndex):
     # status / a**2 overflows once a drops below about 1e-154, and tie
     # groups repeat its terms in the running sum, so no bare bound on a
     # (1e-150, say) keeps that sum finite: check the sum itself.
-    d = index.status_sorted / a
+    d = status / a
     d2_sum = np.add.accumulate(d / a)
+    pi1 = fast_pi1 = e * np.add.accumulate(d)[index.last_tie]
     if math.isfinite(d2_sum[-1]):
         log_s = np.log(a) + shift
-        pi1 = e * np.add.accumulate(d)[index.last_tie]
-        return log_s, pi1, lambda: (e * e) * d2_sum[index.last_tie]
-    log_s = np.logaddexp.accumulate(eta_s[::-1])[::-1][index.first_tie]
-    log_d = np.where(index.status_sorted > 0, -log_s, -np.inf)
-    log_p1 = np.logaddexp.accumulate(log_d)[index.last_tie]
-    pi1 = np.exp(eta_s + log_p1)
-    return log_s, pi1, lambda: np.exp(
-        2.0 * eta_s + np.logaddexp.accumulate(2.0 * log_d)[index.last_tie])
 
+        def pi2():
+            return (e * e) * d2_sum[index.last_tie]
+    else:
+        log_s = np.logaddexp.accumulate(eta_s[::-1])[::-1][index.first_tie]
+        log_d = np.where(status > 0, -log_s, -np.inf)
+        pi1 = np.exp(eta_s + np.logaddexp.accumulate(log_d)[index.last_tie])
 
-def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
-    """(q, grad, curvature) of a float eta of length n, unchecked.
-
-    q and grad are those of `cox_terms`; curvature is a function of no
-    arguments that returns its w.  A non-finite eta gives a non-finite q.
-    Run with floating-point warnings ignored (see `_sorted_terms`).
-    """
-    n = dataset.n
-    index = dataset.index
-    eta_s = eta[index.order]
-    log_s, pi1, pi2 = _sorted_terms(eta_s, index)
-    terms = index.status_sorted * (eta_s - log_s)
-    loss = float(-np.add.reduce(terms) / n)
+        def pi2():
+            return np.exp(2.0 * eta_s
+                          + np.logaddexp.accumulate(2.0 * log_d)[index.last_tie])
+    loss = float(-np.add.reduce(status * (eta_s - log_s)) / n)
     grad = np.empty(n)
-    grad[index.order] = (pi1 - index.status_sorted) / n
+    grad[index.order] = (pi1 - status) / n
 
     def curvature():
         w_sorted = (pi1 - pi2()) / n
@@ -246,7 +244,27 @@ def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
         w[index.order] = w_sorted
         return w
 
-    return loss, grad, curvature
+    def hessian(cols):
+        cols_s = cols[index.order]
+        risk = np.add.accumulate((cols_s * e[:, None])[::-1])[::-1]
+        xbar = risk[index.first_tie] / a[:, None]
+        return ((cols_s * fast_pi1[:, None]).T @ cols_s
+                - (xbar * status[:, None]).T @ xbar) / n
+
+    return loss, grad, curvature, hessian
+
+
+def _checked_terms(eta, dataset: SurvivalDataset):
+    """(q, grad, w, hessian) of the pass at eta, after the checks of
+    `cox_terms`; hessian is that of `_loss_terms`."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (dataset.n,):
+        raise ValueError("predictor length does not match dataset")
+    if not np.isfinite(eta).all():
+        raise ValueError("non-finite predictor")
+    with np.errstate(all="ignore"):
+        loss, grad, curvature, hessian = _loss_terms(eta, dataset)
+        return loss, grad, curvature(), hessian
 
 
 def cox_terms(eta, dataset: SurvivalDataset):
@@ -257,34 +275,4 @@ def cox_terms(eta, dataset: SurvivalDataset):
     components sum to zero), and w is the nonnegative diagonal of its
     Hessian.  grad and w are in subject order.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (dataset.n,):
-        raise ValueError("predictor length does not match dataset")
-    if not np.isfinite(eta).all():
-        raise ValueError("non-finite predictor")
-    with np.errstate(all="ignore"):
-        loss, grad, curvature = _loss_terms(eta, dataset)
-        return loss, grad, curvature()
-
-
-def cox_hessian(eta: np.ndarray, dataset: SurvivalDataset,
-                cols: np.ndarray) -> np.ndarray:
-    """The k x k Hessian of q in the coefficients of cols, an (n, k) block
-    of covariates, at a float eta of length n, unchecked.
-
-    In time order it is (cols' diag(pi1) cols - xbar' diag(status) xbar) / n,
-    where xbar_i is the exp(eta)-weighted mean of cols over the risk set
-    R_i: one suffix sum over the n x k block.  This is the max-subtracted
-    fast path only, so an extreme predictor spread gives non-finite
-    entries, which callers check; run with floating-point warnings ignored.
-    """
-    index = dataset.index
-    eta_s = eta[index.order]
-    cols_s = cols[index.order]
-    e = np.exp(eta_s - np.maximum.reduce(eta_s))
-    a = np.add.accumulate(e[::-1])[::-1][index.first_tie]
-    pi1 = e * np.add.accumulate(index.status_sorted / a)[index.last_tie]
-    risk = np.add.accumulate((cols_s * e[:, None])[::-1])[::-1]
-    xbar = risk[index.first_tie] / a[:, None]
-    return ((cols_s * pi1[:, None]).T @ cols_s
-            - (xbar * index.status_sorted[:, None]).T @ xbar) / dataset.n
+    return _checked_terms(eta, dataset)[:3]

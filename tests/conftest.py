@@ -78,6 +78,27 @@ def naive_q_of_eta(dataset):
     return q
 
 
+def cox_hessian(eta, dataset, cols):
+    """The k x k Hessian of q in the coefficients of cols, an (n, k) block,
+    as its own max-subtracted risk-set pass at eta.
+
+    In time order it is (cols' diag(pi1) cols - xbar' diag(status) xbar) / n,
+    where xbar_i is the exp(eta)-weighted mean of cols over the risk set
+    R_i.  An extreme predictor spread can give non-finite entries; run
+    with floating-point warnings ignored.
+    """
+    index = dataset.index
+    eta_s = eta[index.order]
+    cols_s = cols[index.order]
+    e = np.exp(eta_s - np.maximum.reduce(eta_s))
+    a = np.add.accumulate(e[::-1])[::-1][index.first_tie]
+    pi1 = e * np.add.accumulate(index.status_sorted / a)[index.last_tie]
+    risk = np.add.accumulate((cols_s * e[:, None])[::-1])[::-1]
+    xbar = risk[index.first_tie] / a[:, None]
+    return ((cols_s * pi1[:, None]).T @ cols_s
+            - (xbar * index.status_sorted[:, None]).T @ xbar) / dataset.n
+
+
 def fd_gradient(f, x, step=1e-6):
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)

@@ -192,6 +192,26 @@ class TestFit:
                    "--lambda-grid", "0")
         assert code in (0, 3)
 
+    def test_coefficient_past_exp_range_exit_0(self, tmp_path):
+        # x_1, a true feature, shrunk a thousandfold: its fitted
+        # coefficient grows past 709, where exp(beta) overflows a float
+        sim_dir = tmp_path / "sim"
+        assert run("simulate", "--seed", "1", "--out", str(sim_dir)) == 0
+        with open(sim_dir / "dataset.csv") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("x_1")
+        for row in rows[1:]:
+            row[col] = repr(float(row[col]) * 1e-3)
+        data = tmp_path / "scaled.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        fit_dir = tmp_path / "fit"
+        assert run("fit", "--data", str(data), "--out", str(fit_dir),
+                   "--lambda-grid", "0.05,0.1") == 0
+        table = (fit_dir / "selection.txt").read_text().splitlines()
+        feature, beta, ratio = table[1].split("\t")
+        assert (feature, ratio) == ("x_1", "inf") and float(beta) > 709.8
+
     def test_numerical_failure_exit_3(self, tmp_path, small_config, capsys,
                                       monkeypatch):
         from dplc import NumericalDivergence
@@ -413,13 +433,27 @@ class TestConfig:
 class TestSelectionTable:
     def test_hazard_ratio_formatting(self, tmp_path):
         path = tmp_path / "sel.txt"
-        beta = np.array([0.5, 0.0, -0.25])
-        write_selection_table(path, beta, np.array([0, 2]),
-                              ["x_a", "x_b", "x_c"])
+        # exp(800) is past the float range: its ratio is written as inf
+        beta = np.array([0.5, 0.0, -0.25, 800.0])
+        write_selection_table(path, beta, np.array([0, 2, 3]),
+                              ["x_a", "x_b", "x_c", "x_d"])
         lines = path.read_text().splitlines()
         assert lines[0] == "feature\tbeta\thazard_ratio"
-        assert lines[1] == "x_a\t0.5\t1.6487"
-        assert lines[2] == "x_c\t-0.25\t0.7788"
+        assert lines[1] == "x_d\t800\tinf"
+        assert lines[2] == "x_a\t0.5\t1.6487"
+        assert lines[3] == "x_c\t-0.25\t0.7788"
+
+
+class TestImport:
+    def test_cli_import_leaves_out_multiprocessing(self):
+        # only a benchmark run on more than one worker starts a process
+        # pool, so the other commands do not pay for loading it
+        env = dict(os.environ, PYTHONPATH=str(Path(dplc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, dplc.cli; "
+             "print('multiprocessing' in sys.modules)"],
+            env=env, capture_output=True, check=True, text=True).stdout
+        assert out == "False\n"
 
 
 class TestPredict:

@@ -1,10 +1,12 @@
 """Coordinate descent against Newton, grid-search, and surrogate oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from dplc import (NumericalDivergence, cd_fit, cox_terms, scad_threshold,
-                  scad_value)
+from dplc import (NumericalDivergence, SurvivalDataset, cd_fit, cox_terms,
+                  scad_threshold, scad_value)
 from dplc import coordinate_descent
 from dplc.coordinate_descent import V_FLOOR, _sweep
 
@@ -320,6 +322,30 @@ class TestNewtonStep:
         for before, after in accepted:
             assert np.array_equal(np.sign(after), np.sign(before))
             assert objective(after) < objective(before) + 1e-12
+
+    def test_one_risk_set_pass_per_predictor(self, monkeypatch):
+        # Every risk-set pass reads the dataset's index with its predictor
+        # in the local eta; record that eta at each read.  The warm start,
+        # the fit at the next lambda down as on a lambda path, sits on a
+        # settled support, so Newton steps run between sweeps, and each
+        # must take its Hessian block from the pass already made at its
+        # beta, not from a second pass at the same eta.
+        ds, g = sim_cox(0, n=100, p=30, beta_true=[1.0, -0.8, 0.6, 0.5]
+                        + [0.0] * 26, g_scale=0.3)
+        beta_warm = cd_fit(ds, g, None, 0.05)
+        index = ds.index
+        etas = []
+
+        def read_index(dataset):
+            etas.append(sys._getframe(1).f_locals["eta"].copy())
+            return index
+
+        monkeypatch.setattr(SurvivalDataset, "index", property(read_index))
+        info = {}
+        cd_fit(ds, g, beta_warm, 0.1, info=info)
+        # one pass per sweep but the last; any more are Newton trial points
+        assert len(etas) > info["sweeps"]
+        assert len({eta.tobytes() for eta in etas}) == len(etas)
 
 
 def reference_sweep(X, W, grad, beta, lam):

@@ -435,7 +435,8 @@ class TestRunExperiment:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr("dplc.simulation.ProcessPoolExecutor",
+        # run_experiment imports the pool class where it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             InProcessPool)
         sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=8)
         methods = {"dplc": small_fit_cfg((0.2,))}

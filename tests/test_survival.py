@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dplc import cox_terms, stratified_split
-from dplc.survival import _loss_terms, cox_hessian
+from dplc.survival import _loss_terms
 
-from conftest import (fd_gradient, fd_hessian_diag, index_sets, make_dataset,
-                      naive_history_set, naive_neg_log_pl, naive_risk_set,
-                      random_instance, rel_err)
+from conftest import (cox_hessian, fd_gradient, fd_hessian_diag, index_sets,
+                      make_dataset, naive_history_set, naive_neg_log_pl,
+                      naive_risk_set, random_instance, rel_err)
 
 
 class TestDataset:
@@ -158,7 +158,7 @@ class TestNegLogPartialLikelihood:
         eta = np.array([0.2, -0.1, 0.4, 0.3])
         eta[at] = value
         with np.errstate(all="ignore"):
-            loss, _, _ = _loss_terms(eta, ds)
+            loss = _loss_terms(eta, ds)[0]
         assert not np.isfinite(loss)
 
 
@@ -210,6 +210,12 @@ class TestHessianDiag:
         assert np.all(W >= -1e-12)
 
 
+def hessian_block(eta, ds, cols):
+    """The Hessian block that the risk-set pass at eta gives for cols."""
+    with np.errstate(all="ignore"):
+        return _loss_terms(np.asarray(eta, dtype=float), ds)[3](cols)
+
+
 class TestCoxHessian:
     """The Hessian block in the coefficients of given columns."""
 
@@ -227,7 +233,7 @@ class TestCoxHessian:
         ds, eta = self._instance(seed, tied)
         assert (np.unique(ds.times).size < ds.n) == tied
         cols, step = ds.x, 1e-5
-        hess = cox_hessian(eta, ds, cols)
+        hess = hessian_block(eta, ds, cols)
         fd = np.empty_like(hess)
         for k in range(cols.shape[1]):
             up = cox_terms(eta + step * cols[:, k], ds)[1] @ cols
@@ -241,9 +247,29 @@ class TestCoxHessian:
         # On the unit columns the block is the Hessian in eta itself, whose
         # diagonal cox_terms returns.
         ds, eta = random_instance(seed)
-        hess = cox_hessian(eta, ds, np.eye(ds.n))
+        hess = hessian_block(eta, ds, np.eye(ds.n))
         assert np.max(np.abs(np.diag(hess) - cox_terms(eta, ds)[2])) < 1e-15
         assert np.allclose(hess.sum(axis=0), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_its_own_pass(self, seed, tied):
+        # Reading the block off the loss pass changes no bit of it.
+        ds, eta = self._instance(seed, tied)
+        with np.errstate(all="ignore"):
+            ref = cox_hessian(eta, ds, ds.x)
+        assert np.array_equal(hessian_block(eta, ds, ds.x), ref)
+
+    @pytest.mark.parametrize("spread", [400.0, 600.0])
+    def test_bitwise_equal_where_the_loss_takes_log_space(self, spread):
+        # At these spreads q, grad and w come from the log-space path (see
+        # TestWideSpread); the block stays the max-subtracted fast path.
+        ds = make_dataset(np.arange(1.0, 7.0), [1] * 6,
+                          x=np.random.default_rng(0).standard_normal((6, 3)))
+        eta = np.linspace(spread, 0.0, 6)
+        with np.errstate(all="ignore"):
+            ref = cox_hessian(eta, ds, ds.x)
+        assert np.array_equal(hessian_block(eta, ds, ds.x), ref)
 
 
 def lse_cox_terms(times, status, eta):

@@ -5,7 +5,7 @@
 
 Each --side names a directory holding the `dplc` package (for example
 `src`, or the `src/` of another revision unpacked with `git archive`).
-Times five operations on `simulate_dataset(SimConfig(n=N, seed=1), 0)` at
+Times seven operations on `simulate_dataset(SimConfig(n=N, seed=1), 0)` at
 each N of SIZES (300, 3 000 and 30 000), with the default p = 50 and
 r = 8:
 
@@ -20,6 +20,9 @@ r = 8:
                   the lambda 0.05 fit, as one step of a lambda path: its
                   sweeps and the Newton steps between them; the row also
                   gives the sweeps the call runs
+  newton_step     one Newton step of cd_fit on the settled face of the lambda
+                  0.1 fit, given the kernel pass at that fit: the Hessian
+                  block, its Cholesky test and solve, and the trial pass
   c_index         Harrell's C of the true linear predictor
 
 Every side is measured once in each of ROUNDS rounds, in a fresh process
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import platform
@@ -45,7 +49,7 @@ import time
 import numpy as np
 
 OPS = ("cox_terms", "loss_and_grads", "adam_step", "cd_sweep", "cd_call",
-       "c_index")
+       "newton_step", "c_index")
 SIZES = (300, 3000, 30000)
 ROUNDS = 8
 REPEATS = 5
@@ -86,6 +90,30 @@ def per_call_us(fn) -> list:
     return out
 
 
+def newton_step(ds, g_vals, beta, lam):
+    """One call of cd_fit's Newton step on beta's face, given the kernel
+    pass at beta, under cd_fit's floating-point settings.  Trees whose
+    step takes eta make their own Hessian pass in it."""
+    from dplc import coordinate_descent, cox_terms
+
+    X, scale = ds.standardized
+    b = beta * scale
+    active = np.flatnonzero(b)
+    eta = X @ b + g_vals
+    step = coordinate_descent._newton_step
+    if "eta" in inspect.signature(step).parameters:
+        args = (ds, X, g_vals, b, eta, cox_terms(eta, ds), active, lam)
+    else:
+        args = (ds, X, g_vals, b, coordinate_descent._checked_terms(eta, ds),
+                active, lam)
+
+    def call():
+        with np.errstate(all="ignore"):
+            return step(*args)
+
+    return call
+
+
 def operations(n: int) -> tuple:
     """The timed operations on one simulated dataset of n rows, each with
     the number of steps one call makes, and the info dict that every
@@ -115,6 +143,7 @@ def operations(n: int) -> tuple:
                                     max_sweeps=1), 1),
         "cd_call": (lambda: cd_fit(ds, g_vals, beta_low, lam,
                                    info=cd_info), 1),
+        "newton_step": (newton_step(ds, g_vals, beta_warm, lam), 1),
         "c_index": (lambda: c_index(eta, ds.times, ds.status), 1),
     }, cd_info
 

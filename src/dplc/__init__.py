@@ -19,7 +19,6 @@ from .simulation import (ReplicateRow, SelectionRow, SimConfig,
                          SimulatedData, c_index, calibrate_censoring, g0_eval,
                          gen_beta0, gen_covariates, gen_survival,
                          run_experiment, selection_metrics, simulate_dataset)
-from .survival import (RiskIndex, SurvivalDataset, cox_terms,
-                       stratified_split, subset)
+from .survival import SurvivalDataset, cox_terms, stratified_split, subset
 
 __version__ = "0.1.0"

@@ -364,34 +364,38 @@ def write_selection_table(path, beta, support, x_names):
 WRITE_BLOCK_ROWS = 1024
 
 
-def _write_rows(fh, line, columns):
-    """Write `line % row` for every row of `columns` set side by side
-    (a 1-D array is one column, a 2-D array several), a block of rows per
-    write.  Rows come from `.tolist()`, so `%r` writes each value's float
-    repr, the text `fmt_value` gives; a cell like that never needs CSV
-    quoting, so the bytes are those of csv.writer given `line`'s CRLF."""
-    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        block = np.column_stack([c[start:start + WRITE_BLOCK_ROWS]
-                                 for c in columns])
+def _write_rows(fh, line, columns, rows):
+    """Write `line % row` for each row number in `rows`, a row being
+    `columns` set side by side (a 1-D array is one column, a 2-D array
+    several), gathered and written a block of rows at a time.  Rows come
+    from `.tolist()`, so `%r` writes each value's float repr, the text
+    `fmt_value` gives; a cell like that never needs CSV quoting, so the
+    bytes are those of csv.writer given `line`'s CRLF."""
+    for start in range(0, len(rows), WRITE_BLOCK_ROWS):
+        take = rows[start:start + WRITE_BLOCK_ROWS]
+        block = np.column_stack([c[take] for c in columns])
         fh.write("".join([line % tuple(row) for row in block.tolist()]))
 
 
 def write_dataset_csv(path, ds):
     """A SurvivalDataset as the dataset CSV that `load_dataset_csv` reads:
-    `time`, `status` (an integer), then `x_1..x_p` and `z_1..z_r`."""
+    `time`, `status` (an integer), then `x_1..x_p` and `z_1..z_r`, the
+    rows in the order the dataset was given (`ds.rows`)."""
+    stored = np.argsort(ds.rows)  # the stored place of each given row
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["time", "status"]
                                 + ["x_%d" % (j + 1) for j in range(ds.p)]
                                 + ["z_%d" % (k + 1) for k in range(ds.r)])
         _write_rows(fh, "%r,%d" + ",%r" * (ds.p + ds.r) + "\r\n",
-                    [ds.times, ds.status, ds.x, ds.z])
+                    [ds.times, ds.status, ds.x, ds.z], stored)
 
 
 def write_predictions_csv(path, eta):
     """`predictions.csv`: the row number and linear predictor per row."""
+    rows = np.arange(eta.size)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["row", "eta"])
-        _write_rows(fh, "%d,%r\r\n", [np.arange(eta.size), eta])
+        _write_rows(fh, "%d,%r\r\n", [rows, eta], rows)
 
 
 def cmd_fit(args) -> int:

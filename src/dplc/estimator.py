@@ -26,12 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .coordinate_descent import cd_fit
+from .coordinate_descent import _penalty, cd_fit
 from .errors import NumericalDivergence
 from .network import (Network, NetworkArch, _is_finite_number, _is_int,
                       adam_fit, center, forward, init_network,
                       network_from_dict, network_to_dict, zero_network)
-from .scad import scad_value
 from .survival import SurvivalDataset, cox_terms, stratified_split, subset
 
 logger = logging.getLogger(__name__)
@@ -135,8 +134,8 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
     scale = dataset.standardized[1]
 
     def penalized_loss(b, g):
-        return cox_terms(dataset.x @ b + g, dataset)[0] + float(np.sum(
-            [scad_value(abs(t), lam) for t in (b * scale).tolist()]))
+        return cox_terms(dataset.x @ b + g, dataset)[0] + _penalty(
+            b * scale, lam)
 
     loss_path = [penalized_loss(beta, g_vals)]
     cd_sweeps = []

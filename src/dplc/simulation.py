@@ -279,7 +279,8 @@ class SimulatedData:
 
 def simulate_dataset(cfg: SimConfig, replicate: int = 0) -> SimulatedData:
     """Generate one dataset from the replicate-th spawned child of the
-    master seed."""
+    master seed; g0_vals follow the dataset's stored rows, and its `rows`
+    give each one's place in generation order."""
     child = np.random.SeedSequence(cfg.seed, spawn_key=(replicate,))
     rng = np.random.default_rng(child)
     X, Z = gen_covariates(cfg, rng)
@@ -294,7 +295,7 @@ def simulate_dataset(cfg: SimConfig, replicate: int = 0) -> SimulatedData:
     dataset = SurvivalDataset(times=T, status=status, x=X, z=Z)
     return SimulatedData(dataset=dataset, beta0=beta0,
                          support0=np.flatnonzero(beta0 != 0.0),
-                         alpha0=alpha0, g0_vals=g0_vals,
+                         alpha0=alpha0, g0_vals=g0_vals[dataset.rows],
                          censoring_bound=bound,
                          censoring_rate=float(1.0 - status.mean()))
 

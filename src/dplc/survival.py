@@ -1,4 +1,4 @@
-"""Right-censored survival data, risk-set indexing, and the Cox partial likelihood.
+"""Right-censored survival data in time order, and the Cox partial likelihood.
 
 The negative log partial likelihood of a linear predictor eta is
 
@@ -6,19 +6,20 @@ The negative log partial likelihood of a linear predictor eta is
 
 where R_i = {j : T_j >= T_i} is the at-risk set at subject i's follow-up
 time.  All risk-set sums are evaluated with max-subtraction so that
-predictors with |eta| up to a few tens stay overflow-safe.  Because times
-are sorted once, R_i is a suffix and the history set C_m = {i : T_i <= T_m}
-is a prefix of the sorted order (ties grouped), so every quantity here is
-O(n) given the index.  `cox_terms` returns q, its gradient and its
-Hessian diagonal from one such pass over a plain eta array; the full
-Hessian in the coefficients of a few given columns (coordinate descent's
-Newton step on its active set) comes from the same pass.
+predictors with |eta| up to a few tens stay overflow-safe.  A dataset
+stores its rows sorted by time, so R_i is a suffix and the history set
+C_m = {i : T_i <= T_m} a prefix of the rows (ties grouped), and every
+quantity here is O(n) given the tie boundaries `SurvivalDataset.index`.
+`cox_terms` returns q, its gradient and its Hessian diagonal from one
+such pass over a plain eta array; the full Hessian in the coefficients of
+a few given columns (coordinate descent's Newton step on its active set)
+comes from the same pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,18 +27,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SurvivalDataset:
-    """Observed survival data.
+    """Observed survival data, its rows stored in one canonical order.
 
     times : (n,) positive follow-up times.
     status : (n,) event indicators, 1 = event, 0 = censored.
     x : (n, p) covariates entering the model linearly (p may exceed n).
     z : (n, r) covariates handled by the nonparametric risk term (r <= n).
+    rows : (n,) set on construction: stored row k is row rows[k] of the
+        arrays given.
+
+    The rows are stored sorted by time, then status, and rows that tie on
+    both by their x values, then their z values.  So every row permutation
+    of one dataset stores the same arrays bit for bit, and whatever is
+    computed from them, a fit included, does not depend on the row order
+    given.
     """
 
     times: np.ndarray
     status: np.ndarray
     x: np.ndarray
     z: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -57,10 +67,21 @@ class SurvivalDataset:
             raise ValueError("z must be a 2-d array with n rows")
         if z.shape[1] > n:
             raise ValueError("z has more columns than subjects")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        rows = np.lexsort((status, times))
+        tied = ((times[rows[1:]] == times[rows[:-1]])
+                & (status[rows[1:]] == status[rows[:-1]]))
+        if tied.any():
+            # lexsort's cost grows with its keys, so only the rows of a
+            # tie are sorted again, with the value keys; each tie keeps
+            # its place, as it sorts first on the same time and status
+            in_tie = np.r_[tied, False] | np.r_[False, tied]
+            sub = rows[in_tie]
+            values = np.hstack((x[sub], z[sub])).T[::-1]
+            rows[in_tie] = sub[np.lexsort((*values, status[sub], times[sub]))]
+        for name, values in (("times", times), ("status", status),
+                             ("x", x), ("z", z)):
+            object.__setattr__(self, name, values[rows])
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -75,9 +96,22 @@ class SurvivalDataset:
         return self.z.shape[1]
 
     @cached_property
-    def index(self) -> RiskIndex:
-        """Time ordering with tie groups, built on first use and kept."""
-        return build_risk_index(self)
+    def index(self) -> tuple:
+        """(first_tie, last_tie): the first and the last row sharing each
+        row's time, built on first use and kept.
+
+        The at-risk set of row k is the suffix from row first_tie[k], and
+        its history set the prefix up to row last_tie[k]; ties are
+        mutually included on both sides.
+        """
+        ts = self.times
+        n = ts.size
+        pos = np.arange(n)
+        new = ts[1:] != ts[:-1]  # row k + 1 starts a new time
+        first_tie = np.maximum.accumulate(np.where(np.r_[True, new], pos, -1))
+        last_tie = np.minimum.accumulate(
+            np.where(np.r_[new, True], pos, n)[::-1])[::-1]
+        return first_tie, last_tie
 
     @cached_property
     def standardized(self) -> tuple:
@@ -99,7 +133,8 @@ class SurvivalDataset:
 
 
 def subset(dataset: SurvivalDataset, idx: np.ndarray) -> SurvivalDataset:
-    """Row-subset of a dataset (used by train/test splitting)."""
+    """The dataset of stored rows idx (used by train/test splitting); its
+    `rows` index idx."""
     idx = np.asarray(idx, dtype=int)
     return SurvivalDataset(
         times=dataset.times[idx],
@@ -135,50 +170,6 @@ def stratified_split(status, test_fraction, rng):
     return train, test
 
 
-@dataclass(frozen=True)
-class RiskIndex:
-    """Precomputed time ordering with tie groups.
-
-    order : subject ids sorted by time ascending (stable).
-    first_tie : by sorted position, first position sharing that time.
-    last_tie : by sorted position, last position sharing that time.
-    status_sorted : event indicators in sorted order.
-
-    The at-risk set of the subject at sorted position k is the suffix
-    order[first_tie[k]:], and its history set is the prefix
-    order[:last_tie[k] + 1]; ties are mutually included on both sides.
-    """
-
-    order: np.ndarray
-    first_tie: np.ndarray
-    last_tie: np.ndarray
-    status_sorted: np.ndarray
-
-
-def build_risk_index(dataset: SurvivalDataset) -> RiskIndex:
-    """Sort times once and record tie-group boundaries."""
-    n = dataset.n
-    order = np.argsort(dataset.times, kind="stable")
-    ts = dataset.times[order]
-    pos = np.arange(n)
-
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    starts[1:] = ts[1:] != ts[:-1]
-    first_tie = np.maximum.accumulate(np.where(starts, pos, -1))
-
-    ends = np.empty(n, dtype=bool)
-    ends[-1] = True
-    ends[:-1] = ts[1:] != ts[:-1]
-    last_tie = np.minimum.accumulate(np.where(ends, pos, n)[::-1])[::-1]
-    return RiskIndex(
-        order=order,
-        first_tie=first_tie,
-        last_tie=last_tie,
-        status_sorted=dataset.status[order],
-    )
-
-
 def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
     """One risk-set pass at a float eta of length n, unchecked:
     (q, grad, curvature, hessian).
@@ -191,10 +182,11 @@ def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
         pi1_m = sum over the history prefix of status_i * pi(m, i),
         pi2_m = sum over the history prefix of status_i * pi(m, i)**2,
 
-    w = (pi1 - pi2) / n, and in time order the block is
+    w = (pi1 - pi2) / n, and the block is
     (cols' diag(pi1) cols - xbar' diag(status) xbar) / n, xbar_i being the
-    e-weighted mean of cols over the risk set R_i.  The fast path subtracts
-    the max before exponentiating; if the predictor spread is too extreme
+    e-weighted mean of cols over the risk set R_i; eta, cols and every
+    result follow the dataset's rows.  The fast path subtracts the max
+    before exponentiating; if the predictor spread is too extreme
     to keep status / a**2 and its running sum finite, q, grad and w are
     redone in log space, which stays finite for any finite eta.  The block
     keeps the fast path, so such a spread can give it non-finite entries,
@@ -203,52 +195,47 @@ def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
     warnings ignored.  A non-finite eta gives a non-finite q.
     """
     n = dataset.n
-    index = dataset.index
-    status = index.status_sorted
-    eta_s = eta[index.order]
+    status = dataset.status
+    first_tie, last_tie = dataset.index
     # np.add.accumulate and np.maximum.reduce are np.cumsum and max without
     # their Python wrappers, which cost as much as the work at n in the
     # hundreds, where this runs once per Adam step and CD sweep
-    shift = float(np.maximum.reduce(eta_s))
-    e = np.exp(eta_s - shift)
-    a = np.add.accumulate(e[::-1])[::-1][index.first_tie]
+    shift = float(np.maximum.reduce(eta))
+    e = np.exp(eta - shift)
+    a = np.add.accumulate(e[::-1])[::-1][first_tie]
     # status / a**2 overflows once a drops below about 1e-154, and tie
     # groups repeat its terms in the running sum, so no bare bound on a
     # (1e-150, say) keeps that sum finite: check the sum itself.
     d = status / a
     d2_sum = np.add.accumulate(d / a)
-    pi1 = fast_pi1 = e * np.add.accumulate(d)[index.last_tie]
+    pi1 = fast_pi1 = e * np.add.accumulate(d)[last_tie]
     if math.isfinite(d2_sum[-1]):
         log_s = np.log(a) + shift
 
         def pi2():
-            return (e * e) * d2_sum[index.last_tie]
+            return (e * e) * d2_sum[last_tie]
     else:
-        log_s = np.logaddexp.accumulate(eta_s[::-1])[::-1][index.first_tie]
+        log_s = np.logaddexp.accumulate(eta[::-1])[::-1][first_tie]
         log_d = np.where(status > 0, -log_s, -np.inf)
-        pi1 = np.exp(eta_s + np.logaddexp.accumulate(log_d)[index.last_tie])
+        pi1 = np.exp(eta + np.logaddexp.accumulate(log_d)[last_tie])
 
         def pi2():
-            return np.exp(2.0 * eta_s
-                          + np.logaddexp.accumulate(2.0 * log_d)[index.last_tie])
-    loss = float(-np.add.reduce(status * (eta_s - log_s)) / n)
-    grad = np.empty(n)
-    grad[index.order] = (pi1 - status) / n
+            return np.exp(2.0 * eta
+                          + np.logaddexp.accumulate(2.0 * log_d)[last_tie])
+    loss = float(-np.add.reduce(status * (eta - log_s)) / n)
+    grad = (pi1 - status) / n
 
     def curvature():
-        w_sorted = (pi1 - pi2()) / n
+        w = (pi1 - pi2()) / n
         # Each contribution is of the form pi * (1 - pi); stray sign from
         # cancellation is rounding noise only.
-        np.maximum(w_sorted, 0.0, out=w_sorted)
-        w = np.empty(n)
-        w[index.order] = w_sorted
+        np.maximum(w, 0.0, out=w)
         return w
 
     def hessian(cols):
-        cols_s = cols[index.order]
-        risk = np.add.accumulate((cols_s * e[:, None])[::-1])[::-1]
-        xbar = risk[index.first_tie] / a[:, None]
-        return ((cols_s * fast_pi1[:, None]).T @ cols_s
+        risk = np.add.accumulate((cols * e[:, None])[::-1])[::-1]
+        xbar = risk[first_tie] / a[:, None]
+        return ((cols * fast_pi1[:, None]).T @ cols
                 - (xbar * status[:, None]).T @ xbar) / n
 
     return loss, grad, curvature, hessian
@@ -273,6 +260,6 @@ def cox_terms(eta, dataset: SurvivalDataset):
     Returns (q, grad, w): q is the averaged negative log partial
     likelihood, grad = (pi1 - status) / n is its gradient (whose
     components sum to zero), and w is the nonnegative diagonal of its
-    Hessian.  grad and w are in subject order.
+    Hessian.  eta, grad and w follow the dataset's stored rows.
     """
     return _checked_terms(eta, dataset)[:3]

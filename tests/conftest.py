@@ -25,7 +25,8 @@ def make_dataset(times, status, x=None, z=None):
 
 
 def random_instance(seed, n=None, p=2, r=2, eta_scale=1.0):
-    """Small random survival instance with ties sprinkled in."""
+    """Small random survival instance with ties sprinkled in, and a
+    predictor eta drawn per given row and returned in the stored order."""
     rng = np.random.default_rng(seed)
     if n is None:
         n = int(rng.integers(4, 21))
@@ -36,7 +37,8 @@ def random_instance(seed, n=None, p=2, r=2, eta_scale=1.0):
     x = rng.standard_normal((n, p))
     z = rng.standard_normal((n, r))
     eta = eta_scale * rng.standard_normal(n)
-    return make_dataset(times, status, x, z), eta
+    ds = make_dataset(times, status, x, z)
+    return ds, eta[ds.rows]
 
 
 def naive_risk_set(times, i):
@@ -48,16 +50,15 @@ def naive_history_set(times, m):
 
 
 def index_sets(index):
-    """Per-subject (risk sets, history sets) read off a RiskIndex.
+    """Per-row (risk sets, history sets) read off a dataset's index.
 
-    The subject at sorted position k has the suffix order[first_tie[k]:] as
-    its risk set and the prefix order[:last_tie[k] + 1] as its history set.
+    Row k has the rows from first_tie[k] on as its risk set and the rows
+    up to last_tie[k] as its history set.
     """
-    n = index.order.size
-    risk, history = [None] * n, [None] * n
-    for k, i in enumerate(index.order):
-        risk[i] = set(index.order[index.first_tie[k]:].tolist())
-        history[i] = set(index.order[:index.last_tie[k] + 1].tolist())
+    first_tie, last_tie = index
+    n = first_tie.size
+    risk = [set(range(first_tie[k], n)) for k in range(n)]
+    history = [set(range(last_tie[k] + 1)) for k in range(n)]
     return risk, history
 
 
@@ -82,21 +83,20 @@ def cox_hessian(eta, dataset, cols):
     """The k x k Hessian of q in the coefficients of cols, an (n, k) block,
     as its own max-subtracted risk-set pass at eta.
 
-    In time order it is (cols' diag(pi1) cols - xbar' diag(status) xbar) / n,
+    It is (cols' diag(pi1) cols - xbar' diag(status) xbar) / n,
     where xbar_i is the exp(eta)-weighted mean of cols over the risk set
     R_i.  An extreme predictor spread can give non-finite entries; run
     with floating-point warnings ignored.
     """
-    index = dataset.index
-    eta_s = eta[index.order]
-    cols_s = cols[index.order]
-    e = np.exp(eta_s - np.maximum.reduce(eta_s))
-    a = np.add.accumulate(e[::-1])[::-1][index.first_tie]
-    pi1 = e * np.add.accumulate(index.status_sorted / a)[index.last_tie]
-    risk = np.add.accumulate((cols_s * e[:, None])[::-1])[::-1]
-    xbar = risk[index.first_tie] / a[:, None]
-    return ((cols_s * pi1[:, None]).T @ cols_s
-            - (xbar * index.status_sorted[:, None]).T @ xbar) / dataset.n
+    first_tie, last_tie = dataset.index
+    status = dataset.status
+    e = np.exp(eta - np.maximum.reduce(eta))
+    a = np.add.accumulate(e[::-1])[::-1][first_tie]
+    pi1 = e * np.add.accumulate(status / a)[last_tie]
+    risk = np.add.accumulate((cols * e[:, None])[::-1])[::-1]
+    xbar = risk[first_tie] / a[:, None]
+    return ((cols * pi1[:, None]).T @ cols
+            - (xbar * status[:, None]).T @ xbar) / dataset.n
 
 
 def fd_gradient(f, x, step=1e-6):

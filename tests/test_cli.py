@@ -70,6 +70,18 @@ class TestSimulate:
         assert a_csv.read_bytes() == b_csv.read_bytes()
         assert a_truth.read_bytes() == b_truth.read_bytes()
 
+    def test_csv_keeps_generation_order(self, tmp_path, small_config):
+        # The dataset stores its rows in time order; the file holds them
+        # in the order the covariates were drawn.
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        sim_cfg, _ = run_records(load_run_config(small_config))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(sim_cfg.seed, spawn_key=(0,)))
+        x, z = dplc.gen_covariates(sim_cfg, rng)
+        loaded = load_dataset_csv(str(data_csv))
+        assert np.array_equal(loaded[2], x) and np.array_equal(loaded[3], z)
+        assert not np.all(np.diff(loaded[0]) >= 0)
+
 
 class TestFit:
     def test_info_logs_each_lambda_default_stderr_repeats(self, tmp_path,
@@ -111,6 +123,27 @@ class TestFit:
         with open(pred_csv) as fh:
             preds = list(csv.DictReader(fh))
         assert len(preds) == 120
+
+    def test_row_order_leaves_outputs_unchanged(self, tmp_path, small_config,
+                                                capsys):
+        # With dropout, as in the default architecture, masks are drawn
+        # per stored row.
+        config = json.loads(Path(small_config).read_text())
+        config["fit"]["arch"]["dropout_rate"] = 0.3
+        Path(small_config).write_text(json.dumps(config))
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        lines = data_csv.read_bytes().splitlines(keepends=True)
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_bytes(lines[0] + b"".join(lines[:0:-1]))
+        outputs = []
+        for name, data in (("fit", data_csv), ("fit_reversed", reversed_csv)):
+            capsys.readouterr()
+            assert run("fit", "--data", str(data), "--config", small_config,
+                       "--out", str(tmp_path / name)) == 0
+            outputs.append([capsys.readouterr().out] + [
+                (tmp_path / name / f).read_bytes()
+                for f in ("model.json", "bic_path.csv", "selection.txt")])
+        assert outputs[0] == outputs[1]
 
     def test_train_c_index_matches_predict(self, tmp_path, small_config,
                                            capsys):

@@ -235,9 +235,10 @@ def test_loader_memory_is_about_the_float_array(tmp_path):
         tracemalloc.stop()
     # the float array alone is 20 000 x 60 x 8 bytes = 9.6 MB
     assert peak < 32 * 2 ** 20
+    # the file holds the rows in the order given, the dataset in its own
     for got, want in ((times, ds.times), (status, ds.status), (x, ds.x),
                       (z, ds.z)):
-        assert got.tobytes() == want.tobytes()
+        assert got[ds.rows].tobytes() == want.tobytes()
 
 
 AWKWARD = [-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2]
@@ -256,15 +257,16 @@ def test_writers_give_csv_writer_bytes(tmp_path, n):
     rng = np.random.default_rng(n)
     awkward = np.resize(AWKWARD, (n, 3))
     awkward[1::2] *= rng.standard_normal((n // 2, 3))
-    ds = SurvivalDataset(times=np.abs(awkward[:, 0]) + (awkward[:, 0] == 0),
-                         status=np.arange(n) % 2,
+    times = np.abs(awkward[:, 0]) + (awkward[:, 0] == 0)
+    status = np.arange(n) % 2
+    ds = SurvivalDataset(times=times, status=status,
                          x=awkward[:, :2], z=awkward[:, 2:])
+    # the rows as given, not as the dataset stores them
     write_dataset_csv(tmp_path / "d.csv", ds)
     assert (tmp_path / "d.csv").read_bytes() == csv_writer_bytes(
         ["time", "status", "x_1", "x_2", "z_1"],
-        [[fmt_value(float(ds.times[i])), int(ds.status[i])]
-         + [fmt_value(float(v)) for v in ds.x[i]]
-         + [fmt_value(float(v)) for v in ds.z[i]] for i in range(n)])
+        [[fmt_value(float(times[i])), int(status[i])]
+         + [fmt_value(float(v)) for v in awkward[i]] for i in range(n)])
 
     eta = awkward[:, 1]
     write_predictions_csv(tmp_path / "p.csv", eta)

@@ -23,10 +23,13 @@ class ZeroRng:
 
 
 def train_forward(net, z, rng):
-    """Train-mode raw outputs of net on z (one training pass's forward)."""
+    """Train-mode raw outputs of net on z, in z's row order (one training
+    pass's forward, which follows the dataset's stored rows)."""
     n = len(z)
     ds = make_dataset(np.ones(n), np.zeros(n), z=z)
-    return _TrainPass(net, ds, np.zeros(1), rng).forward()
+    out = np.empty(n)
+    out[ds.rows] = _TrainPass(net, ds, np.zeros(1), rng).forward()
+    return out
 
 
 def hand_net(w1, b1, w2, b2, rate=0.0):
@@ -99,10 +102,10 @@ class TestForward:
     def test_dropout_expectation_matches_eval(self):
         net = init_network(NetworkArch((6,), dropout_rate=0.4), 2, seed=3)
         z = np.random.default_rng(8).standard_normal((5, 2))
-        raw_eval = forward(net, z)  # offset is 0 after init
+        ds = make_dataset(np.ones(5), np.zeros(5), z=z)
+        raw_eval = forward(net, ds.z)  # offset is 0 after init
         rng = np.random.default_rng(123)
-        train = _TrainPass(net, make_dataset(np.ones(5), np.zeros(5), z=z),
-                           np.zeros(1), rng)
+        train = _TrainPass(net, ds, np.zeros(1), rng)
         draws = np.stack([train.forward().copy() for _ in range(10_000)])
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])

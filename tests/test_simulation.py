@@ -363,6 +363,15 @@ class TestSimulateDataset:
         b = simulate_dataset(cfg, 1)
         assert not np.array_equal(a.dataset.times, b.dataset.times)
 
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    def test_g0_vals_follow_the_stored_rows(self, kind):
+        data = simulate_dataset(SimConfig(n=60, p=6, r=8, s_beta=2, seed=4,
+                                          g0_kind=kind), 0)
+        ds = data.dataset
+        assert not np.array_equal(ds.rows, np.arange(ds.n))
+        assert np.array_equal(data.g0_vals,
+                              g0_eval(ds.z, kind, data.alpha0))
+
 
 class TestRunExperiment:
     def test_single_replicate_deterministic(self):

@@ -34,6 +34,30 @@ class TestDataset:
         ds = make_dataset([1.0, 2.0], [1, 0], x=np.zeros((2, 9)))
         assert ds.p == 9 and ds.n == 2
 
+    def test_row_permutation_stores_the_same_arrays(self):
+        # Rows tie on time and status, and many also on x; z tells them
+        # apart.
+        rng = np.random.default_rng(1)
+        n = 40
+        times = rng.integers(1, 6, size=n).astype(float)
+        status = (rng.random(n) < 0.5).astype(float)
+        x = rng.integers(0, 2, size=(n, 3)).astype(float)
+        z = rng.standard_normal((n, 2))
+        ds = make_dataset(times, status, x, z)
+        perm = rng.permutation(n)
+        other = make_dataset(times[perm], status[perm], x[perm], z[perm])
+        for name in ("times", "status", "x", "z"):
+            assert getattr(other, name).tobytes() == getattr(ds, name).tobytes()
+        for a, b in zip(ds.standardized + ds.index,
+                        other.standardized + other.index):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(perm[other.rows], ds.rows)
+        assert np.array_equal(ds.times, times[ds.rows])
+        # the order is the full lexicographic one: time, status, x, z
+        keys = np.hstack((ds.x, ds.z)).T[::-1]
+        assert np.array_equal(np.lexsort((*keys, ds.status, ds.times)),
+                              np.arange(n))
+
     def test_standardized_built_once(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((30, 3)) * [1.0, 50.0, 0.0] + [0.0, 3.0, 2.7]
@@ -67,7 +91,11 @@ class TestRiskIndex:
 
     def test_unsorted_input(self):
         ds = make_dataset([3.0, 1.0, 2.0], [1, 1, 1])
-        risk, _ = index_sets(ds.index)
+        assert ds.rows.tolist() == [1, 2, 0]
+        stored, _ = index_sets(ds.index)
+        # the risk sets by given row
+        risk = {ds.rows[k]: {ds.rows[j] for j in s}
+                for k, s in enumerate(stored)}
         assert risk[0] == {0}
         assert risk[1] == {0, 1, 2}
         assert risk[2] == {0, 2}

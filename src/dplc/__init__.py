@@ -8,7 +8,7 @@ Adam on the partial-likelihood loss, alternating until both stabilize.
 
 from .coordinate_descent import cd_fit
 from .errors import NumericalDivergence
-from .estimator import (FitConfig, FittedModel, bic, fit, model_from_dict,
+from .estimator import (FitConfig, FittedModel, fit, model_from_dict,
                         model_to_dict, predict_eta, tune_architecture,
                         tune_lambda)
 from .network import (Network, NetworkArch, adam_fit, center, forward,

@@ -409,7 +409,6 @@ def cmd_fit(args) -> int:
         raise CliInputError("%s: %s" % (args.data, exc))
 
     grids = _parse_arch_grid(args.arch_grid) if args.arch_grid else None
-    os.makedirs(args.out, exist_ok=True)
     if grids is not None:
         try:
             # the grid is checked in full before the first fit
@@ -426,6 +425,7 @@ def cmd_fit(args) -> int:
 
     bundle = model_to_dict(model, cfg, x_names=x_names, z_names=z_names)
     bundle["diagnostics"]["c_index_train"] = c_train
+    os.makedirs(args.out, exist_ok=True)
     _json_dump(bundle, os.path.join(args.out, "model.json"))
 
     with open(os.path.join(args.out, "bic_path.csv"), "w", newline="") as fh:

@@ -80,17 +80,21 @@ class FittedModel:
     """Sparse coefficients, the centered network, the penalty strength lam
     they were fitted at, and fit diagnostics.  On a tune_lambda path, an
     entry past the first converged null fit is a copy of that fit at its
-    own lam; its diagnostics show that no fit ran (see tune_lambda)."""
+    own lam; its diagnostics show that no fit ran (see tune_lambda).
+    support and n_selected are read off beta_hat."""
 
     beta_hat: np.ndarray
     net: Network
-    support: np.ndarray
     lam: Optional[float]
     diagnostics: dict
 
     @property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.beta_hat)
+
+    @property
     def n_selected(self) -> int:
-        return int(self.support.size)
+        return int(np.count_nonzero(self.beta_hat))
 
 
 def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
@@ -109,7 +113,8 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
     is True only when that stopping rule held and the last coordinate
     descent call converged too (it did not run out of cfg.max_sweeps).
     With cfg.fit_g False the fit stops after that one call ("outer_iters"
-    is 1), and "converged" is the call's own flag.
+    is 1), and "converged" is the call's own flag.  "bic" is 2n q + log(n)
+    (selected count), with q the Cox loss of the last loss evaluation.
     """
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
@@ -129,29 +134,28 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
 
     beta = np.zeros(dataset.p) if beta_init is None \
         else np.asarray(beta_init, dtype=float).copy()
-    center(net, dataset.z)
-    g_vals = forward(net, dataset.z)
+    g_vals = center(net, dataset.z)
     scale = dataset.standardized[1]
 
-    def penalized_loss(b, g):
-        return cox_terms(dataset.x @ b + g, dataset)[0] + _penalty(
-            b * scale, lam)
+    def losses(b, g):  # q and the penalized loss at (b, g)
+        q = cox_terms(dataset.x @ b + g, dataset)[0]
+        return q, q + _penalty(b * scale, lam)
 
-    loss_path = [penalized_loss(beta, g_vals)]
+    loss_path = [losses(beta, g_vals)[1]]
     cd_sweeps = []
     moments = {}  # Adam's flat m and v, laid out like net.params, and t
     stable = 0
     for k in range(1, cfg.max_outer + 1):
         if cfg.fit_g:
-            adam_fit(net, dataset, beta, cfg.gamma / k,
-                     inner_steps=cfg.inner_steps, rng=adam_rng,
-                     moments=moments)
-        g_vals = forward(net, dataset.z)
+            g_vals = adam_fit(net, dataset, beta, cfg.gamma / k,
+                              inner_steps=cfg.inner_steps, rng=adam_rng,
+                              moments=moments)
         cd_info = {}
         beta_new = cd_fit(dataset, g_vals, beta, lam,
                           max_sweeps=cfg.max_sweeps, info=cd_info)
         cd_sweeps.append(cd_info["sweeps"])
-        loss_path.append(penalized_loss(beta_new, g_vals))
+        q, loss = losses(beta_new, g_vals)
+        loss_path.append(loss)
         settled = (np.array_equal(beta_new != 0.0, beta != 0.0)
                    and abs(loss_path[-1] - loss_path[-2])
                    <= OUTER_TOL * abs(loss_path[-2]))
@@ -161,16 +165,14 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
         if done:
             break
 
-    support = np.flatnonzero(beta != 0.0)
-    model = FittedModel(beta_hat=beta, net=net, support=support,
-                        lam=float(lam), diagnostics={
-                            "loss_path": loss_path,
-                            "outer_iters": len(cd_sweeps),
-                            "cd_sweeps": cd_sweeps,
-                            "converged": done and cd_info["converged"],
-                        })
-    model.diagnostics["bic"] = bic(model, dataset)
-    return model
+    return FittedModel(beta_hat=beta, net=net, lam=float(lam), diagnostics={
+        "loss_path": loss_path,
+        "outer_iters": len(cd_sweeps),
+        "cd_sweeps": cd_sweeps,
+        "converged": done and cd_info["converged"],
+        "bic": float(2.0 * dataset.n * q
+                     + np.log(dataset.n) * np.count_nonzero(beta)),
+    })
 
 
 def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
@@ -190,13 +192,6 @@ def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
     if not np.isfinite(eta).all():
         raise NumericalDivergence("non-finite linear predictor")
     return eta
-
-
-def bic(model: FittedModel, dataset: SurvivalDataset) -> float:
-    """-2n * (average log partial likelihood) + log(n) * (selected count)."""
-    eta = predict_eta(model, dataset.x, dataset.z)
-    q = cox_terms(eta, dataset)[0]
-    return float(2.0 * dataset.n * q + np.log(dataset.n) * model.n_selected)
 
 
 def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig):
@@ -229,7 +224,7 @@ def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig):
             done = null.diagnostics
             model = FittedModel(
                 beta_hat=np.zeros(dataset.p), net=null.net.copy(),
-                support=null.support.copy(), lam=float(lam), diagnostics={
+                lam=float(lam), diagnostics={
                     "loss_path": done["loss_path"][-1:], "outer_iters": 0,
                     "cd_sweeps": [], "converged": done["converged"],
                     "bic": done["bic"]})
@@ -359,6 +354,5 @@ def model_from_dict(data: dict) -> FittedModel:
         beta[j] = value
     diagnostics = dict(data.get("diagnostics", {}))
     return FittedModel(beta_hat=beta, net=net,
-                       support=np.flatnonzero(beta != 0.0),
                        lam=diagnostics.get("lambda_selected"),
                        diagnostics=diagnostics)

@@ -283,7 +283,7 @@ def loss_and_grads(net: Network, dataset: SurvivalDataset, beta_fixed,
 
 
 def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
-             inner_steps: int = 20, rng=None, moments=None) -> Network:
+             inner_steps: int = 20, rng=None, moments=None) -> np.ndarray:
     """Run inner_steps Adam updates at step size gamma, beta held fixed.
 
     Each step updates the whole of net.params at once, with the decay
@@ -297,7 +297,8 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
     two calls that share one moments dict (and one rng) take the same
     steps as one call running both step counts.  Raises
     NumericalDivergence when the loss (so also the predictor) or a step is
-    not finite.  The returned network is recentered on the training z.
+    not finite.  The network is then recentered on the training z, and
+    its centered outputs there are returned (see center).
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
@@ -341,11 +342,13 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
     return center(net, dataset.z)
 
 
-def center(net: Network, z_train) -> Network:
-    """Set the offset so evaluation outputs average to zero on z_train."""
+def center(net: Network, z_train) -> np.ndarray:
+    """Set the offset so evaluation outputs average to zero on z_train, and
+    return those outputs: bit for bit forward(net, z_train)."""
     z = np.atleast_2d(np.asarray(z_train, dtype=float))
-    net.center_offset = float(_raw_forward(net, z).mean())
-    return net
+    raw = _raw_forward(net, z)
+    net.center_offset = float(raw.mean())
+    return raw - net.center_offset
 
 
 NETWORK_FORMAT = "dplc-network"

@@ -6,6 +6,7 @@ into the package code paths they are used to check.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -71,6 +72,33 @@ def naive_neg_log_pl(times, status, eta):
             denom = sum(math.exp(eta[j]) for j in naive_risk_set(times, i))
             total += eta[i] - math.log(denom)
     return -total / n
+
+
+def decimal_hessian_diag(times, status, eta, step="1e-12", digits=50):
+    """Diagonal second differences of naive_neg_log_pl's literal sum, the
+    sum evaluated in `digits`-digit decimal arithmetic.  Rounding then
+    adds about 10**-digits / step**2 and truncation about step**2 to each
+    entry, both far below float64 resolution."""
+    def q(e):
+        total = 0
+        for i in range(len(times)):
+            if status[i] == 1:
+                denom = sum(e[j].exp() for j in naive_risk_set(times, i))
+                total += e[i] - denom.ln()
+        return -total / len(times)
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        h = Decimal(step)
+        e = [Decimal(float(v)) for v in eta]
+        f0 = q(e)
+        diag = np.zeros(len(e))
+        for k in range(len(e)):
+            up, down = list(e), list(e)
+            up[k] += h
+            down[k] -= h
+            diag[k] = float((q(up) - 2 * f0 + q(down)) / (h * h))
+    return diag
 
 
 def naive_q_of_eta(dataset):

@@ -363,6 +363,7 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "input error" in err and message in err
+        assert not (tmp_path / "fit").exists()
 
 
 class TestConfig:

@@ -196,6 +196,14 @@ class TestAdamFit:
                    for a, b in zip(net.weights, before.weights))
         assert moments["t"] == 5  # zero steps do not end the loop early
 
+    def test_returns_the_recentered_training_outputs(self):
+        ds = self._toy()
+        net = init_network(NetworkArch((4, 3), 0.3), 2, seed=6)
+        g_vals = adam_fit(net, ds, np.zeros(ds.p), 0.05, inner_steps=3,
+                          rng=np.random.default_rng(2))
+        assert np.array_equal(g_vals, forward(net, ds.z))
+        assert abs(g_vals.mean()) < 1e-12
+
     @pytest.mark.parametrize("gamma", [0.0, -0.01, np.nan, np.inf])
     def test_rejects_bad_gamma(self, gamma):
         ds = self._toy()
@@ -269,6 +277,12 @@ class TestCenter:
         z = np.random.default_rng(0).standard_normal((11, 2))
         center(net, z)
         assert np.all(forward(net, z) == 0.0)
+
+    def test_returns_forward_outputs(self, rng):
+        net = init_network(NetworkArch((5, 5), 0.0), 3, seed=11)
+        net.center_offset = 2.5
+        z = rng.standard_normal((50, 3))
+        assert np.array_equal(center(net, z), forward(net, z))
 
     def test_mean_zero_any_net(self, rng):
         net = init_network(NetworkArch((5, 5), 0.0), 3, seed=11)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import json
 import os
 import platform
@@ -92,20 +91,16 @@ def per_call_us(fn) -> list:
 
 def newton_step(ds, g_vals, beta, lam):
     """One call of cd_fit's Newton step on beta's face, given the kernel
-    pass at beta, under cd_fit's floating-point settings.  Trees whose
-    step takes eta make their own Hessian pass in it."""
-    from dplc import coordinate_descent, cox_terms
+    pass at beta, under cd_fit's floating-point settings."""
+    from dplc import coordinate_descent
 
     X, scale = ds.standardized
     b = beta * scale
     active = np.flatnonzero(b)
     eta = X @ b + g_vals
     step = coordinate_descent._newton_step
-    if "eta" in inspect.signature(step).parameters:
-        args = (ds, X, g_vals, b, eta, cox_terms(eta, ds), active, lam)
-    else:
-        args = (ds, X, g_vals, b, coordinate_descent._checked_terms(eta, ds),
-                active, lam)
+    args = (ds, X, g_vals, b, coordinate_descent._checked_terms(eta, ds),
+            active, lam)
 
     def call():
         with np.errstate(all="ignore"):

@@ -16,14 +16,14 @@ numbers.  Architecture search runs only on `fit --arch-grid`, and
 All randomness flows from one seed, so repeated invocations produce
 byte-identical outputs.
 
-Exit codes: 0 success, 2 input/schema error, 3 numerical failure.
+Exit codes: 0 success, 2 input/schema error or an output that cannot be
+written, 3 numerical failure.
 The DPLC_LOG environment variable (DEBUG/INFO/WARNING) controls logging.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import logging
@@ -65,26 +65,25 @@ ARCH_GRIDS = {"depths": ("depth_grid", int, [1, 2]),
               "lr": ("lr_grid", float, [0.005, 0.02])}
 
 
-def _merge_config(defaults, user, path=""):
-    merged = copy.deepcopy(defaults)
-    for key, value in user.items():
-        if key not in defaults:
-            raise CliInputError("unknown config key: %s" % (path + key))
-        merged[key] = _checked(defaults[key], value, path + key)
-    return merged
-
-
 def _checked(base, value, where):
     """`value` if it has the type of its default `base`.
 
-    Integer settings need JSON integers; float settings take any finite
-    number and return it as a float; lists are checked element by element
-    against the type of the default's first element.
+    An object may hold only keys of its default, checked in the order
+    given, and keeps only those; integer settings need JSON integers;
+    float settings take any finite number and return it as a float; lists
+    are checked element by element against the type of the default's
+    first element.  `where` names `value` in errors ("" for the root).
     """
     if isinstance(base, dict):
         if not isinstance(value, dict):
             raise CliInputError("config key %s must be an object" % where)
-        return _merge_config(base, value, where + ".")
+        checked = {}
+        for key, item in value.items():
+            name = where + "." + key if where else key
+            if key not in base:
+                raise CliInputError("unknown config key: %s" % name)
+            checked[key] = _checked(base[key], item, name)
+        return checked
     if isinstance(base, (list, tuple)):
         if not isinstance(value, list):
             raise CliInputError("config key %s must be a list" % where)
@@ -120,31 +119,6 @@ def _read_json(path, what):
                             % (what, path, exc.lineno, exc.colno, exc.msg))
 
 
-def load_run_config(path) -> dict:
-    """Read and validate a run-config JSON file; defaults fill the gaps.
-
-    The result has the layout of CONFIG_DEFAULTS; `run_records` builds the
-    SimConfig and FitConfig from it.
-    """
-    if path is None:
-        return copy.deepcopy(CONFIG_DEFAULTS)
-    user = _read_json(path, "config")
-    if not isinstance(user, dict):
-        raise CliInputError("config root must be a JSON object")
-    return _merge_config(CONFIG_DEFAULTS, user)
-
-
-def _set_lambda_grid(config, text):
-    """Put the values of a --lambda-grid flag, when given, in the config's
-    fit.lambda_grid, where FitConfig checks them as it checks the file's."""
-    if text:
-        try:
-            config["fit"]["lambda_grid"] = [
-                float(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError:
-            raise CliInputError("--lambda-grid must be comma-separated numbers")
-
-
 def _record(default, values):
     """`default` with the config's values set, nested records included."""
     return replace(default, **{
@@ -153,16 +127,32 @@ def _record(default, values):
         for key, value in values.items()})
 
 
-def run_records(config: dict, seed=None):
-    """The (SimConfig, FitConfig) of a loaded run config.
+def run_records(path=None, seed=None, lambda_grid=None):
+    """The (SimConfig, FitConfig) of the run-config JSON file at `path`,
+    or of the defaults when `path` is None.
 
-    `seed`, when given, replaces the config's seed in both records.
+    The file is checked against CONFIG_DEFAULTS, and the records' own
+    defaults fill the gaps.  The values of a --lambda-grid flag's text
+    `lambda_grid`, when given, replace fit.lambda_grid, where FitConfig
+    checks them as it checks the file's; `seed`, when given, replaces the
+    config's seed in both records.
     """
-    seed = config["seed"] if seed is None else seed
+    config = {} if path is None else _read_json(path, "config")
+    if not isinstance(config, dict):
+        raise CliInputError("config root must be a JSON object")
+    config = _checked(CONFIG_DEFAULTS, config, "")
+    if lambda_grid is not None:
+        try:
+            config.setdefault("fit", {})["lambda_grid"] = [
+                float(tok) for tok in lambda_grid.split(",") if tok.strip()]
+        except ValueError:
+            raise CliInputError("--lambda-grid must be comma-separated numbers")
+    if seed is None:
+        seed = config.get("seed", CONFIG_DEFAULTS["seed"])
     records = []
     for name, record in (("sim", SimConfig), ("fit", FitConfig)):
         try:
-            records.append(_record(record(seed=seed), config[name]))
+            records.append(_record(record(seed=seed), config.get(name, {})))
         except ValueError as exc:
             raise CliInputError("invalid %s config: %s" % (name, exc))
     return tuple(records)
@@ -399,9 +389,7 @@ def write_predictions_csv(path, eta):
 
 
 def cmd_fit(args) -> int:
-    config = load_run_config(args.config)
-    _set_lambda_grid(config, args.lambda_grid)
-    _, cfg = run_records(config, args.seed)
+    _, cfg = run_records(args.config, args.seed, args.lambda_grid)
     times, status, x, z, x_names, z_names = load_dataset_csv(args.data)
     try:
         dataset = SurvivalDataset(times=times, status=status, x=x, z=z)
@@ -478,7 +466,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sim_cfg, _ = run_records(load_run_config(args.config), args.seed)
+    sim_cfg, _ = run_records(args.config, args.seed)
     data = simulate_dataset(sim_cfg, replicate=0)
     os.makedirs(args.out, exist_ok=True)
     ds = data.dataset
@@ -501,9 +489,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config = load_run_config(args.config)
-    _set_lambda_grid(config, args.lambda_grid)
-    sim_cfg, fit_cfg = run_records(config, args.seed)
+    sim_cfg, fit_cfg = run_records(args.config, args.seed, args.lambda_grid)
     if args.threads < 1:
         raise CliInputError("--threads must be >= 1")
     methods = {"dplc": fit_cfg, "cox_scad": replace(fit_cfg, fit_g=False)}
@@ -603,7 +589,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, OSError) as exc:  # OSError: an unwritable output
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except NumericalDivergence as exc:

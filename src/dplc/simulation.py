@@ -137,8 +137,9 @@ def calibrate_censoring(U, target_rate: float, tol: float = 0.01) -> float:
     """Bisect for the uniform censoring upper bound hitting the target rate.
 
     The expected rate mean_i P(C_i < U_i) = mean_i min(U_i / C, 1) is
-    monotone decreasing in C, so a bracket always exists for targets in
-    (0, 1).
+    monotone decreasing in C.  At C = min U it is exactly 1, above any
+    target in (0, 1), so that is the lower end of the bracket; the upper
+    end doubles from 2 max U until the rate falls to the target.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target_rate must be in (0, 1)")
@@ -146,10 +147,6 @@ def calibrate_censoring(U, target_rate: float, tol: float = 0.01) -> float:
     if U.size == 0 or np.any(~np.isfinite(U)) or np.any(U <= 0):
         raise ValueError("U must be finite and positive")
     lo = float(U.min())
-    while censoring_rate(U, lo) < target_rate:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise ValueError("target censoring rate unreachable")
     hi = float(U.max()) * 2.0
     while censoring_rate(U, hi) > target_rate:
         hi *= 2.0

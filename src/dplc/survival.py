@@ -67,6 +67,8 @@ class SurvivalDataset:
             raise ValueError("z must be a 2-d array with n rows")
         if z.shape[1] > n:
             raise ValueError("z has more columns than subjects")
+        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+            raise ValueError("x and z must be finite")
         rows = np.lexsort((status, times))
         tied = ((times[rows[1:]] == times[rows[:-1]])
                 & (status[rows[1:]] == status[rows[:-1]]))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dplc
-from dplc.cli import (load_dataset_csv, load_run_config, main, run_records,
+from dplc.cli import (CONFIG_DEFAULTS, load_dataset_csv, main, run_records,
                       write_selection_table)
 
 DATA_CSV = "data.csv"
@@ -74,7 +74,7 @@ class TestSimulate:
         # The dataset stores its rows in time order; the file holds them
         # in the order the covariates were drawn.
         data_csv, _ = simulate_into(tmp_path, small_config)
-        sim_cfg, _ = run_records(load_run_config(small_config))
+        sim_cfg, _ = run_records(small_config)
         rng = np.random.default_rng(
             np.random.SeedSequence(sim_cfg.seed, spawn_key=(0,)))
         x, z = dplc.gen_covariates(sim_cfg, rng)
@@ -343,6 +343,20 @@ class TestFit:
         assert "input error" in err and ">= 0" in err
 
 
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_empty_lambda_grid_flag_exit_2(self, tmp_path, small_config,
+                                           capsys, command):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        capsys.readouterr()
+        argv = [command, "--config", small_config, "--lambda-grid", "",
+                "--out", str(tmp_path / "o")]
+        if command == "fit":
+            argv += ["--data", str(data_csv)]
+        assert run(*argv) == 2
+        assert "input error: invalid fit config: lambda_grid must be " \
+            "non-empty and ascending\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("arch_grid, message", [
         ("depths=1;widths=2;dropout=0.0,1.5", "dropout_rate"),
         ("depths=1;widths=2;dropout=0.0;lr=0.01,0", "gamma"),
@@ -452,16 +466,41 @@ class TestConfig:
         assert echo.pop("fit_g") is True
         path = tmp_path / "echo.json"
         path.write_text(json.dumps({"fit": echo}))
-        _, rebuilt = run_records(load_run_config(str(path)), seed)
-        _, original = run_records(load_run_config(small_config))
+        _, rebuilt = run_records(str(path), seed)
+        _, original = run_records(small_config)
         assert rebuilt == original
 
     def test_readme_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Run configuration", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-        defaults = json.loads(json.dumps(load_run_config(None)))
+        defaults = json.loads(json.dumps(CONFIG_DEFAULTS))
         assert json.loads(block) == defaults
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command",
+                             ["simulate", "fit", "predict", "benchmark"])
+    def test_exit_2_names_the_path(self, tmp_path, small_config, capsys,
+                                   command):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        if command == "predict":
+            fit_dir = tmp_path / "fit"
+            assert run("fit", "--data", str(data_csv), "--config",
+                       small_config, "--out", str(fit_dir)) == 0
+            out = tmp_path / "nodir" / "p.csv"
+            argv = ["predict", "--model", str(fit_dir / "model.json"),
+                    "--data", str(data_csv)]
+        else:
+            out = tmp_path / "a_file"
+            out.write_text("")
+            argv = [command, "--config", small_config]
+            if command == "fit":
+                argv += ["--data", str(data_csv)]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(out)) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("input error: ") and str(out) in last
 
 
 class TestSelectionTable:

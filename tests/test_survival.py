@@ -30,6 +30,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             make_dataset([1.0, 2.0], [1, 1], z=np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["x", "z"])
+    def test_rejects_nonfinite_x_and_z(self, name, bad):
+        cells = {"x": np.zeros((3, 2)), "z": np.zeros((3, 2))}
+        cells[name][1, 1] = bad
+        with pytest.raises(ValueError, match="x and z must be finite"):
+            make_dataset([1.0, 2.0, 3.0], [1, 0, 1], **cells)
+
     def test_p_may_exceed_n(self):
         ds = make_dataset([1.0, 2.0], [1, 0], x=np.zeros((2, 9)))
         assert ds.p == 9 and ds.n == 2

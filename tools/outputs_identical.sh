@@ -6,13 +6,17 @@
 # Unpacks src/ at REV with `git archive` into a temporary directory (no
 # worktree), then runs the same commands against that copy and against the
 # working tree's src/: simulate --seed 0, the default fit, a fit with a
-# small architecture grid, a fit with --lambda-grid 0.05,0.1,0.2, predict
-# with the default fit's model on the simulated data and on a copy with
-# odd but valid cells (quoted, padded, digit-grouped; CRLF endings, so the
-# loader's cell-by-cell fallback reads it), simulate with
-# {"sim": {"n": 2500}} and predict on that (the CSV writers then cross
-# row-block boundaries), and benchmark with
-# {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2.
+# small architecture grid, a fit with --lambda-grid 0.05,0.1,0.2, a fit
+# with a config's fit section (arch and max_outer), --seed 3 and
+# --lambda-grid 0.05,0.1 together, predict with the default fit's model on
+# the simulated data and on a copy with odd but valid cells (quoted,
+# padded, digit-grouped; CRLF endings, so the loader's cell-by-cell
+# fallback reads it), simulate with {"sim": {"n": 2500}} and predict on
+# that (the CSV writers then cross row-block boundaries), and benchmark
+# with {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2.  Four runs
+# exit 2: simulate with a config holding an unknown nested key, one with a
+# wrongly typed value and one whose root is not an object, and a fit whose
+# --lambda-grid holds a token that is not a number.
 # Every output file, stdout and stderr included, is compared with diff -r;
 # the exit status is non-zero on any difference.
 set -u
@@ -40,6 +44,18 @@ run_side() {  # run_side SRC OUT
         --arch-grid "depths=1;widths=2,4;dropout=0.3;lr=0.01"
     run fit_grid fit --data sim/dataset.csv --out fit_grid \
         --lambda-grid 0.05,0.1,0.2
+    echo '{"fit": {"arch": {"hidden_widths": [4, 4], "dropout_rate": 0.0},
+           "max_outer": 6}}' > fit_cfg.json
+    run fit_cfg fit --data sim/dataset.csv --out fit_cfg \
+        --config fit_cfg.json --seed 3 --lambda-grid 0.05,0.1
+    echo '{"fit": {"arch": {"input_dim": 8}}}' > bad_key.json
+    echo '{"sim": {"n": 3.5}}' > bad_type.json
+    echo '[{"seed": 1}]' > bad_root.json
+    for bad in bad_key bad_type bad_root; do
+        run "$bad" simulate --config "$bad.json" --out "$bad"
+    done
+    run bad_grid fit --data sim/dataset.csv --out bad_grid \
+        --lambda-grid 0.05,x
     run predict predict --model fit/model.json --data sim/dataset.csv \
         --out predict.csv
     sed -e '2s/^\([^,]*\)/"\1"/' -e '3s/,/, /g' \

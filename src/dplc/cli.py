@@ -329,6 +329,28 @@ def _parse_arch_grid(text: str) -> dict:
     return grids
 
 
+def _check_out_dir(path):
+    """Raise CliInputError before any work if `os.makedirs(path)` would
+    fail: path must not be an existing non-directory, and its nearest
+    existing ancestor must be a directory.  Nothing is created."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise CliInputError("--out %s: %s is not a directory" % (path, probe))
+
+
+def _check_out_file(path):
+    """Raise CliInputError before any work if the file `path` cannot be
+    created: its parent must be an existing directory and path must not
+    be a directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise CliInputError("--out %s: %s is not a directory" % (path, parent))
+    if os.path.isdir(path):
+        raise CliInputError("--out %s is a directory" % path)
+
+
 def _json_dump(obj, path):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -389,6 +411,7 @@ def write_predictions_csv(path, eta):
 
 
 def cmd_fit(args) -> int:
+    _check_out_dir(args.out)
     _, cfg = run_records(args.config, args.seed, args.lambda_grid)
     times, status, x, z, x_names, z_names = load_dataset_csv(args.data)
     try:
@@ -435,6 +458,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_out_file(args.out)
     bundle = _read_json(args.model, "model")
     try:
         model = model_from_dict(bundle)

@@ -45,12 +45,17 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2 or self.p < 1 or self.r < 1:
             raise ValueError("n, p, r must be positive (n >= 2)")
+        if self.r > self.n:
+            raise ValueError("r must be <= n: z has more columns than "
+                             "subjects")
         if not 0 <= self.s_beta <= self.p:
             raise ValueError("s_beta must lie in [0, p]")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
         if self.g0_kind not in ("linear", "nonlinear", "zero"):
             raise ValueError("g0_kind must be linear, nonlinear, or zero")
+        if self.g0_kind == "nonlinear" and self.r < 8:
+            raise ValueError("nonlinear g0 needs r >= 8 z columns")
         if not 0.0 < self.target_censoring < 1.0:
             raise ValueError("target_censoring must be in (0, 1)")
         if not 0.0 < self.mu < math.inf:
@@ -321,19 +326,27 @@ REPLICATE_FIELDS = [f.name for f in fields(ReplicateRow)]
 def _run_replicate(args):
     """Worker for one replicate: generate, split, fit every method."""
     sim_cfg, methods, rep = args
-    rows = []
+
+    def failed(step, censoring, exc):  # such failures poison every method
+        return [ReplicateRow(replicate=rep, method=method,
+                             censoring_rate=censoring,
+                             error="%s failed: %s" % (step, exc))
+                for method in methods]
+
     try:
         data = simulate_dataset(sim_cfg, rep)
-    except Exception as exc:  # generation failures poison every method
-        return [ReplicateRow(replicate=rep, method=method,
-                             censoring_rate=float("nan"),
-                             error="generation failed: %s" % exc)
-                for method in methods]
+    except Exception as exc:
+        return failed("generation", float("nan"), exc)
     split_rng = np.random.default_rng(
         np.random.SeedSequence([sim_cfg.seed, rep, 424243]))
-    train_idx, test_idx = stratified_split(data.dataset.status, 0.2, split_rng)
-    train_ds = subset(data.dataset, train_idx)
-    test_ds = subset(data.dataset, test_idx)
+    try:
+        train_idx, test_idx = stratified_split(data.dataset.status, 0.2,
+                                               split_rng)
+        train_ds = subset(data.dataset, train_idx)
+        test_ds = subset(data.dataset, test_idx)
+    except ValueError as exc:  # a side too small to form a dataset
+        return failed("split", data.censoring_rate, exc)
+    rows = []
     for method, cfg in methods.items():
         row = ReplicateRow(replicate=rep, method=method,
                            censoring_rate=data.censoring_rate)

@@ -430,6 +430,22 @@ class TestConfig:
         assert "input error" in err and "seed must be >= 0" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"sim": {"n": 5}}', "r must be <= n"),
+        ('{"sim": {"g0_kind": "nonlinear", "r": 4}}',
+         "nonlinear g0 needs r >= 8"),
+    ])
+    def test_sim_config_that_cannot_generate_exit_2(self, tmp_path, capsys,
+                                                    text, reason):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(text)
+        for command in ("simulate", "benchmark"):
+            out = tmp_path / command
+            assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert "input error: invalid sim config: %s" % reason in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("text, key", [
         ('{"network": {"learning_rate": 0.02}}', "network"),
         ('{"solver": {"max_outer": 6}}', "solver"),
@@ -501,6 +517,36 @@ class TestUnwritableOutput:
         assert run(*argv, "--out", str(out)) == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("input error: ") and str(out) in last
+
+    @pytest.mark.parametrize("command, out", [
+        ("fit", "a_file"), ("fit", "a_file/fit"),
+        ("predict", "nodir/p.csv"), ("predict", "a_dir"),
+    ])
+    def test_out_checked_before_the_work(self, tmp_path, small_config,
+                                         monkeypatch, capsys, command, out):
+        data_csv, _ = simulate_into(tmp_path, small_config)
+        fit_dir = tmp_path / "fit"
+        if command == "predict":
+            assert run("fit", "--data", str(data_csv), "--config",
+                       small_config, "--out", str(fit_dir)) == 0
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+
+        def too_soon(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+
+        monkeypatch.setattr("dplc.cli.tune_lambda", too_soon)
+        monkeypatch.setattr("dplc.cli.predict_eta", too_soon)
+        out = tmp_path / out
+        argv = [command, "--data", str(data_csv), "--out", str(out)]
+        argv += (["--config", small_config] if command == "fit"
+                 else ["--model", str(fit_dir / "model.json")])
+        capsys.readouterr()
+        assert run(*argv) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("input error: ") and str(out) in last
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestSelectionTable:

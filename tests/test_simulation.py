@@ -65,6 +65,17 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="mu"):
                 SimConfig(mu=mu)
 
+    def test_rejects_more_z_columns_than_subjects(self):
+        # simulate_dataset could not form a dataset from such a config
+        with pytest.raises(ValueError, match="r must be <= n"):
+            SimConfig(n=5)
+        assert SimConfig(n=8).r == 8
+
+    def test_rejects_nonlinear_g0_with_fewer_than_8_z_columns(self):
+        with pytest.raises(ValueError, match="nonlinear g0 needs r >= 8"):
+            SimConfig(g0_kind="nonlinear", r=4)
+        SimConfig(g0_kind="linear", r=4)
+
 
 class TestGenCovariates:
     def test_independent_when_rho_zero(self):
@@ -405,6 +416,19 @@ class TestRunExperiment:
         assert all(r.fits_not_converged is None for r in bad)
         assert summary["bad"]["fits_not_converged"] == 0
         assert all(r.fits_not_converged in (0, 1) for r in good)
+
+    def test_failed_split_recorded_not_raised(self):
+        # the 20 % test side has 4 rows, fewer than the 8 z columns
+        sim = SimConfig(n=20, p=5, r=8, s_beta=2, replicates=1)
+        methods = {"dplc": small_fit_cfg((0.2,)),
+                   "cox_scad": replace(small_fit_cfg((0.2,)), fit_g=False)}
+        rows, summary = run_experiment(sim, methods)
+        assert [r.method for r in rows] == ["dplc", "cox_scad"]
+        for row in rows:
+            assert row.error == ("split failed: z has more columns than "
+                                 "subjects")
+            assert 0.0 < row.censoring_rate < 1.0
+        assert all(summary[m]["replicates_failed"] == 1 for m in methods)
 
     def test_summary_se_is_sd_over_sqrt_n(self):
         sim = SimConfig(n=150, p=8, r=8, s_beta=2, seed=13)

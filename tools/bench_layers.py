@@ -3,8 +3,6 @@
     python3 tools/bench_layers.py --side NAME=SRC [--side NAME=SRC ...]
         [--out BENCH_layers.json]
 
-Each --side names a directory holding the `dplc` package (for example
-`src`, or the `src/` of another revision unpacked with `git archive`).
 Times seven operations on `simulate_dataset(SimConfig(n=N, seed=1), 0)` at
 each N of SIZES (300, 3 000 and 30 000), with the default p = 50 and
 r = 8:
@@ -25,27 +23,20 @@ r = 8:
                   block, its Cholesky test and solve, and the trial pass
   c_index         Harrell's C of the true linear predictor
 
-Every side is measured once in each of ROUNDS rounds, in a fresh process
-that imports dplc from its directory, and the sides take turns going
-first, so a slow spell of a shared machine falls on all of them alike.
-Within a process each operation is warmed up and then run in REPEATS
-blocks of calls lasting about BLOCK_S seconds.  Rows give, per side, the
-median and quartiles of the time per call in microseconds over all blocks
-of all rounds.  The output holds those rows and a record of the machine.
+tools/sides.py runs every side once in each of ROUNDS rounds.  Within a
+process each operation is warmed up and then run in REPEATS blocks of
+calls lasting about BLOCK_S seconds.  Rows give, per side, the median and
+quartiles of the time per call in microseconds over all blocks of all
+rounds.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import json
-import os
-import platform
-import subprocess
-import sys
 import time
 
 import numpy as np
+
+import sides
 
 OPS = ("cox_terms", "loss_and_grads", "adam_step", "cd_sweep", "cd_call",
        "newton_step", "c_index")
@@ -53,23 +44,6 @@ SIZES = (300, 3000, 30000)
 ROUNDS = 8
 REPEATS = 5
 BLOCK_S = 0.1
-
-
-def machine() -> dict:
-    """The hardware and software the numbers were measured on."""
-    cpu = "unknown"
-    with contextlib.suppress(OSError):
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu": cpu,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": "%s %s" % (blas.get("name"), blas.get("version")),
-    }
 
 
 def per_call_us(fn) -> list:
@@ -145,7 +119,7 @@ def operations(n: int) -> tuple:
 
 def measure() -> dict:
     """{"op n": [us per call, one per block]} for the importable dplc, and
-    {"cd_call n sweeps": [sweeps]}."""
+    {"cd_call n sweeps": sweeps}."""
     out = {}
     for n in SIZES:
         ops, cd_info = operations(n)
@@ -153,68 +127,41 @@ def measure() -> dict:
             out["%s %d" % (op, n)] = [us / steps for us in per_call_us(fn)]
         if not cd_info["converged"]:
             raise SystemExit("cd_call at n=%d did not converge" % n)
-        out["cd_call %d sweeps" % n] = [cd_info["sweeps"]]
+        out["cd_call %d sweeps" % n] = cd_info["sweeps"]
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", action="append", default=[],
-                        metavar="NAME=SRC", help="a dplc source directory")
-    parser.add_argument("--out", default="BENCH_layers.json")
-    parser.add_argument("--child", action="store_true",
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        json.dump(measure(), sys.stdout)
-        return 0
-    sides = [spec.split("=", 1) for spec in args.side]
-    if not sides or any(len(side) != 2 for side in sides):
-        parser.error("give at least one --side NAME=SRC")
-
-    blocks = {name: {} for name, _ in sides}
-    for r in range(ROUNDS):
-        for name, src in (sides if r % 2 == 0 else sides[::-1]):
-            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-            child = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--child"],
-                env=env, stdout=subprocess.PIPE, check=True, text=True)
-            for key, values in json.loads(child.stdout).items():
-                blocks[name].setdefault(key, []).extend(values)
-            print("round %d: %s done" % (r + 1, name), file=sys.stderr)
-
-    rows = []
+def rows(runs) -> list:
+    """One row per op and n from {side: [measure() per round]}."""
+    out = []
     for n in SIZES:
         for op in OPS:
             row = {"op": op, "n": n}
-            for name, _ in sides:
-                q1, med, q3 = np.percentile(blocks[name]["%s %d" % (op, n)],
-                                            [25, 50, 75])
+            for name, side_runs in runs.items():
+                q1, med, q3 = np.percentile(
+                    [us for run in side_runs for us in run["%s %d" % (op, n)]],
+                    [25, 50, 75])
                 row[name] = {"us_median": round(med, 2),
                              "us_q1": round(q1, 2), "us_q3": round(q3, 2)}
                 if op == "cd_call":
-                    sweeps = set(blocks[name]["cd_call %d sweeps" % n])
+                    sweeps = {run["cd_call %d sweeps" % n] for run in side_runs}
                     if len(sweeps) != 1:
                         raise SystemExit("%s cd_call n=%d: sweeps differ "
                                          "between rounds" % (name, n))
                     row[name]["sweeps"] = sweeps.pop()
-            rows.append(row)
+            out.append(row)
             print("%-15s n=%-6d " % (op, n) + "  ".join(
                 "%s %.1f [%.1f, %.1f]%s" % (
                     name, row[name]["us_median"], row[name]["us_q1"],
                     row[name]["us_q3"],
                     " sweeps %d" % row[name]["sweeps"]
                     if "sweeps" in row[name] else "")
-                for name, _ in sides))
-    with open(args.out, "w") as fh:
-        json.dump({"machine": machine(),
-                   "settings": {"rounds": ROUNDS, "repeats": REPEATS,
-                                "block_s": BLOCK_S,
-                                "sides": [name for name, _ in sides]},
-                   "rows": rows}, fh, indent=2)
-        fh.write("\n")
-    return 0
+                for name in runs))
+    return out
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(sides.main(
+        __doc__, __file__, measure, rows, out="BENCH_layers.json",
+        rounds=ROUNDS, settings={"rounds": ROUNDS, "repeats": REPEATS,
+                                 "block_s": BLOCK_S}))

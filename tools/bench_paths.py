@@ -3,8 +3,6 @@
     python3 tools/bench_paths.py --side NAME=SRC [--side NAME=SRC ...]
         [--out BENCH_paths.json]
 
-Each --side names a directory holding the `dplc` package (for example
-`src`, or the `src/` of another revision unpacked with `git archive`).
 For each method of METHODS (`dplc`, and `cox_scad` with the network off)
 at each P of SIZES (50 and 500), a side runs
 
@@ -27,27 +25,20 @@ over FitConfig's default 12-value grid and records:
 
 The timers wrap the `adam_fit` and `cd_fit` that the estimator module
 calls, and a counter wraps its `fit`, so the same script measures any
-tree that has them.  Every side runs the whole table once in each of
-ROUNDS rounds, in a fresh process that imports dplc from its directory,
-and the sides take turns going first, as in tools/bench_layers.py.
-Times are the median (and quartiles for wall_s) over the rounds.  The
-counts and the pick are deterministic; the script fails if they differ
-between a side's rounds.  The output holds one row per method and P and
-the record of the machine.
+tree that has them.  tools/sides.py runs every side's whole table once in
+each of ROUNDS rounds.  Times are the median (and quartiles for wall_s)
+over the rounds.  The counts and the pick are deterministic; the script
+fails if they differ between a side's rounds.  The output holds one row
+per method and P.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
-from bench_layers import machine
+import sides
 
 METHODS = ("dplc", "cox_scad")
 SIZES = (50, 500)
@@ -116,38 +107,15 @@ def measure() -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", action="append", default=[],
-                        metavar="NAME=SRC", help="a dplc source directory")
-    parser.add_argument("--out", default="BENCH_paths.json")
-    parser.add_argument("--child", action="store_true",
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        json.dump(measure(), sys.stdout)
-        return 0
-    sides = [spec.split("=", 1) for spec in args.side]
-    if not sides or any(len(side) != 2 for side in sides):
-        parser.error("give at least one --side NAME=SRC")
-
-    runs = {name: [] for name, _ in sides}
-    for r in range(ROUNDS):
-        for name, src in (sides if r % 2 == 0 else sides[::-1]):
-            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-            child = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--child"],
-                env=env, stdout=subprocess.PIPE, check=True, text=True)
-            runs[name].append(json.loads(child.stdout))
-            print("round %d: %s done" % (r + 1, name), file=sys.stderr)
-
-    rows = []
+def rows(runs) -> list:
+    """One row per method and P from {side: [measure() per round]}."""
+    out = []
     for p in SIZES:
         for method in METHODS:
             key = "%s %d" % (method, p)
             row = {"method": method, "p": p}
-            for name, _ in sides:
-                records = [run[key] for run in runs[name]]
+            for name, side_runs in runs.items():
+                records = [run[key] for run in side_runs]
                 counts = [{k: v for k, v in rec.items() if k not in TIMES}
                           for rec in records]
                 if any(c != counts[0] for c in counts):
@@ -161,7 +129,7 @@ def main(argv=None) -> int:
                              "adam_s": round(np.median(times["adam_s"]), 3),
                              "cd_s": round(np.median(times["cd_s"]), 3),
                              **counts[0]}
-            rows.append(row)
+            out.append(row)
             print("%-8s p=%-4d " % (method, p) + "  ".join(
                 "%s %.2f s (adam %.2f, cd %.2f) sweeps %d capped %d "
                 "converged %d/%d run %d pick lambda=%g %d sel %d true"
@@ -171,15 +139,11 @@ def main(argv=None) -> int:
                    row[name]["fits"], row[name]["fits_run"],
                    row[name]["lambda"],
                    row[name]["selected"], row[name]["true_selected"])
-                for name, _ in sides))
-    with open(args.out, "w") as fh:
-        json.dump({"machine": machine(),
-                   "settings": {"rounds": ROUNDS,
-                                "sides": [name for name, _ in sides]},
-                   "rows": rows}, fh, indent=2)
-        fh.write("\n")
-    return 0
+                for name in runs))
+    return out
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(sides.main(
+        __doc__, __file__, measure, rows, out="BENCH_paths.json",
+        rounds=ROUNDS, settings={"rounds": ROUNDS}))

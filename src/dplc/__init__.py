@@ -12,8 +12,8 @@ from .estimator import (FitConfig, FittedModel, fit, model_from_dict,
                         model_to_dict, predict_eta, tune_architecture,
                         tune_lambda)
 from .network import (Network, NetworkArch, adam_fit, center, forward,
-                      init_network, loss_and_grads, network_from_dict,
-                      network_to_dict, zero_network)
+                      init_network, network_from_dict, network_to_dict,
+                      zero_network)
 from .scad import scad_threshold, scad_value
 from .simulation import (ReplicateRow, SelectionRow, SimConfig,
                          SimulatedData, c_index, calibrate_censoring, g0_eval,

@@ -11,7 +11,7 @@ fixed number of Adam steps at a caller's step size on the
 partial-likelihood loss with the linear coefficients held fixed,
 optionally continuing a caller's Adam moments; the decay rates and the
 denominator guard are the constants ADAM_R1, ADAM_R2 and ADAM_EPS.
-`loss_and_grads` and `adam_fit` share one training pass, `_TrainPass`,
+`adam_fit` runs its steps through one training pass, `_TrainPass`,
 which is set up once per call and then writes each forward pass, each
 dropout draw, the loss and gradient of the Cox kernel (not its
 curvature) and the backward pass into buffers it already holds; the Adam
@@ -148,7 +148,7 @@ def forward(net: Network, z_batch) -> np.ndarray:
     """Evaluation outputs for a batch of z rows.
 
     No dropout is applied and the centering offset is subtracted; training
-    passes with dropout run inside `loss_and_grads` and `adam_fit`.
+    passes with dropout run inside `adam_fit`.
     """
     z = np.atleast_2d(np.asarray(z_batch, dtype=float))
     if z.shape[1] != net.input_dim:
@@ -169,7 +169,7 @@ def _split_rows(flat: np.ndarray, n: int, widths) -> list:
 class _TrainPass:
     """Training passes of one network on one dataset, beta held fixed.
 
-    Built once per `loss_and_grads` or `adam_fit` call: it computes
+    Built once per `adam_fit` call: it computes
     x @ beta_fixed, lays per-layer (weight, bias) gradient views over the
     flat vector `self.grad` (laid out like net.params), and allocates every
     activation, gate, dropout and backward buffer, so a pass writes only
@@ -264,22 +264,6 @@ class _TrainPass:
                 prev *= self.layer_gates[l - 1]
                 delta = prev
         return loss
-
-
-def loss_and_grads(net: Network, dataset: SurvivalDataset, beta_fixed,
-                   rng=None):
-    """Partial-likelihood loss and its gradients for every weight and bias.
-
-    The penalty does not involve the network, so this is the full loss
-    gradient.  One dropout mask per hidden layer is sampled here and shared
-    between the forward and backward passes.  The gradient is one new flat
-    vector laid out like net.params, returned as per-layer (weight, bias)
-    views into it.  A non-finite predictor gives a non-finite loss.
-    """
-    train = _TrainPass(net, dataset, beta_fixed, rng)
-    with np.errstate(all="ignore"):
-        loss = train()
-    return loss, list(zip(train.grads_w, train.grads_b))
 
 
 def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,

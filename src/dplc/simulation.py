@@ -1,7 +1,7 @@
 """Synthetic survival benchmark: data generation, metrics, replicate runner.
 
 Covariates are jointly Gaussian with an equicorrelation structure, true
-survival times are exponential with hazard mu * exp(beta0'x + g0(z)), and
+survival times are exponential with hazard exp(beta0'x + g0(z)), and
 censoring times are uniform on [0, C] with C calibrated so the expected
 censoring fraction hits a target (30% by default).  Each replicate is
 split 80/20 stratified by event status; models are tuned on the training
@@ -38,7 +38,6 @@ class SimConfig:
     rho: float = 0.2
     g0_kind: str = "linear"
     target_censoring: float = 0.30
-    mu: float = 1.0
     replicates: int = 10
     seed: int = 0
 
@@ -58,8 +57,6 @@ class SimConfig:
             raise ValueError("nonlinear g0 needs r >= 8 z columns")
         if not 0.0 < self.target_censoring < 1.0:
             raise ValueError("target_censoring must be in (0, 1)")
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError("mu must be finite and > 0")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
@@ -124,13 +121,11 @@ def g0_eval(z, kind: str, alpha0=None):
     return float(out[0]) if single else out
 
 
-def gen_survival(X, beta0, g0_vals, mu, rng) -> np.ndarray:
-    """Exponential event times by inverse CDF: -log(U) / (mu * exp(eta0))."""
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
+def gen_survival(X, beta0, g0_vals, rng) -> np.ndarray:
+    """Exponential event times by inverse CDF: -log(U) / exp(eta0)."""
     eta0 = X @ np.asarray(beta0, dtype=float) + np.asarray(g0_vals, dtype=float)
     u = 1.0 - rng.random(eta0.size)
-    return -np.log(u) / (mu * np.exp(eta0))
+    return -np.log(u) / np.exp(eta0)
 
 
 def censoring_rate(U, bound: float) -> float:
@@ -289,7 +284,7 @@ def simulate_dataset(cfg: SimConfig, replicate: int = 0) -> SimulatedData:
     beta0 = gen_beta0(cfg, rng)
     alpha0 = rng.uniform(-2.0, 2.0, size=cfg.r) if cfg.g0_kind == "linear" else None
     g0_vals = g0_eval(Z, cfg.g0_kind, alpha0)
-    U = gen_survival(X, beta0, g0_vals, cfg.mu, rng)
+    U = gen_survival(X, beta0, g0_vals, rng)
     bound = calibrate_censoring(U, cfg.target_censoring)
     C = rng.uniform(0.0, bound, size=cfg.n)
     status = (U <= C).astype(float)

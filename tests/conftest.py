@@ -2,7 +2,9 @@
 
 The reference implementations here translate the defining formulas
 literally (explicit set comprehensions, finite differences) and never call
-into the package code paths they are used to check.
+into the package code paths they are used to check.  `train_pass` is not
+an oracle: it runs the package's own training pass for the tests that
+check it.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from dplc import SurvivalDataset
+from dplc.network import _TrainPass
 
 
 def make_dataset(times, status, x=None, z=None):
@@ -23,6 +26,15 @@ def make_dataset(times, status, x=None, z=None):
         z = np.zeros((n, 1))
     return SurvivalDataset(times=times, status=np.asarray(status, float),
                            x=np.asarray(x, float), z=np.asarray(z, float))
+
+
+def train_pass(net, dataset, beta_fixed, rng=None):
+    """One training pass of net, as `adam_fit` runs it: the loss and the
+    per-layer (weight, bias) gradient views into the pass's flat gradient."""
+    train = _TrainPass(net, dataset, beta_fixed, rng)
+    with np.errstate(all="ignore"):
+        loss = train()
+    return loss, list(zip(train.grads_w, train.grads_b))
 
 
 def random_instance(seed, n=None, p=2, r=2, eta_scale=1.0):

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from dplc import (FitConfig, NetworkArch, SimConfig, cd_fit, cox_terms,
-                  forward, init_network, loss_and_grads, run_experiment,
-                  scad_threshold, simulate_dataset)
+                  forward, init_network, run_experiment, scad_threshold,
+                  simulate_dataset)
 from dplc.cli import main as cli_main
 
 from conftest import (decimal_hessian_diag, fd_close, fd_gradient,
-                      naive_neg_log_pl, random_instance)
+                      naive_neg_log_pl, random_instance, train_pass)
 from test_coordinate_descent import newton_1d, sim_cox
 from test_scad import brute_force_threshold
 
@@ -61,7 +61,7 @@ def test_gradient_suite():
         net = init_network(NetworkArch((width,) * depth, 0.0), r,
                            seed=case)
         beta = rng.standard_normal(ds.p) * 0.5
-        _, grads = loss_and_grads(net, ds, beta)
+        _, grads = train_pass(net, ds, beta)
 
         def loss_with(net_mod):
             g = forward(net_mod, ds.z)

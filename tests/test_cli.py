@@ -260,6 +260,21 @@ class TestFit:
         assert capsys.readouterr().err == \
             "numerical failure: divergence in the lambda path\n"
 
+    def test_beta_cap_divergence_exit_3(self, tmp_path, capsys,
+                                        monkeypatch):
+        # cd_fit reads BETA_CAP at call time, so a cap below the fitted
+        # coefficients sends a real fit through the divergence guard
+        sim_dir = tmp_path / "sim"
+        assert run("simulate", "--seed", "1", "--out", str(sim_dir)) == 0
+        monkeypatch.setattr("dplc.coordinate_descent.BETA_CAP", 0.5)
+        capsys.readouterr()
+        fit_dir = tmp_path / "fit"
+        assert run("fit", "--data", str(sim_dir / "dataset.csv"),
+                   "--out", str(fit_dir), "--lambda-grid", "0.05,0.1") == 3
+        assert capsys.readouterr().err == ("numerical failure: divergence; "
+                                           "reduce step or increase lambda\n")
+        assert not fit_dir.exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"fit": {"max_outre": 3}}))
@@ -388,7 +403,7 @@ class TestConfig:
          "fit.arch.hidden_widths[0]"),
         ("simulate", '{"sim": {"n": Infinity}}', "sim.n"),
         ("fit", '{"fit": {"max_outer": Infinity}}', "fit.max_outer"),
-        ("simulate", '{"sim": {"mu": NaN}}', "sim.mu"),
+        ("simulate", '{"sim": {"rho": NaN}}', "sim.rho"),
         ("fit", '{"fit": {"gamma": NaN}}', "fit.gamma"),
         ("fit", '{"fit": {"lambda_grid": [0.1, -Infinity]}}',
          "fit.lambda_grid[1]"),
@@ -453,6 +468,7 @@ class TestConfig:
         ('{"fit": {"scad": {"lam": 1e400}}}', "fit.scad"),
         ('{"fit": {"fit_g": false}}', "fit.fit_g"),
         ('{"sim": {"seed": 3}}', "sim.seed"),
+        ('{"sim": {"mu": 1.0}}', "sim.mu"),
         ('{"fit": {"arch": {"input_dim": 8}}}', "fit.arch.input_dim"),
         ('{"lambda_grid": [0.1, 0.4]}', "lambda_grid"),
         ('{"fit": {"adam": {"gamma": 0.02}}}', "fit.adam"),

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from dplc import (Network, NetworkArch, NumericalDivergence, adam_fit,
-                  center, cox_terms, forward, init_network, loss_and_grads,
-                  network_from_dict, network_to_dict, zero_network)
+                  center, cox_terms, forward, init_network, network_from_dict,
+                  network_to_dict, zero_network)
 from dplc.network import ADAM_EPS, _TrainPass
 
-from conftest import fd_close, make_dataset, naive_neg_log_pl, random_instance
+from conftest import (fd_close, make_dataset, naive_neg_log_pl,
+                      random_instance, train_pass)
 
 
 class ZeroRng:
@@ -116,7 +117,7 @@ class TestGradParams:
     def test_no_events_gives_zero_grads(self):
         ds = make_dataset([1.0, 2.0], [0, 0], z=np.array([[0.3], [0.5]]))
         net = init_network(NetworkArch((3,), 0.0), 1, seed=0)
-        _, grads = loss_and_grads(net, ds, np.zeros(ds.p))
+        _, grads = train_pass(net, ds, np.zeros(ds.p))
         assert all(np.all(gw == 0.0) and np.all(gb == 0.0)
                    for gw, gb in grads)
 
@@ -125,7 +126,7 @@ class TestGradParams:
         ds, _ = random_instance(seed, n=12, p=2, r=2)
         net = init_network(NetworkArch((3,), 0.0), 2, seed=seed)
         beta = np.array([0.4, -0.2])
-        _, grads = loss_and_grads(net, ds, beta)
+        _, grads = train_pass(net, ds, beta)
 
         def loss_with(net_mod):
             g = forward(net_mod, ds.z)
@@ -155,13 +156,12 @@ class TestGradParams:
         ds, _ = random_instance(0, n=6, p=1, r=2)
         net = init_network(NetworkArch((4,), dropout_rate=0.4), 2, seed=0)
         with pytest.raises(ValueError, match="rng"):
-            loss_and_grads(net, ds, np.zeros(ds.p))
+            train_pass(net, ds, np.zeros(ds.p))
 
     def test_fully_dropped_layer_kills_incoming_gradients(self):
         ds, _ = random_instance(1, n=10, p=1, r=2)
         net = init_network(NetworkArch((4,), dropout_rate=0.5), 2, seed=2)
-        _, grads = loss_and_grads(net, ds, np.zeros(ds.p),
-                                  rng=ZeroRng())
+        _, grads = train_pass(net, ds, np.zeros(ds.p), rng=ZeroRng())
         gw1, gb1 = grads[0]
         assert np.all(gw1 == 0.0) and np.all(gb1 == 0.0)
 
@@ -175,7 +175,7 @@ class TestAdamFit:
         ds = self._toy()
         net = init_network(NetworkArch((3,), 0.0), 2, seed=4)
         beta = np.zeros(ds.p)
-        _, grads = loss_and_grads(net, ds, beta)
+        _, grads = train_pass(net, ds, beta)
         before = net.copy()
         gamma = 0.05
         adam_fit(net, ds, beta, gamma, inner_steps=1)
@@ -336,8 +336,8 @@ def ones_product(delta, axis):
     return np.ones(delta.shape[axis]) @ delta
 
 
-def reference_loss_and_grads(net, dataset, beta_fixed, rng,
-                             bias_grad=ones_product):
+def reference_train_pass(net, dataset, beta_fixed, rng,
+                         bias_grad=ones_product):
     """The per-layer training pass: one dropout draw per hidden layer in the
     forward pass, one (weight, bias) gradient pair per layer backward, the
     bias gradient as bias_grad(delta, axis=0)."""
@@ -381,7 +381,7 @@ def reference_adam_fit(net, dataset, beta_fixed, gamma, inner_steps, rng,
         moments.update(m=zeros, v=list(zeros), t=0)
     m, v = moments["m"], moments["v"]
     for _ in range(inner_steps):
-        _, grads = reference_loss_and_grads(net, dataset, beta_fixed, rng)
+        _, grads = reference_train_pass(net, dataset, beta_fixed, rng)
         moments["t"] += 1
         bc1 = 1.0 - r1 ** moments["t"]
         bc2 = 1.0 - r2 ** moments["t"]
@@ -435,8 +435,8 @@ class TestFlatAdamMatchesLayerwise:
         ds, _ = random_instance(2, n=30, p=2, r=2)
         net = init_network(NetworkArch((5, 4), dropout_rate=0.3), 2, seed=1)
         beta = np.array([0.2, -0.1])
-        loss, grads = loss_and_grads(net, ds, beta, np.random.default_rng(3))
-        ref_loss, ref_grads = reference_loss_and_grads(
+        loss, grads = train_pass(net, ds, beta, np.random.default_rng(3))
+        ref_loss, ref_grads = reference_train_pass(
             net, ds, beta, np.random.default_rng(3))
         assert loss == ref_loss
         assert np.array_equal(layerwise(grads), layerwise(ref_grads))
@@ -455,8 +455,8 @@ class TestFlatAdamMatchesLayerwise:
             deltas.insert(0, delta)  # the backward pass runs last to first
             return delta.sum(axis=axis)
 
-        grads = loss_and_grads(net, ds, beta, np.random.default_rng(4))[1]
-        ref_grads = reference_loss_and_grads(
+        grads = train_pass(net, ds, beta, np.random.default_rng(4))[1]
+        ref_grads = reference_train_pass(
             net, ds, beta, np.random.default_rng(4), bias_grad=summed)[1]
         for (_, bias), (_, ref_bias), delta in zip(grads, ref_grads, deltas):
             assert np.all(np.abs(bias - ref_bias)

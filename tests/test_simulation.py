@@ -61,9 +61,6 @@ class TestSimConfig:
             SimConfig(g0_kind="cubic")
         with pytest.raises(ValueError):
             SimConfig(target_censoring=0.0)
-        for mu in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="mu"):
-                SimConfig(mu=mu)
 
     def test_rejects_more_z_columns_than_subjects(self):
         # simulate_dataset could not form a dataset from such a config
@@ -124,14 +121,14 @@ class TestGenSurvival:
     def test_unit_exponential_mean(self):
         rng = np.random.default_rng(3)
         n = 100_000
-        U = gen_survival(np.zeros((n, 1)), [0.0], np.zeros(n), 1.0, rng)
+        U = gen_survival(np.zeros((n, 1)), [0.0], np.zeros(n), rng)
         assert abs(U.mean() - 1.0) < 0.02
 
-    def test_doubling_mu_halves_times(self):
+    def test_adding_log2_to_g0_halves_times(self):
         X = np.zeros((1000, 1))
         g = np.zeros(1000)
-        u1 = gen_survival(X, [0.0], g, 1.0, np.random.default_rng(4))
-        u2 = gen_survival(X, [0.0], g, 2.0, np.random.default_rng(4))
+        u1 = gen_survival(X, [0.0], g, np.random.default_rng(4))
+        u2 = gen_survival(X, [0.0], g + np.log(2.0), np.random.default_rng(4))
         assert np.allclose(u1, 2.0 * u2)
 
     def test_rescaled_times_are_unit_exponential(self):
@@ -140,9 +137,8 @@ class TestGenSurvival:
         x = rng.standard_normal((n, 2))
         beta0 = np.array([0.8, -0.5])
         g0 = 0.3 * rng.standard_normal(n)
-        mu = 1.7
-        U = gen_survival(x, beta0, g0, mu, rng)
-        rescaled = U * mu * np.exp(x @ beta0 + g0)
+        U = gen_survival(x, beta0, g0, rng)
+        rescaled = U * np.exp(x @ beta0 + g0)
         assert stats.kstest(rescaled, "expon").pvalue > 0.01
 
 

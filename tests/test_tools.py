@@ -64,6 +64,23 @@ def test_each_side_runs_its_own_tree_in_alternating_order(tmp_path):
                               {"side": "b", "markers": ["b", "b"]}]
 
 
+def test_unwritable_out_exits_2_before_any_round(tmp_path):
+    package = tmp_path / "a" / "dplc"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("MARKER = 'a'\n")
+    log = tmp_path / "order.log"
+    tool = tmp_path / "toy.py"
+    tool.write_text(TOY_TOOL.format(tools=str(TOOLS), log=str(log)))
+    out = tmp_path / "missing" / "x.json"
+    done = subprocess.run(
+        [sys.executable, str(tool), "--side", "a=%s" % (tmp_path / "a"),
+         "--out", str(out)], capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "--out %s" % out in done.stderr
+    assert "round" not in done.stderr
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("tool", ["bench_layers", "bench_paths",
                                   "bench_acceptance"])
 def test_help_exits_0(tool):

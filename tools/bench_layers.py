@@ -8,7 +8,8 @@ each N of SIZES (300, 3 000 and 30 000), with the default p = 50 and
 r = 8:
 
   cox_terms       one Cox kernel pass at the true linear predictor
-  loss_and_grads  one training pass of the default (8, 8) network, dropout 0.3
+  train_pass      one training pass of the default (8, 8) network, dropout 0.3,
+                  set up and run as one adam_fit step would be
   adam_step       adam_fit with the default 20 inner steps and step size
                   0.01, per step
   cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started
@@ -38,7 +39,7 @@ import numpy as np
 
 import sides
 
-OPS = ("cox_terms", "loss_and_grads", "adam_step", "cd_sweep", "cd_call",
+OPS = ("cox_terms", "train_pass", "adam_step", "cd_sweep", "cd_call",
        "newton_step", "c_index")
 SIZES = (300, 3000, 30000)
 ROUNDS = 8
@@ -88,8 +89,8 @@ def operations(n: int) -> tuple:
     the number of steps one call makes, and the info dict that every
     cd_call call fills."""
     from dplc import (NetworkArch, SimConfig, adam_fit, c_index, cd_fit,
-                      cox_terms, init_network, loss_and_grads,
-                      simulate_dataset)
+                      cox_terms, init_network, simulate_dataset)
+    from dplc.network import _TrainPass
 
     data = simulate_dataset(SimConfig(n=n, seed=1), 0)
     ds = data.dataset
@@ -104,7 +105,7 @@ def operations(n: int) -> tuple:
     cd_info = {}
     return {
         "cox_terms": (lambda: cox_terms(eta, ds), 1),
-        "loss_and_grads": (lambda: loss_and_grads(net, ds, data.beta0, rng), 1),
+        "train_pass": (lambda: _TrainPass(net, ds, data.beta0, rng)(), 1),
         "adam_step": (lambda: adam_fit(net, ds, data.beta0, gamma,
                                        inner_steps=steps, rng=rng,
                                        moments=moments), steps),

@@ -13,7 +13,8 @@ first, so a slow spell of a shared machine falls on all of them alike.
 The tool's rows() builds and prints the table from {side name: [one
 measure() result per round]}.  --out, whose default each tool sets, gets
 the record of the machine, the tool's settings with the side names last,
-and the rows.
+and the rows; a --out that cannot be written (its directory is missing,
+or it is a directory) exits 2 before the first round.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def main(doc, file, measure, rows, *, out, rounds, settings) -> int:
         parser.error("give at least one --side NAME=SRC")
     if len({name for name, _ in sides}) != len(sides):
         parser.error("each --side needs its own NAME")
+    parent = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(parent):
+        parser.error("--out %s: %s is not a directory" % (args.out, parent))
+    if os.path.isdir(args.out):
+        parser.error("--out %s is a directory" % args.out)
 
     runs = {name: [] for name, _ in sides}
     for r in range(rounds):

@@ -38,8 +38,8 @@ from .errors import NumericalDivergence
 from .estimator import (FitConfig, model_from_dict, model_to_dict,
                         predict_eta, tune_architecture, tune_lambda)
 from .network import _is_finite_number, _is_int
-from .simulation import (ReplicateCsvWriter, SimConfig, c_index, fmt_value,
-                         run_experiment, simulate_dataset)
+from .simulation import (REPLICATE_FIELDS, SELECTION_FIELDS, SimConfig,
+                         c_index, fmt_value, run_experiment, simulate_dataset)
 from .survival import SurvivalDataset
 
 
@@ -264,44 +264,30 @@ def _read_cells(path, names, reader):
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(names):
-            # a bad cell on an earlier line is reported first
-            raise CliInputError(
-                _first_bad_cell(path, names, rows)
-                or "%s line %d: expected %d cells, got %d"
-                % (path, lineno, len(names), len(row)))
-        rows.append(row)
+            raise CliInputError("%s line %d: expected %d cells, got %d"
+                                % (path, lineno, len(names), len(row)))
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            values = None
+        # a sum that is not finite flags a bad cell, or an overflow of
+        # finite cells, which the scan for the first bad cell lets pass
+        if values is None or not math.isfinite(sum(values)):
+            for name, cell in zip(names, row):
+                cell = cell.strip()
+                where = "%s line %d, column '%s'" % (path, lineno, name)
+                if cell == "":
+                    raise CliInputError(where + ": missing value")
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CliInputError(where + ": not a number: %r" % cell)
+                if not math.isfinite(value):
+                    raise CliInputError(where + ": non-finite value")
+        rows.append(values)
     if not rows:
         raise CliInputError("%s: no data rows" % path)
-
-    # numpy parses each cell with Python's float(), whitespace included
-    try:
-        data = np.array(rows, dtype=float)
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        raise CliInputError(_first_bad_cell(path, names, rows)
-                            or "%s: cells are not all finite numbers" % path)
-    return data
-
-
-def _first_bad_cell(path, names, rows):
-    """The error text for the first cell, in file order, that is not a
-    finite number, or None when every cell is one."""
-    for lineno, row in enumerate(rows, start=2):
-        for k, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                return ("%s line %d, column '%s': missing value"
-                        % (path, lineno, names[k]))
-            try:
-                value = float(cell)
-            except ValueError:
-                return ("%s line %d, column '%s': not a number: %r"
-                        % (path, lineno, names[k], cell))
-            if not math.isfinite(value):
-                return ("%s line %d, column '%s': non-finite value"
-                        % (path, lineno, names[k]))
-    return None
+    return np.array(rows)
 
 
 def _parse_arch_grid(text: str) -> dict:
@@ -519,10 +505,18 @@ def cmd_benchmark(args) -> int:
     methods = {"dplc": fit_cfg, "cox_scad": replace(fit_cfg, fit_g=False)}
 
     os.makedirs(args.out, exist_ok=True)
-    with ReplicateCsvWriter(os.path.join(args.out, "replicates.csv")) as sink:
-        rows, summary = run_experiment(sim_cfg, methods,
-                                       n_workers=args.threads,
-                                       row_callback=sink.write_row)
+    with open(os.path.join(args.out, "replicates.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+
+        def write(cells):  # flushed, so an interrupted run keeps its rows
+            writer.writerow(cells)
+            fh.flush()
+
+        write(REPLICATE_FIELDS)
+        rows, summary = run_experiment(
+            sim_cfg, methods, n_workers=args.threads,
+            row_callback=lambda row: write([fmt_value(getattr(row, f))
+                                            for f in REPLICATE_FIELDS]))
 
     _json_dump({"sim": asdict(sim_cfg), "methods": list(methods),
                 "summary": summary},
@@ -536,19 +530,18 @@ def cmd_benchmark(args) -> int:
                 writer.writerow([row.replicate, row.method,
                                  fmt_value(row.c_index_test)])
 
-    sel_fields = ["selected_count", "fpn", "fpr_pct", "fnn", "fnr_pct"]
-    header = ["method", "selected_features", "selected_features_se",
-              "fpn", "fpn_se", "fpr_pct", "fpr_pct_se",
-              "fnn", "fnn_se", "fnr_pct", "fnr_pct_se"]
+    header = ["method"]
+    for name in SELECTION_FIELDS:
+        label = "selected_features" if name == "selected_count" else name
+        header += [label, label + "_se"]
     with open(os.path.join(args.out, "selection_summary.csv"), "w",
               newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for method in methods:
-            entry = summary[method]
             cells = [method]
-            for name in sel_fields:
-                stats = entry.get(name)
+            for name in SELECTION_FIELDS:
+                stats = summary[method].get(name)
                 cells += ["" if stats is None else fmt_value(stats["mean"]),
                           "" if stats is None else fmt_value(stats["se"])]
             writer.writerow(cells)

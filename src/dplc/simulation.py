@@ -12,7 +12,6 @@ known truth.
 from __future__ import annotations
 
 import contextlib
-import csv
 import logging
 import math
 import zlib
@@ -261,6 +260,9 @@ def selection_metrics(selected, truth, p: int) -> SelectionRow:
     )
 
 
+SELECTION_FIELDS = tuple(f.name for f in fields(SelectionRow))
+
+
 @dataclass
 class SimulatedData:
     """One generated replicate with its ground truth."""
@@ -354,14 +356,13 @@ def _run_replicate(args):
             row.lambda_selected = best.lam
             eta_test = predict_eta(best, test_ds.x, test_ds.z)
             row.c_index_test = c_index(eta_test, test_ds.times, test_ds.status)
-            row.selected_count = best.n_selected
             if data.support0.size > 0:
                 sel = selection_metrics(best.support, data.support0,
                                         sim_cfg.p)
-                row.fpn, row.fpr_pct = sel.fpn, sel.fpr_pct
-                row.fnn, row.fnr_pct = sel.fnn, sel.fnr_pct
-            else:
-                row.fpn = best.n_selected
+                for name in SELECTION_FIELDS:
+                    setattr(row, name, getattr(sel, name))
+            else:  # every selected feature is a false positive
+                row.selected_count = row.fpn = best.n_selected
                 row.fpr_pct = 100.0 * best.n_selected / sim_cfg.p
             row.fits_not_converged = sum(
                 not m.diagnostics["converged"] for m in path)
@@ -383,7 +384,7 @@ def _aggregate(rows, methods):
             q1, med, q3 = np.percentile(cvals, [25, 50, 75])
             entry["c_index"] = {"median": float(med), "q1": float(q1),
                                 "q3": float(q3), "iqr": float(q3 - q1)}
-            for name in ("selected_count", "fpn", "fpr_pct", "fnn", "fnr_pct"):
+            for name in SELECTION_FIELDS:
                 vals = np.array([getattr(r, name) for r in ok
                                  if getattr(r, name) is not None], dtype=float)
                 if vals.size:
@@ -436,27 +437,3 @@ def fmt_value(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # builtin repr even for numpy scalars
     return str(value)
-
-
-class ReplicateCsvWriter:
-    """Append-only per-replicate CSV, flushed after every row."""
-
-    def __init__(self, path):
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(REPLICATE_FIELDS)
-        self._fh.flush()
-
-    def write_row(self, row: ReplicateRow):
-        self._writer.writerow([fmt_value(getattr(row, f))
-                               for f in REPLICATE_FIELDS])
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -1022,6 +1022,31 @@ class TestBenchmark:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["method"] == "dplc"
 
+    def test_rows_on_disk_when_each_is_delivered(self, tmp_path,
+                                                 small_config, monkeypatch):
+        import dplc.cli as cli_mod
+        from dplc.simulation import REPLICATE_FIELDS, fmt_value
+
+        real_run = cli_mod.run_experiment
+        out = tmp_path / "b"
+        delivered, on_disk = [], []
+
+        def spying_run(sim_cfg, methods, n_workers=1, row_callback=None):
+            def spy(row):
+                row_callback(row)
+                delivered.append([fmt_value(getattr(row, f))
+                                  for f in REPLICATE_FIELDS])
+                with open(out / "replicates.csv", newline="") as fh:
+                    on_disk.append(list(csv.reader(fh)))
+            return real_run(sim_cfg, methods, n_workers, spy)
+
+        monkeypatch.setattr(cli_mod, "run_experiment", spying_run)
+        assert run("benchmark", "--config", small_config,
+                   "--out", str(out)) == 0
+        assert len(on_disk) == 4  # 2 replicates x 2 methods
+        for k, rows in enumerate(on_disk):
+            assert rows == [REPLICATE_FIELDS] + delivered[:k + 1]
+
     def test_negative_lambda_in_config_exit_2(self, tmp_path, small_config,
                                               capsys):
         cfg = json.loads(open(small_config).read())

@@ -197,6 +197,21 @@ def test_loader_matches_cell_by_cell_reference(tmp_path, monkeypatch):
     assert outcomes.count("ok") > 100 and outcomes.count("error") > 100
 
 
+@pytest.mark.parametrize("tail, outcome", [("", "ok"),
+                                           ("3,1,1,2,x\n", "error")])
+def test_fallback_takes_finite_cells_whose_sum_overflows(tmp_path, tail,
+                                                         outcome):
+    # the quoted cell sends the file to the cell-by-cell reader, which
+    # must not take a row's overflowing sum for a bad cell
+    path = str(tmp_path / "big_cells.csv")
+    with open(path, "w") as fh:
+        fh.write('time,status,x_1,x_2,z_1\n"1e308",1,1e308,1e308,-1.5\n'
+                 "2,0,-1e308,-1e308,1e308\n" + tail)
+    want = load_outcome(reference_load_dataset_csv, path, True)
+    assert want[0] == outcome
+    assert load_outcome(load_dataset_csv, path, True) == want
+
+
 def test_unseekable_file_is_read_cell_by_cell(tmp_path):
     # a pipe cannot be read twice, so it goes straight to csv.reader
     path = str(tmp_path / "pipe.csv")

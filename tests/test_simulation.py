@@ -1,6 +1,5 @@
 """Data generator distributions, metrics, and the replicate runner."""
 
-import csv
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -13,7 +12,7 @@ from dplc import (FitConfig, NetworkArch, SimConfig,
                   c_index, calibrate_censoring, g0_eval, gen_beta0,
                   gen_covariates, gen_survival, run_experiment,
                   selection_metrics, simulate_dataset, tune_lambda)
-from dplc.simulation import ReplicateCsvWriter, censoring_rate
+from dplc.simulation import censoring_rate
 
 
 def naive_c_index(risk, times, status):
@@ -483,24 +482,3 @@ class TestRunExperiment:
         assert row.fnn is None and row.fnr_pct is None
         assert row.fpn is not None
 
-
-class TestReplicateCsvWriter:
-    def test_rows_flushed_incrementally(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        sim = SimConfig(n=100, p=5, r=8, s_beta=2, seed=9)
-        methods = {"dplc": small_fit_cfg((0.3,))}
-        seen = []
-
-        with ReplicateCsvWriter(path) as sink:
-            def spy(row):
-                sink.write_row(row)
-                with open(path) as fh:
-                    seen.append(len(list(csv.reader(fh))))
-            run_experiment(replace(sim, replicates=2), methods,
-                           row_callback=spy)
-        assert seen == [2, 3]  # header plus one row after each replicate
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        assert rows[0]["method"] == "dplc"
-        assert float(rows[0]["c_index_test"]) > 0

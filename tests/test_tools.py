@@ -1,6 +1,7 @@
 """The side-by-side runner of the bench tools, tools/sides.py."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,7 @@ def test_each_side_runs_its_own_tree_in_alternating_order(tmp_path):
     done = subprocess.run(
         [sys.executable, str(tool), "--side", "a=%s" % (tmp_path / "a"),
          "--side", "b=%s" % (tmp_path / "b"), "--out", str(out)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         capture_output=True, check=True, text=True)
     assert log.read_text().split() == ["a", "b", "b", "a"]
     assert done.stderr.splitlines() == ["round 1: a done", "round 1: b done",
@@ -58,6 +60,11 @@ def test_each_side_runs_its_own_tree_in_alternating_order(tmp_path):
     assert done.stdout.splitlines() == ["a ['a', 'a']", "b ['b', 'b']"]
     result = json.loads(out.read_text())
     assert list(result) == ["machine", "settings", "rows"]
+    assert list(result["machine"]) == ["nproc", "cpu", "python", "numpy",
+                                       "blas", "blas_threads"]
+    machine = result["machine"]
+    assert machine["blas_threads"] == (1 if "openblas" in machine["blas"]
+                                       else None)
     assert result["settings"] == {"rounds": 2, "sides": ["a", "b"]}
     assert list(result["settings"])[-1] == "sides"
     assert result["rows"] == [{"side": "a", "markers": ["a", "a"]},

@@ -12,8 +12,10 @@
 # the simulated data and on a copy with odd but valid cells (quoted,
 # padded, digit-grouped; CRLF endings, so the loader's cell-by-cell
 # fallback reads it), simulate with {"sim": {"n": 2500}} and predict on
-# that (the CSV writers then cross row-block boundaries), and benchmark
-# with {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2.  Four runs
+# that (the CSV writers then cross row-block boundaries), benchmark with
+# {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2, and benchmark
+# --threads 2 with {"seed": 0, "sim": {"replicates": 2}}, so the process
+# pool's rows are compared too.  Four runs
 # exit 2: simulate with a config holding an unknown nested key, one with a
 # wrongly typed value and one whose root is not an object, and a fit whose
 # --lambda-grid holds a token that is not a number.
@@ -70,6 +72,9 @@ run_side() {  # run_side SRC OUT
         echo "{\"seed\": $s, \"sim\": {\"replicates\": 1}}" > "bench_$s.json"
         run "bench_$s" benchmark --config "bench_$s.json" --out "bench_$s"
     done
+    echo '{"seed": 0, "sim": {"replicates": 2}}' > bench_threads.json
+    run bench_threads benchmark --config bench_threads.json \
+        --out bench_threads --threads 2
 }
 
 (run_side "$tmp/rev/src" "$tmp/out_rev") &

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import platform
@@ -44,7 +45,25 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": "%s %s" % (blas.get("name"), blas.get("version")),
+        "blas_threads": blas_threads(),
     }
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None."""
+    with contextlib.suppress(OSError):
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads"):
+                fn = getattr(lib, name, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                    return fn()
+    return None
 
 
 def main(doc, file, measure, rows, *, out, rounds, settings) -> int:

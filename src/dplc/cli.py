@@ -218,8 +218,6 @@ def load_dataset_csv(path, require_outcome: bool = True):
         status = data[:, col_of["status"]]
         if not np.all(np.isin(status, (0.0, 1.0))):
             raise CliInputError("%s: column 'status' must be 0 or 1" % path)
-    if require_outcome and (times is None or status is None):
-        raise CliInputError("%s: time and status are required" % path)
     x = data[:, [col_of[n] for n in x_names]]
     z = data[:, [col_of[n] for n in z_names]]
     return times, status, x, z, x_names, z_names

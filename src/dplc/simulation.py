@@ -232,31 +232,31 @@ def c_index(risk, times, status) -> float:
 
 @dataclass(frozen=True)
 class SelectionRow:
-    """Support-recovery counts for one fitted model; rates are percentages."""
+    """Support-recovery counts for one fitted model; rates are percentages.
+    fnn and fnr_pct are None when the true support is empty."""
 
     selected_count: int
     fpn: int
     fpr_pct: float
-    fnn: int
-    fnr_pct: float
+    fnn: Optional[int]
+    fnr_pct: Optional[float]
 
 
 def selection_metrics(selected, truth, p: int) -> SelectionRow:
-    """FPN/FPR/FNN/FNR of a selected set against the true support."""
+    """FPN/FPR/FNN/FNR of a selected set against the true support; FPR
+    is taken over the p - len(truth) features outside it."""
     selected = set(int(j) for j in selected)
     truth = set(int(j) for j in truth)
     if any(j < 0 or j >= p for j in selected | truth):
         raise ValueError("indices must lie in [0, p)")
-    if not truth:
-        raise ValueError("empty truth: FNR undefined")
     fpn = len(selected - truth)
-    fnn = len(truth - selected)
+    fnn = len(truth - selected) if truth else None
     return SelectionRow(
         selected_count=len(selected),
         fpn=fpn,
         fpr_pct=100.0 * fpn / (p - len(truth)) if p > len(truth) else 0.0,
         fnn=fnn,
-        fnr_pct=100.0 * fnn / len(truth),
+        fnr_pct=100.0 * fnn / len(truth) if truth else None,
     )
 
 
@@ -356,14 +356,9 @@ def _run_replicate(args):
             row.lambda_selected = best.lam
             eta_test = predict_eta(best, test_ds.x, test_ds.z)
             row.c_index_test = c_index(eta_test, test_ds.times, test_ds.status)
-            if data.support0.size > 0:
-                sel = selection_metrics(best.support, data.support0,
-                                        sim_cfg.p)
-                for name in SELECTION_FIELDS:
-                    setattr(row, name, getattr(sel, name))
-            else:  # every selected feature is a false positive
-                row.selected_count = row.fpn = best.n_selected
-                row.fpr_pct = 100.0 * best.n_selected / sim_cfg.p
+            sel = selection_metrics(best.support, data.support0, sim_cfg.p)
+            for name in SELECTION_FIELDS:
+                setattr(row, name, getattr(sel, name))
             row.fits_not_converged = sum(
                 not m.diagnostics["converged"] for m in path)
         except Exception as exc:

@@ -509,6 +509,15 @@ class TestConfig:
         defaults = json.loads(json.dumps(CONFIG_DEFAULTS))
         assert json.loads(block) == defaults
 
+    def test_readme_arch_grid_comment_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        comment = re.search(r"a grid left out\n# is (.*)\n", readme).group(1)
+        stated = {name: [float(v) for v in values.split(",")]
+                  for name, values in re.findall(r"(\w+)=([\d.,]*\d)",
+                                                 comment)}
+        assert stated == {name: default for name, (_, _, default)
+                          in dplc.cli.ARCH_GRIDS.items()}
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command",

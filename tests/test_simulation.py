@@ -346,9 +346,11 @@ class TestSelectionMetrics:
         assert row.fnn == 2
         assert row.fnr_pct == pytest.approx(20.0)
 
-    def test_rejects_empty_truth(self):
-        with pytest.raises(ValueError, match="empty truth"):
-            selection_metrics({1}, set(), p=10)
+    def test_empty_truth_counts_only_false_positives(self):
+        row = selection_metrics({1}, set(), p=10)
+        assert row.fpn == 1
+        assert row.fpr_pct == 10.0
+        assert row.fnn is None and row.fnr_pct is None
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

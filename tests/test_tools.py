@@ -60,8 +60,8 @@ def test_each_side_runs_its_own_tree_in_alternating_order(tmp_path):
     assert done.stdout.splitlines() == ["a ['a', 'a']", "b ['b', 'b']"]
     result = json.loads(out.read_text())
     assert list(result) == ["machine", "settings", "rows"]
-    assert list(result["machine"]) == ["nproc", "cpu", "python", "numpy",
-                                       "blas", "blas_threads"]
+    assert list(result["machine"]) == ["nproc", "cpu", "ram_gb", "python",
+                                       "numpy", "blas", "blas_threads"]
     machine = result["machine"]
     assert machine["blas_threads"] == (1 if "openblas" in machine["blas"]
                                        else None)

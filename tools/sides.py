@@ -12,58 +12,22 @@ imports dplc from the side's directory, and the sides take turns going
 first, so a slow spell of a shared machine falls on all of them alike.
 The tool's rows() builds and prints the table from {side name: [one
 measure() result per round]}.  --out, whose default each tool sets, gets
-the record of the machine, the tool's settings with the side names last,
-and the rows; a --out that cannot be written (its directory is missing,
+the record of the machine (perfbench/run.py's machine(), the one that
+perfbench runs print), the tool's settings with the side names last, and
+the rows; a --out that cannot be written (its directory is missing,
 or it is a directory) exits 2 before the first round.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import json
 import os
-import platform
 import subprocess
 import sys
 
-import numpy as np
-
-
-def machine() -> dict:
-    """The hardware and software the numbers were measured on."""
-    cpu = "unknown"
-    with contextlib.suppress(OSError):
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu": cpu,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": "%s %s" % (blas.get("name"), blas.get("version")),
-        "blas_threads": blas_threads(),
-    }
-
-
-def blas_threads():
-    """Thread count of the OpenBLAS that numpy loaded, or None."""
-    with contextlib.suppress(OSError):
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-        for path in sorted(paths):
-            lib = ctypes.CDLL(path)
-            for name in ("scipy_openblas_get_num_threads64_",
-                         "openblas_get_num_threads64_",
-                         "openblas_get_num_threads"):
-                fn = getattr(lib, name, None)
-                if fn is not None:
-                    fn.argtypes, fn.restype = [], ctypes.c_int
-                    return fn()
-    return None
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 def main(doc, file, measure, rows, *, out, rounds, settings) -> int:
@@ -102,6 +66,9 @@ def main(doc, file, measure, rows, *, out, rounds, settings) -> int:
             runs[name].append(json.loads(child.stdout))
             print("round %d: %s done" % (r + 1, name), file=sys.stderr)
     table = rows(runs)
+    sys.path.insert(0, PERFBENCH)
+    from run import machine
+
     with open(args.out, "w") as fh:
         json.dump({"machine": machine(),
                    "settings": {**settings, "sides": list(runs)},

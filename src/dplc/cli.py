@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
@@ -158,6 +159,11 @@ def run_records(path=None, seed=None, lambda_grid=None):
     return tuple(records)
 
 
+# Rows per block that the CSV writers write and the loader's fallback
+# converts: enough to amortise a call, few enough to keep a block small.
+WRITE_BLOCK_ROWS = 1024
+
+
 def load_dataset_csv(path, require_outcome: bool = True):
     """Parse a dataset CSV into arrays plus the covariate column names.
 
@@ -165,8 +171,9 @@ def load_dataset_csv(path, require_outcome: bool = True):
     when absent and not required.  The file is read as UTF-8, a leading
     byte-order mark dropped.  The data rows go through numpy's C parser
     (`_read_floats`); a file that parser cannot take whole is read again
-    cell by cell (`_read_cells`), which accepts every cell Python's
-    float() does and names the first bad one.  Both give the same array.
+    a block of rows at a time (`_read_cells`), which accepts every cell
+    Python's float() does and names the first bad one.  Both give the
+    same array.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -256,36 +263,47 @@ def _read_floats(fh, width):
 
 
 def _read_cells(path, names, reader):
-    """The data rows of `reader` as a float array, read cell by cell with
-    float(); a CliInputError names the first row or cell that is not one
-    of `len(names)` finite numbers."""
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
+    """The data rows of `reader` as a float array, converted a block of
+    WRITE_BLOCK_ROWS rows at a time by one numpy call, which takes a cell
+    as float() does.  A block that fails it, is not `len(names)` cells
+    wide or holds a non-finite value is read again by `_scan_cells`, which
+    names the first bad row or cell in file order."""
+    blocks, lineno = [], 2  # the file line of the block's first row
+    while rows := list(itertools.islice(reader, WRITE_BLOCK_ROWS)):
+        try:
+            block = np.array(rows, dtype=float)
+        except ValueError:
+            block = None
+        if block is None or block.shape != (len(rows), len(names)) \
+                or not np.isfinite(block).all():
+            block = _scan_cells(path, names, rows, lineno)
+        blocks.append(block)
+        lineno += len(rows)
+    if not blocks:
+        raise CliInputError("%s: no data rows" % path)
+    return np.concatenate(blocks)
+
+
+def _scan_cells(path, names, rows, lineno):
+    """rows, the first of them at file line lineno, as a float array read
+    cell by cell with float(); a CliInputError names the first row or cell
+    that is not one of `len(names)` finite numbers."""
+    for lineno, row in enumerate(rows, start=lineno):
         if len(row) != len(names):
             raise CliInputError("%s line %d: expected %d cells, got %d"
                                 % (path, lineno, len(names), len(row)))
-        try:
-            values = list(map(float, row))
-        except ValueError:
-            values = None
-        # a sum that is not finite flags a bad cell, or an overflow of
-        # finite cells, which the scan for the first bad cell lets pass
-        if values is None or not math.isfinite(sum(values)):
-            for name, cell in zip(names, row):
-                cell = cell.strip()
-                where = "%s line %d, column '%s'" % (path, lineno, name)
-                if cell == "":
-                    raise CliInputError(where + ": missing value")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CliInputError(where + ": not a number: %r" % cell)
-                if not math.isfinite(value):
-                    raise CliInputError(where + ": non-finite value")
-        rows.append(values)
-    if not rows:
-        raise CliInputError("%s: no data rows" % path)
-    return np.array(rows)
+        for name, cell in zip(names, row):
+            cell = cell.strip()
+            where = "%s line %d, column '%s'" % (path, lineno, name)
+            if cell == "":
+                raise CliInputError(where + ": missing value")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CliInputError(where + ": not a number: %r" % cell)
+            if not math.isfinite(value):
+                raise CliInputError(where + ": non-finite value")
+    return np.array([list(map(float, row)) for row in rows])
 
 
 def _parse_arch_grid(text: str) -> dict:
@@ -353,11 +371,6 @@ def write_selection_table(path, beta, support, x_names):
             except OverflowError:
                 ratio = math.inf
             fh.write("%s\t%.6g\t%.4f\n" % (x_names[j], beta[j], ratio))
-
-
-# Rows per string handed to write(): enough to amortise the call, few
-# enough that the text of a block stays small next to the arrays.
-WRITE_BLOCK_ROWS = 1024
 
 
 def _write_rows(fh, line, columns, rows):

@@ -1,8 +1,8 @@
 """SCAD-penalized coordinate descent on the linear coefficients, g held fixed.
 
-Each sweep makes one kernel pass at the current linear predictor and
-builds the diagonal quadratic surrogate of the partial likelihood from it:
-the covariances c = -X' grad of its gradient and its Hessian diagonal W.
+Each sweep builds the diagonal quadratic surrogate of the partial
+likelihood from the kernel pass at the current linear predictor: the
+covariances c = -X' grad of its gradient and its Hessian diagonal W.
 Coordinates are then moved one at a time to the exact minimiser of the
 penalized surrogate along them, the SCAD threshold at the float lam, so
 no move raises it.  The sweep works on covariances (Friedman, Hastie &
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalDivergence
 from .scad import SCAD_A, scad_threshold, scad_value
-from .survival import SurvivalDataset, _checked_terms, _loss_terms
+from .survival import SurvivalDataset, _loss_terms
 
 V_FLOOR = 1e-10
 BETA_CAP = 1e6
@@ -85,11 +85,11 @@ def _newton_step(dataset, X, g_vals, beta, terms, active, lam):
     on the face, so the step is d = -(H_S + diag(curv))^-1 (X_S' grad +
     p'(|beta_S|) sign beta_S), with H_S the Hessian of q in beta_S and
     curv -1/(a - 1) in the middle zone and 0 elsewhere.  terms is the
-    kernel pass at beta, (q, grad, w, hessian), and H_S its Hessian block.
-    Returns the trial (beta, terms) when H_S + diag(curv) is positive
-    definite, d is finite, no sign of beta_S changes and the penalized
-    objective q + sum p(|beta|) falls; otherwise the given (beta, terms).
-    Run with floating-point warnings ignored.
+    `_loss_terms` pass at beta, and H_S its Hessian block.  Returns the
+    trial (beta, terms), the trial's curvature unevaluated, when H_S +
+    diag(curv) is positive definite, d is finite, no sign of beta_S
+    changes and the penalized objective q + sum p(|beta|) falls; otherwise
+    the given (beta, terms).  Run with floating-point warnings ignored.
     """
     loss, grad, _, hessian = terms
     b = beta[active]
@@ -111,11 +111,10 @@ def _newton_step(dataset, X, g_vals, beta, terms, active, lam):
         return beta, terms
     trial = beta.copy()
     trial[active] = trial_b
-    trial_loss, trial_grad, curvature, trial_hessian = _loss_terms(
-        X @ trial + g_vals, dataset)
-    if not trial_loss + _penalty(trial_b, lam) < loss + _penalty(b, lam):
+    trial_terms = _loss_terms(X @ trial + g_vals, dataset)
+    if not trial_terms[0] + _penalty(trial_b, lam) < loss + _penalty(b, lam):
         return beta, terms
-    return trial, (trial_loss, trial_grad, curvature(), trial_hessian)
+    return trial, trial_terms
 
 
 def _penalty(b, lam):
@@ -135,8 +134,10 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
     left the support unchanged, one Newton step on the support is tried
     and kept only if it lowers the penalized objective (see _newton_step);
     none runs before the first sweep or after the last, so the returned
-    coefficients always come from a sweep.  Raises NumericalDivergence if
-    the coefficients blow up.
+    coefficients always come from a sweep.  Raises ValueError if the
+    starting predictor is not finite (later ones are: sweeps cap beta and
+    a kept Newton step has a finite loss), and NumericalDivergence if the
+    coefficients blow up.
     If given, info["sweeps"] receives the number of sweeps run and
     info["converged"] whether the sweep change reached tol before
     max_sweeps ran out.
@@ -157,12 +158,18 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
 
     X, scale = dataset.standardized
     beta = beta_init * scale
-    terms = _checked_terms(X @ beta + g_vals, dataset)
+    eta = X @ beta + g_vals
+    if not np.isfinite(eta).all():
+        raise ValueError("non-finite predictor")
+    with np.errstate(all="ignore"):
+        terms = _loss_terms(eta, dataset)
     sweeps_run = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
         sweeps_run = sweep
-        _, grad, W, _ = terms
+        _, grad, curvature, _ = terms
+        with np.errstate(all="ignore"):
+            W = curvature()
         beta_prev = beta.copy()
         _sweep(X, W, -(grad @ X), beta, lam)
         if np.abs(beta).max(initial=0.0) > BETA_CAP:
@@ -173,10 +180,11 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
             break
         if sweep == max_sweeps:
             break
-        terms = _checked_terms(X @ beta + g_vals, dataset)
         active = np.flatnonzero(beta)
-        if active.size and np.array_equal(active, np.flatnonzero(beta_prev)):
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            terms = _loss_terms(X @ beta + g_vals, dataset)
+            if active.size and np.array_equal(active,
+                                              np.flatnonzero(beta_prev)):
                 beta, terms = _newton_step(dataset, X, g_vals, beta, terms,
                                            active, lam)
 

@@ -303,14 +303,7 @@ def model_to_dict(model: FittedModel, cfg: FitConfig, x_names, z_names) -> dict:
         "network": network_to_dict(model.net),
         "columns": {"x": list(x_names), "z": list(z_names)},
         "config": asdict(cfg),
-        "diagnostics": {
-            "loss_path": [float(v) for v in model.diagnostics.get("loss_path", [])],
-            "outer_iters": model.diagnostics.get("outer_iters"),
-            "cd_sweeps": model.diagnostics.get("cd_sweeps"),
-            "converged": model.diagnostics.get("converged"),
-            "bic": model.diagnostics.get("bic"),
-            "lambda_selected": model.lam,
-        },
+        "diagnostics": {**model.diagnostics, "lambda_selected": model.lam},
     }
 
 

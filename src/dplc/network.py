@@ -15,7 +15,7 @@ denominator guard are the constants ADAM_R1, ADAM_R2 and ADAM_EPS.
 which is set up once per call and then writes each forward pass, each
 dropout draw, the loss and gradient of the Cox kernel (not its
 curvature) and the backward pass into buffers it already holds; the Adam
-update is in place too, so a step allocates no arrays.  The fitted
+update is Kingma & Ba's expressions over the flat vectors.  The fitted
 network is recentered so its average over the training z is zero.
 """
 
@@ -271,18 +271,18 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
     """Run inner_steps Adam updates at step size gamma, beta held fixed.
 
     Each step updates the whole of net.params at once, with the decay
-    rates ADAM_R1 and ADAM_R2 and the denominator guard ADAM_EPS, and
-    allocates no arrays: the training pass and the update write into
-    buffers made once per call.  moments carries the Adam state between
-    calls: a dict with the first and second moments "m" and "v", flat
-    vectors laid out like net.params, and the step count "t", all updated
-    in place.  An empty dict is filled with zero moments at t = 0; with
-    moments=None the moments start at zero and are dropped on return.  So
-    two calls that share one moments dict (and one rng) take the same
-    steps as one call running both step counts.  Raises
-    NumericalDivergence when the loss (so also the predictor) or a step is
-    not finite.  The network is then recentered on the training z, and
-    its centered outputs there are returned (see center).
+    rates ADAM_R1 and ADAM_R2 and the denominator guard ADAM_EPS; the
+    training pass writes into buffers made once per call.  moments
+    carries the Adam state between calls: a dict with the first and
+    second moments "m" and "v", flat vectors laid out like net.params, and
+    the step count "t", all updated in place.  An empty dict is filled
+    with zero moments at t = 0; with moments=None the moments start at
+    zero and are dropped on return.  So two calls that share one moments
+    dict (and one rng) take the same steps as one call running both step
+    counts.  Raises NumericalDivergence when the loss (so also the
+    predictor) or a step is not finite.  The network is then recentered on
+    the training z, and its centered outputs there are returned (see
+    center).
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
@@ -296,7 +296,6 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
         moments["v"] = np.zeros_like(net.params)
         moments["t"] = 0
     m, v, params, grad = moments["m"], moments["v"], net.params, train.grad
-    step, tmp = np.empty_like(params), np.empty_like(params)
 
     with np.errstate(all="ignore"):
         for _ in range(inner_steps):
@@ -305,21 +304,11 @@ def adam_fit(net: Network, dataset: SurvivalDataset, beta_fixed, gamma: float,
             moments["t"] += 1
             bc1 = 1.0 - ADAM_R1 ** moments["t"]
             bc2 = 1.0 - ADAM_R2 ** moments["t"]
-            # m = R1 m + (1 - R1) grad and v = R2 v + (1 - R2) grad**2
             m *= ADAM_R1
-            np.multiply(grad, 1.0 - ADAM_R1, out=tmp)
-            m += tmp
+            m += (1.0 - ADAM_R1) * grad
             v *= ADAM_R2
-            np.square(grad, out=tmp)
-            tmp *= 1.0 - ADAM_R2
-            v += tmp
-            # step = gamma (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
-            np.divide(m, bc1, out=step)
-            step *= gamma
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            step /= tmp
+            v += (1.0 - ADAM_R2) * grad**2
+            step = gamma * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             params -= step
             if not math.isfinite(step @ step):
                 raise NumericalDivergence("training diverged")

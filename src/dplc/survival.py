@@ -10,10 +10,11 @@ predictors with |eta| up to a few tens stay overflow-safe.  A dataset
 stores its rows sorted by time, so R_i is a suffix and the history set
 C_m = {i : T_i <= T_m} a prefix of the rows (ties grouped), and every
 quantity here is O(n) given the tie boundaries `SurvivalDataset.index`.
-`cox_terms` returns q, its gradient and its Hessian diagonal from one
-such pass over a plain eta array; the full Hessian in the coefficients of
-a few given columns (coordinate descent's Newton step on its active set)
-comes from the same pass.
+`cox_terms` checks a plain eta array and returns q, its gradient and its
+Hessian diagonal from one such pass.  The unchecked `_loss_terms` that the
+training pass and coordinate descent call makes the same pass and
+evaluates that diagonal, and the full Hessian in the coefficients of a few
+given columns (coordinate descent's Newton step), only when asked.
 """
 
 from __future__ import annotations
@@ -243,19 +244,6 @@ def _loss_terms(eta: np.ndarray, dataset: SurvivalDataset):
     return loss, grad, curvature, hessian
 
 
-def _checked_terms(eta, dataset: SurvivalDataset):
-    """(q, grad, w, hessian) of the pass at eta, after the checks of
-    `cox_terms`; hessian is that of `_loss_terms`."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (dataset.n,):
-        raise ValueError("predictor length does not match dataset")
-    if not np.isfinite(eta).all():
-        raise ValueError("non-finite predictor")
-    with np.errstate(all="ignore"):
-        loss, grad, curvature, hessian = _loss_terms(eta, dataset)
-        return loss, grad, curvature(), hessian
-
-
 def cox_terms(eta, dataset: SurvivalDataset):
     """Loss, gradient and curvature of q at eta, from one risk-set pass.
 
@@ -264,4 +252,11 @@ def cox_terms(eta, dataset: SurvivalDataset):
     components sum to zero), and w is the nonnegative diagonal of its
     Hessian.  eta, grad and w follow the dataset's stored rows.
     """
-    return _checked_terms(eta, dataset)[:3]
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (dataset.n,):
+        raise ValueError("predictor length does not match dataset")
+    if not np.isfinite(eta).all():
+        raise ValueError("non-finite predictor")
+    with np.errstate(all="ignore"):
+        loss, grad, curvature, _ = _loss_terms(eta, dataset)
+        return loss, grad, curvature()

@@ -219,6 +219,12 @@ class TestCdFit:
         with pytest.raises(ValueError):
             cd_fit(ds, bad, None, 0.1)
 
+    def test_rejects_finite_start_whose_predictor_overflows(self):
+        # beta_init passes its own check, but X @ beta does not fit a float
+        ds, g = sim_cox(1, n=20, p=2)
+        with pytest.raises(ValueError, match="^non-finite predictor$"):
+            cd_fit(ds, g, np.array([1e308, 0.0]), 0.1)
+
     def test_rejects_negative_lambda(self):
         ds, g = sim_cox(1, n=20, p=2)
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):

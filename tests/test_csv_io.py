@@ -233,6 +233,70 @@ def test_unseekable_file_is_read_cell_by_cell(tmp_path):
     assert x[:, 0].tolist() == [1000.0, 0.5] and z[:, 0].tolist() == [-1.0, 7.0]
 
 
+def blocks_file(path, n, cells=(), rows=()):
+    """path, written as a time,status,x_1,z_1 file of n valid data rows,
+    spanning n / WRITE_BLOCK_ROWS of the fallback's blocks, with the cells
+    {(row, column): text} and the whole rows {row: text} put in; row k is
+    file line k + 2."""
+    rng = np.random.default_rng(n)
+    data = [["%r" % t, "%d" % s, "%r" % x, "%r" % z] for t, s, x, z in zip(
+        (rng.exponential(size=n) + 0.01).tolist(),
+        (rng.random(n) < 0.7).tolist(), rng.standard_normal(n).tolist(),
+        rng.standard_normal(n).tolist())]
+    for (k, j), text in dict(cells).items():
+        data[k][j] = text
+    lines = [",".join(row) for row in data]
+    for k, text in dict(rows).items():
+        lines[k] = text
+    path = str(path)
+    with open(path, "w") as fh:
+        fh.write("time,status,x_1,z_1\n" + "\n".join(lines) + "\n")
+    return path
+
+
+def test_fallback_reads_many_blocks_to_the_fast_paths_bytes(tmp_path,
+                                                             monkeypatch):
+    read_cells, fallbacks = cli._read_cells, []
+
+    def spy(path, names, reader):
+        fallbacks.append(path)
+        return read_cells(path, names, reader)
+
+    monkeypatch.setattr(cli, "_read_cells", spy)
+    n = 2 * WRITE_BLOCK_ROWS + 7
+    plain = blocks_file(tmp_path / "plain.csv", n)
+    with open(plain) as fh:
+        first = fh.read().splitlines()[1].split(",")[0]
+    quoted = blocks_file(tmp_path / "quoted.csv", n,
+                         cells={(0, 0): '"%s"' % first})
+    want = load_outcome(load_dataset_csv, plain, True)
+    assert want[0] == "ok" and fallbacks == []
+    assert load_outcome(load_dataset_csv, quoted, True) == want
+    assert fallbacks == [quoted]
+
+
+def test_fallback_names_a_bad_cell_in_its_last_block(tmp_path):
+    k = 2 * WRITE_BLOCK_ROWS + 3  # a row of the third block
+    path = blocks_file(tmp_path / "f.csv", 2 * WRITE_BLOCK_ROWS + 7,
+                       cells={(0, 0): '"1.5"', (k, 2): "abc"})
+    with pytest.raises(CliInputError) as err:
+        load_dataset_csv(path)
+    assert str(err.value) == ("%s line %d, column 'x_1': not a number: "
+                              "'abc'" % (path, k + 2))
+
+
+def test_fallback_names_a_bad_cell_before_a_later_width_error(tmp_path):
+    # both in the first block: the width error must not hide the cell
+    path = blocks_file(tmp_path / "f.csv", WRITE_BLOCK_ROWS + 10,
+                       cells={(5, 3): "nan"}, rows={9: "1,0,2"})
+    with pytest.raises(CliInputError) as err:
+        load_dataset_csv(path)
+    assert str(err.value) == ("%s line 7, column 'z_1': non-finite value"
+                              % path)
+    assert load_outcome(reference_load_dataset_csv, path, True) \
+        == ("error", str(err.value))
+
+
 def test_loader_memory_is_about_the_float_array(tmp_path):
     n, p, r = 20000, 50, 8
     rng = np.random.default_rng(5)

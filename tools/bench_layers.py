@@ -13,7 +13,7 @@ r = 8:
   adam_step       adam_fit with the default 20 inner steps and step size
                   0.01, per step
   cd_sweep        cd_fit at lambda 0.1 capped at one sweep, warm-started
-                  at its own fit: one cox_terms pass, the covariances, the
+                  at its own fit: one kernel pass, the covariances, the
                   curvature diagonal and the coordinate loop
   cd_call         cd_fit at lambda 0.1 run to convergence, warm-started at
                   the lambda 0.05 fit, as one step of a lambda path: its
@@ -67,15 +67,15 @@ def per_call_us(fn) -> list:
 def newton_step(ds, g_vals, beta, lam):
     """One call of cd_fit's Newton step on beta's face, given the kernel
     pass at beta, under cd_fit's floating-point settings."""
-    from dplc import coordinate_descent
+    from dplc import coordinate_descent, survival
 
     X, scale = ds.standardized
     b = beta * scale
     active = np.flatnonzero(b)
-    eta = X @ b + g_vals
     step = coordinate_descent._newton_step
-    args = (ds, X, g_vals, b, coordinate_descent._checked_terms(eta, ds),
-            active, lam)
+    with np.errstate(all="ignore"):
+        terms = survival._loss_terms(X @ b + g_vals, ds)
+    args = (ds, X, g_vals, b, terms, active, lam)
 
     def call():
         with np.errstate(all="ignore"):

@@ -10,9 +10,13 @@
 # with a config's fit section (arch and max_outer), --seed 3 and
 # --lambda-grid 0.05,0.1 together, predict with the default fit's model on
 # the simulated data and on a copy with odd but valid cells (quoted,
-# padded, digit-grouped; CRLF endings, so the loader's cell-by-cell
+# padded, digit-grouped; CRLF endings, so the loader's block-by-block
 # fallback reads it), simulate with {"sim": {"n": 2500}} and predict on
-# that (the CSV writers then cross row-block boundaries), benchmark with
+# that (the CSV writers then cross row-block boundaries), the same predict
+# with the file piped to --data /dev/stdin (a pipe cannot be rewound, so
+# the fallback reads all of its row blocks), simulate and the default fit
+# at {"sim": {"p": 500}} (coordinate descent's p > n path, with its
+# Newton steps and capped calls), benchmark with
 # {"seed": s, "sim": {"replicates": 1}} for s = 0, 1, 2, and benchmark
 # --threads 2 with {"seed": 0, "sim": {"replicates": 2}}, so the process
 # pool's rows are compared too.  Four runs
@@ -68,6 +72,11 @@ run_side() {  # run_side SRC OUT
     run simulate_2500 simulate --config sim_2500.json --out sim_2500
     run predict_2500 predict --model fit/model.json \
         --data sim_2500/dataset.csv --out predict_2500.csv
+    cat sim_2500/dataset.csv | run predict_pipe predict \
+        --model fit/model.json --data /dev/stdin --out predict_pipe.csv
+    echo '{"sim": {"p": 500}}' > sim_p500.json
+    run simulate_p500 simulate --config sim_p500.json --out sim_p500
+    run fit_p500 fit --data sim_p500/dataset.csv --out fit_p500
     for s in 0 1 2; do
         echo "{\"seed\": $s, \"sim\": {\"replicates\": 1}}" > "bench_$s.json"
         run "bench_$s" benchmark --config "bench_$s.json" --out "bench_$s"

@@ -11,10 +11,11 @@ unchanged.  Adam always runs its inner steps, and coordinate descent
 stops at cd_fit's default tolerance.  Without the network (g = 0, the
 baseline) there is nothing to alternate: a fit is one coordinate-descent
 call.  The SCAD strength lam is an argument of fit, not a setting:
-tune_lambda picks it by BIC over the config's grid (warm-started along
-the path, which stops training at its first converged null fit), and
-architecture search fits every cell at that pick on its training split
-and scores it by held-out likelihood.
+tune_lambda picks it by BIC over the config's grid, run as a warm chain
+of coordinate-descent calls at a fixed network output (Friedman, Hastie &
+Tibshirani 2010), and trains the network only at the pick; architecture
+search fits every cell at that pick on its training split and scores it
+by held-out likelihood.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 OUTER_WINDOW = 2  # consecutive stable outer iterations that end a fit
 OUTER_TOL = 1e-3  # relative loss change of a stable outer iteration
+# The pilot fit's lam.  At beta = 0, |c_j| = |x~_j' grad q| <= 2 max|x~_j|
+# < 2 sqrt(n), below it for n < 250 000, so the pilot selects nothing.
+PILOT_LAM = 1000.0
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,9 @@ class FitConfig:
     """Everything one fit needs besides the data.
 
     The defaults are the full default fit, and the run config's "fit"
-    section sets these fields by name.  tune_lambda fits along
-    lambda_grid, which must be ascending, finite and >= 0.
+    section sets these fields by name.  tune_lambda runs its
+    coordinate-descent chain along lambda_grid, which must be ascending,
+    finite and >= 0.
     gamma is Adam's step size, finite and > 0; the stopping tolerances are
     fixed (see fit).  fit_g=False is the plain SCAD-penalized Cox baseline:
     g is identically zero, and a fit is one coordinate-descent call.
@@ -78,10 +83,10 @@ class FitConfig:
 @dataclass
 class FittedModel:
     """Sparse coefficients, the centered network, the penalty strength lam
-    they were fitted at, and fit diagnostics.  On a tune_lambda path, an
-    entry past the first converged null fit is a copy of that fit at its
-    own lam; its diagnostics show that no fit ran (see tune_lambda).
-    support and n_selected are read off beta_hat."""
+    they were fitted at, and fit diagnostics.  A tune_lambda path entry is
+    one coordinate-descent call at its network's fixed output, and its
+    diagnostics hold only "cd_sweeps", "converged" and "bic" (see
+    tune_lambda).  support and n_selected are read off beta_hat."""
 
     beta_hat: np.ndarray
     net: Network
@@ -194,49 +199,91 @@ def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
     return eta
 
 
-def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig):
-    """Fit along cfg.lambda_grid and pick the BIC minimizer.
-
-    Each fit is warm-started from the previous grid point's coefficients
-    and network.  Once a fit converges with nothing selected, every later
-    grid point reuses it: |c_j| <= lam held for all j at beta = 0, so it
-    holds at any larger lam, and at beta = 0 the network's objective does
-    not involve lam (Friedman, Hastie & Tibshirani 2010).  A reused entry
-    has its own lam, a zero beta_hat, a copy of the network, the null
-    fit's "converged" and "bic", and diagnostics that show no fit ran:
-    "outer_iters" 0, "cd_sweeps" [] and the null fit's last "loss_path"
-    value.  BIC ties go to the later grid point, so the larger penalty
-    (the sparser model).  Returns (best, path): path holds one model per
-    grid point, in grid order, and best is one of them.  Each grid point
-    is logged at INFO level.
-    """
-    path = []
-    beta_warm, net_warm = None, None
-    null = None  # the first converged fit that selects nothing
+def _cd_path(dataset: SurvivalDataset, cfg: FitConfig, net: Network,
+             level: int = logging.INFO):
+    """(path, pick): cfg.lambda_grid as a warm chain of cd_fit calls from
+    beta = 0 at the fixed offset forward(net, dataset.z), and its entry of
+    lowest BIC, ties going to the later one.  Each entry carries a copy of
+    net and "bic" = 2n q + log(n) (selected count), q the Cox loss at its
+    beta and that offset.  Logs one line per grid value at level."""
+    g_vals = forward(net, dataset.z)
+    path, beta = [], None
     for lam in cfg.lambda_grid:
         start = time.perf_counter()
-        if null is None:
-            model = fit(dataset, cfg, lam, beta_init=beta_warm,
-                        net_init=net_warm)
-            if model.n_selected == 0 and model.diagnostics["converged"]:
-                null = model
-        else:
-            done = null.diagnostics
-            model = FittedModel(
-                beta_hat=np.zeros(dataset.p), net=null.net.copy(),
-                lam=float(lam), diagnostics={
-                    "loss_path": done["loss_path"][-1:], "outer_iters": 0,
-                    "cd_sweeps": [], "converged": done["converged"],
-                    "bic": done["bic"]})
-        info = model.diagnostics
-        logger.info("lambda=%g selected=%d bic=%.6g outer_iters=%d "
-                    "converged=%s seconds=%.3f", lam, model.n_selected,
-                    info["bic"], info["outer_iters"], info["converged"],
-                    time.perf_counter() - start)
-        path.append(model)
-        beta_warm, net_warm = model.beta_hat, model.net
+        info = {}
+        beta = cd_fit(dataset, g_vals, beta, lam, max_sweeps=cfg.max_sweeps,
+                      info=info)
+        q = cox_terms(dataset.x @ beta + g_vals, dataset)[0]
+        bic = float(2.0 * dataset.n * q
+                    + np.log(dataset.n) * np.count_nonzero(beta))
+        path.append(FittedModel(beta_hat=beta, net=net.copy(), lam=float(lam),
+                                diagnostics={"cd_sweeps": [info["sweeps"]],
+                                             "converged": info["converged"],
+                                             "bic": bic}))
+        logger.log(level, "lambda=%g selected=%d bic=%.6g sweeps=%d "
+                   "converged=%s seconds=%.3f", lam, path[-1].n_selected, bic,
+                   info["sweeps"], info["converged"],
+                   time.perf_counter() - start)
     # min keeps the first of equal keys, so scan from the largest penalty
-    best = min(reversed(path), key=lambda m: m.diagnostics["bic"])
+    return path, min(reversed(path), key=lambda m: m.diagnostics["bic"])
+
+
+def _logged_fit(label: str, dataset: SurvivalDataset, cfg: FitConfig,
+                lam: float, **warm) -> FittedModel:
+    """fit(dataset, cfg, lam, **warm), logged at INFO under label."""
+    start = time.perf_counter()
+    model = fit(dataset, cfg, lam, **warm)
+    info = model.diagnostics
+    logger.info("%s lambda=%g selected=%d bic=%.6g outer_iters=%d "
+                "converged=%s seconds=%.3f", label, lam, model.n_selected,
+                info["bic"], info["outer_iters"], info["converged"],
+                time.perf_counter() - start)
+    return model
+
+
+def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig, *,
+                info: Optional[dict] = None):
+    """Pick lam from cfg.lambda_grid by BIC at a fixed network, then fit.
+
+    A round runs the grid as a warm chain of cd_fit calls at its network's
+    output, held fixed (Friedman, Hastie & Tibshirani 2010), and picks by
+    BIC, ties going to the larger lam.  Round 1's network is a pilot's,
+    fit at PILOT_LAM, so trained at beta = 0; round 1 then runs the
+    alternating fit at its pick, warm from the pick's beta and the pilot
+    network.  Round 2 runs the chain at that fit's network and, only if
+    its pick has another lam, fits there, warm from its pick's beta and
+    round 1's network.  With cfg.fit_g False the network is zero, and the
+    one chain is all that runs.
+
+    Returns (best, path): path holds the last chain's entries in grid
+    order, which are what BIC compared (see _cd_path); best is the last
+    alternating fit, with its own "bic", or with fit_g False the picked
+    entry.  At INFO level the last chain logs one line per grid value
+    (round 1's logs at DEBUG), and the pilot and each alternating fit log
+    one line labelled "pilot", "round 1 fit" or "round 2 fit".  If given,
+    info["fits_not_converged"] receives the number of unconverged fits run:
+    the pilot, the entries of both chains and the alternating fits.
+    """
+    if not cfg.fit_g:
+        path, best = _cd_path(dataset, cfg, zero_network(dataset.r))
+        ran = path
+    else:
+        best = _logged_fit("pilot", dataset, cfg, PILOT_LAM)
+        ran = [best]
+        for round_no in (1, 2):
+            path, pick = _cd_path(dataset, cfg, best.net,
+                                  logging.INFO if round_no == 2
+                                  else logging.DEBUG)
+            ran += path
+            if round_no == 2 and pick.lam == best.lam:
+                break
+            best = _logged_fit("round %d fit" % round_no, dataset, cfg,
+                               pick.lam, beta_init=pick.beta_hat,
+                               net_init=best.net)
+            ran.append(best)
+    if info is not None:
+        info["fits_not_converged"] = sum(not m.diagnostics["converged"]
+                                         for m in ran)
     return best, path
 
 

@@ -313,7 +313,7 @@ class ReplicateRow:
     fpr_pct: Optional[float] = None
     fnn: Optional[int] = None
     fnr_pct: Optional[float] = None
-    fits_not_converged: Optional[int] = None  # of the method's lambda path
+    fits_not_converged: Optional[int] = None  # of the fits tune_lambda ran
     error: Optional[str] = None
 
 
@@ -352,15 +352,15 @@ def _run_replicate(args):
             fit_cfg = replace(cfg, seed=int(
                 np.random.SeedSequence([sim_cfg.seed, rep, name_tag])
                 .generate_state(1)[0]))
-            best, path = tune_lambda(train_ds, fit_cfg)
+            info = {}
+            best, _ = tune_lambda(train_ds, fit_cfg, info=info)
             row.lambda_selected = best.lam
             eta_test = predict_eta(best, test_ds.x, test_ds.z)
             row.c_index_test = c_index(eta_test, test_ds.times, test_ds.status)
             sel = selection_metrics(best.support, data.support0, sim_cfg.p)
             for name in SELECTION_FIELDS:
                 setattr(row, name, getattr(sel, name))
-            row.fits_not_converged = sum(
-                not m.diagnostics["converged"] for m in path)
+            row.fits_not_converged = info["fits_not_converged"]
         except Exception as exc:
             row.error = str(exc)
         rows.append(row)

@@ -4,7 +4,8 @@ The reference implementations here translate the defining formulas
 literally (explicit set comprehensions, finite differences) and never call
 into the package code paths they are used to check.  `train_pass` is not
 an oracle: it runs the package's own training pass for the tests that
-check it.
+check it, and `replay_tune_lambda` rebuilds `tune_lambda`'s two rounds
+from the public `fit` and `cd_fit` calls it is specified by.
 """
 
 import math
@@ -13,7 +14,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from dplc import SurvivalDataset
+from dplc import (SurvivalDataset, cd_fit, cox_terms, estimator, fit,
+                  forward, zero_network)
 from dplc.network import _TrainPass
 
 
@@ -35,6 +37,47 @@ def train_pass(net, dataset, beta_fixed, rng=None):
     with np.errstate(all="ignore"):
         loss = train()
     return loss, list(zip(train.grads_w, train.grads_b))
+
+
+def cd_chain(dataset, cfg, net):
+    """cfg.lambda_grid as a warm chain of cd_fit calls from beta = 0 at the
+    fixed offset forward(net, dataset.z): one (lam, beta, bic) per grid
+    value, with bic = 2n q + log(n) (selected count), and the BIC pick,
+    ties going to the later entry."""
+    g_vals = forward(net, dataset.z)
+    entries, beta = [], None
+    for lam in cfg.lambda_grid:
+        beta = cd_fit(dataset, g_vals, beta, lam, max_sweeps=cfg.max_sweeps)
+        q = cox_terms(dataset.x @ beta + g_vals, dataset)[0]
+        entries.append((lam, beta, 2.0 * dataset.n * q
+                        + np.log(dataset.n) * np.count_nonzero(beta)))
+    low = min(bic for _, _, bic in entries)
+    return entries, [e for e in entries if e[2] == low][-1]
+
+
+def replay_tune_lambda(dataset, cfg):
+    """tune_lambda(dataset, cfg)'s answer from its specification: (best,
+    entries, nets).  With cfg.fit_g, a pilot fit at PILOT_LAM gives round
+    1's network; each round runs cd_chain at its network and fits at the
+    pick, warm from the pick's beta and the round's network, and round 2
+    refits only when its pick has another lam.  entries are the last
+    chain's, nets the network of each round.  Without fit_g, the chain
+    at the zero network is all, and best is its pick's (lam, beta, bic).
+    PILOT_LAM is read at call time, so this module imports against any
+    dplc tree (tools/bench_acceptance.py imports it beside older ones)."""
+    if not cfg.fit_g:
+        net = zero_network(dataset.r)
+        entries, pick = cd_chain(dataset, cfg, net)
+        return pick, entries, [net]
+    best, fitted, nets = fit(dataset, cfg, estimator.PILOT_LAM), None, []
+    for _ in range(2):
+        nets.append(best.net)
+        entries, (lam, beta, _) = cd_chain(dataset, cfg, best.net)
+        if lam == fitted:
+            break
+        best = fit(dataset, cfg, lam, beta_init=beta, net_init=best.net)
+        fitted = lam
+    return best, entries, nets
 
 
 def random_instance(seed, n=None, p=2, r=2, eta_scale=1.0):

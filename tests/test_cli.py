@@ -104,6 +104,12 @@ class TestFit:
                 if line.startswith("INFO dplc.estimator: lambda=")]
         assert [line.split()[2] for line in fits] == \
             ["lambda=0.05", "lambda=0.15", "lambda=0.45"]
+        labelled = [line.split(" lambda=")[0] for line in lines
+                    if line.startswith("INFO dplc.estimator: ")
+                    and line not in fits]
+        assert labelled[:2] == ["INFO dplc.estimator: pilot",
+                                "INFO dplc.estimator: round 1 fit"]
+        assert labelled[2:] in ([], ["INFO dplc.estimator: round 2 fit"])
 
     def test_fit_then_predict_round_trip(self, tmp_path, small_config):
         data_csv, _ = simulate_into(tmp_path, small_config)
@@ -336,17 +342,28 @@ class TestFit:
 
     def test_repeated_lambda_saves_bic_minimizer(self, tmp_path, small_config,
                                                  capsys):
+        # bic_path.csv holds the chain's BICs at the last round's network,
+        # a repeated lambda continuing from its own last entry; the saved
+        # model is tune_lambda's fit at the pick, with that fit's own BIC.
         data_csv, _ = simulate_into(tmp_path, small_config)
         fit_dir = tmp_path / "fit"
         capsys.readouterr()
         assert run("fit", "--data", str(data_csv), "--config", small_config,
                    "--out", str(fit_dir), "--lambda-grid", "0.05,0.05,0.05") == 0
         with open(fit_dir / "bic_path.csv") as fh:
-            bics = [float(r["bic"]) for r in csv.DictReader(fh)]
-        assert len(set(bics)) == 3
+            rows = list(csv.DictReader(fh))
+        times, status, x, z = load_dataset_csv(str(data_csv))[:4]
+        best, path = dplc.tune_lambda(
+            dplc.SurvivalDataset(times=times, status=status, x=x, z=z),
+            run_records(small_config, None, "0.05,0.05,0.05")[1])
+        assert [(float(r["lambda"]), float(r["bic"])) for r in rows] == \
+            [(0.05, m.diagnostics["bic"]) for m in path]
         saved = json.loads((fit_dir / "model.json").read_text())
-        assert saved["diagnostics"]["bic"] == min(bics)
-        assert "(bic=%r)" % min(bics) in capsys.readouterr().out
+        assert saved["diagnostics"]["lambda_selected"] == best.lam == 0.05
+        assert saved["diagnostics"]["bic"] == best.diagnostics["bic"]
+        assert saved["beta"] == [[int(j), float(best.beta_hat[j])]
+                                 for j in best.support]
+        assert "(bic=%r)" % best.diagnostics["bic"] in capsys.readouterr().out
 
     @pytest.mark.parametrize("grid", ["-1,0.5", "0.1,inf", "nan"])
     def test_bad_lambda_exit_2(self, tmp_path, small_config, capsys, grid):
@@ -971,12 +988,16 @@ class TestBenchmark:
         assert summary["summary"]["dplc"]["replicates_ok"] == 2
 
     def test_counts_fits_not_converged(self, tmp_path, small_config):
-        # One outer iteration can never make the stable window, so every
-        # dplc fit of the three-value lambda path is counted; a cox_scad
-        # fit is one coordinate-descent call, which max_outer does not cap,
-        # and one sweep leaves that call capped.
-        for limit, counts in (("max_outer", {"dplc": 3, "cox_scad": 0}),
-                              ("max_sweeps", {"dplc": 3, "cox_scad": 3})):
+        # A dplc path runs the pilot, two three-value chains, and round 1's
+        # alternating fit; on this data round 2 keeps round 1's pick, so
+        # no second fit runs.  One outer iteration can never make the
+        # stable window, so the pilot and the fit are counted, and no chain
+        # entry is capped.  One sweep caps every chain entry, of both
+        # methods, and the fit's coordinate-descent calls; the pilot's
+        # calls converge at beta = 0, but its outer loop does not settle
+        # within this config's max_outer of 6.
+        for limit, counts in (("max_outer", {"dplc": 2, "cox_scad": 0}),
+                              ("max_sweeps", {"dplc": 8, "cox_scad": 3})):
             cfg = json.loads(open(small_config).read())
             cfg["fit"][limit] = 1
             path = tmp_path / ("%s.json" % limit)

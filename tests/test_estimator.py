@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 
 from dplc import (FitConfig, NetworkArch, SimConfig,
-                  cd_fit, estimator, fit, init_network, model_from_dict,
-                  model_to_dict, predict_eta,
+                  cd_fit, estimator, fit, forward, init_network,
+                  model_from_dict, model_to_dict, predict_eta,
                   simulate_dataset, tune_architecture, tune_lambda,
                   zero_network)
 from dplc import network
 from dplc.estimator import FittedModel
 from dplc.survival import cox_terms
 
-from conftest import make_dataset
+from conftest import make_dataset, replay_tune_lambda
 
 
 LAM = 0.15  # the penalty strength of the single fits below
-# sim_data(1, n=80, p=4) at quick_cfg() selects nothing from 1.0 on
+# sim_data(1, n=80, p=4)'s path at quick_cfg() selects nothing from 1.0 on
 NULL_TAIL_GRID = (0.1, 0.3, 1.0, 3.0, 5.0)
 
 
@@ -288,44 +288,66 @@ class TestBic:
 
 class TestTuneLambda:
     def test_single_value_grid(self):
+        # The path is the one chain entry; best is the alternating fit at
+        # its lam, except for the baseline, whose entry is the answer.
         data = sim_data(1, n=80, p=4)
         best, path = tune_lambda(data.dataset, quick_cfg(lambda_grid=[0.3]))
+        assert best.lam == path[0].lam == 0.3 and len(path) == 1
+        assert best.diagnostics["outer_iters"] >= 1
+        best, path = tune_lambda(data.dataset, quick_cfg(lambda_grid=[0.3],
+                                                         fit_g=False))
         assert best.lam == 0.3 and len(path) == 1 and path[0] is best
 
     def test_path_holds_the_fitted_models_in_grid_order(self):
-        data = sim_data(1, n=80, p=4)
+        # Each entry is the chained cd_fit call at its round's network,
+        # and carries that network.
+        ds = sim_data(1, n=80, p=4).dataset
         cfg = quick_cfg(max_outer=3, lambda_grid=[0.1, 0.3])
-        best, path = tune_lambda(data.dataset, cfg)
+        _, path = tune_lambda(ds, cfg)
+        _, entries, nets = replay_tune_lambda(ds, cfg)
         assert [m.lam for m in path] == [0.1, 0.3]
-        assert any(m is best for m in path)
-        cold = fit(data.dataset, cfg, 0.1)
-        assert np.array_equal(path[0].beta_hat, cold.beta_hat)
+        g_vals = forward(nets[-1], ds.z)
+        beta = None
+        for model, (lam, beta_ref, bic) in zip(path, entries):
+            assert np.array_equal(model.net.params, nets[-1].params)
+            assert np.array_equal(forward(model.net, ds.z), g_vals)
+            info = {}
+            beta = cd_fit(ds, g_vals, beta, model.lam,
+                          max_sweeps=cfg.max_sweeps, info=info)
+            assert np.array_equal(model.beta_hat, beta)
+            assert np.array_equal(beta, beta_ref)
+            assert model.diagnostics == {"cd_sweeps": [info["sweeps"]],
+                                         "converged": info["converged"],
+                                         "bic": bic}
 
     def test_logs_one_line_per_lambda(self, caplog):
-        # The fit at 1.0 is the first converged null fit, so the last two
-        # grid points reuse it and show that no fit ran.
+        # One line per grid value of the path, and one labelled line each
+        # for the pilot and each alternating fit at a pick.
         data = sim_data(1, n=80, p=4)
+        cfg = quick_cfg(lambda_grid=NULL_TAIL_GRID)
         with caplog.at_level(logging.INFO, logger="dplc.estimator"):
-            _, path = tune_lambda(data.dataset, quick_cfg(
-                lambda_grid=NULL_TAIL_GRID))
+            best, path = tune_lambda(data.dataset, cfg)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "dplc.estimator"]
-        assert len(lines) == len(NULL_TAIL_GRID)
-        for line, model in zip(lines, path):
+        entries = [line for line in lines if line.startswith("lambda=")]
+        assert len(entries) == len(NULL_TAIL_GRID)
+        for line, model in zip(entries, path):
             info = model.diagnostics
             assert line.startswith(
-                "lambda=%g selected=%d bic=%.6g outer_iters=%d converged=%s "
+                "lambda=%g selected=%d bic=%.6g sweeps=%d converged=%s "
                 "seconds=" % (model.lam, model.n_selected, info["bic"],
-                              info["outer_iters"], info["converged"]))
-        null = path[2]
-        assert null.n_selected == 0 and null.diagnostics["converged"]
-        assert null.diagnostics["outer_iters"] > 0
-        for model in path[3:]:
-            assert model.diagnostics == {
-                "loss_path": null.diagnostics["loss_path"][-1:],
-                "outer_iters": 0, "cd_sweeps": [],
-                "converged": null.diagnostics["converged"],
-                "bic": null.diagnostics["bic"]}
+                              info["cd_sweeps"][0], info["converged"]))
+        labelled = [line for line in lines if line not in entries]
+        assert labelled[0].startswith("pilot lambda=1000 selected=0 bic=")
+        assert labelled[1].startswith("round 1 fit lambda=")
+        assert lines.index(labelled[1]) == 1  # round 1's chain is DEBUG
+        info = best.diagnostics
+        assert labelled[-1].startswith(
+            "round %d fit lambda=%g selected=%d bic=%.6g outer_iters=%d "
+            "converged=%s seconds=" % (len(labelled) - 1, best.lam,
+                                       best.n_selected, info["bic"],
+                                       info["outer_iters"], info["converged"]))
+        assert len(labelled) in (2, 3)
 
     def test_reused_entries_are_separate_models(self):
         data = sim_data(1, n=80, p=4)
@@ -344,42 +366,66 @@ class TestTuneLambda:
                 assert path[k].net.center_offset == offset
 
     def test_unconverged_null_fit_is_not_reused(self, monkeypatch):
-        # One outer iteration never reaches the stable window, so no fit
-        # converges and every grid point is fitted, null or not.
+        # No entry reuses another: every grid value of both chains gets
+        # its own cd_fit call, the null tail included.  One outer
+        # iteration never reaches the stable window, so the pilot and
+        # each alternating fit are unconverged, and fits_not_converged
+        # counts them with the unconverged chain entries.
         data = sim_data(1, n=80, p=4)
-        fits = []
+        fits, calls = [], []
 
         def counted(*args, **kwargs):
             fits.append(fit(*args, **kwargs))
             return fits[-1]
 
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.setdefault("info", {}))
+            return cd_fit(*args, **kwargs)
+
         monkeypatch.setattr(estimator, "fit", counted)
-        _, path = tune_lambda(data.dataset, quick_cfg(
-            max_outer=1, lambda_grid=NULL_TAIL_GRID))
-        assert len(fits) == len(NULL_TAIL_GRID)
-        assert all(a is b for a, b in zip(fits, path))
-        assert path[2].n_selected == 0
-        assert not path[2].diagnostics["converged"]
+        monkeypatch.setattr(estimator, "cd_fit", recorded)
+        info = {}
+        best, path = tune_lambda(data.dataset, quick_cfg(
+            max_outer=1, lambda_grid=NULL_TAIL_GRID), info=info)
+        assert fits[0].lam == estimator.PILOT_LAM and best is fits[-1]
+        assert len(fits) in (2, 3)
+        assert not any(m.diagnostics["converged"] for m in fits)
+        # the calls: the pilot's, chain 1, round 1's fit, chain 2 and, if
+        # round 2 refits, its fit's, one each per alternating fit
+        k = len(NULL_TAIL_GRID)
+        assert len(calls) == 2 * k + len(fits)
+        chains = calls[1:k + 1] + calls[k + 2:2 * k + 2]
+        assert [m.diagnostics["cd_sweeps"] for m in path] == \
+            [[c["sweeps"]] for c in chains[k:]]
+        assert path[-1].n_selected == 0 and path[-1].diagnostics["converged"]
+        assert info["fits_not_converged"] == len(fits) + sum(
+            not c["converged"] for c in chains)
 
     def test_repeated_lambda_returns_bic_minimizer(self):
-        # Warm starts keep moving the fit, so a repeated lambda gives
-        # different BICs; the chosen entry is the minimizer, not the
-        # first entry with the chosen lambda.
-        data = sim_data(0, n=100, p=5)
-        best, path = tune_lambda(data.dataset, quick_cfg(
-            max_outer=3, lambda_grid=[0.1, 0.1, 0.1]))
-        bics = [m.diagnostics["bic"] for m in path]
-        assert len(set(bics)) == 3
-        assert best is path[int(np.argmin(bics))]
+        # A repeated lambda continues the chain from its own last fit, and
+        # the fit at the pick starts from the BIC minimizer among them
+        # (the later of equal BICs), as the replay does.
+        ds = sim_data(0, n=100, p=5).dataset
+        cfg = quick_cfg(max_outer=3, lambda_grid=[0.1, 0.1, 0.1])
+        best, path = tune_lambda(ds, cfg)
+        replayed, entries, _ = replay_tune_lambda(ds, cfg)
+        assert [m.diagnostics["bic"] for m in path] == \
+            [bic for _, _, bic in entries]
+        assert best.lam == 0.1
+        assert np.array_equal(best.beta_hat, replayed.beta_hat)
+        assert np.array_equal(best.net.params, replayed.net.params)
+        assert best.diagnostics == replayed.diagnostics
 
     def test_tie_broken_toward_larger_lambda(self):
-        # With no events every fit is null and all BIC values tie.
+        # With no events every entry is null and all BIC values tie.
         ds = make_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0],
                           x=np.eye(4)[:, :3],
                           z=np.linspace(0, 1, 8).reshape(4, 2))
-        best, path = tune_lambda(ds, quick_cfg(lambda_grid=[0.1, 0.5, 2.0]))
-        assert len({m.diagnostics["bic"] for m in path}) == 1
-        assert best is path[-1]
+        for fit_g in (True, False):
+            best, path = tune_lambda(ds, quick_cfg(
+                lambda_grid=[0.1, 0.5, 2.0], fit_g=fit_g))
+            assert len({m.diagnostics["bic"] for m in path}) == 1
+            assert best.lam == 2.0 and (fit_g or best is path[-1])
 
     def test_null_signal_selects_sparse_models(self):
         wins = 0
@@ -412,18 +458,21 @@ class TestTuneLambda:
         assert interior > runs / 2
 
     def test_warm_path_mostly_matches_cold_fits(self):
-        # Audited over the BIC-active penalty range; at larger penalties the
-        # nonconvex path shows genuine hysteresis between warm and cold runs.
+        # The chain at its round's fixed network against cold cd_fit calls
+        # at the same network.  Audited over the BIC-active penalty range;
+        # at larger penalties the nonconvex path shows genuine hysteresis
+        # between warm and cold runs.
         agree, total = 0, 0
         grid = (0.05, 0.1, 0.2, 0.4)
         for seed in range(6):
-            data = sim_data(40 + seed, n=300, p=10, s_beta=2)
+            ds = sim_data(40 + seed, n=300, p=10, s_beta=2).dataset
             cfg = quick_cfg(seed=seed, lambda_grid=grid)
-            _, path = tune_lambda(data.dataset, cfg)
+            _, path = tune_lambda(ds, cfg)
             for model in path:
-                cold = fit(data.dataset, cfg, model.lam)
+                cold = cd_fit(ds, forward(model.net, ds.z), None, model.lam,
+                              max_sweeps=cfg.max_sweeps)
                 total += 1
-                if np.array_equal(model.support, cold.support):
+                if np.array_equal(model.support, np.flatnonzero(cold)):
                     agree += 1
         assert agree / total >= 0.9
 

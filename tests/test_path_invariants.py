@@ -3,14 +3,18 @@
 Stationarity: every converged fit satisfies the SCAD subgradient (KKT)
 conditions on the standardized scale, and no coordinate descent call of
 either method's path runs out of sweeps.  The null tail: every entry from
-the first converged null fit on is stationary at its own lambda, and the
-entries up to that fit are those of a plain chained fit loop.
+the first converged null fit on is stationary at its own lambda.  The
+two rounds: the pilot selects nothing, every path entry is the chained
+baseline fit at its round's network, and the answer is the replay of
+tune_lambda's rounds from fit and cd_fit calls, bit for bit.
 Invariances: the order of x's columns and a monotone transform of the
 times do not change the fit, and a row permutation of the data leaves
 both methods' paths bit for bit the same.  All run on
-`simulate_dataset(SimConfig(seed=s), 0)`, n = 300, p = 50, at seeds 1-3.
+`simulate_dataset(SimConfig(seed=s), 0)`, n = 300, p = 50, at seeds 1-3,
+and the pilot also on a p = 500 draw.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +22,10 @@ import pytest
 
 from dplc import (FitConfig, SimConfig, SurvivalDataset, cd_fit, cox_terms,
                   estimator, forward, simulate_dataset, tune_lambda)
+from dplc.estimator import PILOT_LAM
 from dplc.scad import SCAD_A
+
+from conftest import replay_tune_lambda
 
 SEEDS = (1, 2, 3)
 BASELINE = FitConfig(fit_g=False)
@@ -133,16 +140,59 @@ def test_null_tail_is_stationary_at_every_lambda(seed, fit_g):
 @pytest.mark.parametrize("fit_g", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_path_up_to_the_null_fit_is_the_chained_fit_loop(seed, fit_g):
+    # The whole path, null tail included, is the chained loop of baseline
+    # fits (one cd_fit call each) at the network every entry carries.
     ds = default_data(seed)
     cfg = FitConfig(seed=seed, fit_g=fit_g)
     path = recorded_path(seed, cfg)[1]
-    beta, net = None, None
-    for model in path[:first_null(path) + 1]:
-        chained = estimator.fit(ds, cfg, model.lam, beta_init=beta,
-                                net_init=net)
+    beta = None
+    for model in path:
+        assert np.array_equal(model.net.params, path[0].net.params)
+        chained = estimator.fit(ds, replace(cfg, fit_g=False), model.lam,
+                                beta_init=beta, net_init=model.net)
         assert np.array_equal(chained.beta_hat, model.beta_hat)
         assert chained.diagnostics["bic"] == model.diagnostics["bic"]
-        beta, net = chained.beta_hat, chained.net
+        assert chained.diagnostics["converged"] == \
+            model.diagnostics["converged"]
+        beta = chained.beta_hat
+
+
+@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_and_answer_are_the_two_round_replay(seed, fit_g):
+    # Each entry is the chained cd_fit call at the last round's network,
+    # and best is fit at the pick, warm from the pick's beta and the
+    # round's network.
+    ds = default_data(seed)
+    cfg = FitConfig(seed=seed, fit_g=fit_g)
+    best, path, _ = recorded_path(seed, cfg)
+    replayed, entries, nets = replay_tune_lambda(ds, cfg)
+    assert len(path) == len(entries)
+    for model, (lam, beta, bic) in zip(path, entries):
+        assert model.lam == lam and model.diagnostics["bic"] == bic
+        assert np.array_equal(model.beta_hat, beta)
+        assert np.array_equal(model.net.params, nets[-1].params)
+        assert model.net.center_offset == nets[-1].center_offset
+    if fit_g:
+        assert np.array_equal(best.beta_hat, replayed.beta_hat)
+        assert np.array_equal(best.net.params, replayed.net.params)
+        assert best.diagnostics == replayed.diagnostics
+    else:
+        assert (best.lam, best.diagnostics["bic"]) == \
+            (replayed[0], replayed[2])
+        assert np.array_equal(best.beta_hat, replayed[1])
+
+
+@pytest.mark.parametrize("data", [
+    *[pytest.param(SimConfig(seed=s), id="p50-%d" % s) for s in SEEDS],
+    pytest.param(SimConfig(seed=1, p=500), id="p500-1")])
+def test_pilot_selects_nothing(data):
+    # At beta = 0, |c_j| <= 2 max|x~_j|, far below PILOT_LAM.
+    ds = simulate_dataset(data, 0).dataset
+    pilot = estimator.fit(ds, FitConfig(seed=data.seed), PILOT_LAM)
+    assert pilot.n_selected == 0
+    assert kkt_max(ds, pilot.beta_hat, PILOT_LAM,
+                   forward(pilot.net, ds.z)) <= -PILOT_LAM / 2
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -166,6 +216,21 @@ def test_baseline_path_ignores_column_order(seed):
     permuted = [m.beta_hat
                 for m in tune_lambda(rebuilt(ds, cols=perm), BASELINE)[1]]
     assert_same_up_to(perm, fits, permuted)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dplc_path_ignores_column_order(seed):
+    # The pilot sees no x, and every later step sees the columns only
+    # through coordinate descent, so a column permutation moves the
+    # path and the answer by rounding alone.
+    ds = default_data(seed)
+    cfg = FitConfig(seed=seed)
+    perm = np.random.default_rng(seed).permutation(ds.p)
+    best, path, _ = recorded_path(seed, cfg)
+    best_perm, permuted = tune_lambda(rebuilt(ds, cols=perm), cfg)
+    assert_same_up_to(perm, [m.beta_hat for m in path] + [best.beta_hat],
+                      [m.beta_hat for m in permuted] + [best_perm.beta_hat])
+    assert best.lam == best_perm.lam
 
 
 @pytest.mark.parametrize("seed", SEEDS)

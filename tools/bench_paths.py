@@ -13,12 +13,16 @@ over FitConfig's default 12-value grid and records:
 
   wall_s          the path's wall time
   adam_s, cd_s    the part of it spent in adam_fit and in cd_fit
-  cd_calls        cd_fit calls, one per outer iteration
+  cd_calls        cd_fit calls: one per chain entry (one chain for
+                  cox_scad, two for dplc) and one per outer iteration of
+                  each `estimator.fit`
   cd_sweeps       CD sweeps over all calls
   cd_capped       cd_fit calls that ran out of max_sweeps
-  fits_converged  fits of the path whose `converged` is true, of `fits`
-  fits_run        `estimator.fit` calls the path made; the entries past
-                  its first converged null fit reuse that fit and run none
+  fits_converged  entries of the returned path whose `converged` is
+                  true, of `fits`, the path's length
+  fits_run        `estimator.fit` calls the path made: for dplc the pilot
+                  and the one or two alternating fits at the picks, for
+                  cox_scad none (its path is cd_fit calls only)
   lambda, selected, true_selected
                   the BIC pick: its lambda, its selected count and how
                   many of those are in the true support (selection_metrics'

@@ -158,7 +158,8 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
 
     X, scale = dataset.standardized
     beta = beta_init * scale
-    eta = X @ beta + g_vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = X @ beta + g_vals
     if not np.isfinite(eta).all():
         raise ValueError("non-finite predictor")
     with np.errstate(all="ignore"):

@@ -8,14 +8,12 @@ iteration k (Kingma & Ba 2015).  The loop stops once the eval-mode
 penalized loss has changed by at most OUTER_TOL, relative, on
 OUTER_WINDOW consecutive outer iterations with the coefficient support
 unchanged.  Adam always runs its inner steps, and coordinate descent
-stops at cd_fit's default tolerance.  Without the network (g = 0, the
-baseline) there is nothing to alternate: a fit is one coordinate-descent
-call.  The SCAD strength lam is an argument of fit, not a setting:
-tune_lambda picks it by BIC over the config's grid, run as a warm chain
-of coordinate-descent calls at a fixed network output (Friedman, Hastie &
-Tibshirani 2010), and trains the network only at the pick; architecture
-search fits every cell at that pick on its training split and scores it
-by held-out likelihood.
+stops at cd_fit's default tolerance.  The SCAD strength lam is an
+argument of fit, not a setting: tune_lambda picks it by BIC over the
+config's grid, run as a warm chain of coordinate-descent calls at a fixed
+network output (Friedman, Hastie & Tibshirani 2010), and trains the
+network only at the pick; the baseline (g = 0) is the chain alone.
+Architecture search fits each cell at the pick and scores it held out.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ class FitConfig:
     finite and >= 0.
     gamma is Adam's step size, finite and > 0; the stopping tolerances are
     fixed (see fit).  fit_g=False is the plain SCAD-penalized Cox baseline:
-    g is identically zero, and a fit is one coordinate-descent call.
+    g is identically zero, and tune_lambda's chain is its whole fit.
     """
 
     lambda_grid: tuple = tuple(round(v, 6) for v in np.geomspace(0.05, 5.0, 12))
@@ -117,10 +115,11 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
     them; otherwise it stops after cfg.max_outer iterations.  "converged"
     is True only when that stopping rule held and the last coordinate
     descent call converged too (it did not run out of cfg.max_sweeps).
-    With cfg.fit_g False the fit stops after that one call ("outer_iters"
-    is 1), and "converged" is the call's own flag.  "bic" is 2n q + log(n)
-    (selected count), with q the Cox loss of the last loss evaluation.
+    "bic" is _bic at the last loss evaluation.  cfg.fit_g False is a
+    ValueError: the g = 0 baseline is tune_lambda's chain, not a fit.
     """
+    if not cfg.fit_g:
+        raise ValueError("fit_g=False is no fit: use tune_lambda's chain")
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
     if not 0.0 <= lam < np.inf:
@@ -129,12 +128,8 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
         raise ValueError("net_init takes %d z columns but dataset has r=%d"
                          % (net_init.input_dim, dataset.r))
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    if net_init is not None:
-        net = net_init.copy()
-    elif cfg.fit_g:
-        net = init_network(cfg.arch, dataset.r, seeds[0])
-    else:
-        net = zero_network(dataset.r)
+    net = init_network(cfg.arch, dataset.r, seeds[0]) if net_init is None \
+        else net_init.copy()
     adam_rng = np.random.default_rng(seeds[1])
 
     beta = np.zeros(dataset.p) if beta_init is None \
@@ -143,7 +138,8 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
     scale = dataset.standardized[1]
 
     def losses(b, g):  # q and the penalized loss at (b, g)
-        q = cox_terms(dataset.x @ b + g, dataset)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = cox_terms(dataset.x @ b + g, dataset)[0]
         return q, q + _penalty(b * scale, lam)
 
     loss_path = [losses(beta, g_vals)[1]]
@@ -151,10 +147,9 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
     moments = {}  # Adam's flat m and v, laid out like net.params, and t
     stable = 0
     for k in range(1, cfg.max_outer + 1):
-        if cfg.fit_g:
-            g_vals = adam_fit(net, dataset, beta, cfg.gamma / k,
-                              inner_steps=cfg.inner_steps, rng=adam_rng,
-                              moments=moments)
+        g_vals = adam_fit(net, dataset, beta, cfg.gamma / k,
+                          inner_steps=cfg.inner_steps, rng=adam_rng,
+                          moments=moments)
         cd_info = {}
         beta_new = cd_fit(dataset, g_vals, beta, lam,
                           max_sweeps=cfg.max_sweeps, info=cd_info)
@@ -166,18 +161,22 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
                    <= OUTER_TOL * abs(loss_path[-2]))
         beta = beta_new
         stable = stable + 1 if settled else 0
-        done = stable == OUTER_WINDOW or not cfg.fit_g
-        if done:
+        if stable == OUTER_WINDOW:
             break
 
     return FittedModel(beta_hat=beta, net=net, lam=float(lam), diagnostics={
         "loss_path": loss_path,
         "outer_iters": len(cd_sweeps),
         "cd_sweeps": cd_sweeps,
-        "converged": done and cd_info["converged"],
-        "bic": float(2.0 * dataset.n * q
-                     + np.log(dataset.n) * np.count_nonzero(beta)),
+        "converged": stable == OUTER_WINDOW and cd_info["converged"],
+        "bic": _bic(dataset, q, beta),
     })
+
+
+def _bic(dataset: SurvivalDataset, q: float, beta: np.ndarray) -> float:
+    """2n q + log(n) (selected count): BIC at Cox loss q and beta."""
+    return float(2.0 * dataset.n * q
+                 + np.log(dataset.n) * np.count_nonzero(beta))
 
 
 def predict_eta(model: FittedModel, x_new, z_new) -> np.ndarray:
@@ -204,8 +203,8 @@ def _cd_path(dataset: SurvivalDataset, cfg: FitConfig, net: Network,
     """(path, pick): cfg.lambda_grid as a warm chain of cd_fit calls from
     beta = 0 at the fixed offset forward(net, dataset.z), and its entry of
     lowest BIC, ties going to the later one.  Each entry carries a copy of
-    net and "bic" = 2n q + log(n) (selected count), q the Cox loss at its
-    beta and that offset.  Logs one line per grid value at level."""
+    net and "bic", the _bic of its beta at that offset.  Logs one line
+    per grid value at level."""
     g_vals = forward(net, dataset.z)
     path, beta = [], None
     for lam in cfg.lambda_grid:
@@ -213,9 +212,8 @@ def _cd_path(dataset: SurvivalDataset, cfg: FitConfig, net: Network,
         info = {}
         beta = cd_fit(dataset, g_vals, beta, lam, max_sweeps=cfg.max_sweeps,
                       info=info)
-        q = cox_terms(dataset.x @ beta + g_vals, dataset)[0]
-        bic = float(2.0 * dataset.n * q
-                    + np.log(dataset.n) * np.count_nonzero(beta))
+        bic = _bic(dataset, cox_terms(dataset.x @ beta + g_vals, dataset)[0],
+                   beta)
         path.append(FittedModel(beta_hat=beta, net=net.copy(), lam=float(lam),
                                 diagnostics={"cd_sweeps": [info["sweeps"]],
                                              "converged": info["converged"],

@@ -125,8 +125,8 @@ def init_network(arch: NetworkArch, input_dim: int, seed) -> Network:
 def zero_network(input_dim: int) -> Network:
     """Single linear layer with all-zero parameters: g identically zero.
 
-    Used as the disabled nonparametric term when fitting the plain
-    penalized Cox baseline.
+    The baseline's network: tune_lambda runs the g = 0 baseline as one
+    coordinate-descent chain at its output.
     """
     arch = NetworkArch(hidden_widths=(), dropout_rate=0.0)
     return Network(arch=arch, weights=[np.zeros((1, input_dim))],

@@ -39,18 +39,26 @@ def train_pass(net, dataset, beta_fixed, rng=None):
     return loss, list(zip(train.grads_w, train.grads_b))
 
 
+def cd_entry(dataset, cfg, g_vals, beta, lam):
+    """One warm cd_fit call at lam from beta at the fixed offset g_vals:
+    (beta, bic, converged), with bic = 2n q + log(n) (selected count)."""
+    info = {}
+    beta = cd_fit(dataset, g_vals, beta, lam, max_sweeps=cfg.max_sweeps,
+                  info=info)
+    q = cox_terms(dataset.x @ beta + g_vals, dataset)[0]
+    return (beta, 2.0 * dataset.n * q
+            + np.log(dataset.n) * np.count_nonzero(beta), info["converged"])
+
+
 def cd_chain(dataset, cfg, net):
-    """cfg.lambda_grid as a warm chain of cd_fit calls from beta = 0 at the
-    fixed offset forward(net, dataset.z): one (lam, beta, bic) per grid
-    value, with bic = 2n q + log(n) (selected count), and the BIC pick,
-    ties going to the later entry."""
+    """cfg.lambda_grid as a warm chain of cd_entry calls from beta = 0 at
+    the fixed offset forward(net, dataset.z): one (lam, beta, bic) per
+    grid value, and the BIC pick, ties going to the later entry."""
     g_vals = forward(net, dataset.z)
     entries, beta = [], None
     for lam in cfg.lambda_grid:
-        beta = cd_fit(dataset, g_vals, beta, lam, max_sweeps=cfg.max_sweeps)
-        q = cox_terms(dataset.x @ beta + g_vals, dataset)[0]
-        entries.append((lam, beta, 2.0 * dataset.n * q
-                        + np.log(dataset.n) * np.count_nonzero(beta)))
+        beta, bic, _ = cd_entry(dataset, cfg, g_vals, beta, lam)
+        entries.append((lam, beta, bic))
     low = min(bic for _, _, bic in entries)
     return entries, [e for e in entries if e[2] == low][-1]
 

@@ -219,6 +219,7 @@ class TestCdFit:
         with pytest.raises(ValueError):
             cd_fit(ds, bad, None, 0.1)
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_finite_start_whose_predictor_overflows(self):
         # beta_init passes its own check, but X @ beta does not fit a float
         ds, g = sim_cox(1, n=20, p=2)

@@ -67,34 +67,6 @@ class TestFit:
         assert capped["converged"] is False
         assert fit(ds, cfg, 0.1).diagnostics["converged"] is True
 
-    @pytest.mark.parametrize("max_sweeps", [1, 100])
-    def test_baseline_fit_is_one_cd_call(self, max_sweeps, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("the network was trained")
-
-        calls = []
-
-        def counted_cd_fit(*args, **kwargs):
-            calls.append(args)
-            return cd_fit(*args, **kwargs)
-
-        monkeypatch.setattr("dplc.estimator.adam_fit", no_training)
-        monkeypatch.setattr("dplc.estimator.cd_fit", counted_cd_fit)
-        ds = simulate_dataset(SimConfig(n=100, p=10, seed=1), 0).dataset
-        cfg = FitConfig(fit_g=False, max_sweeps=max_sweeps)
-        model = fit(ds, cfg, 0.1)
-        assert len(calls) == 1
-        info = {}
-        beta = cd_fit(ds, np.zeros(ds.n), None, 0.1,
-                      max_sweeps=cfg.max_sweeps, info=info)
-        assert model.beta_hat.tobytes() == beta.tobytes()
-        diag = model.diagnostics
-        assert diag["outer_iters"] == 1
-        assert len(diag["loss_path"]) == 2
-        assert diag["cd_sweeps"] == [info["sweeps"]]
-        assert diag["converged"] is info["converged"]
-        assert info["converged"] is (max_sweeps == 100)
-
     def test_support_matches_nonzeros(self):
         data = sim_data(7, n=200, p=12, s_beta=3)
         model = fit(data.dataset, quick_cfg(), 0.1)
@@ -155,12 +127,6 @@ class TestFit:
                 hits += 1
         assert hits >= 18
 
-    def test_network_fit_disabled(self):
-        data = sim_data(9, n=150, p=8)
-        model = fit(data.dataset, replace(quick_cfg(), fit_g=False), LAM)
-        z_out = predict_eta(model, np.zeros((4, 8)), np.ones((4, 8)))
-        assert np.all(z_out == 0.0)
-
     def test_default_path_converges(self):
         data = simulate_dataset(SimConfig(seed=1), 0)
         _, path = tune_lambda(data.dataset, FitConfig())
@@ -183,6 +149,23 @@ class TestFit:
         data = sim_data(1, n=60, p=4)
         with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             fit(data.dataset, quick_cfg(), lam)
+
+    def test_baseline_config_is_rejected_before_any_call(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("fit ran a step")
+
+        monkeypatch.setattr("dplc.estimator.adam_fit", no_call)
+        monkeypatch.setattr("dplc.estimator.cd_fit", no_call)
+        data = sim_data(1, n=60, p=4)
+        with pytest.raises(ValueError, match="tune_lambda"):
+            fit(data.dataset, quick_cfg(fit_g=False), LAM)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_finite_start_whose_predictor_overflows(self):
+        # As cd_fit's own check: beta_init is finite, x @ beta is not.
+        data = sim_data(1, n=60, p=5)
+        with pytest.raises(ValueError, match="^non-finite predictor$"):
+            fit(data.dataset, quick_cfg(), LAM, beta_init=np.full(5, 1e308))
 
     def test_loss_path_penalizes_the_standardized_beta(self):
         # Coordinate descent penalizes beta * scale, so rescaling the x
@@ -287,6 +270,50 @@ class TestBic:
 
 
 class TestTuneLambda:
+    @pytest.mark.parametrize("max_sweeps", [1, 100])
+    def test_baseline_is_one_cd_call_per_lambda(self, max_sweeps,
+                                                monkeypatch):
+        # g = 0: no network is trained and no alternating fit runs.
+        def no_call(*args, **kwargs):
+            raise AssertionError("the baseline ran a fit")
+
+        calls = []
+
+        def recorded_cd_fit(*args, **kwargs):
+            calls.append((args, kwargs.setdefault("info", {})))
+            return cd_fit(*args, **kwargs)
+
+        monkeypatch.setattr("dplc.estimator.adam_fit", no_call)
+        monkeypatch.setattr("dplc.estimator.fit", no_call)
+        monkeypatch.setattr("dplc.estimator.cd_fit", recorded_cd_fit)
+        ds = simulate_dataset(SimConfig(n=100, p=10, seed=1), 0).dataset
+        cfg = FitConfig(fit_g=False, max_sweeps=max_sweeps)
+        best, path = tune_lambda(ds, cfg)
+        assert len(calls) == len(path) == len(cfg.lambda_grid)
+        beta = None
+        for model, (args, info) in zip(path, calls):
+            assert not args[1].any()
+            assert args[3] == model.lam
+            beta = cd_fit(ds, np.zeros(ds.n), beta, model.lam,
+                          max_sweeps=max_sweeps)
+            assert model.beta_hat.tobytes() == beta.tobytes()
+            diag = model.diagnostics
+            assert diag["cd_sweeps"] == [info["sweeps"]]
+            assert diag["converged"] is info["converged"]
+        # The first call moves beta off zero, so one sweep cannot settle it.
+        flags = [info["converged"] for _, info in calls]
+        assert flags[0] is (max_sweeps == 100)
+        assert max_sweeps == 1 or all(flags)
+        assert any(best is model for model in path)
+
+    def test_baseline_ignores_z(self):
+        data = sim_data(9, n=150, p=8)
+        best, _ = tune_lambda(data.dataset, replace(quick_cfg(), fit_g=False))
+        assert best.n_selected > 0
+        x = np.random.default_rng(9).standard_normal((4, 8))
+        for z in (np.zeros((4, 8)), np.ones((4, 8))):
+            assert np.array_equal(predict_eta(best, x, z), x @ best.beta_hat)
+
     def test_single_value_grid(self):
         # The path is the one chain entry; best is the alternating fit at
         # its lam, except for the baseline, whose entry is the answer.

@@ -5,7 +5,7 @@ conditions on the standardized scale, and no coordinate descent call of
 either method's path runs out of sweeps.  The null tail: every entry from
 the first converged null fit on is stationary at its own lambda.  The
 two rounds: the pilot selects nothing, every path entry is the chained
-baseline fit at its round's network, and the answer is the replay of
+cd_fit call at its round's network, and the answer is the replay of
 tune_lambda's rounds from fit and cd_fit calls, bit for bit.
 Invariances: the order of x's columns and a monotone transform of the
 times do not change the fit, and a row permutation of the data leaves
@@ -14,7 +14,6 @@ both methods' paths bit for bit the same.  All run on
 and the pilot also on a p = 500 draw.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +24,7 @@ from dplc import (FitConfig, SimConfig, SurvivalDataset, cd_fit, cox_terms,
 from dplc.estimator import PILOT_LAM
 from dplc.scad import SCAD_A
 
-from conftest import replay_tune_lambda
+from conftest import cd_entry, replay_tune_lambda
 
 SEEDS = (1, 2, 3)
 BASELINE = FitConfig(fit_g=False)
@@ -140,21 +139,20 @@ def test_null_tail_is_stationary_at_every_lambda(seed, fit_g):
 @pytest.mark.parametrize("fit_g", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_path_up_to_the_null_fit_is_the_chained_fit_loop(seed, fit_g):
-    # The whole path, null tail included, is the chained loop of baseline
-    # fits (one cd_fit call each) at the network every entry carries.
+    # The whole path, null tail included, is the chained loop of cd_fit
+    # calls at the network every entry carries.
     ds = default_data(seed)
     cfg = FitConfig(seed=seed, fit_g=fit_g)
     path = recorded_path(seed, cfg)[1]
     beta = None
     for model in path:
         assert np.array_equal(model.net.params, path[0].net.params)
-        chained = estimator.fit(ds, replace(cfg, fit_g=False), model.lam,
-                                beta_init=beta, net_init=model.net)
-        assert np.array_equal(chained.beta_hat, model.beta_hat)
-        assert chained.diagnostics["bic"] == model.diagnostics["bic"]
-        assert chained.diagnostics["converged"] == \
-            model.diagnostics["converged"]
-        beta = chained.beta_hat
+        chained, bic, converged = cd_entry(ds, cfg, forward(model.net, ds.z),
+                                           beta, model.lam)
+        assert np.array_equal(chained, model.beta_hat)
+        assert bic == model.diagnostics["bic"]
+        assert converged == model.diagnostics["converged"]
+        beta = chained
 
 
 @pytest.mark.parametrize("fit_g", [True, False])
@@ -202,10 +200,11 @@ def test_baseline_null_tail_matches_warm_fits(seed):
     tail = path[first_null(path):]
     assert len(tail) > 1
     for prev, model in zip(tail, tail[1:]):
-        warm = estimator.fit(ds, BASELINE, model.lam,
-                             beta_init=prev.beta_hat, net_init=prev.net)
-        assert np.array_equal(warm.beta_hat, model.beta_hat)
-        assert warm.diagnostics["bic"] == model.diagnostics["bic"]
+        assert np.array_equal(prev.net.params, model.net.params)
+        beta, bic, _ = cd_entry(ds, BASELINE, forward(prev.net, ds.z),
+                                prev.beta_hat, model.lam)
+        assert np.array_equal(beta, model.beta_hat)
+        assert bic == model.diagnostics["bic"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -22,7 +22,11 @@
 # pool's rows are compared too.  Four runs
 # exit 2: simulate with a config holding an unknown nested key, one with a
 # wrongly typed value and one whose root is not an object, and a fit whose
-# --lambda-grid holds a token that is not a number.
+# --lambda-grid holds a token that is not a number.  The default fit and
+# the p = 500 fit run once more with DPLC_LOG=DEBUG, each log line's
+# " seconds=..." stripped, so the estimator's log is compared as well: the
+# pilot's and each alternating fit's outer_iters and converged, and both
+# lambda chains' per-lambda sweeps and BIC.
 # Every output file, stdout and stderr included, is compared with diff -r;
 # the exit status is non-zero on any difference.
 set -u
@@ -40,12 +44,21 @@ run() {  # run NAME ARGS...: one dplc command, its output and exit code
     echo "exit $?" >> "$name.out"
 }
 
+log() {  # log NAME ARGS...: run NAME at DEBUG level, without the timings
+    local name=$1
+    shift
+    DPLC_LOG=DEBUG python3 -m dplc.cli "$@" 2>&1 \
+        | sed 's/ seconds=[0-9.]*$//' > "$name.log"
+    echo "exit ${PIPESTATUS[0]}" >> "$name.log"
+}
+
 run_side() {  # run_side SRC OUT
     mkdir -p "$2"
     cd "$2" || exit 2
     export PYTHONPATH=$1
     run simulate simulate --seed 0 --out sim
     run fit fit --data sim/dataset.csv --out fit
+    log fit_log fit --data sim/dataset.csv --out fit_log
     run fit_arch fit --data sim/dataset.csv --out fit_arch \
         --arch-grid "depths=1;widths=2,4;dropout=0.3;lr=0.01"
     run fit_grid fit --data sim/dataset.csv --out fit_grid \
@@ -77,6 +90,7 @@ run_side() {  # run_side SRC OUT
     echo '{"sim": {"p": 500}}' > sim_p500.json
     run simulate_p500 simulate --config sim_p500.json --out sim_p500
     run fit_p500 fit --data sim_p500/dataset.csv --out fit_p500
+    log fit_p500_log fit --data sim_p500/dataset.csv --out fit_p500_log
     for s in 0 1 2; do
         echo "{\"seed\": $s, \"sim\": {\"replicates\": 1}}" > "bench_$s.json"
         run "bench_$s" benchmark --config "bench_$s.json" --out "bench_$s"

@@ -50,12 +50,11 @@ class CliInputError(Exception):
 
 # The run-config layout.  "sim" and "fit" take the fields of SimConfig and
 # FitConfig, whose defaults are the only copy; the seed is set once at the
-# top level, and fit_g belongs to the benchmark's baseline method.
+# top level.  The baseline's arch=None (no network) is no run-config value.
 CONFIG_DEFAULTS = {
     "seed": FitConfig().seed,
     "sim": {k: v for k, v in asdict(SimConfig()).items() if k != "seed"},
-    "fit": {k: v for k, v in asdict(FitConfig()).items()
-            if k not in ("seed", "fit_g")},
+    "fit": {k: v for k, v in asdict(FitConfig()).items() if k != "seed"},
 }
 
 # The grids of --arch-grid by name: the tune_architecture argument each
@@ -513,7 +512,7 @@ def cmd_benchmark(args) -> int:
     sim_cfg, fit_cfg = run_records(args.config, args.seed, args.lambda_grid)
     if args.threads < 1:
         raise CliInputError("--threads must be >= 1")
-    methods = {"dplc": fit_cfg, "cox_scad": replace(fit_cfg, fit_g=False)}
+    methods = {"dplc": fit_cfg, "cox_scad": replace(fit_cfg, arch=None)}
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "replicates.csv"), "w", newline="") as fh:

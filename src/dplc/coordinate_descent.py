@@ -176,10 +176,9 @@ def cd_fit(dataset: SurvivalDataset, g_vals, beta_init, lam: float,
         if np.abs(beta).max(initial=0.0) > BETA_CAP:
             raise NumericalDivergence("divergence; reduce step or increase lambda")
         change = beta - beta_prev
-        if math.sqrt(change @ change) <= tol:  # the 2-norm, as np.linalg.norm
-            converged = True
-            break
-        if sweep == max_sweeps:
+        with np.errstate(over="ignore"):  # inf after a huge start's 1st sweep
+            converged = math.sqrt(change @ change) <= tol  # the 2-norm
+        if converged or sweep == max_sweeps:
             break
         active = np.flatnonzero(beta)
         with np.errstate(all="ignore"):

@@ -12,7 +12,8 @@ stops at cd_fit's default tolerance.  The SCAD strength lam is an
 argument of fit, not a setting: tune_lambda picks it by BIC over the
 config's grid, run as a warm chain of coordinate-descent calls at a fixed
 network output (Friedman, Hastie & Tibshirani 2010), and trains the
-network only at the pick; the baseline (g = 0) is the chain alone.
+network only at the pick; with no network (arch None) g = 0 and the chain
+is the whole fit.
 Architecture search fits each cell at the pick and scores it held out.
 """
 
@@ -50,17 +51,16 @@ class FitConfig:
     coordinate-descent chain along lambda_grid, which must be ascending,
     finite and >= 0.
     gamma is Adam's step size, finite and > 0; the stopping tolerances are
-    fixed (see fit).  fit_g=False is the plain SCAD-penalized Cox baseline:
-    g is identically zero, and tune_lambda's chain is its whole fit.
+    fixed (see fit).  arch=None is no network, so g is identically zero:
+    the SCAD-penalized Cox baseline, whose whole fit is tune_lambda's chain.
     """
 
     lambda_grid: tuple = tuple(round(v, 6) for v in np.geomspace(0.05, 5.0, 12))
-    arch: NetworkArch = field(default_factory=NetworkArch)
+    arch: Optional[NetworkArch] = field(default_factory=NetworkArch)
     gamma: float = 0.01
     inner_steps: int = 20
     max_sweeps: int = 100
     max_outer: int = 25
-    fit_g: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -115,11 +115,11 @@ def fit(dataset: SurvivalDataset, cfg: FitConfig, lam: float, *,
     them; otherwise it stops after cfg.max_outer iterations.  "converged"
     is True only when that stopping rule held and the last coordinate
     descent call converged too (it did not run out of cfg.max_sweeps).
-    "bic" is _bic at the last loss evaluation.  cfg.fit_g False is a
+    "bic" is _bic at the last loss evaluation.  cfg.arch None is a
     ValueError: the g = 0 baseline is tune_lambda's chain, not a fit.
     """
-    if not cfg.fit_g:
-        raise ValueError("fit_g=False is no fit: use tune_lambda's chain")
+    if cfg.arch is None:
+        raise ValueError("arch=None is no fit: use tune_lambda's chain")
     if dataset.p < 1 or dataset.r < 1:
         raise ValueError("dataset needs at least one x and one z column")
     if not 0.0 <= lam < np.inf:
@@ -250,19 +250,19 @@ def tune_lambda(dataset: SurvivalDataset, cfg: FitConfig, *,
     alternating fit at its pick, warm from the pick's beta and the pilot
     network.  Round 2 runs the chain at that fit's network and, only if
     its pick has another lam, fits there, warm from its pick's beta and
-    round 1's network.  With cfg.fit_g False the network is zero, and the
+    round 1's network.  With cfg.arch None the network is zero, and the
     one chain is all that runs.
 
     Returns (best, path): path holds the last chain's entries in grid
     order, which are what BIC compared (see _cd_path); best is the last
-    alternating fit, with its own "bic", or with fit_g False the picked
+    alternating fit, with its own "bic", or with arch None the picked
     entry.  At INFO level the last chain logs one line per grid value
     (round 1's logs at DEBUG), and the pilot and each alternating fit log
     one line labelled "pilot", "round 1 fit" or "round 2 fit".  If given,
     info["fits_not_converged"] receives the number of unconverged fits run:
     the pilot, the entries of both chains and the alternating fits.
     """
-    if not cfg.fit_g:
+    if cfg.arch is None:
         path, best = _cd_path(dataset, cfg, zero_network(dataset.r))
         ran = path
     else:

@@ -125,8 +125,8 @@ def init_network(arch: NetworkArch, input_dim: int, seed) -> Network:
 def zero_network(input_dim: int) -> Network:
     """Single linear layer with all-zero parameters: g identically zero.
 
-    The baseline's network: tune_lambda runs the g = 0 baseline as one
-    coordinate-descent chain at its output.
+    The network of arch=None, no network: tune_lambda runs that g = 0
+    baseline as one coordinate-descent chain at its output.
     """
     arch = NetworkArch(hidden_widths=(), dropout_rate=0.0)
     return Network(arch=arch, weights=[np.zeros((1, input_dim))],

@@ -65,15 +65,15 @@ def cd_chain(dataset, cfg, net):
 
 def replay_tune_lambda(dataset, cfg):
     """tune_lambda(dataset, cfg)'s answer from its specification: (best,
-    entries, nets).  With cfg.fit_g, a pilot fit at PILOT_LAM gives round
+    entries, nets).  With a network, a pilot fit at PILOT_LAM gives round
     1's network; each round runs cd_chain at its network and fits at the
     pick, warm from the pick's beta and the round's network, and round 2
     refits only when its pick has another lam.  entries are the last
-    chain's, nets the network of each round.  Without fit_g, the chain
+    chain's, nets the network of each round.  With cfg.arch None, the chain
     at the zero network is all, and best is its pick's (lam, beta, bic).
     PILOT_LAM is read at call time, so this module imports against any
     dplc tree (tools/bench_acceptance.py imports it beside older ones)."""
-    if not cfg.fit_g:
+    if cfg.arch is None:
         net = zero_network(dataset.r)
         entries, pick = cd_chain(dataset, cfg, net)
         return pick, entries, [net]

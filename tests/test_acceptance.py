@@ -166,7 +166,7 @@ def nonlinear_ordering(seed):
     sim = SimConfig(n=500, p=100, r=8, s_beta=10, g0_kind="nonlinear",
                     replicates=10, seed=seed)
     cfg = desk_cfg(hidden=(16, 16), outer=20)
-    methods = {"dplc": cfg, "cox_scad": replace(cfg, fit_g=False)}
+    methods = {"dplc": cfg, "cox_scad": replace(cfg, arch=None)}
     rows, _ = run_experiment(sim, methods)
     med = {}
     for name in methods:

@@ -1,6 +1,7 @@
 """End-to-end CLI flows: file round trips, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -512,12 +513,16 @@ class TestConfig:
                    "--out", str(fit_dir)) == 0
         echo = json.loads((fit_dir / "model.json").read_text())["config"]
         seed = echo.pop("seed")
-        assert echo.pop("fit_g") is True
         path = tmp_path / "echo.json"
         path.write_text(json.dumps({"fit": echo}))
         _, rebuilt = run_records(str(path), seed)
         _, original = run_records(small_config)
         assert rebuilt == original
+
+    def test_fit_section_is_every_fit_config_field_but_seed(self):
+        # The baseline is arch=None, no setting of its own to leave out.
+        names = {f.name for f in dataclasses.fields(dplc.FitConfig)}
+        assert set(CONFIG_DEFAULTS["fit"]) == names - {"seed"}
 
     def test_readme_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from dplc import (NumericalDivergence, SurvivalDataset, cd_fit, cox_terms,
-                  scad_threshold, scad_value)
+from dplc import (NumericalDivergence, SimConfig, SurvivalDataset, cd_fit,
+                  cox_terms, scad_threshold, scad_value, simulate_dataset)
 from dplc import coordinate_descent
 from dplc.coordinate_descent import V_FLOOR, _sweep
 
@@ -225,6 +225,17 @@ class TestCdFit:
         ds, g = sim_cox(1, n=20, p=2)
         with pytest.raises(ValueError, match="^non-finite predictor$"):
             cd_fit(ds, g, np.array([1e308, 0.0]), 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_start_converges_without_warning(self):
+        # X @ beta fits a float, but the first step's squared norm does not
+        ds = simulate_dataset(SimConfig(n=50, p=5, s_beta=2, seed=1),
+                              0).dataset
+        info = {}
+        beta = cd_fit(ds, np.zeros(ds.n), np.full(5, 1e300), 0.1, info=info)
+        assert info["converged"] and info["sweeps"] > 1
+        cold = cd_fit(ds, np.zeros(ds.n), None, 0.1)
+        assert np.allclose(beta, cold, rtol=0.0, atol=1e-6)
 
     def test_rejects_negative_lambda(self):
         ds, g = sim_cox(1, n=20, p=2)

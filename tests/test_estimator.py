@@ -131,7 +131,7 @@ class TestFit:
         data = simulate_dataset(SimConfig(seed=1), 0)
         _, path = tune_lambda(data.dataset, FitConfig())
         assert sum(m.diagnostics["converged"] for m in path) >= 10
-        _, path = tune_lambda(data.dataset, FitConfig(fit_g=False))
+        _, path = tune_lambda(data.dataset, FitConfig(arch=None))
         assert all(m.diagnostics["converged"] for m in path)
 
     def test_outer_cap_reports_not_converged(self):
@@ -158,7 +158,7 @@ class TestFit:
         monkeypatch.setattr("dplc.estimator.cd_fit", no_call)
         data = sim_data(1, n=60, p=4)
         with pytest.raises(ValueError, match="tune_lambda"):
-            fit(data.dataset, quick_cfg(fit_g=False), LAM)
+            fit(data.dataset, replace(quick_cfg(), arch=None), LAM)
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_finite_start_whose_predictor_overflows(self):
@@ -166,6 +166,15 @@ class TestFit:
         data = sim_data(1, n=60, p=5)
         with pytest.raises(ValueError, match="^non-finite predictor$"):
             fit(data.dataset, quick_cfg(), LAM, beta_init=np.full(5, 1e308))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_start_fits_without_warning(self):
+        # As cd_fit's own case: x @ beta is finite, the first CD step huge.
+        ds = simulate_dataset(SimConfig(n=50, p=5, s_beta=2, seed=1),
+                              0).dataset
+        model = fit(ds, FitConfig(), 0.1, beta_init=np.full(5, 1e300))
+        assert np.isfinite(model.beta_hat).all()
+        assert model.diagnostics["outer_iters"] >= 1
 
     def test_loss_path_penalizes_the_standardized_beta(self):
         # Coordinate descent penalizes beta * scale, so rescaling the x
@@ -287,7 +296,7 @@ class TestTuneLambda:
         monkeypatch.setattr("dplc.estimator.fit", no_call)
         monkeypatch.setattr("dplc.estimator.cd_fit", recorded_cd_fit)
         ds = simulate_dataset(SimConfig(n=100, p=10, seed=1), 0).dataset
-        cfg = FitConfig(fit_g=False, max_sweeps=max_sweeps)
+        cfg = FitConfig(arch=None, max_sweeps=max_sweeps)
         best, path = tune_lambda(ds, cfg)
         assert len(calls) == len(path) == len(cfg.lambda_grid)
         beta = None
@@ -308,7 +317,7 @@ class TestTuneLambda:
 
     def test_baseline_ignores_z(self):
         data = sim_data(9, n=150, p=8)
-        best, _ = tune_lambda(data.dataset, replace(quick_cfg(), fit_g=False))
+        best, _ = tune_lambda(data.dataset, replace(quick_cfg(), arch=None))
         assert best.n_selected > 0
         x = np.random.default_rng(9).standard_normal((4, 8))
         for z in (np.zeros((4, 8)), np.ones((4, 8))):
@@ -321,8 +330,8 @@ class TestTuneLambda:
         best, path = tune_lambda(data.dataset, quick_cfg(lambda_grid=[0.3]))
         assert best.lam == path[0].lam == 0.3 and len(path) == 1
         assert best.diagnostics["outer_iters"] >= 1
-        best, path = tune_lambda(data.dataset, quick_cfg(lambda_grid=[0.3],
-                                                         fit_g=False))
+        best, path = tune_lambda(data.dataset, replace(
+            quick_cfg(lambda_grid=[0.3]), arch=None))
         assert best.lam == 0.3 and len(path) == 1 and path[0] is best
 
     def test_path_holds_the_fitted_models_in_grid_order(self):
@@ -448,11 +457,12 @@ class TestTuneLambda:
         ds = make_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0],
                           x=np.eye(4)[:, :3],
                           z=np.linspace(0, 1, 8).reshape(4, 2))
-        for fit_g in (True, False):
-            best, path = tune_lambda(ds, quick_cfg(
-                lambda_grid=[0.1, 0.5, 2.0], fit_g=fit_g))
+        dplc = quick_cfg(lambda_grid=[0.1, 0.5, 2.0])
+        for method, cfg in {"dplc": dplc,
+                            "cox_scad": replace(dplc, arch=None)}.items():
+            best, path = tune_lambda(ds, cfg)
             assert len({m.diagnostics["bic"] for m in path}) == 1
-            assert best.lam == 2.0 and (fit_g or best is path[-1])
+            assert best.lam == 2.0 and (method == "dplc" or best is path[-1])
 
     def test_null_signal_selects_sparse_models(self):
         wins = 0

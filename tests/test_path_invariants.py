@@ -14,6 +14,7 @@ both methods' paths bit for bit the same.  All run on
 and the pilot also on a p = 500 draw.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +28,14 @@ from dplc.scad import SCAD_A
 from conftest import cd_entry, replay_tune_lambda
 
 SEEDS = (1, 2, 3)
-BASELINE = FitConfig(fit_g=False)
+BASELINE = FitConfig(arch=None)
+
+
+def method_cfg(seed, network):
+    """The default config at seed: dplc's, or with network False the
+    cox_scad baseline's, which has no network (arch None, so g = 0)."""
+    cfg = FitConfig(seed=seed)
+    return cfg if network else replace(cfg, arch=None)
 
 
 def default_data(seed):
@@ -114,20 +122,20 @@ def test_converged_warm_cd_path_at_fixed_network_is_stationary(seed):
     assert converged
 
 
-@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("network", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_no_cd_call_runs_out_of_sweeps(seed, fit_g):
-    calls = recorded_path(seed, FitConfig(seed=seed, fit_g=fit_g))[2]
+def test_no_cd_call_runs_out_of_sweeps(seed, network):
+    calls = recorded_path(seed, method_cfg(seed, network))[2]
     assert calls and all(info["converged"] for info in calls)
 
 
-@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("network", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_null_tail_is_stationary_at_every_lambda(seed, fit_g):
+def test_null_tail_is_stationary_at_every_lambda(seed, network):
     # At beta = 0 the KKT residual is max_j |c_j| - lam, with c taken at
     # eta = g-hat of the entry's own network.
     ds = default_data(seed)
-    path = recorded_path(seed, FitConfig(seed=seed, fit_g=fit_g))[1]
+    path = recorded_path(seed, method_cfg(seed, network))[1]
     tail = path[first_null(path):]
     assert len(tail) > 1
     for model in tail:
@@ -136,13 +144,13 @@ def test_null_tail_is_stationary_at_every_lambda(seed, fit_g):
                        forward(model.net, ds.z)) <= 0.0
 
 
-@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("network", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_path_up_to_the_null_fit_is_the_chained_fit_loop(seed, fit_g):
+def test_path_up_to_the_null_fit_is_the_chained_fit_loop(seed, network):
     # The whole path, null tail included, is the chained loop of cd_fit
     # calls at the network every entry carries.
     ds = default_data(seed)
-    cfg = FitConfig(seed=seed, fit_g=fit_g)
+    cfg = method_cfg(seed, network)
     path = recorded_path(seed, cfg)[1]
     beta = None
     for model in path:
@@ -155,14 +163,14 @@ def test_path_up_to_the_null_fit_is_the_chained_fit_loop(seed, fit_g):
         beta = chained
 
 
-@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("network", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_path_and_answer_are_the_two_round_replay(seed, fit_g):
+def test_path_and_answer_are_the_two_round_replay(seed, network):
     # Each entry is the chained cd_fit call at the last round's network,
     # and best is fit at the pick, warm from the pick's beta and the
     # round's network.
     ds = default_data(seed)
-    cfg = FitConfig(seed=seed, fit_g=fit_g)
+    cfg = method_cfg(seed, network)
     best, path, _ = recorded_path(seed, cfg)
     replayed, entries, nets = replay_tune_lambda(ds, cfg)
     assert len(path) == len(entries)
@@ -171,7 +179,7 @@ def test_path_and_answer_are_the_two_round_replay(seed, fit_g):
         assert np.array_equal(model.beta_hat, beta)
         assert np.array_equal(model.net.params, nets[-1].params)
         assert model.net.center_offset == nets[-1].center_offset
-    if fit_g:
+    if network:
         assert np.array_equal(best.beta_hat, replayed.beta_hat)
         assert np.array_equal(best.net.params, replayed.net.params)
         assert best.diagnostics == replayed.diagnostics
@@ -263,13 +271,13 @@ def test_baseline_path_ignores_row_order_and_monotone_times(seed):
         assert np.array_equal(beta, log_fit.beta_hat)
 
 
-@pytest.mark.parametrize("fit_g", [True, False])
+@pytest.mark.parametrize("network", [True, False])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_path_is_bit_equal_on_permuted_rows(seed, fit_g):
+def test_path_is_bit_equal_on_permuted_rows(seed, network):
     # Dropout masks are drawn per stored row, so a dplc path depends on
     # the rows' order unless the dataset fixes it.
     ds = default_data(seed)
-    cfg = FitConfig(seed=seed, fit_g=fit_g)
+    cfg = method_cfg(seed, network)
     rows = np.random.default_rng(seed).permutation(ds.n)
     path = recorded_path(seed, cfg)[1]
     shuffled = tune_lambda(rebuilt(ds, rows=rows), cfg)[1]

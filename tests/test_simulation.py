@@ -420,7 +420,7 @@ class TestRunExperiment:
         # the 20 % test side has 4 rows, fewer than the 8 z columns
         sim = SimConfig(n=20, p=5, r=8, s_beta=2, replicates=1)
         methods = {"dplc": small_fit_cfg((0.2,)),
-                   "cox_scad": replace(small_fit_cfg((0.2,)), fit_g=False)}
+                   "cox_scad": replace(small_fit_cfg((0.2,)), arch=None)}
         rows, summary = run_experiment(sim, methods)
         assert [r.method for r in rows] == ["dplc", "cox_scad"]
         for row in rows:

@@ -96,3 +96,30 @@ def test_help_exits_0(tool):
     assert done.returncode == 0
     assert "--side NAME=SRC" in done.stdout and "--out" in done.stdout
     assert "--child" not in done.stdout
+
+
+def test_bench_paths_child_measures_the_working_tree(monkeypatch):
+    # The tool's own measure() on src/, so an API change that breaks it
+    # fails here; the baseline has no network, so it trains none.
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "bench_paths.py"), "--child"],
+        env=dict(os.environ, PYTHONPATH=str(TOOLS.parent / "src"),
+                 OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, check=True, text=True)
+    record = json.loads(done.stdout)
+    keys = ["dplc 50", "cox_scad 50", "dplc 500", "cox_scad 500"]
+    assert list(record) == keys
+    for key, rec in record.items():
+        assert rec["fits"] == 12 and rec["cd_calls"] >= 12
+        if key.startswith("cox_scad"):
+            assert rec["fits_run"] == 0 and rec["adam_s"] == 0.0
+            assert rec["cd_calls"] == 12
+        else:
+            assert rec["fits_run"] in (2, 3) and rec["adam_s"] > 0.0
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import bench_paths
+
+    table = bench_paths.rows({"tree": [record]})
+    assert ["%s %d" % (row["method"], row["p"]) for row in table] == keys
+    assert all(row["tree"]["cd_calls"] == record[key]["cd_calls"]
+               for row, key in zip(table, keys))

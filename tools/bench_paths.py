@@ -3,11 +3,11 @@
     python3 tools/bench_paths.py --side NAME=SRC [--side NAME=SRC ...]
         [--out BENCH_paths.json]
 
-For each method of METHODS (`dplc`, and `cox_scad` with the network off)
-at each P of SIZES (50 and 500), a side runs
+At each P of SIZES (50 and 500), a side runs, for each method of the
+name -> FitConfig dict {"dplc": FitConfig(seed=1), "cox_scad":
+FitConfig(seed=1, arch=None)} (the baseline has no network, so g = 0),
 
-    tune_lambda(simulate_dataset(SimConfig(seed=1, p=P), 0).dataset,
-                FitConfig(seed=1, fit_g=...))
+    tune_lambda(simulate_dataset(SimConfig(seed=1, p=P), 0).dataset, cfg)
 
 over FitConfig's default 12-value grid and records:
 
@@ -45,7 +45,6 @@ import numpy as np
 
 import sides
 
-METHODS = ("dplc", "cox_scad")
 SIZES = (50, 500)
 ROUNDS = 5
 TIMES = ("wall_s", "adam_s", "cd_s")
@@ -85,14 +84,15 @@ def measure() -> dict:
     estimator.cd_fit = cd_fit
     estimator.fit = fit
 
+    methods = {"dplc": FitConfig(seed=1),
+               "cox_scad": FitConfig(seed=1, arch=None)}
     out = {}
     for p in SIZES:
         data = simulate_dataset(SimConfig(seed=1, p=p), 0)
-        for method in METHODS:
+        for method, cfg in methods.items():
             spent.update(adam_s=0.0, cd_s=0.0)
             cd_calls.clear()
             fit_calls[0] = 0
-            cfg = FitConfig(seed=1, fit_g=method == "dplc")
             start = time.perf_counter()
             best, path = estimator.tune_lambda(data.dataset, cfg)
             wall = time.perf_counter() - start
@@ -114,38 +114,38 @@ def measure() -> dict:
 
 
 def rows(runs) -> list:
-    """One row per method and P from {side: [measure() per round]}."""
+    """One row per method and P, in measure()'s order, from {side:
+    [measure() per round]}."""
     out = []
-    for p in SIZES:
-        for method in METHODS:
-            key = "%s %d" % (method, p)
-            row = {"method": method, "p": p}
-            for name, side_runs in runs.items():
-                records = [run[key] for run in side_runs]
-                counts = [{k: v for k, v in rec.items() if k not in TIMES}
-                          for rec in records]
-                if any(c != counts[0] for c in counts):
-                    raise SystemExit("%s %s: counts differ between rounds"
-                                     % (name, key))
-                times = {k: [rec[k] for rec in records] for k in TIMES}
-                q1, med, q3 = np.percentile(times["wall_s"], [25, 50, 75])
-                row[name] = {"wall_s": round(med, 3),
-                             "wall_s_q1": round(q1, 3),
-                             "wall_s_q3": round(q3, 3),
-                             "adam_s": round(np.median(times["adam_s"]), 3),
-                             "cd_s": round(np.median(times["cd_s"]), 3),
-                             **counts[0]}
-            out.append(row)
-            print("%-8s p=%-4d " % (method, p) + "  ".join(
-                "%s %.2f s (adam %.2f, cd %.2f) sweeps %d capped %d "
-                "converged %d/%d run %d pick lambda=%g %d sel %d true"
-                % (name, row[name]["wall_s"], row[name]["adam_s"],
-                   row[name]["cd_s"], row[name]["cd_sweeps"],
-                   row[name]["cd_capped"], row[name]["fits_converged"],
-                   row[name]["fits"], row[name]["fits_run"],
-                   row[name]["lambda"],
-                   row[name]["selected"], row[name]["true_selected"])
-                for name in runs))
+    for key in next(iter(runs.values()))[0]:
+        method, p = key.split()
+        row = {"method": method, "p": int(p)}
+        for name, side_runs in runs.items():
+            records = [run[key] for run in side_runs]
+            counts = [{k: v for k, v in rec.items() if k not in TIMES}
+                      for rec in records]
+            if any(c != counts[0] for c in counts):
+                raise SystemExit("%s %s: counts differ between rounds"
+                                 % (name, key))
+            times = {k: [rec[k] for rec in records] for k in TIMES}
+            q1, med, q3 = np.percentile(times["wall_s"], [25, 50, 75])
+            row[name] = {"wall_s": round(med, 3),
+                         "wall_s_q1": round(q1, 3),
+                         "wall_s_q3": round(q3, 3),
+                         "adam_s": round(np.median(times["adam_s"]), 3),
+                         "cd_s": round(np.median(times["cd_s"]), 3),
+                         **counts[0]}
+        out.append(row)
+        print("%-8s p=%-4s " % (method, p) + "  ".join(
+            "%s %.2f s (adam %.2f, cd %.2f) sweeps %d capped %d "
+            "converged %d/%d run %d pick lambda=%g %d sel %d true"
+            % (name, row[name]["wall_s"], row[name]["adam_s"],
+               row[name]["cd_s"], row[name]["cd_sweeps"],
+               row[name]["cd_capped"], row[name]["fits_converged"],
+               row[name]["fits"], row[name]["fits_run"],
+               row[name]["lambda"],
+               row[name]["selected"], row[name]["true_selected"])
+            for name in runs))
     return out
 
 
